@@ -149,8 +149,10 @@ class Fq:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._check(other)
         fld = self.field
+        if isinstance(other, int):
+            return Fq(fld, [a * other for a in self.coords])
+        other = self._check(other)
         prod = _poly_mul(list(self.coords), list(other.coords), fld.p)
         red = _poly_mod(prod, list(fld.modulus), fld.p)
         red += [0] * (fld.r - len(red))

@@ -24,14 +24,19 @@ def mat3(rows):
 
 
 def mat_mul3(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)) for i in range(3)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22),
     )
 
 
 def mat_vec3(v, A):
     """Row vector times matrix."""
-    return tuple(sum(v[k] * A[k][j] for k in range(3)) for j in range(3))
+    v0, v1, v2 = v
+    return tuple(v0 * A[0][j] + v1 * A[1][j] + v2 * A[2][j] for j in range(3))
 
 
 def det3(A):
@@ -70,11 +75,11 @@ IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 def g_elem(d):
     """The elementary matrix with (1,2)-entry d conjugating P_0 to P_d."""
-    return mat3([[1, d, 0], [0, 1, 0], [0, 0, 1]])
+    return ((1, d, 0), (0, 1, 0), (0, 0, 1))
 
 
 def g_elem_inv(d):
-    return mat3([[1, -d, 0], [0, 1, 0], [0, 0, 1]])
+    return ((1, -d, 0), (0, 1, 0), (0, 0, 1))
 
 
 def in_semigroup(s, N, n=3):
@@ -143,12 +148,13 @@ class HeckeCosetSet:
 
 def coset_reps(l, k, N):
     """Right-coset representatives of the double coset of diag(1,..,l,..)
-    with k entries l, for the level-N pair.  Exactly l^2 + l + 1 matrices.
+    with k entries l, for the level-N pair.  Exactly l^2 + l + 1 matrices
+    for k in {1, 2}; for k = 3 the scalar diag(l, l, l) is its own coset.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
+    if k not in (1, 2, 3):
+        raise ValueError("k must be 1, 2 or 3")
     if not _is_prime(l):
         raise ValueError("l must be prime")
     if N % l == 0:
@@ -161,6 +167,8 @@ def coset_reps(l, k, N):
         for a in range(l):
             reps.append(mat3([[1, 0, 0], [a, l, 0], [0, 0, 1]]))
         reps.append(mat3([[l, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    elif k == 3:
+        reps.append(mat3([[l, 0, 0], [0, l, 0], [0, 0, l]]))
     else:
         for a in range(l):
             for b in range(l):
@@ -258,7 +266,7 @@ def translate_to_parabolic(s, d, N, l=None, policy="least"):
         C += bump * l * m
         k = (-C * d - l + 1) // (m * l)
         A, B, D = 1 + k * m, k * N, l + C * d
-        gamma = mat3([[A, B, 0], [C, D, 0], [0, 0, 1]])
+        gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
     else:
         t = a * d + 1
         if t % l != 0:
@@ -273,7 +281,7 @@ def translate_to_parabolic(s, d, N, l=None, policy="least"):
             k -= shift * (l * d)
             C += shift * (t * m)
             A, B, D = k * m + l, k * N, t + C * d
-            gamma = mat3([[A, B, 0], [C, D, 0], [0, 0, 1]])
+            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
         else:
             case = 4
             u = t // l
@@ -286,7 +294,7 @@ def translate_to_parabolic(s, d, N, l=None, policy="least"):
             k -= shift * d
             C += shift * (m * u)
             A, B, D = 1 + k * m, k * N, u + C * d
-            gamma = mat3([[A, B, 0], [C, D, 0], [0, 0, 1]])
+            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
 
     if not in_gamma0(gamma, N):
         raise RuntimeError("internal error: gamma not in the level group")
@@ -499,15 +507,6 @@ def p1_row_orbit_equivalent(N, v, w):
         if _row_orbit_witness(N, v, (sign * w[0], sign * w[1])) is not None:
             return True
     return False
-
-
-def p1_row_orbit_witness(N, v, w):
-    v, w = _primitive(v), _primitive(w)
-    for sign in (1, -1):
-        g = _row_orbit_witness(N, v, (sign * w[0], sign * w[1]))
-        if g is not None:
-            return g
-    return None
 
 
 def _row_orbit_witness(N, v, w):

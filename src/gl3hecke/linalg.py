@@ -9,57 +9,6 @@ import numpy as np
 # -- generic field matrices: lists of lists of Fq ---------------------------
 
 
-def zeros(field, m, n):
-    z = field.zero()
-    return [[z for _ in range(n)] for _ in range(m)]
-
-
-def identity(field, n):
-    M = zeros(field, n, n)
-    one = field.one()
-    for i in range(n):
-        M[i][i] = one
-    return M
-
-
-def mat_mul(A, B, field):
-    m, k, n = len(A), len(B), len(B[0]) if B else 0
-    out = zeros(field, m, n)
-    for i in range(m):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a.is_zero():
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(n):
-                row[j] = row[j] + a * Bt[j]
-    return out
-
-
-def mat_vec(A, v, field):
-    out = []
-    for row in A:
-        acc = field.zero()
-        for a, x in zip(row, v):
-            if not a.is_zero():
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def vec_mat(v, A, field):
-    n = len(A[0]) if A else 0
-    out = [field.zero() for _ in range(n)]
-    for x, row in zip(v, A):
-        if x.is_zero():
-            continue
-        for j in range(n):
-            out[j] = out[j] + x * row[j]
-    return out
-
-
 def rref(rows, field):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     R = [list(r) for r in rows]
@@ -107,16 +56,6 @@ def nullspace(A, field):
     return basis
 
 
-def eigenspace(A, lam, field):
-    n = len(A)
-    M = [[A[i][j] - lam if i == j else A[i][j] for j in range(n)] for i in range(n)]
-    return nullspace(M, field)
-
-
-def is_zero_matrix(A):
-    return all(x.is_zero() for row in A for x in row)
-
-
 class RowReducer:
     """Incrementally maintained reduced row space over a generic field.
 
@@ -128,29 +67,36 @@ class RowReducer:
         self.field = field
         self.n = n
         self.rows = {}  # pivot column -> reduced row
+        self._support = {}  # pivot column -> nonzero columns of its row
 
     def reduce(self, v):
+        # Every row is zero at every other pivot, so the order of the
+        # subtractions does not change the result.
         v = list(v)
-        for c in sorted(self.rows):
-            if not v[c].is_zero():
-                f = v[c]
-                row = self.rows[c]
-                v = [a - f * b for a, b in zip(v, row)]
+        for c, row in self.rows.items():
+            f = v[c]
+            if not f.is_zero():
+                for j in self._support[c]:
+                    v[j] = v[j] - f * row[j]
         return v
 
     def add(self, v):
         """Add v to the span. Returns True if the span grew."""
         v = self.reduce(v)
-        piv = next((c for c in range(self.n) if not v[c].is_zero()), None)
-        if piv is None:
+        support = [c for c in range(self.n) if not v[c].is_zero()]
+        if not support:
             return False
+        piv = support[0]
         inv = v[piv].inverse()
         v = [x * inv for x in v]
         for c, row in self.rows.items():
-            if not row[piv].is_zero():
-                f = row[piv]
-                self.rows[c] = [a - f * b for a, b in zip(row, v)]
+            f = row[piv]
+            if not f.is_zero():
+                for j in support:
+                    row[j] = row[j] - f * v[j]
+                self._support[c] = [j for j in range(self.n) if not row[j].is_zero()]
         self.rows[piv] = v
+        self._support[piv] = support
         return True
 
     @property
@@ -202,21 +148,6 @@ def np_nullspace(A, p):
         for i, c in enumerate(pivots):
             basis[k, c] = (-R[i, f]) % p
     return basis
-
-
-def np_solve_right(A, b, p):
-    """One solution x of A x = b mod p, or None."""
-    A = np.array(A, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
-    m, n = A.shape
-    aug = np.concatenate([A, b.reshape(m, 1)], axis=1)
-    R, pivots = np_rref(aug, p)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, n]
-    return x
 
 
 def np_inv(A, p):

@@ -183,9 +183,6 @@ class IrreducibleModule:
         m = np.asarray(m, dtype=np.int64) % self.p
         return self.rho(m.T) @ np.asarray(v, dtype=np.int64) % self.p
 
-    def torus_weight_of_highest_vector(self):
-        return self.label
-
 
 class _Gl2Module(IrreducibleModule):
     def _compute_rho(self, g):

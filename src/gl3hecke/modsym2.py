@@ -205,6 +205,7 @@ class SymbolSpace:
         self.dimV = self.module.dim
         self.full_dim = len(self.labels) * self.dimV
         self._act_cache = {}
+        self._action_cache = {}
         self._hecke_cache = {}
         self._build_quotient()
 
@@ -223,10 +224,11 @@ class SymbolSpace:
             scalar = self.chi1(m[0][0])
             self._act_cache[key] = (R, scalar)
         R, scalar = self._act_cache[key]
+        support = [j for j in range(self.dimV) if not v[j].is_zero()]
         out = []
         for i in range(self.dimV):
             acc = self.field.zero()
-            for j in range(self.dimV):
+            for j in support:
                 rij = int(R[i, j])
                 if rij:
                     acc = acc + v[j] * rij
@@ -322,7 +324,9 @@ class SymbolSpace:
         first row congruent to (*,0) mod N) on the canonical representative
         of a class.  Individual matrices are Hecke summands: only full coset
         sums over a double coset are well defined on the quotient, so always
-        combine the results of these calls over a complete coset list."""
+        combine the results of these calls over a complete coset list.
+        Operator builders should use action_matrix, which caches the whole
+        matrix of this action per integer matrix."""
         d = _det2(m)
         if d <= 0 or gcd(d, self.p * self.N) != 1:
             raise ValueError("determinant must be positive and prime to p*N")
@@ -339,23 +343,33 @@ class SymbolSpace:
             self._symbol_class(_mul2(self.reps[i], m), w, out)
         return self.reduce_to_coords(out)
 
+    def action_matrix(self, m):
+        """Matrix of semigroup_act by m (columns = images of the unit
+        vectors), cached per space.  The key is the integer matrix m itself,
+        not its class mod N: single summands do not descend to the quotient,
+        so two matrices congruent mod N can act differently.  The returned
+        rows are tuples shared by every caller."""
+        key = (tuple(m[0]), tuple(m[1]))
+        if key not in self._action_cache:
+            cols = []
+            for j in range(self.dim):
+                e = [self.field.zero()] * self.dim
+                e[j] = self.field.one()
+                cols.append(self.semigroup_act(e, key))
+            self._action_cache[key] = tuple(zip(*cols))
+        return self._action_cache[key]
+
     def hecke_matrix(self, l):
-        """T_l as a matrix over the scalar field (columns = images)."""
+        """T_l as a matrix over the scalar field (columns = images): the
+        sum of action_matrix over the l + 1 cosets of diag(1, l)."""
         if l in self._hecke_cache:
             return self._hecke_cache[l]
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        cols = []
-        for k in range(self.dim):
-            coords = [self.field.zero()] * self.dim
-            coords[k] = self.field.one()
-            acc = [self.field.zero()] * self.dim
-            for m in cosets:
-                img = self.semigroup_act(coords, m)
-                acc = [x + y for x, y in zip(acc, img)]
-            cols.append(acc)
-        T = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        mats = [self.action_matrix(m) for m in cosets]
+        zero = self.field.zero()
+        T = [[sum((A[i][j] for A in mats), zero) for j in range(self.dim)] for i in range(self.dim)]
         self._hecke_cache[l] = T
         return T
 

@@ -62,9 +62,9 @@ def test_coset_reps_pairwise_distinct(l, k, N):
             assert not same_right_coset(reps[i], reps[j], N)
 
 
-@pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (3, 1), (3, 3)])
 def test_coset_smith_form(l, k):
-    want = (1, 1, l) if k == 1 else (1, l, l)
+    want = {1: (1, 1, l), 2: (1, l, l), 3: (l, l, l)}[k]
     for g in coset_reps(l, k, 7).reps:
         assert smith_diagonal(g) == want
 
@@ -186,11 +186,16 @@ def test_psi_congruence_on_parabolic_semigroup_samples():
     N, d = 33, 3
     found = 0
     while found < 200:
-        # random element of P_d cap S_0(3,N): conjugate a random parabolic
+        # random element of P_d cap S_0(3,N), built directly: conjugating
+        # back by g_d, the first row of s is (y, d*(y - x22), -d*x23) with
+        # y = x11 - d*x21, so s lies in S_0(N) iff x23 = 0 mod N/d (x23 = 0
+        # in this range) and x22 = x11 - d*x21 mod N/d
+        x11, x21 = rng.randint(1, 40), rng.randint(-9, 9)
+        x22 = rng.choice([v for v in range(1, 41) if (v - x11 + d * x21) % (N // d) == 0])
         x = mat3(
             [
-                [rng.randint(1, 40), 0, 0],
-                [rng.randint(-9, 9), rng.randint(1, 40), rng.randint(-9, 9)],
+                [x11, 0, 0],
+                [x21, x22, 0],
                 [rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 40)],
             ]
         )

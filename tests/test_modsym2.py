@@ -111,6 +111,24 @@ def test_hecke_from_coset_sum_matches():
         assert acc == col
 
 
+def test_action_matrix_columns_and_hecke_coset_sum():
+    space = build_space(11, 5, 2, 0)
+    F = space.field
+    for l in (2, 3):
+        cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
+        mats = [space.action_matrix(m) for m in cosets]
+        for m, A in zip(cosets, mats):
+            for j in range(space.dim):
+                e = [F.zero()] * space.dim
+                e[j] = F.one()
+                assert [A[i][j] for i in range(space.dim)] == semigroup_act(space, e, m)
+        total = [[sum((A[i][j] for A in mats), F.zero()) for j in range(space.dim)] for i in range(space.dim)]
+        assert hecke_t(space, l) == total
+    # single summands do not descend to the quotient: matrices congruent
+    # mod N act differently, so the cache key is the integer matrix
+    assert space.action_matrix(((1, 0), (1, 2))) != space.action_matrix(((1, 0), (12, 2)))
+
+
 def test_symbol_action_multiplicative_sample():
     # multiplicativity holds at the symbol-representative level: individual
     # semigroup elements are Hecke summands and only coset sums descend to

@@ -1,7 +1,9 @@
 import pytest
 
+from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
+from gl3hecke.heckegl3 import hecke_orbit_action
 from gl3hecke.transfer import (
     BoundaryDatum,
     FrobeniusData,
@@ -91,14 +93,39 @@ def test_case_weighted_contribution_count():
 
 
 def test_attachment_identity_and_perturbation():
+    # the measured T(l,1), T(l,2), T(l,3) eigenvalues close the identity, the
+    # third equals its closed form, and bumping any one of them breaks it
     datum = _datum(0)
-    l = 2
-    frob = FrobeniusData.from_boundary(datum, l)
-    e1, e2 = expected_eigenvalues(datum, l)
-    a3 = a_l3(datum, l)
-    assert verify_attachment(frob, e1, e2, a3)
     one = datum.space.field.one()
-    assert not verify_attachment(frob, e1 + one, e2, a3)
+    for l in WINDOW:
+        frob = FrobeniusData.from_boundary(datum, l)
+        measured = [eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, k)) for k in (1, 2, 3)]
+        assert measured[2] == a_l3(datum, l)
+        assert verify_attachment(frob, *measured)
+        for i in range(3):
+            bumped = list(measured)
+            bumped[i] = bumped[i] + one
+            assert not verify_attachment(frob, *bumped)
+
+
+@pytest.mark.parametrize("bumped_k", [1, 2, 3])
+def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
+    # shifting T(l, bumped_k) by the identity shifts its measured eigenvalue
+    # by one, which the report's attachment flag must catch
+    datum = _datum(2, d=3, chi0=DirichletCharacter.quadratic(F5, 3))
+    build = transfer.gl3_hecke_on_boundary
+    one = datum.space.field.one()
+
+    def shifted(datum, l, k, policy="least"):
+        mat = build(datum, l, k, policy=policy)
+        if k != bumped_k:
+            return mat
+        return [[x + one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+
+    monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
+    report = run_transfer_checks(datum, WINDOW, recheck_gamma=False)
+    assert report
+    assert all(entry["attachment"] is False for entry in report)
 
 
 def test_attachment_eisenstein_calibration():
@@ -168,3 +195,52 @@ def test_c_varies_only_scalar():
     lam = d0.eigen.lambdas[l]
     assert ev0 == F.from_int(l) * lam + F.one()
     assert ev2 == F.from_int(l) * lam + F.from_int(pow(l, 2, 5))
+
+
+def _per_coset_reference(datum, data):
+    """T(l,k) summed coset by coset and basis vector by basis vector with
+    semigroup_act, from the per-coset (psi1, psi2) data: the assembly
+    without grouping or cached action matrices."""
+    space = datum.space
+    F, p, dim = space.field, datum.p, space.dim
+    mat = [[F.zero()] * dim for _ in range(dim)]
+    for psi1, psi2 in data:
+        scalar = datum.chi0(psi1) * F.from_int(pow(psi1 % p, datum.c % (p - 1), p))
+        for j in range(dim):
+            e = [F.zero()] * dim
+            e[j] = F.one()
+            img = space.semigroup_act(e, psi2)
+            for i in range(dim):
+                if not img[i].is_zero():
+                    mat[i][j] = mat[i][j] + scalar * img[i]
+    return mat
+
+
+@pytest.mark.parametrize(
+    "p,a,b,window,degree",
+    [
+        pytest.param(5, 0, 0, WINDOW, 1, id="F5"),
+        # the eigen search of this space moves to F_{7^3}
+        pytest.param(7, 4, 0, (2, 3), 3, id="F343"),
+    ],
+)
+@pytest.mark.parametrize("d", [1, 3])
+def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d):
+    F = make_field(p)
+    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 else None
+    datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, window=window)
+    assert datum.space.field.r == degree
+    for l in (2, 7, 13):
+        if l == p:
+            continue
+        for k in (1, 2, 3):
+            data = {
+                policy: [(tr.psi1, tr.psi2) for _, tr in hecke_orbit_action(l, k, datum.N, d, policy=policy)]
+                for policy in ("least", "alt")
+            }
+            # the alternative translation gives the same per-coset data,
+            # so one reference serves both policies
+            assert data["alt"] == data["least"]
+            ref = _per_coset_reference(datum, data["least"])
+            for policy in ("least", "alt"):
+                assert gl3_hecke_on_boundary(datum, l, k, policy=policy) == ref, (l, k, policy)
