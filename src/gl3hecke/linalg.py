@@ -1,6 +1,10 @@
 """Exact linear algebra: generic routines over a FiniteField handle for the
 small symbol spaces, and vectorized numpy kernels mod a prime for the dense
-representation-theory work."""
+representation-theory work.
+
+Matrix products mod p go through matmul_mod, which multiplies in float64 and
+is exact only while n * (p - 1)**2 < 2**53 for inner dimension n; past that
+bound it raises OverflowError rather than round."""
 
 from __future__ import annotations
 
@@ -109,6 +113,25 @@ class RowReducer:
 
 # -- fast prime-field kernels (numpy int64) ---------------------------------
 
+# Every partial sum of a float64 product of integer matrices is an integer no
+# larger in size than n * (p - 1)**2, and integers below 2**53 are exact.
+_EXACT = 2**53
+
+
+def matmul_mod(A, B, p):
+    """A @ B mod p as int64, for entries of A and B in (-p, p).
+
+    The product runs in float64 BLAS, which is exact while
+    n * (p - 1)**2 < 2**53 for the inner dimension n; above that bound it
+    raises OverflowError instead of returning a rounded answer.
+    """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    n = A.shape[-1]
+    if n * (p - 1) ** 2 >= _EXACT:
+        raise OverflowError("float64 product mod %d is inexact at inner dimension %d" % (p, n))
+    return (A.astype(np.float64) @ B.astype(np.float64) % p).astype(np.int64)
+
 
 def np_rref(A, p):
     """Reduced row echelon form of an int array mod p: (R, pivots)."""
@@ -161,36 +184,75 @@ def np_inv(A, p):
 
 
 class SpinBasis:
-    """Incremental row-space basis mod p, kept fully reduced."""
+    """Incremental row-space basis mod p, kept fully reduced: every row has
+    a 1 at its own pivot column and 0 at every other pivot column."""
 
     def __init__(self, p, n):
         self.p = p
         self.n = n
-        self.rows = np.zeros((0, n), dtype=np.int64)
+        self._buf = np.zeros((min(n, 8), n), dtype=np.int64)
         self.pivots = []
 
+    @property
+    def rows(self):
+        return self._buf[: len(self.pivots)]
+
     def reduce(self, v):
-        v = np.array(v, dtype=np.int64) % self.p
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.rows[i]) % self.p
-        return v
+        # The rows are fully reduced, so subtracting v[c] times the row of
+        # pivot c for every pivot at once clears all pivot columns.
+        v = np.asarray(v, dtype=np.int64) % self.p
+        if not self.pivots:
+            return v
+        return (v - matmul_mod(v[..., self.pivots], self.rows, self.p)) % self.p
 
     def add(self, v):
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = v * pow(int(v[c]), self.p - 2, self.p) % self.p
-        if len(self.pivots):
-            col = self.rows[:, c].copy()
-            hit = np.nonzero(col)[0]
-            if hit.size:
-                self.rows[hit] = (self.rows[hit] - np.outer(col[hit], v)) % self.p
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(c)
-        return True
+        """Add v to the span. Returns True if the span grew."""
+        return bool(self.add_rows(v)[0])
+
+    def add_rows(self, M):
+        """Add the rows of M in order; the same flags, pivots and rows as
+        [self.add(v) for v in M].  The block is reduced against the rows
+        present with one product, then each row only against the rows added
+        before it from the same block."""
+        p = self.p
+        M = self.reduce(np.reshape(M, (-1, self.n)))
+        grew = M.any(axis=1)
+        start = len(self.pivots)
+        new_pivots = []
+        for i in np.flatnonzero(grew):
+            v = M[i]
+            k = len(new_pivots)
+            if k:
+                new = self._buf[start : start + k]
+                v = (v - matmul_mod(v[new_pivots], new, p)) % p
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                grew[i] = False
+                continue
+            c = int(nz[0])
+            v = v * pow(int(v[c]), p - 2, p) % p
+            if k:
+                col = new[:, c].copy()
+                hit = np.flatnonzero(col)
+                if hit.size:
+                    new[hit] = (new[hit] - np.outer(col[hit], v)) % p
+            self._reserve(start + k + 1)
+            self._buf[start + k] = v
+            new_pivots.append(c)
+        if new_pivots and start:
+            # The new rows vanish at the old pivots; clear the new pivots
+            # from the old rows in one product.
+            old = self._buf[:start]
+            new = self._buf[start : start + len(new_pivots)]
+            old[:] = (old - matmul_mod(old[:, new_pivots], new, p)) % p
+        self.pivots.extend(new_pivots)
+        return grew
+
+    def _reserve(self, size):
+        if size > len(self._buf):
+            buf = np.zeros((min(self.n, max(size, 2 * len(self._buf))), self.n), dtype=np.int64)
+            buf[: len(self._buf)] = self._buf
+            self._buf = buf
 
     @property
     def rank(self):

@@ -5,9 +5,10 @@ Construction of F(a,b,c): the carrier is Sym^{a-b}(std) (x) Sym^{b-c}(wedge^2
 std) (x) det^c, realized on monomials in two sets of three variables.  The
 highest-weight vector is spun under group generators to a highest-weight
 submodule W; the radical of the contravariant (apolarity) form on W is cut
-out money-exactly, and W/rad is the irreducible module.  Certificates run at
+out exactly, and W/rad is the irreducible module.  Certificates run at
 build time: the highest-weight line, form adjointness, and the spin
-irreducibility check.
+irreducibility check.  Every matrix product mod p goes through
+linalg.matmul_mod, which is exact or raises.
 
 Matrices are stored as left homomorphisms rho(g) over F_p acting on
 coordinate columns; the semigroup right action used by the symbol spaces is
@@ -26,7 +27,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .ffield import Fq
-from .linalg import SpinBasis, np_inv, np_nullspace, np_rref
+from .linalg import SpinBasis, matmul_mod, np_inv, np_nullspace, np_rref
 
 
 class CertificateError(RuntimeError):
@@ -181,7 +182,7 @@ class IrreducibleModule:
     def act_right(self, v, m):
         """Right semigroup action v|m = rho(transpose(m mod p)) v."""
         m = np.asarray(m, dtype=np.int64) % self.p
-        return self.rho(m.T) @ np.asarray(v, dtype=np.int64) % self.p
+        return matmul_mod(self.rho(m.T), np.asarray(v, dtype=np.int64) % self.p, self.p)
 
 
 class _Gl2Module(IrreducibleModule):
@@ -196,7 +197,7 @@ class _Gl3Module(IrreducibleModule):
     def _compute_rho(self, g):
         p = self.p
         C = self._carrier_rho(g)
-        imgs = self.basis @ C.T % p
+        imgs = matmul_mod(self.basis, C.T, p)
         coords = self._coords(imgs)
         k = self.dim
         return coords[:, -k:].T.copy()
@@ -255,7 +256,7 @@ def _build_gl3_base(p, i, j):
 
     # highest-weight certificate on the carrier
     for u in (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])):
-        if not np.array_equal(carrier_rho(u) @ vplus % p, vplus):
+        if not np.array_equal(matmul_mod(carrier_rho(u), vplus, p), vplus):
             raise CertificateError("highest-weight vector is not unipotent-invariant")
     g0 = _primitive_root(p)
     for t, want in (
@@ -263,7 +264,7 @@ def _build_gl3_base(p, i, j):
         (np.diag([1, g0, 1]), pow(g0, b, p)),
         (np.diag([1, 1, g0]), pow(g0, c, p)),
     ):
-        if not np.array_equal(carrier_rho(t) @ vplus % p, want * vplus % p):
+        if not np.array_equal(matmul_mod(carrier_rho(t), vplus, p), want * vplus % p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
     # adjointness of the contravariant form on the carrier (spot check)
@@ -275,48 +276,27 @@ def _build_gl3_base(p, i, j):
         At = carrier_rho(g.T % p)
         u = rng.integers(0, p, D)
         w = rng.integers(0, p, D)
-        lhs = int((A @ u % p * wt % p) @ w % p)
-        rhs = int((u * wt % p) @ (At @ w % p) % p)
-        if lhs % p != rhs % p:
+        lhs = int(matmul_mod(matmul_mod(A, u, p) * wt % p, w, p))
+        rhs = int(matmul_mod(u * wt % p, matmul_mod(At, w, p), p))
+        if lhs != rhs:
             raise CertificateError("contravariant pairing is not adjoint")
 
     # spin the highest-weight submodule W
-    spin = SpinBasis(p, D)
-    spin.add(vplus)
-    queue = [vplus]
-    while queue:
-        batch = np.array(queue, dtype=np.int64)
-        queue = []
-        for G in gen_mats:
-            imgs = batch @ G.T % p
-            for row in imgs:
-                if spin.add(row):
-                    queue.append(row)
-    W = spin.basis()
+    W = _spin(vplus, gen_mats, p)
 
-    if int(vplus @ (vplus * wt) % p) == 0:
+    if int(matmul_mod(vplus, vplus * wt, p)) == 0:
         raise CertificateError("form degenerates on the highest-weight vector")
 
     # radical of the contravariant form on W
-    gram = (W * wt) @ W.T % p
-    rad_coords = np_nullspace(gram, p)
-    rad = rad_coords @ W % p if len(rad_coords) else np.zeros((0, D), dtype=np.int64)
+    gram = matmul_mod(W * wt % p, W.T, p)
+    rad = matmul_mod(np_nullspace(gram, p), W, p)
 
     # complement basis of W modulo the radical
     comp = SpinBasis(p, D)
-    for r in rad:
-        comp.add(r)
-    L_rows = []
-    for row in W:
-        if comp.add(row):
-            L_rows.append(row)
-    L = np.array(L_rows, dtype=np.int64)
-    stacked = np.vstack([rad, L]) if len(rad) else L
-    R, pivots = np_rref(stacked, p)
-    Jinv = np_inv(stacked[:, pivots], p)
-
-    def coords(rows):
-        return rows[:, pivots] @ Jinv % p
+    comp.add_rows(rad)
+    L = W[comp.add_rows(W)]
+    stacked = np.vstack([rad, L])
+    coords = _coord_solver(stacked, p)
 
     mod = _Gl3Module(
         p=p,
@@ -397,17 +377,7 @@ def _certify_module(mod):
             w[0] = 1
         vectors.append(w % p)
     for v in vectors:
-        spin = SpinBasis(p, mod.dim)
-        spin.add(v)
-        queue = [np.asarray(v, dtype=np.int64)]
-        while queue:
-            batch = np.array(queue)
-            queue = []
-            for G in mats:
-                for row in batch @ G.T % p:
-                    if spin.add(row):
-                        queue.append(row)
-        if spin.rank != mod.dim:
+        if len(_spin(v, mats, p)) != mod.dim:
             raise CertificateError("spin certificate failed: proper submodule found")
 
 
@@ -428,7 +398,7 @@ def _module_highest_vector(mod):
         ok = True
         for i, t in enumerate([np.diag([g0, 1, 1]), np.diag([1, g0, 1]), np.diag([1, 1, g0])]):
             lamb = pow(g0, mod.label[i] % (p - 1), p)
-            if not np.array_equal(mod.rho(t) @ v % p, lamb * v % p):
+            if not np.array_equal(matmul_mod(mod.rho(t), v, p), lamb * v % p):
                 ok = False
                 break
         if ok:
@@ -475,7 +445,7 @@ def u_invariants(mod):
     # scalar action of the rank-1 torus factor
     g0 = _primitive_root(p)
     t = np.diag([g0, 1, 1])
-    imgs = K @ mod.rho(t).T % p
+    imgs = matmul_mod(K, mod.rho(t).T, p)
     lamb = pow(g0, c % (p - 1), p)
     if not np.array_equal(imgs % p, lamb * K % p):
         raise CertificateError("rank-1 factor does not act by the expected power")
@@ -486,7 +456,7 @@ def u_invariants(mod):
     def restricted(h):
         g = np.eye(3, dtype=np.int64)
         g[1:, 1:] = np.asarray(h) % p
-        return solver(K @ mod.rho(g).T % p).T
+        return solver(matmul_mod(K, mod.rho(g).T, p)).T
 
     iso = _intertwiner(restricted, gl2, p)
     return LeviModule(base=mod, basis=K, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=iso)
@@ -497,7 +467,7 @@ def _coord_solver(B, p):
     Jinv = np_inv(np.asarray(B, dtype=np.int64)[:, pivots], p)
 
     def coords(rows):
-        return np.asarray(rows, dtype=np.int64)[:, pivots] @ Jinv % p
+        return matmul_mod(np.asarray(rows, dtype=np.int64)[:, pivots], Jinv, p)
 
     return coords
 
@@ -519,7 +489,7 @@ def _intertwiner(restricted, gl2, p):
         raise CertificateError("no equivariant isomorphism onto the rank-2 model")
     phi = sol[0].reshape(k, k)
     for A, R2 in mats:
-        if not np.array_equal(phi @ A % p, R2 @ phi % p):
+        if not np.array_equal(matmul_mod(phi, A, p), matmul_mod(R2, phi, p)):
             raise CertificateError("intertwiner fails to intertwine")
     if len(np_nullspace(phi, p)):
         raise CertificateError("intertwiner is singular")
@@ -631,16 +601,16 @@ def _split(gens, p, rng, max_tries):
             ker = np_nullspace(M, p)
             if len(ker) == 0 or len(ker) == D:
                 continue
-            U = _spin_rows(ker[:1], gens, p)
+            U = _spin(ker[:1], gens, p)
             if U.shape[0] < D:
                 sub, quo = _restrict_and_quotient(gens, U, p)
                 return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
             if len(ker) == 1:
                 kert = np_nullspace(M.T, p)
-                Ut = _spin_rows(kert[:1], [g.T % p for g in gens], p)
+                Ut = _spin(kert[:1], [g.T % p for g in gens], p)
                 if Ut.shape[0] < D:
                     ann = np_nullspace(Ut, p)
-                    U2 = _spin_rows(ann, gens, p)
+                    U2 = _spin(ann, gens, p)
                     if U2.shape[0] < D:
                         sub, quo = _restrict_and_quotient(gens, U2, p)
                         return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
@@ -655,25 +625,25 @@ def _random_algebra_element(gens, p, rng):
     for _ in range(3):
         w = np.eye(D, dtype=np.int64)
         for _ in range(int(rng.integers(1, 4))):
-            w = w @ gens[int(rng.integers(0, len(gens)))] % p
+            w = matmul_mod(w, gens[int(rng.integers(0, len(gens)))], p)
         r = (r + int(rng.integers(1, p)) * w) % p
     return r
 
 
-def _spin_rows(rows, gens, p):
-    D = gens[0].shape[0]
+def _spin(rows, mats, p):
+    """Reduced basis of the smallest subspace containing the given rows and
+    stable under the left actions mats.  Breadth first: each round images the
+    rows that grew the span in the previous round under every matrix."""
+    D = mats[0].shape[0]
     spin = SpinBasis(p, D)
-    queue = []
-    for v in rows:
-        if spin.add(v):
-            queue.append(np.asarray(v, dtype=np.int64))
-    while queue:
-        batch = np.array(queue)
-        queue = []
-        for G in gens:
-            for row in batch @ G.T % p:
-                if spin.add(row):
-                    queue.append(row)
+    queue = np.asarray(rows, dtype=np.int64).reshape(-1, D) % p
+    queue = queue[spin.add_rows(queue)]
+    while len(queue):
+        grown = []
+        for G in mats:
+            imgs = matmul_mod(queue, G.T, p)
+            grown.append(imgs[spin.add_rows(imgs)])
+        queue = np.vstack(grown)
     return spin.basis()
 
 
@@ -682,20 +652,15 @@ def _restrict_and_quotient(gens, U, p):
     D = gens[0].shape[0]
     k = U.shape[0]
     solver = _coord_solver(U, p)
-    sub = [solver(U @ g.T % p).T % p for g in gens]
+    sub = [solver(matmul_mod(U, g.T, p)).T for g in gens]
     comp = SpinBasis(p, D)
-    for r in U:
-        comp.add(r)
-    comp_rows = []
+    comp.add_rows(U)
     eye = np.eye(D, dtype=np.int64)
-    for i in range(D):
-        if comp.add(eye[i]):
-            comp_rows.append(eye[i])
-    C = np.array(comp_rows, dtype=np.int64)
+    C = eye[comp.add_rows(eye)]
     full = np.vstack([U, C])
     solver_full = _coord_solver(full, p)
     quo = []
     for g in gens:
-        co = solver_full(C @ g.T % p)  # rows: coords in [U; C]
+        co = solver_full(matmul_mod(C, g.T, p))  # rows: coords in [U; C]
         quo.append(co[:, k:].T % p)
     return sub, quo

@@ -621,6 +621,8 @@ def find_eigensystems(space, window, allow_extension=True):
     Splits iteratively by exact eigenspaces; when a minimal polynomial has an
     irreducible factor of degree e > 1, the space is rebuilt over the
     extension of degree lcm of the offending degrees and the search reruns.
+    With allow_extension=False (as in that rerun), such a factor raises
+    ValueError naming l and the factor degrees instead of dropping the piece.
     """
     field = space.field
     window = sorted(set(window))
@@ -630,22 +632,29 @@ def find_eigensystems(space, window, allow_extension=True):
         v[k] = field.one()
         basis0.append(v)
     pieces = [({}, basis0)] if space.dim else []
-    needed = set()
+    needed = {}  # l -> degrees of the factors of T_l that do not split
     for l in window:
         T = space.hecke_matrix(l)
         new_pieces = []
         for lams, basis in pieces:
             A = _restrict(space, T, basis)
             subpieces, degrees = _eigen_split(space, A, basis)
-            needed.update(degrees)
+            if degrees:
+                needed.setdefault(l, set()).update(degrees)
             for lam, vecs in subpieces:
                 d = dict(lams)
                 d[l] = lam
                 new_pieces.append((d, vecs))
         pieces = new_pieces
-    if needed and allow_extension:
+    if needed and not allow_extension:
+        missing = "; ".join("l=%d: degrees %s" % (l, sorted(needed[l])) for l in sorted(needed))
+        raise ValueError(
+            "eigenspaces do not split over %s, irreducible factors of the Hecke minimal "
+            "polynomials remain (%s)" % (space.field, missing)
+        )
+    if needed:
         e = 1
-        for d in sorted(needed):
+        for d in sorted(set().union(*needed.values())):
             e = lcm(e, d)
         big = space.field.extension(e)
         chi_big = _embed_character(space.chi1, big)

@@ -2,8 +2,11 @@
 
 These never touch the symbol-space machinery: elliptic trace counts are
 brute-force point counts, and the discriminant-cusp-form coefficients come
-from expanding the Jacobi product directly.
+from expanding the Jacobi product directly.  SequentialSpinBasis is the
+row-at-a-time basis that the batched linalg.SpinBasis replaced.
 """
+
+import numpy as np
 
 
 def elliptic_ap(l):
@@ -51,3 +54,47 @@ def _series_mul(a, b, nterms):
 def tau(n):
     coeffs = delta_q_coefficients(n)
     return coeffs[n - 1]
+
+
+class SequentialSpinBasis:
+    """Incremental row-space basis mod p, kept fully reduced."""
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n
+        self.rows = np.zeros((0, n), dtype=np.int64)
+        self.pivots = []
+
+    def reduce(self, v):
+        v = np.array(v, dtype=np.int64) % self.p
+        for i, c in enumerate(self.pivots):
+            if v[c]:
+                v = (v - v[c] * self.rows[i]) % self.p
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        v = v * pow(int(v[c]), self.p - 2, self.p) % self.p
+        if len(self.pivots):
+            col = self.rows[:, c].copy()
+            hit = np.nonzero(col)[0]
+            if hit.size:
+                self.rows[hit] = (self.rows[hit] - np.outer(col[hit], v)) % self.p
+        self.rows = np.vstack([self.rows, v])
+        self.pivots.append(c)
+        return True
+
+    def add_rows(self, M):
+        """The definition that the batched add_rows must reproduce."""
+        return [self.add(v) for v in M]
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def basis(self):
+        return self.rows.copy()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gl3hecke import modrep
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import g_elem, g_elem_inv, mat3, mat_mul3
@@ -15,6 +16,8 @@ from gl3hecke.modrep import (
     twisted_act,
     u_invariants,
 )
+
+from _oracles import SequentialSpinBasis
 
 F5 = make_field(5)
 
@@ -244,3 +247,30 @@ def test_meataxe_on_reducible_direct_sum():
         m[2, 2] = 1
         gens.append(m)
     assert composition_factor_dims(gens, 5, seed=1) == [1, 2]
+
+
+# (p, a, b, c): both restricted ends, a nontrivial radical, determinant twists
+ORACLE_LABELS = [
+    (5, 0, 0, 0), (5, 1, 0, 0), (5, 1, 1, 0), (5, 3, 1, 0), (5, 4, 3, 2), (5, 4, 0, 0),
+    (5, 4, 4, 0), (5, 6, 4, 0), (5, 7, 4, 1), (7, 2, 1, 0), (7, 6, 0, 0), (7, 7, 1, 1),
+    (7, 5, 3, 0), (7, 8, 7, 1), (11, 5, 3, 0),
+]
+
+
+def _module_arrays(label):
+    p = label[0]
+    mod = build_gl3_module(*label)
+    levi = u_invariants(mod)
+    return [mod.basis] + [mod.rho(g) for g in gl_generators(3, p)] + [levi.basis, levi.iso]
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS, ids=lambda lab: "%d-%d-%d-%d" % lab)
+def test_module_matches_sequential_spin_oracle(label, monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    got = _module_arrays(label)
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "SpinBasis", SequentialSpinBasis)
+    want = _module_arrays(label)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())

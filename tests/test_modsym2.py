@@ -81,6 +81,15 @@ def test_eisenstein_eigenvalue_level11():
     )
 
 
+def test_unsplit_piece_without_extension_raises():
+    # T_2 on this space has an irreducible quadratic factor over F_5; the
+    # extension search finds 4 systems, and without it nothing may be dropped
+    space = SymbolSpace(11, 5, 4, 0)
+    with pytest.raises(ValueError, match=r"l=2: degrees \[2\]"):
+        find_eigensystems(space, [2, 3], allow_extension=False)
+    assert len(find_eigensystems(space, [2, 3])) == 4
+
+
 def test_hecke_operators_commute():
     space = build_space(11, 5, 0, 0)
     T2 = hecke_t(space, 2)
