@@ -4,7 +4,9 @@ representation-theory work.
 
 Matrix products mod p go through matmul_mod, which multiplies in float64 and
 is exact only while n * (p - 1)**2 < 2**53 for inner dimension n; past that
-bound it raises OverflowError rather than round."""
+bound it raises OverflowError rather than round.  The elementwise int64
+updates of np_rref and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise
+OverflowError beyond it."""
 
 from __future__ import annotations
 
@@ -103,6 +105,21 @@ class RowReducer:
         self._support[piv] = support
         return True
 
+    def extend_scalars(self, big):
+        """The same reducer over the extension field big: each reduced row
+        is embedded on its support (other entries are big's zero).  Field
+        embeddings preserve reduced echelon form, so this is the reducer
+        that adding the embedded vectors over big would build."""
+        out = RowReducer(big, self.n)
+        zero = big.zero()
+        for c, row in self.rows.items():
+            new = [zero] * self.n
+            for j in self._support[c]:
+                new[j] = self.field.embed(row[j], big)
+            out.rows[c] = new
+            out._support[c] = list(self._support[c])
+        return out
+
     @property
     def rank(self):
         return len(self.rows)
@@ -116,6 +133,12 @@ class RowReducer:
 # Every partial sum of a float64 product of integer matrices is an integer no
 # larger in size than n * (p - 1)**2, and integers below 2**53 are exact.
 _EXACT = 2**53
+
+
+def _check_int64(p):
+    """Raise OverflowError unless products of two residues mod p fit in int64."""
+    if (p - 1) ** 2 >= 2**63:
+        raise OverflowError("products of residues mod %d overflow int64" % p)
 
 
 def matmul_mod(A, B, p):
@@ -135,6 +158,7 @@ def matmul_mod(A, B, p):
 
 def np_rref(A, p):
     """Reduced row echelon form of an int array mod p: (R, pivots)."""
+    _check_int64(p)
     A = np.array(A, dtype=np.int64) % p
     m, n = A.shape
     pivots = []
@@ -215,6 +239,7 @@ class SpinBasis:
         present with one product, then each row only against the rows added
         before it from the same block."""
         p = self.p
+        _check_int64(p)
         M = self.reduce(np.reshape(M, (-1, self.n)))
         grew = M.any(axis=1)
         start = len(self.pivots)

@@ -6,19 +6,23 @@ group, subject to the order-4 and order-3 relations and the plus-quotient
 (coinvariants of diag(1,-1)).  The full positive-determinant semigroup acts
 through continued-fraction decomposition of non-unimodular symbols, which is
 what the Hecke operators are built from.  Exact linear algebra over F_{p^r}
-throughout, with automatic extension of the scalar field when eigenvalues
-fail to split.
+throughout.  Eigenvalues are the roots of the minimal polynomials of the
+Hecke matrices; when one has an irreducible factor of degree > 1, the
+scalars of the built space are extended to a larger field by embedding its
+relations and cached matrices, never by building it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+import copy
+from dataclasses import dataclass
 from math import gcd, lcm
 
 import numpy as np
 
 from .characters import DirichletCharacter, xgcd
 from .ffield import FiniteField
+from . import linalg
 from .linalg import RowReducer
 from .modrep import build_gl2_module
 
@@ -289,6 +293,28 @@ class SymbolSpace:
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
 
+    def extend_scalars(self, big):
+        """This space over the extension field big of its scalar field: a
+        copy with the same free columns whose relation rows, cached
+        matrices and chi1 are embedded, with no relation rebuilt.  Exact: every relation and every
+        cached matrix has entries in the current field, and the fully
+        reduced basis of a span is unique, so the embedded rows are the rows
+        a rebuild over big would reach."""
+        small = self.field
+        zero = big.zero()
+
+        def embed(x):
+            return zero if x.is_zero() else small.embed(x, big)
+
+        out = copy.copy(self)
+        out.field = big
+        out.chi1 = _embed_character(self.chi1, big)
+        out._reducer = self._reducer.extend_scalars(big)
+        out._act_cache = {key: (R, embed(scalar)) for key, (R, scalar) in self._act_cache.items()}
+        out._action_cache = {key: tuple(tuple(map(embed, row)) for row in A) for key, A in self._action_cache.items()}
+        out._hecke_cache = {l: [list(map(embed, row)) for row in T] for l, T in self._hecke_cache.items()}
+        return out
+
     def reduce_to_coords(self, full):
         red = self._reducer.reduce(full)
         return [red[c] for c in self.free]
@@ -431,77 +457,105 @@ def _restrict(space, T, basis):
 def _invert_fq(M, field):
     k = len(M)
     aug = [list(row) + [field.one() if i == j else field.zero() for j in range(k)] for i, row in enumerate(M)]
-    from .linalg import rref
-
-    R, pivots = rref(aug, field)
+    R, pivots = linalg.rref(aug, field)
     if pivots[:k] != list(range(k)):
         raise RuntimeError("basis pivot matrix is singular")
     return [row[k:] for row in R[:k]]
 
 
 def _eigen_split(space, A, basis):
-    """Split span(basis) into eigen-pieces of the restricted matrix A;
-    returns (pieces as (eigenvalue, basis) lists, degrees of nonlinear
-    minimal-polynomial factors)."""
+    """Split span(basis) into eigen-pieces of the restricted matrix A.
+
+    The eigenvalues are the roots in the scalar field of the minimal
+    polynomial m of A, visited in field.elements() order, and each costs one
+    nullspace.  Returns (pieces as (eigenvalue, basis) lists, the sorted
+    degrees > 1 of the irreducible factors of m)."""
     field = space.field
     k = len(basis)
+    m = _minimal_polynomial(A, field)
+    roots = _roots(m, field)
     pieces = []
-    total = 0
-    for lam in field.elements():
+    for lam in roots:
         M = [[A[i][j] - lam if i == j else A[i][j] for j in range(k)] for i in range(k)]
-        from .linalg import nullspace
-
-        ker = nullspace(M, field)
-        if not ker:
-            continue
         vecs = []
-        for cvec in ker:
+        for cvec in linalg.nullspace(M, field):
             v = [field.zero()] * space.dim
             for i, ci in enumerate(cvec):
                 if not ci.is_zero():
                     v = [x + ci * y for x, y in zip(v, basis[i])]
             vecs.append(v)
         pieces.append((lam, vecs))
-        total += len(vecs)
     degrees = []
-    if total < k:
-        degrees = _nonlinear_factor_degrees(A, field)
+    if len(roots) < len(m) - 1:
+        degrees = [d for d in _distinct_degrees(m, field) if d > 1]
     return pieces, degrees
 
 
-def _nonlinear_factor_degrees(A, field):
-    """Degrees > 1 among the irreducible factors of a Krylov minimal
-    polynomial of A, found by distinct-degree gcds."""
+def _minimal_polynomial(A, field):
+    """Minimal polynomial of the square matrix A (monic, constant term
+    first): the lcm of the Krylov polynomials of the unit vectors.  A unit
+    vector already in the sum of the earlier Krylov spaces, which is
+    A-invariant, cannot raise the lcm and is skipped."""
     k = len(A)
-    # Krylov minimal polynomial of the first unit vector (then a second)
-    degs = set()
-    for start in range(min(2, k)):
+    span = RowReducer(field, k)
+    m = [field.one()]
+    for start in range(k):
         v = [field.zero()] * k
         v[start] = field.one()
+        if all(x.is_zero() for x in span.reduce(v)):
+            continue
         reducer = RowReducer(field, k)
-        seq = [list(v)]
+        seq = [v]
         reducer.add(v)
         cur = v
         while True:
             cur = [sum((A[i][j] * cur[j] for j in range(k) if not A[i][j].is_zero()), field.zero()) for i in range(k)]
             if not reducer.add(cur):
                 break
-            seq.append(list(cur))
-        # solve the dependence cur = sum c_i A^i v; m(x) = x^d - sum c_i x^i
-        coeffs = _solve_fq(seq, list(cur), field)
-        m = [-c for c in coeffs] + [field.one()]
-        degs.update(_distinct_degrees(m, field))
-    return sorted(d for d in degs if d > 1)
+            seq.append(cur)
+        # cur = sum c_i A^i v, so the Krylov polynomial is x^d - sum c_i x^i
+        coeffs = _solve_fq(seq, cur, field)
+        f = [-c for c in coeffs] + [field.one()]
+        m = _poly_mul_fq(m, _poly_divide_out(f, _poly_gcd_fq(m, f), field), field)  # lcm(m, f)
+        for w in seq:
+            span.add(w)
+    return m
+
+
+def _roots(m, field):
+    """The distinct roots in the field of the nonzero polynomial m, in
+    field.elements() order.  g = gcd(x^q - x, m) is the product of the
+    x - root; it is split by deterministic equal-degree splitting with
+    gcd(f, (x + a)^((q - 1)/2) - 1) for a in field.elements() (q is odd).
+    For two roots r != s, (q - 1)/2 values of a give r + a and s + a
+    different quadratic characters, so the loop always finishes."""
+    q, p = field.order, field.p
+    one = field.one()
+    xq = _poly_powmod_fq([field.zero(), one], q, m, field)
+    g = _poly_gcd_fq(_poly_add_fq(xq, [field.zero(), -one], field), m)
+    linear = [g] if len(g) == 2 else []
+    todo = [g] if len(g) > 2 else []
+    for a in field.elements():
+        if not todo:
+            break
+        rest = []
+        for f in todo:
+            h = _poly_gcd_fq(_poly_add_fq(_poly_powmod_fq([a, one], (q - 1) // 2, f, field), [-one], field), f)
+            for part in [h, _poly_divide_out(f, h, field)] if 1 < len(h) < len(f) else [f]:
+                (linear if len(part) == 2 else rest).append(part)
+        todo = rest
+    if todo:
+        raise RuntimeError("equal-degree splitting left %d factors unsplit" % len(todo))
+    # the monic linear factors are x - root
+    return sorted((-f[0] for f in linear), key=lambda lam: sum(c * p**i for i, c in enumerate(lam.coords)))
 
 
 def _solve_fq(A_cols, b, field):
     """Solve sum_i x_i * col_i = b exactly (cols independent)."""
-    from .linalg import rref
-
     k = len(A_cols)
     n = len(b)
     rows = [[A_cols[i][r] for i in range(k)] + [b[r]] for r in range(n)]
-    R, pivots = rref(rows, field)
+    R, pivots = linalg.rref(rows, field)
     x = [field.zero()] * k
     for r, c in enumerate(pivots):
         if c == k:
@@ -510,118 +564,123 @@ def _solve_fq(A_cols, b, field):
     return x
 
 
+# Polynomials over the scalar field are coefficient lists, constant term
+# first, with no zero leading coefficient; the zero polynomial is [].
+
+
 def _poly_trim_fq(a):
     while a and a[-1].is_zero():
         a.pop()
     return a
 
 
-def _poly_mulmod_fq(a, b, m, field):
+def _poly_add_fq(a, b, field):
+    n = max(len(a), len(b))
+    zero = field.zero()
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return _poly_trim_fq([x + y for x, y in zip(a, b)])
+
+
+def _poly_mul_fq(a, b, field):
+    if not a or not b:
+        return []
     out = [field.zero()] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai.is_zero():
             continue
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
-    return _poly_mod_fq(out, m, field)
+    return _poly_trim_fq(out)
 
 
-def _poly_mod_fq(a, m, field):
-    a = list(a)
+def _poly_mod_fq(a, m):
+    a = _poly_trim_fq(list(a))
     dm = len(m) - 1
-    while len(_poly_trim_fq(a)) - 1 >= dm:
-        lead = a[-1]
-        if lead.is_zero():
-            a.pop()
-            continue
+    while len(a) - 1 >= dm:
         shift = len(a) - 1 - dm
-        f = lead / m[-1]
+        f = a[-1] / m[-1]
         for i in range(len(m)):
             a[shift + i] = a[shift + i] - f * m[i]
         a = _poly_trim_fq(a)
-    return a if a else [field.zero()]
-
-def _poly_gcd_fq(a, b, field):
-    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
-    while b:
-        a = _poly_mod_fq(a, b, field)
-        a, b = b, _poly_trim_fq(a)
     return a
 
 
+def _poly_gcd_fq(a, b):
+    """Monic gcd; gcd(0, 0) = 0."""
+    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
+    while b:
+        a, b = b, _poly_mod_fq(a, b)
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
 def _poly_powmod_fq(base, e, m, field):
-    result = [field.one()]
-    base = _poly_mod_fq(list(base), m, field)
+    result = _poly_mod_fq([field.one()], m)
+    base = _poly_mod_fq(base, m)
     while e:
         if e & 1:
-            result = _poly_mulmod_fq(result, base, m, field)
-        base = _poly_mulmod_fq(base, base, m, field)
+            result = _poly_mod_fq(_poly_mul_fq(result, base, field), m)
+        base = _poly_mod_fq(_poly_mul_fq(base, base, field), m)
         e >>= 1
     return result
 
 
-def _poly_derivative_fq(m, field):
-    return [m[i] * field.from_int(i) for i in range(1, len(m))]
-
-
-def _squarefree_part_fq(m, field):
-    d = _poly_trim_fq(_poly_derivative_fq(m, field))
-    if not d:
-        # perfect p-th power; degrees of factors are unchanged by taking the
-        # p-th root, which at our scale never occurs for Krylov polynomials
-        return m
-    g = _poly_gcd_fq(m, d, field)
-    if len(g) - 1 == 0:
-        return m
-    return _poly_divide_out(m, g, field)
-
-
 def _distinct_degrees(m, field):
-    """Degrees d for which m has an irreducible factor of degree d."""
+    """Degrees d for which the nonzero polynomial m has an irreducible
+    factor of degree d.  Distinct-degree factorisation on m itself, not its
+    squarefree part: after the gcd with x^(q^d) - x finds the factors of
+    degree d, every power of them is divided out of m, so a factor whose
+    multiplicity is divisible by p is found like any other."""
     q = field.order
-    m = _squarefree_part_fq(_poly_trim_fq(list(m)), field)
+    work = _poly_trim_fq(list(m))
+    minus_x = [field.zero(), -field.one()]
+    h = [field.zero(), field.one()]  # x^(q^d) mod work
     degs = []
-    work = list(m)
     d = 0
-    x = [field.zero(), field.one()]
-    while len(_poly_trim_fq(list(work))) - 1 > 0:
+    while len(work) > 1:
         d += 1
-        if d > len(m):
+        if 2 * d > len(work) - 1:
+            # every factor left has degree >= d, and there is no room for
+            # two of them (a repeated one included): work is irreducible
+            degs.append(len(work) - 1)
             break
-        xq = _poly_powmod_fq(x, q**d, work, field)
-        diff = list(xq) + [field.zero()] * 2
-        diff[1] = diff[1] - field.one()
-        g = _poly_gcd_fq(diff, work, field)
-        if len(g) - 1 > 0:
+        h = _poly_powmod_fq(h, q, work, field)
+        g = _poly_gcd_fq(_poly_add_fq(h, minus_x, field), work)
+        if len(g) > 1:
             degs.append(d)
-            work = _poly_divide_out(work, g, field)
+            while len(g) > 1:
+                work = _poly_divide_out(work, g, field)
+                g = _poly_gcd_fq(work, g)
+            h = _poly_mod_fq(h, work)
     return degs
 
 
 def _poly_divide_out(a, g, field):
     """a / g for exact polynomial division."""
     a = _poly_trim_fq(list(a))
-    g = _poly_trim_fq(list(g))
     out = [field.zero()] * (len(a) - len(g) + 1)
-    while len(a) >= len(g) and a:
+    while len(a) >= len(g):
         f = a[-1] / g[-1]
         shift = len(a) - len(g)
         out[shift] = f
         for i in range(len(g)):
             a[shift + i] = a[shift + i] - f * g[i]
         a = _poly_trim_fq(a)
-        if not a:
-            break
-    return _poly_trim_fq(out) or [field.zero()]
+    return _poly_trim_fq(out)
 
 
 def find_eigensystems(space, window, allow_extension=True):
     """Simultaneous eigensystems of the Hecke operators over the window.
 
-    Splits iteratively by exact eigenspaces; when a minimal polynomial has an
-    irreducible factor of degree e > 1, the space is rebuilt over the
-    extension of degree lcm of the offending degrees and the search reruns.
-    With allow_extension=False (as in that rerun), such a factor raises
+    Splits iteratively by exact eigenspaces: each piece is cut by the roots
+    of the minimal polynomial of T_l restricted to it.  When a minimal
+    polynomial has an irreducible factor of degree e > 1, the scalars of the
+    space are extended (SymbolSpace.extend_scalars) to the extension of
+    degree lcm of the offending degrees and the search reruns there.  With
+    allow_extension=False (as in that rerun), such a factor raises
     ValueError naming l and the factor degrees instead of dropping the piece.
     """
     field = space.field
@@ -656,10 +715,7 @@ def find_eigensystems(space, window, allow_extension=True):
         e = 1
         for d in sorted(set().union(*needed.values())):
             e = lcm(e, d)
-        big = space.field.extension(e)
-        chi_big = _embed_character(space.chi1, big)
-        bigger = SymbolSpace(space.N, space.p, *space.weight, chi1=chi_big, field=big)
-        return find_eigensystems(bigger, window, allow_extension=False)
+        return find_eigensystems(space.extend_scalars(space.field.extension(e)), window, allow_extension=False)
     systems = {}
     for lams, vecs in pieces:
         sys = EigenSystem(

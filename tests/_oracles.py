@@ -3,10 +3,14 @@
 These never touch the symbol-space machinery: elliptic trace counts are
 brute-force point counts, and the discriminant-cusp-form coefficients come
 from expanding the Jacobi product directly.  SequentialSpinBasis is the
-row-at-a-time basis that the batched linalg.SpinBasis replaced.
+row-at-a-time basis that the batched linalg.SpinBasis replaced, and
+scan_eigen_split is the eigenvalue scan that the root split in
+modsym2._eigen_split replaced.
 """
 
 import numpy as np
+
+from gl3hecke.linalg import nullspace
 
 
 def elliptic_ap(l):
@@ -98,3 +102,25 @@ class SequentialSpinBasis:
 
     def basis(self):
         return self.rows.copy()
+
+
+def scan_eigen_split(space, A, basis):
+    """Eigen-pieces of the restricted matrix A, found by trying every field
+    element as an eigenvalue: a list of (eigenvalue, basis) pairs."""
+    field = space.field
+    k = len(basis)
+    pieces = []
+    for lam in field.elements():
+        M = [[A[i][j] - lam if i == j else A[i][j] for j in range(k)] for i in range(k)]
+        ker = nullspace(M, field)
+        if not ker:
+            continue
+        vecs = []
+        for cvec in ker:
+            v = [field.zero()] * space.dim
+            for i, ci in enumerate(cvec):
+                if not ci.is_zero():
+                    v = [x + ci * y for x, y in zip(v, basis[i])]
+            vecs.append(v)
+        pieces.append((lam, vecs))
+    return pieces

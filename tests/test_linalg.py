@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.linalg import SpinBasis, matmul_mod
+from gl3hecke.linalg import SpinBasis, matmul_mod, np_rref
 
 from _oracles import SequentialSpinBasis
 
@@ -86,3 +86,12 @@ def test_add_rows_matches_sequential_adds(case):
             assert spin.pivots == oracle.pivots
             assert np.array_equal(spin.basis(), oracle.basis())
     assert np.array_equal(batched.reduce(block), np.array([oracle.reduce(v) for v in block]).reshape(-1, n))
+
+
+def test_int64_kernels_raise_past_the_int64_bound():
+    # (p - 1)**2 >= 2**63: the elementwise updates would wrap around
+    p = 2**32 + 15  # prime
+    with pytest.raises(OverflowError):
+        np_rref(np.array([[2, 3], [5, 7]]), p)
+    with pytest.raises(OverflowError):
+        SpinBasis(p, 2).add_rows(np.array([[2, 3]]))

@@ -1,9 +1,18 @@
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
+from gl3hecke.linalg import rref
 from gl3hecke.modsym2 import (
     SymbolSpace,
+    _distinct_degrees,
+    _eigen_split,
+    _poly_mul_fq,
     build_space,
     find_eigensystems,
     hecke_t,
@@ -11,7 +20,7 @@ from gl3hecke.modsym2 import (
     symbol_terms,
 )
 
-from _oracles import elliptic_ap, tau
+from _oracles import elliptic_ap, scan_eigen_split, tau
 
 
 def test_oracles_pinned_values():
@@ -207,3 +216,135 @@ def test_quadratic_character_twist_space_builds():
     assert space.dim >= 0
     if space.dim:
         hecke_t(space, 2)
+
+
+# -- the eigenvalue split ------------------------------------------------------
+
+
+def _block_diag(field, blocks):
+    n = sum(len(b) for b in blocks)
+    M = [[field.zero()] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[at + i][at : at + len(b)] = row
+        at += len(b)
+    return M
+
+
+def _companion(field, f):
+    """Companion matrix of the monic f (constant term first): x acts on
+    1, x, ..., x^(d-1) by columns."""
+    d = len(f) - 1
+    C = [[field.zero()] * d for _ in range(d)]
+    for i in range(1, d):
+        C[i][i - 1] = field.one()
+    for i in range(d):
+        C[i][d - 1] = -f[i]
+    return C
+
+
+def _matmul(field, A, B):
+    return [[sum((a * b for a, b in zip(row, col)), field.zero()) for col in zip(*B)] for row in A]
+
+
+def _units(field, k):
+    return [[field.one() if i == j else field.zero() for j in range(k)] for i in range(k)]
+
+
+def test_eigen_split_finds_a_factor_both_first_krylov_runs_miss():
+    # diag(1, 2) + companion(x^2 - 2) over F_5: the Krylov runs from e0 and
+    # e1 see only x - 1 and x - 2, and x^2 - 2 is irreducible mod 5
+    F = make_field(5)
+    A = _block_diag(F, [[[F.from_int(1)]], [[F.from_int(2)]], _companion(F, [F.from_int(-2), F.zero(), F.one()])])
+    space = SimpleNamespace(field=F, dim=4)
+    pieces, degrees = _eigen_split(space, A, _units(F, 4))
+    assert degrees == [2]
+    assert [(lam, vecs) for lam, vecs in pieces] == [(F.from_int(1), [_units(F, 4)[0]]), (F.from_int(2), [_units(F, 4)[1]])]
+
+
+def test_distinct_degrees_keeps_a_factor_of_multiplicity_p():
+    F = make_field(5)
+    m = [F.from_int(-1), F.one()]
+    for _ in range(5):
+        m = _poly_mul_fq(m, [F.from_int(-2), F.zero(), F.one()], F)
+    assert _distinct_degrees(m, F) == [1, 2]
+
+
+def _irreducible(field, d, rng):
+    """A random monic irreducible polynomial of degree 2 or 3: no root."""
+    elements = list(field.elements())
+    while True:
+        f = [rng.choice(elements) for _ in range(d)] + [field.one()]
+        if all(not sum((c * x**i for i, c in enumerate(f)), field.zero()).is_zero() for x in elements):
+            return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([5, 7]),
+    r=st.sampled_from([1, 2]),
+    kinds=st.lists(st.sampled_from(["linear", "jordan", "quadratic", "cubic"]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
+    # A = P B P^-1 with B block diagonal: 1x1 eigenvalues (which may repeat),
+    # 2x2 Jordan blocks, companion matrices of irreducible quadratics and cubics
+    F = make_field(p, r)
+    rng = random.Random(seed)
+    elements = list(F.elements())
+    size = {"linear": 1, "jordan": 2, "quadratic": 2, "cubic": 3}
+    blocks, degrees, k = [], set(), 0
+    for kind in kinds:
+        if k + size[kind] > 5:
+            continue
+        k += size[kind]
+        lam = rng.choice(elements)
+        if kind == "linear":
+            blocks.append([[lam]])
+        elif kind == "jordan":
+            blocks.append([[lam, F.one()], [F.zero(), lam]])
+        else:
+            blocks.append(_companion(F, _irreducible(F, size[kind], rng)))
+            degrees.add(size[kind])
+    while True:
+        P = [[rng.choice(elements) for _ in range(k)] for _ in range(k)]
+        R, pivots = rref([row + e for row, e in zip(P, _units(F, k))], F)
+        if pivots[:k] == list(range(k)):
+            break
+    Pinv = [row[k:] for row in R]
+    A = _matmul(F, _matmul(F, P, _block_diag(F, blocks)), Pinv)
+    space = SimpleNamespace(field=F, dim=k + 1)
+    basis = [[rng.choice(elements) for _ in range(k + 1)] for _ in range(k)]
+    pieces, got_degrees = _eigen_split(space, A, basis)
+    assert pieces == scan_eigen_split(space, A, basis)
+    assert got_degrees == sorted(degrees)
+
+
+@pytest.mark.parametrize("label,e", [((5, 4, 0, 11), 2), ((7, 4, 0, 11), 3)], ids=["F25", "F343"])
+def test_extend_scalars_matches_a_rebuild(label, e):
+    p, a, b, N = label
+    small = SymbolSpace(N, p, a, b)
+    for l in (2, 3):
+        small.hecke_matrix(l)  # cached before the extension, so embedded
+    big = small.field.extension(e)
+    ext = small.extend_scalars(big)
+    ref = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(big, N), field=big)
+    assert ext.field == big and ext.chi1 == ref.chi1
+    assert ext.free == ref.free and ext.dim == ref.dim
+    assert ext._reducer.rows == ref._reducer.rows
+    for l in (2, 3):
+        assert ext.hecke_matrix(l) == ref.hecke_matrix(l)
+    for psi2 in [((1, 0), (3, 2)), ((3, 0), (1, 1)), ((2, 11), (1, 7)), ((5, 22), (2, 9))]:
+        assert ext.action_matrix(psi2) == ref.action_matrix(psi2)
+    # the small space is left as it was
+    assert small.field == make_field(p) and all(x.field == small.field for row in small.hecke_matrix(2) for x in row)
+
+
+def test_level101_eigensystems_need_a_sextic_extension():
+    # T_2 has an irreducible factor of degree 6 over F_5 on this space
+    systems = find_eigensystems(SymbolSpace(101, 5, 0, 0), [2, 3])
+    assert len(systems) == 8
+    assert {s.field for s in systems} == {make_field(5, 6)}
+    lams = {(s.lambdas[2], s.lambdas[3]) for s in systems}
+    assert {(x.frobenius(), y.frobenius()) for x, y in lams} == lams
