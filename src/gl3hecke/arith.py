@@ -1,0 +1,53 @@
+"""Elementary number theory on small integers: primality, squarefreeness,
+divisors and primitive roots.  Trial division throughout; every input here
+is a level, a prime p or a Hecke prime l, all desk-scale.
+"""
+
+from __future__ import annotations
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def is_squarefree(n):
+    """True when no square of a prime divides n; n must be positive."""
+    if n < 1:
+        raise ValueError("squarefreeness is defined for positive integers, got %d" % n)
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
+def divisors(n):
+    """The positive divisors of n, increasing."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def primitive_root(p):
+    """The least generator of (Z/p)^* for a prime p; 1 for p = 2, where the
+    group is trivial."""
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
+    for g in range(1, p):
+        order = 1
+        acc = g
+        while acc != 1:
+            acc = acc * g % p
+            order += 1
+        if order == p - 1:
+            return g

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .arith import divisors
 from .ffield import Fq, FiniteField
 
 
@@ -244,7 +245,7 @@ class DirichletCharacter:
 
     def conductor(self):
         """Least modulus through which the character factors."""
-        for d in sorted(_divisors(self.modulus)):
+        for d in divisors(self.modulus):
             if self._factors_through(d):
                 return d
         return self.modulus
@@ -311,11 +312,6 @@ class DirichletCharacter:
         field = FiniteField.from_json(data["field"])
         values = {int(u): field.element(c) for u, c in data["values"].items()}
         return cls(field, data["modulus"], values)
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def character_from_generators(field, modulus, images):

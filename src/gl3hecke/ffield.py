@@ -7,20 +7,7 @@ across runs.  All arithmetic is exact; nothing here floats.
 
 from __future__ import annotations
 
-
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .arith import is_prime
 
 
 # -- polynomial helpers over F_p (little-endian coefficient lists) --

@@ -4,7 +4,8 @@ Provides the explicit right-coset representatives of the two double cosets
 attached to a prime l (determinant l and l^2), the congruence-subgroup
 translation gamma moving each representative into the parabolic stabilizing
 (1:d:0), the block data psi^1, psi^2 read off after conjugating by the
-elementary matrix g_d, and orbit bookkeeping on P^2(Z/N) for squarefree N.
+elementary matrix g_d, and the closed-form orbit classification of P^2(Z/N)
+for squarefree N (one orbit per divisor d, named by gcd(v_1, v_2, N)).
 
 All matrices are integer tuples-of-tuples; arithmetic is exact.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .arith import divisors, is_prime, is_squarefree
 from .characters import crt, xgcd
 
 # -- integer 3x3 helpers -----------------------------------------------------
@@ -155,7 +157,7 @@ def coset_reps(l, k, N):
         raise ValueError("N must be positive")
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    if not _is_prime(l):
+    if not is_prime(l):
         raise ValueError("l must be prime")
     if N % l == 0:
         raise ValueError("l must not divide N")
@@ -177,17 +179,6 @@ def coset_reps(l, k, N):
             reps.append(mat3([[l, 0, 0], [0, 1, 0], [0, c, l]]))
         reps.append(mat3([[l, 0, 0], [0, l, 0], [0, 0, 1]]))
     return HeckeCosetSet(l, k, N, tuple(reps))
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # -- translation into the parabolic ------------------------------------------
@@ -338,137 +329,43 @@ def psi_blocks(s, d):
 # -- orbits of P^2(Z/N) under the level group --------------------------------
 
 
-def _squarefree(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 class ProjectiveOrbits:
-    """Orbit tables for P^2(Z/N) under reduction of the level-N group.
+    """Orbits of P^2(Z/N) under reduction of the level-N group, squarefree N.
 
-    N must be squarefree; the orbits are then represented by (1:d:0) for
-    the positive divisors d of N, which this class certifies by BFS.
+    The orbit of a primitive row vector v is named by the divisor
+    d = gcd(v_1, v_2, N) of N (indices from 0), and (1:d:0) lies in it, so
+    there is one orbit per divisor of N.
+
+    Invariance: every level-group element g has first row (*,0,0) mod N, so
+    (v g)_j = v_1 g_1j + v_2 g_2j for j = 1, 2, and its lower-right 2x2 block
+    is invertible mod N (1 = det g = g_00 times the block determinant).  So
+    gcd(v_1, v_2, N) is unchanged by g, and by scaling v with a unit.
+
+    Transitivity: SL_3(Z) maps onto SL_3(Z/N), so the level group reduces to
+    all determinant-one matrices mod N with first row (*,0,0).  For squarefree
+    N, CRT splits this group and P^2(Z/N) into the same objects mod each prime
+    q | N.  Mod q, either (v_1, v_2) = 0 and v is the single point (1:0:0), or
+    a block in GL_2(F_q) moves (v_1, v_2) to (1, 0), g_00 is the inverse of
+    its determinant, and the first column sets v_0 to any value.  So each gcd
+    class is a single orbit.  The BFS over all points that this replaces is
+    the test oracle tests/_oracles.py:BfsProjectiveOrbits.
     """
 
-    _cache = {}
-
-    def __new__(cls, N):
-        if N in cls._cache:
-            return cls._cache[N]
-        self = super().__new__(cls)
-        cls._cache[N] = self
-        return self
-
     def __init__(self, N):
-        if getattr(self, "N", None) == N:
-            return
-        if not _squarefree(N):
+        if not is_squarefree(N):
             raise ValueError("orbit classification requires squarefree N")
         self.N = N
-        self._points = self._enumerate_points(N)
-        self._orbit_of = self._bfs_orbits(N)
-        self._rep_to_d = {}
-        for d in divisors(N):
-            self._rep_to_d[self._orbit_of[self.canonical((1, d % N, 0))]] = d
-
-    @staticmethod
-    def _enumerate_points(N):
-        if N == 1:
-            return [(0, 0, 0)]  # the unique point of P^2(Z/1)
-        pts = set()
-        for x in range(N):
-            for y in range(N):
-                for z in range(N):
-                    if gcd(gcd(gcd(x, y), z), N) == 1:
-                        pts.add(_proj_canonical((x, y, z), N))
-        return sorted(pts)
-
-    def canonical(self, v):
-        if self.N == 1:
-            return (0, 0, 0)
-        v = tuple(x % self.N for x in v)
-        if gcd(gcd(gcd(v[0], v[1]), v[2]), self.N) != 1:
-            raise ValueError("vector is not primitive mod %d" % self.N)
-        return _proj_canonical(v, self.N)
-
-    def _bfs_orbits(self, N):
-        orbit_of = {}
-        if N == 1:
-            orbit_of[(0, 0, 0)] = 0
-            return orbit_of
-        gens = _level_group_generators(N)
-        next_orbit = 0
-        for start in self._points:
-            if start in orbit_of:
-                continue
-            orbit_of[start] = next_orbit
-            frontier = [start]
-            while frontier:
-                new = []
-                for pt in frontier:
-                    for g in gens:
-                        img = _proj_canonical(tuple(sum(pt[k] * g[k][j] for k in range(3)) % N for j in range(3)), N)
-                        if img not in orbit_of:
-                            orbit_of[img] = next_orbit
-                            new.append(img)
-                frontier = new
-            next_orbit += 1
-        return orbit_of
 
     @property
     def orbit_count(self):
-        return len(set(self._orbit_of.values()))
-
-    def orbit_id(self, v):
-        return self._orbit_of[self.canonical(v)]
+        return len(divisors(self.N))
 
     def orbit_rep(self, v):
         """The divisor d of N with v in the orbit of (1:d:0)."""
-        oid = self.orbit_id(v)
-        if oid not in self._rep_to_d:
-            raise RuntimeError("orbit without a standard representative")
-        return self._rep_to_d[oid]
-
-
-def _proj_canonical(v, N):
-    best = None
-    for u in range(1, N):
-        if gcd(u, N) != 1:
-            continue
-        cand = tuple(x * u % N for x in v)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _level_group_generators(N):
-    """Generators of the image mod N of the level group: determinant one,
-    first row (*,0,0)."""
-    gens = [
-        mat3([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
-        mat3([[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
-        mat3([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
-        mat3([[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
-    ]
-    for u in _unit_generators(N):
-        uinv = pow(u, -1, N)
-        gens.append(mat3([[u, 0, 0], [0, uinv, 0], [0, 0, 1]]))
-        gens.append(mat3([[u, 0, 0], [0, 1, 0], [0, 0, uinv]]))
-    return gens
-
-
-def _unit_generators(N):
-    from .characters import unit_group_structure
-
-    return [g for g, _ in unit_group_structure(N)]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+        N = self.N
+        if gcd(gcd(gcd(v[0], v[1]), v[2]), N) != 1:
+            raise ValueError("vector is not primitive mod %d" % N)
+        return gcd(gcd(v[1], v[2]), N)
 
 
 def orbit_rep(v, N):

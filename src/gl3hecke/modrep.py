@@ -10,6 +10,14 @@ build time: the highest-weight line, form adjointness, and the spin
 irreducibility check.  Every matrix product mod p goes through
 linalg.matmul_mod, which is exact or raises.
 
+The substitution matrices Sym^k(M) behind every carrier action are built by
+degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
+times one variable y_w, so its image is the parent's image times the linear
+form (row w of M).y.  Cached per-degree index tables (parent, removed
+variable, and "multiply by y_w" from degree k-1 into degree k) turn each
+degree into a few numpy operations; entries stay below nvars*p^2 before
+reduction, so int64 is exact.
+
 Matrices are stored as left homomorphisms rho(g) over F_p acting on
 coordinate columns; the semigroup right action used by the symbol spaces is
 v|m = rho(transpose m) v, which is the classical substitution action with
@@ -20,11 +28,13 @@ rho(u) for u in the first-column unipotent group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 import numpy as np
 
+from .arith import primitive_root
 from .characters import DirichletCharacter
 from .ffield import Fq
 from .linalg import SpinBasis, matmul_mod, np_inv, np_nullspace, np_rref
@@ -48,51 +58,49 @@ def sym_basis(nvars, deg):
     return sorted(set(idx), reverse=True)
 
 
-def _poly_pow(base_terms, e, p):
-    """(linear form)^e as a dict exponent-tuple -> coefficient."""
-    acc = {tuple([0] * len(base_terms)): 1}
-    for _ in range(e):
-        new = {}
-        for mono, c in acc.items():
-            for v, cv in enumerate(base_terms):
-                if cv % p == 0:
-                    continue
-                m2 = list(mono)
-                m2[v] += 1
-                m2 = tuple(m2)
-                new[m2] = (new.get(m2, 0) + c * cv) % p
-        acc = new
-    return acc
+@lru_cache(maxsize=None)
+def _sym_tables(nvars, deg):
+    """Index tables linking the degree deg-1 and degree deg monomial bases
+    (deg >= 1): for each degree-deg monomial, its parent (the monomial with
+    one power of its first present variable removed) and that variable; and
+    for each variable w, where multiplying each degree deg-1 monomial by y_w
+    lands.  Read-only; shared by every caller."""
+    index = {m: i for i, m in enumerate(sym_basis(nvars, deg))}
+    lower = sym_basis(nvars, deg - 1)
+    lower_index = {m: i for i, m in enumerate(lower)}
+    parent = np.zeros(len(index), dtype=np.intp)
+    var = np.zeros(len(index), dtype=np.intp)
+    for m, j in index.items():
+        w = next(v for v, e in enumerate(m) if e)
+        var[j] = w
+        parent[j] = lower_index[m[:w] + (m[w] - 1,) + m[w + 1 :]]
+    times = np.array([[index[m[:w] + (m[w] + 1,) + m[w + 1 :]] for m in lower] for w in range(nvars)], dtype=np.intp)
+    for a in (parent, var, times):
+        a.setflags(write=False)
+    return parent, var, times
 
 
 def sub_matrix(M, deg, p):
     """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p.
 
     Columns are images of basis monomials; the map is an anti-homomorphism
-    in M (substitutions compose contravariantly).
+    in M (substitutions compose contravariantly).  Built degree by degree
+    from Sym^0 = (1) through the tables of _sym_tables.
     """
     M = np.asarray(M, dtype=np.int64) % p
     nvars = M.shape[0]
-    basis = sym_basis(nvars, deg)
-    index = {m: i for i, m in enumerate(basis)}
-    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for j, mono in enumerate(basis):
-        # product over variables of (row_i of M . y)^{mono_i}
-        poly = {tuple([0] * nvars): 1}
-        for v, e in enumerate(mono):
-            if e == 0:
-                continue
-            factor = _poly_pow([int(M[v, k]) for k in range(nvars)], e, p)
-            new = {}
-            for m1, c1 in poly.items():
-                for m2, c2 in factor.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    new[m] = (new.get(m, 0) + c1 * c2) % p
-            poly = new
-        for m, c in poly.items():
-            if c % p:
-                out[index[m], j] = c % p
-    return out
+    if nvars * (p - 1) ** 2 >= 2**63:
+        raise OverflowError("sub_matrix needs nvars*(p-1)^2 < 2^63 (p = %d)" % p)
+    S = np.ones((1, 1), dtype=np.int64)
+    for k in range(1, deg + 1):
+        parent, var, times = _sym_tables(nvars, k)
+        # column j is the image of its parent times (row var[j] of M) . y
+        cols = S[:, parent]
+        S = np.zeros((len(parent), len(parent)), dtype=np.int64)
+        for w in range(nvars):
+            S[times[w]] += cols * M[var, w]
+        S %= p
+    return S
 
 
 def cofactor3(M):
@@ -127,24 +135,12 @@ def gl_generators(n, p):
             E = np.eye(n, dtype=np.int64)
             E[a, b] = 1
             gens.append(E)
-    g0 = _primitive_root(p)
+    g0 = primitive_root(p)
     for i in range(min(n - 1, 2)):
         T = np.eye(n, dtype=np.int64)
         T[i, i] = g0
         gens.append(T)
     return gens
-
-
-def _primitive_root(p):
-    for g in range(2, p):
-        order = 1
-        acc = g
-        while acc != 1:
-            acc = acc * g % p
-            order += 1
-        if order == p - 1:
-            return g
-    raise RuntimeError("no primitive root")
 
 
 # -- module objects ------------------------------------------------------------
@@ -258,7 +254,7 @@ def _build_gl3_base(p, i, j):
     for u in (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])):
         if not np.array_equal(matmul_mod(carrier_rho(u), vplus, p), vplus):
             raise CertificateError("highest-weight vector is not unipotent-invariant")
-    g0 = _primitive_root(p)
+    g0 = primitive_root(p)
     for t, want in (
         (np.diag([g0, 1, 1]), pow(g0, a, p)),
         (np.diag([1, g0, 1]), pow(g0, b, p)),
@@ -393,7 +389,7 @@ def _module_highest_vector(mod):
     if len(K) == 0:
         raise CertificateError("no unipotent-fixed vector in the module")
     # pick the torus eigenvector of weight equal to the label
-    g0 = _primitive_root(p)
+    g0 = primitive_root(p)
     for v in K:
         ok = True
         for i, t in enumerate([np.diag([g0, 1, 1]), np.diag([1, g0, 1]), np.diag([1, 1, g0])]):
@@ -443,7 +439,7 @@ def u_invariants(mod):
             "invariant dimension %d != %d for label %s" % (len(K), a - b + 1, mod.label)
         )
     # scalar action of the rank-1 torus factor
-    g0 = _primitive_root(p)
+    g0 = primitive_root(p)
     t = np.diag([g0, 1, 1])
     imgs = matmul_mod(K, mod.rho(t).T, p)
     lamb = pow(g0, c % (p - 1), p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from math import gcd
 
+from .arith import is_squarefree
 from .characters import DirichletCharacter, niveau2_normal_form
 
 ORDINARY = "ordinary"
@@ -21,15 +22,6 @@ SUPERSINGULAR = "supersingular"
 TAME = "tame"
 PEU = "peu"
 TRES = "tres"
-
-
-def _squarefree(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ class InertialData:
         p = self.p
         if self.kind not in (ORDINARY, SUPERSINGULAR):
             raise ValueError("kind must be ordinary or supersingular")
-        if not _squarefree(self.N1 * self.d):
+        if not is_squarefree(self.N1 * self.d):
             raise ValueError("N1*d = %d must be squarefree" % (self.N1 * self.d))
         if gcd(self.N1 * self.d, p) != 1:
             raise ValueError("level must be prime to p")

@@ -5,12 +5,22 @@ brute-force point counts, and the discriminant-cusp-form coefficients come
 from expanding the Jacobi product directly.  SequentialSpinBasis is the
 row-at-a-time basis that the batched linalg.SpinBasis replaced, and
 scan_eigen_split is the eigenvalue scan that the root split in
-modsym2._eigen_split replaced.
+modsym2._eigen_split replaced.  BfsProjectiveOrbits classifies P^2(Z/N) by a
+breadth-first search over every point under generators of the level group,
+with points normalised by scanning every unit mod N; it is the reference for
+the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
+dict_sub_matrix expands each substituted monomial as a dictionary
+polynomial; it is the reference for the table-driven modrep.sub_matrix.
 """
+
+from math import gcd
 
 import numpy as np
 
+from gl3hecke.arith import divisors, is_squarefree
+from gl3hecke.heckegl3 import mat3
 from gl3hecke.linalg import nullspace
+from gl3hecke.modrep import sym_basis
 
 
 def elliptic_ap(l):
@@ -124,3 +134,162 @@ def scan_eigen_split(space, A, basis):
             vecs.append(v)
         pieces.append((lam, vecs))
     return pieces
+
+
+class BfsProjectiveOrbits:
+    """Orbit tables for P^2(Z/N) under reduction of the level-N group.
+
+    N must be squarefree; the orbits are then represented by (1:d:0) for
+    the positive divisors d of N, which this class certifies by BFS.
+    """
+
+    def __init__(self, N):
+        if not is_squarefree(N):
+            raise ValueError("orbit classification requires squarefree N")
+        self.N = N
+        self._points = self._enumerate_points(N)
+        self._orbit_of = self._bfs_orbits(N)
+        self._rep_to_d = {}
+        for d in divisors(N):
+            self._rep_to_d[self._orbit_of[self.canonical((1, d % N, 0))]] = d
+
+    @staticmethod
+    def _enumerate_points(N):
+        if N == 1:
+            return [(0, 0, 0)]  # the unique point of P^2(Z/1)
+        pts = set()
+        for x in range(N):
+            for y in range(N):
+                for z in range(N):
+                    if gcd(gcd(gcd(x, y), z), N) == 1:
+                        pts.add(_proj_canonical((x, y, z), N))
+        return sorted(pts)
+
+    def points(self):
+        return list(self._points)
+
+    def canonical(self, v):
+        if self.N == 1:
+            return (0, 0, 0)
+        v = tuple(x % self.N for x in v)
+        if gcd(gcd(gcd(v[0], v[1]), v[2]), self.N) != 1:
+            raise ValueError("vector is not primitive mod %d" % self.N)
+        return _proj_canonical(v, self.N)
+
+    def _bfs_orbits(self, N):
+        orbit_of = {}
+        if N == 1:
+            orbit_of[(0, 0, 0)] = 0
+            return orbit_of
+        gens = level_group_generators(N)
+        next_orbit = 0
+        for start in self._points:
+            if start in orbit_of:
+                continue
+            orbit_of[start] = next_orbit
+            frontier = [start]
+            while frontier:
+                new = []
+                for pt in frontier:
+                    for g in gens:
+                        img = _proj_canonical(tuple(sum(pt[k] * g[k][j] for k in range(3)) % N for j in range(3)), N)
+                        if img not in orbit_of:
+                            orbit_of[img] = next_orbit
+                            new.append(img)
+                frontier = new
+            next_orbit += 1
+        return orbit_of
+
+    @property
+    def orbit_count(self):
+        return len(set(self._orbit_of.values()))
+
+    def orbit_id(self, v):
+        return self._orbit_of[self.canonical(v)]
+
+    def orbit_rep(self, v):
+        """The divisor d of N with v in the orbit of (1:d:0)."""
+        oid = self.orbit_id(v)
+        if oid not in self._rep_to_d:
+            raise RuntimeError("orbit without a standard representative")
+        return self._rep_to_d[oid]
+
+
+def _proj_canonical(v, N):
+    best = None
+    for u in range(1, N):
+        if gcd(u, N) != 1:
+            continue
+        cand = tuple(x * u % N for x in v)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def level_group_generators(N):
+    """Generators of the image mod N of the level group: determinant one,
+    first row (*,0,0)."""
+    gens = [
+        mat3([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
+        mat3([[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
+        mat3([[1, 0, 0], [0, 1, 1], [0, 0, 1]]),
+        mat3([[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
+    ]
+    for u in _unit_generators(N):
+        uinv = pow(u, -1, N)
+        gens.append(mat3([[u, 0, 0], [0, uinv, 0], [0, 0, 1]]))
+        gens.append(mat3([[u, 0, 0], [0, 1, 0], [0, 0, uinv]]))
+    return gens
+
+
+def _unit_generators(N):
+    from gl3hecke.characters import unit_group_structure
+
+    return [g for g, _ in unit_group_structure(N)]
+
+
+def _poly_pow(base_terms, e, p):
+    """(linear form)^e as a dict exponent-tuple -> coefficient."""
+    acc = {tuple([0] * len(base_terms)): 1}
+    for _ in range(e):
+        new = {}
+        for mono, c in acc.items():
+            for v, cv in enumerate(base_terms):
+                if cv % p == 0:
+                    continue
+                m2 = list(mono)
+                m2[v] += 1
+                m2 = tuple(m2)
+                new[m2] = (new.get(m2, 0) + c * cv) % p
+        acc = new
+    return acc
+
+
+def dict_sub_matrix(M, deg, p):
+    """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p.
+
+    Columns are images of basis monomials; the map is an anti-homomorphism
+    in M (substitutions compose contravariantly).
+    """
+    M = np.asarray(M, dtype=np.int64) % p
+    nvars = M.shape[0]
+    basis = sym_basis(nvars, deg)
+    index = {m: i for i, m in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for j, mono in enumerate(basis):
+        # product over variables of (row_i of M . y)^{mono_i}
+        poly = {tuple([0] * nvars): 1}
+        for v, e in enumerate(mono):
+            if e == 0:
+                continue
+            factor = _poly_pow([int(M[v, k]) for k in range(nvars)], e, p)
+            new = {}
+            for m1, c1 in poly.items():
+                for m2, c2 in factor.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    new[m] = (new.get(m, 0) + c1 * c2) % p
+            poly = new
+        for m, c in poly.items():
+            if c % p:
+                out[index[m], j] = c % p
+    return out

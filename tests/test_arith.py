@@ -1,0 +1,30 @@
+import pytest
+
+from gl3hecke.arith import divisors, is_prime, is_squarefree, primitive_root
+
+
+def test_is_prime_small_range():
+    primes = [n for n in range(-3, 200) if is_prime(n)]
+    assert primes == [n for n in range(2, 200) if all(n % f for f in range(2, n))]
+
+
+def test_is_squarefree_and_divisors():
+    assert [n for n in range(1, 30) if not is_squarefree(n)] == [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
+    assert divisors(1) == [1]
+    assert divisors(30) == [1, 2, 3, 5, 6, 10, 15, 30]
+
+
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_is_squarefree_rejects_nonpositive(n):
+    with pytest.raises(ValueError):
+        is_squarefree(n)
+
+
+def test_primitive_root_is_least_generator():
+    assert primitive_root(2) == 1
+    for p in [3, 5, 7, 11, 13, 17, 19, 23]:
+        g = primitive_root(p)
+        assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+        assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(1, g))
+    with pytest.raises(ValueError):
+        primitive_root(4)

@@ -2,13 +2,15 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gl3hecke.arith import divisors, is_squarefree
 from gl3hecke.heckegl3 import (
     IDENTITY3,
     ProjectiveOrbits,
     coset_reps,
     det3,
-    divisors,
     g_elem,
     g_elem_inv,
     gl2_orbit_example_check,
@@ -27,6 +29,8 @@ from gl3hecke.heckegl3 import (
     theorem_psi_blocks,
     translate_to_parabolic,
 )
+
+from _oracles import BfsProjectiveOrbits, level_group_generators
 
 
 def test_coset_reps_l2_k1_shapes():
@@ -258,6 +262,50 @@ def test_orbit_rep_constant_on_orbits():
         g = gens[rng.randrange(len(gens))]
         w = tuple(sum(v[k] * g[k][j] for k in range(3)) % 33 for j in range(3))
         assert orb.orbit_rep(w) == d
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 10, 11, 15, 30, 42])
+def test_closed_form_orbits_match_bfs_oracle(N):
+    bfs = BfsProjectiveOrbits(N)
+    orb = ProjectiveOrbits(N)
+    assert orb.orbit_count == bfs.orbit_count == len(divisors(N))
+    for v in bfs.points():
+        assert orb.orbit_rep(v) == bfs.orbit_rep(v)
+        assert orbit_rep(v, N) == bfs.orbit_rep(v)
+
+
+SQUAREFREE_UP_TO_210 = [N for N in range(1, 211) if is_squarefree(N)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.sampled_from(SQUAREFREE_UP_TO_210),
+    v=st.tuples(*[st.integers(-500, 500)] * 3),
+    word=st.lists(st.integers(0, 10**6), max_size=12),
+    scale=st.integers(1, 10**6),
+)
+def test_orbit_rep_invariant_under_level_group_words(N, v, word, scale):
+    assume(gcd(gcd(gcd(v[0], v[1]), v[2]), N) == 1)
+    d = orbit_rep(v, N)
+    assert N % d == 0
+    gens = level_group_generators(N)  # includes the unit-torus elements
+    w = v
+    for i in word:
+        w = tuple(x % N for x in mat_vec3(w, gens[i % len(gens)]))
+    u = scale if gcd(scale, N) == 1 else 1
+    assert orbit_rep(tuple(x * u for x in w), N) == d
+
+
+def test_orbit_rep_rejects_bad_input():
+    with pytest.raises(ValueError):
+        orbit_rep((2, 0, 0), 6)  # not primitive mod 6
+    with pytest.raises(ValueError):
+        orbit_rep((3, 3, 6), 15)
+    with pytest.raises(ValueError):
+        orbit_rep((1, 0, 0), 12)  # not squarefree
+    for N in (0, -4, -6):
+        with pytest.raises(ValueError, match="positive"):
+            ProjectiveOrbits(N)
 
 
 def test_hecke_orbit_action_stabilizes():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3hecke import modrep
 from gl3hecke.characters import DirichletCharacter
@@ -17,7 +19,7 @@ from gl3hecke.modrep import (
     u_invariants,
 )
 
-from _oracles import SequentialSpinBasis
+from _oracles import SequentialSpinBasis, dict_sub_matrix
 
 F5 = make_field(5)
 
@@ -270,7 +272,55 @@ def test_module_matches_sequential_spin_oracle(label, monkeypatch):
     got = _module_arrays(label)
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
     monkeypatch.setattr(modrep, "SpinBasis", SequentialSpinBasis)
-    want = _module_arrays(label)
+    _assert_byte_identical(got, _module_arrays(label))
+
+
+def _assert_byte_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@st.composite
+def _substitution_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.sampled_from([2, 3]))
+    deg = draw(st.integers(0, p - 1))
+    entries = st.integers(-3 * p, 3 * p)
+    A, B = (np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n) for _ in "AB")
+    return p, deg, A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(_substitution_case())
+def test_sub_matrix_matches_dict_oracle_and_is_an_antihomomorphism(case):
+    p, deg, A, B = case
+    got = sub_matrix(A, deg, p)
+    _assert_byte_identical([got], [dict_sub_matrix(A, deg, p)])
+    # f -> f(A y) then f -> f(B y) is f -> f(A B y)
+    assert np.array_equal(sub_matrix(A @ B, deg, p), sub_matrix(B, deg, p) @ got % p)
+
+
+def test_sub_matrix_raises_past_the_int64_bound():
+    with pytest.raises(OverflowError):
+        sub_matrix(np.eye(3, dtype=np.int64), 1, 2**31 + 11)
+
+
+# (p, a, b, c) of the module keys (p, a-b, b-c) = (5,1,3), (7,3,3), (11,5,6), (13,6,0)
+SUBSTITUTION_LABELS = [(5, 4, 3, 0), (7, 6, 3, 0), (11, 11, 6, 0), (13, 6, 0, 0)]
+
+
+@pytest.mark.parametrize("label", SUBSTITUTION_LABELS, ids=lambda lab: "%d-%d-%d-%d" % lab)
+def test_module_matches_dict_substitution_oracle(label, monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    got = _module_arrays(label)
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "sub_matrix", dict_sub_matrix)
+    _assert_byte_identical(got, _module_arrays(label))
+
+
+def test_characteristic_two_modules():
+    # F_2^* is trivial, so the torus generators are the identity
+    assert build_gl2_module(2, 1, 0).dim == 2
+    assert build_gl3_module(2, 1, 0, 0).dim == 3
+    assert build_gl3_module(2, 2, 1, 0).dim == 8  # the adjoint of SL_3, irreducible away from 3

@@ -131,6 +131,12 @@ def test_squarefree_level_enforced():
         ordinary(5, 1, 0, 2, N1=5)
 
 
+def test_nonpositive_level_rejected():
+    for N1 in (-4, 0):
+        with pytest.raises(ValueError, match="positive"):
+            ordinary(5, 1, 0, 2, N1=N1)
+
+
 def test_dual_weight_involution_exhaustive_p5():
     p = 5
     for dx in range(p):
