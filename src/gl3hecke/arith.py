@@ -33,6 +33,20 @@ def is_squarefree(n):
     return True
 
 
+def prime_factors(n):
+    """The prime factors of n >= 1 with multiplicity, increasing."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def divisors(n):
     """The positive divisors of n, increasing."""
     return [d for d in range(1, n + 1) if n % d == 0]

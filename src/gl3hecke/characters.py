@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import divisors
+from .arith import divisors, prime_factors
 from .ffield import Fq, FiniteField
 
 
@@ -97,23 +97,10 @@ def unit_group_structure(N):
 
 def _order_mod(g, q, phi):
     order = phi
-    for f in set(_factor(phi)):
+    for f in set(prime_factors(phi)):
         while order % f == 0 and pow(g, order // f, q) == 1:
             order //= f
     return order
-
-
-def _factor(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class DirichletCharacter:
@@ -312,14 +299,6 @@ class DirichletCharacter:
         field = FiniteField.from_json(data["field"])
         values = {int(u): field.element(c) for u, c in data["values"].items()}
         return cls(field, data["modulus"], values)
-
-
-def character_from_generators(field, modulus, images):
-    return DirichletCharacter.from_generators(field, modulus, images)
-
-
-def factor_character(chi, d):
-    return chi.factor(d)
 
 
 @dataclass(frozen=True)

@@ -1,106 +1,16 @@
-"""Exact arithmetic in small finite fields F_{p^r}.
+"""Exact arithmetic in small finite fields F_{p^r}, and polynomials over them.
 
 Elements are coordinate vectors with respect to a deterministically chosen
 monic irreducible modulus polynomial, so serialized values are reproducible
-across runs.  All arithmetic is exact; nothing here floats.
+across runs.  A field embeds in each of its extensions by sending the
+generator to the least root of its modulus there, found by the same
+root-finder that reads off Hecke eigenvalues.  All arithmetic is exact;
+nothing here floats.
 """
 
 from __future__ import annotations
 
-from .arith import is_prime
-
-
-# -- polynomial helpers over F_p (little-endian coefficient lists) --
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_mod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        a = _trim(a)
-        if len(a) - 1 < df:
-            break
-        lead = a[-1]
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - lead * fi) % p
-        a = _trim(a)
-    return a
-
-
-def _poly_powmod(a, e, f, p):
-    result = [1]
-    base = _poly_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), f, p)
-        base = _poly_mod(_poly_mul(base, base, p), f, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a = _poly_mod(a, bm, p)
-        a, b = b, a
-    return a
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _is_irreducible(f, p):
-    """Rabin's test for a monic polynomial f over F_p."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    x = [0, 1]
-    if _poly_sub(_poly_powmod(x, p**r, f, p), x, p):
-        return False
-    for q in set(_prime_factors(r)):
-        diff = _poly_sub(_poly_powmod(x, p ** (r // q), f, p), x, p)
-        g = _poly_gcd(diff, f, p)
-        if len(_trim(list(g))) - 1 >= 1:
-            return False
-    return True
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .arith import is_prime, prime_factors
 
 
 class Fq:
@@ -110,9 +20,13 @@ class Fq:
 
     def __init__(self, field, coords):
         self.field = field
-        self.coords = tuple(c % field.p for c in coords)
+        p = field.p
+        self.coords = tuple([c % p for c in coords])
 
     def _check(self, other):
+        # fields are cached per (p, r), so the common case is one identity test
+        if isinstance(other, Fq) and other.field is self.field:
+            return other
         if isinstance(other, int):
             return self.field.from_int(other)
         if not isinstance(other, Fq) or other.field != self.field:
@@ -140,10 +54,20 @@ class Fq:
         if isinstance(other, int):
             return Fq(fld, [a * other for a in self.coords])
         other = self._check(other)
-        prod = _poly_mul(list(self.coords), list(other.coords), fld.p)
-        red = _poly_mod(prod, list(fld.modulus), fld.p)
-        red += [0] * (fld.r - len(red))
-        return Fq(fld, red)
+        # the schoolbook product, then each x^k with k >= r rewritten by the
+        # monic modulus; Fq() reduces the coefficients mod p once, at the end
+        r, mod = fld.r, fld.modulus
+        prod = [0] * (2 * r - 1)
+        for i, a in enumerate(self.coords):
+            if a:
+                for j, b in enumerate(other.coords):
+                    prod[i + j] += a * b
+        for k in range(2 * r - 2, r - 1, -1):
+            c = prod[k]
+            if c:
+                for i in range(r):
+                    prod[k - r + i] -= c * mod[i]
+        return Fq(fld, prod[:r])
 
     __rmul__ = __mul__
 
@@ -184,7 +108,7 @@ class Fq:
             raise ValueError("zero has no multiplicative order")
         n = self.field.order - 1
         order = n
-        for q in set(_prime_factors(n)):
+        for q in set(prime_factors(n)):
             while order % q == 0 and (self ** (order // q)) == self.field.one():
                 order //= q
         return order
@@ -247,6 +171,11 @@ class FiniteField:
 
     @staticmethod
     def _least_irreducible(p, r):
+        # a monic f of degree r > 1 is irreducible when its one distinct-degree
+        # part over the prime field has degree r
+        if r == 1:
+            return (0, 1)
+        prime = FiniteField(p, 1)
         for k in range(p**r):
             coeffs = []
             kk = k
@@ -254,7 +183,7 @@ class FiniteField:
                 coeffs.append(kk % p)
                 kk //= p
             f = coeffs + [1]
-            if _is_irreducible(f, p):
+            if _distinct_degrees([prime.from_int(c) for c in f], prime)[0][0] == r:
                 return tuple(f)
         raise RuntimeError("no irreducible modulus found")  # unreachable
 
@@ -311,26 +240,15 @@ class FiniteField:
         return acc
 
     def _embedding_root(self, big):
-        key = ("root", big.r)
-        cached = getattr(self, "_roots", None)
-        if cached is None:
-            cached = self._roots = {}
-        if key not in cached:
-            # brute scan: fields here have at most a few thousand elements
-            mod = list(self.modulus)
-            for cand in big.elements():
-                acc = big.zero()
-                for c in reversed(mod):
-                    acc = acc * cand + big.from_int(c)
-                if acc.is_zero():
-                    cached[key] = cand
-                    break
-            else:
-                raise RuntimeError("no root of modulus in extension")
-        return cached[key]
+        """The least root of this field's modulus in big, in big.elements()
+        order: the image of the generator under embed."""
+        cached = self.__dict__.setdefault("_embedding_roots", {})
+        if big.r not in cached:
+            cached[big.r] = _roots([big.from_int(c) for c in self.modulus], big)[0]
+        return cached[big.r]
 
     def __eq__(self, other):
-        return isinstance(other, FiniteField) and (self.p, self.r) == (other.p, other.r)
+        return self is other or isinstance(other, FiniteField) and (self.p, self.r) == (other.p, other.r)
 
     def __hash__(self):
         return hash((self.p, self.r))
@@ -350,6 +268,147 @@ class FiniteField:
 
     def scalar_from_json(self, data):
         return self.element(data["coords"])
+
+
+# -- polynomials over a FiniteField --
+# Polynomials over a field are lists of its elements, constant term
+# first, with no zero leading coefficient; the zero polynomial is [].
+
+
+def _poly_trim_fq(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _poly_add_fq(a, b, field):
+    n = max(len(a), len(b))
+    zero = field.zero()
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return _poly_trim_fq([x + y for x, y in zip(a, b)])
+
+
+def _poly_mul_fq(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _poly_trim_fq(out)
+
+
+def _poly_mod_fq(a, m):
+    """a mod m, for monic m."""
+    a = _poly_trim_fq(list(a))
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        shift = len(a) - 1 - dm
+        f = a[-1]
+        for i in range(len(m)):
+            a[shift + i] = a[shift + i] - f * m[i]
+        a = _poly_trim_fq(a)
+    return a
+
+
+def _poly_gcd_fq(a, b):
+    """Monic gcd; gcd(0, 0) = 0.  Each divisor is made monic first."""
+    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
+    while b:
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]
+        a, b = b, _poly_mod_fq(a, b)
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _poly_powmod_fq(base, e, m, field):
+    result = _poly_mod_fq([field.one()], m)
+    base = _poly_mod_fq(base, m)
+    while e:
+        if e & 1:
+            result = _poly_mod_fq(_poly_mul_fq(result, base, field), m)
+        base = _poly_mod_fq(_poly_mul_fq(base, base, field), m)
+        e >>= 1
+    return result
+
+
+def _distinct_degrees(m, field):
+    """The distinct-degree parts of the monic polynomial m: the pairs
+    (d, g_d), d increasing, where g_d is the product of the distinct monic
+    irreducible factors of m of degree d.  Distinct-degree factorisation on
+    m itself, not its squarefree part: after the gcd with x^(q^d) - x finds
+    the factors of degree d, every power of them is divided out of m, so a
+    factor whose multiplicity is divisible by p is found like any other."""
+    q = field.order
+    work = _poly_trim_fq(list(m))
+    minus_x = [field.zero(), -field.one()]
+    h = [field.zero(), field.one()]  # x^(q^d) mod work
+    parts = []
+    d = 0
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            # every factor left has degree >= d, and there is no room for
+            # two of them (a repeated one included): work is irreducible
+            parts.append((len(work) - 1, work))
+            break
+        h = _poly_powmod_fq(h, q, work, field)
+        g = _poly_gcd_fq(_poly_add_fq(h, minus_x, field), work)
+        if len(g) > 1:
+            parts.append((d, g))
+            while len(g) > 1:
+                work = _poly_divide_out(work, g, field)
+                g = _poly_gcd_fq(work, g)
+            h = _poly_mod_fq(h, work)
+    return parts
+
+
+def _poly_divide_out(a, g, field):
+    """a / g for exact polynomial division by a monic g."""
+    a = _poly_trim_fq(list(a))
+    out = [field.zero()] * (len(a) - len(g) + 1)
+    while len(a) >= len(g):
+        f = a[-1]
+        shift = len(a) - len(g)
+        out[shift] = f
+        for i in range(len(g)):
+            a[shift + i] = a[shift + i] - f * g[i]
+        a = _poly_trim_fq(a)
+    return _poly_trim_fq(out)
+
+
+def _roots(m, field):
+    """The distinct roots in the field of the monic polynomial m, in
+    field.elements() order.  g = gcd(x^q - x, m) is the product of the
+    x - root; it is split by deterministic equal-degree splitting with
+    gcd(f, (x + a)^((q - 1)/2) - 1) for a in field.elements() (q is odd).
+    For two roots r != s, (q - 1)/2 values of a give r + a and s + a
+    different quadratic characters, so the loop always finishes."""
+    q, p = field.order, field.p
+    one = field.one()
+    xq = _poly_powmod_fq([field.zero(), one], q, m, field)
+    g = _poly_gcd_fq(_poly_add_fq(xq, [field.zero(), -one], field), m)
+    linear = [g] if len(g) == 2 else []
+    todo = [g] if len(g) > 2 else []
+    for a in field.elements():
+        if not todo:
+            break
+        rest = []
+        for f in todo:
+            h = _poly_gcd_fq(_poly_add_fq(_poly_powmod_fq([a, one], (q - 1) // 2, f, field), [-one], field), f)
+            for part in [h, _poly_divide_out(f, h, field)] if 1 < len(h) < len(f) else [f]:
+                (linear if len(part) == 2 else rest).append(part)
+        todo = rest
+    if todo:
+        raise RuntimeError("equal-degree splitting left %d factors unsplit" % len(todo))
+    # the monic linear factors are x - root
+    return sorted((-f[0] for f in linear), key=lambda lam: sum(c * p**i for i, c in enumerate(lam.coords)))
 
 
 def make_field(p, r=1):

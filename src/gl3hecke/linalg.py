@@ -32,12 +32,14 @@ def rref(rows, field):
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
+        # the pivot row is zero left of c, so only columns from c on change
         inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
+        R[r][c:] = [x * inv for x in R[r][c:]]
+        tail = R[r][c:]
         for i in range(len(R)):
             if i != r and not R[i][c].is_zero():
                 f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+                R[i][c:] = [a - f * b for a, b in zip(R[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(R):
@@ -60,6 +62,17 @@ def nullspace(A, field):
             v[c] = -R[i][f]
         basis.append(v)
     return basis
+
+
+def apply_matrix(A, v, field):
+    """A v for a matrix A (a list of rows) and a vector v over field."""
+    zero = field.zero()
+    return [sum((a * x for a, x in zip(row, v) if not a.is_zero()), zero) for row in A]
+
+
+def embed_matrix(A, big):
+    """A with every entry embedded in big, an extension of the entry's field."""
+    return [[x.field.embed(x, big) for x in row] for row in A]
 
 
 class RowReducer:
@@ -105,21 +118,6 @@ class RowReducer:
         self._support[piv] = support
         return True
 
-    def extend_scalars(self, big):
-        """The same reducer over the extension field big: each reduced row
-        is embedded on its support (other entries are big's zero).  Field
-        embeddings preserve reduced echelon form, so this is the reducer
-        that adding the embedded vectors over big would build."""
-        out = RowReducer(big, self.n)
-        zero = big.zero()
-        for c, row in self.rows.items():
-            new = [zero] * self.n
-            for j in self._support[c]:
-                new[j] = self.field.embed(row[j], big)
-            out.rows[c] = new
-            out._support[c] = list(self._support[c])
-        return out
-
     @property
     def rank(self):
         return len(self.rows)
@@ -146,14 +144,15 @@ def matmul_mod(A, B, p):
 
     The product runs in float64 BLAS, which is exact while
     n * (p - 1)**2 < 2**53 for the inner dimension n; above that bound it
-    raises OverflowError instead of returning a rounded answer.
+    raises OverflowError instead of returning a rounded answer.  Operands
+    already in float64 are used without a copy.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     n = A.shape[-1]
     if n * (p - 1) ** 2 >= _EXACT:
         raise OverflowError("float64 product mod %d is inexact at inner dimension %d" % (p, n))
-    return (A.astype(np.float64) @ B.astype(np.float64) % p).astype(np.int64)
+    return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False) % p).astype(np.int64)
 
 
 def np_rref(A, p):

@@ -634,10 +634,11 @@ def _spin(rows, mats, p):
     spin = SpinBasis(p, D)
     queue = np.asarray(rows, dtype=np.int64).reshape(-1, D) % p
     queue = queue[spin.add_rows(queue)]
+    transposes = [G.T.astype(np.float64) for G in mats]
     while len(queue):
         grown = []
-        for G in mats:
-            imgs = matmul_mod(queue, G.T, p)
+        for Gt in transposes:
+            imgs = matmul_mod(queue, Gt, p)
             grown.append(imgs[spin.add_rows(imgs)])
         queue = np.vstack(grown)
     return spin.basis()

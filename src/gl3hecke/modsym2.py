@@ -5,25 +5,26 @@ The space is presented on unimodular symbols indexed by cosets of the level
 group, subject to the order-4 and order-3 relations and the plus-quotient
 (coinvariants of diag(1,-1)).  The full positive-determinant semigroup acts
 through continued-fraction decomposition of non-unimodular symbols, which is
-what the Hecke operators are built from.  Exact linear algebra over F_{p^r}
-throughout.  Eigenvalues are the roots of the minimal polynomials of the
-Hecke matrices; when one has an irreducible factor of degree > 1, the
-scalars of the built space are extended to a larger field by embedding its
-relations and cached matrices, never by building it again.
+what the Hecke operators are built from.  Exact linear algebra over the
+scalar field F_{p^r} the space was given; the space, its caches and its
+operators never leave it.  Eigenvalues are the roots of the minimal
+polynomials of the Hecke matrices.  A root of an irreducible factor of
+degree d > 1 lives in the extension of degree d, and only the eigen-piece
+that needs it is embedded there, so each eigensystem lives over the field
+its own eigenvalues generate.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from .characters import DirichletCharacter, xgcd
-from .ffield import FiniteField
+from .ffield import FiniteField, _distinct_degrees, _poly_divide_out, _poly_gcd_fq, _poly_mul_fq, _roots
 from . import linalg
-from .linalg import RowReducer
+from .linalg import RowReducer, apply_matrix, embed_matrix
 from .modrep import build_gl2_module
 
 SIGMA = ((0, -1), (1, 0))
@@ -114,28 +115,21 @@ def _path_from_infinity(v):
 
 
 def p1_points(N):
-    """Canonical representatives of P^1(Z/N)."""
+    """P^1(Z/N) as a table: every primitive pair (x, y) mod N mapped to the
+    least point of its orbit under the units mod N.  Pairs are visited in
+    increasing order, so the first unvisited pair of an orbit is its least
+    point, and each orbit is enumerated once.  Mod 1 the single pair (0, 0)
+    maps to the label (0, 1)."""
     if N == 1:
-        return [(0, 1)]
-    pts = set()
+        return {(0, 0): (0, 1)}
+    units = [u for u in range(1, N) if gcd(u, N) == 1]
+    label = {}
     for x in range(N):
         for y in range(N):
-            if gcd(gcd(x, y), N) == 1:
-                pts.add(_p1_canonical((x, y), N))
-    return sorted(pts)
-
-
-def _p1_canonical(v, N):
-    if N == 1:
-        return (0, 1)
-    best = None
-    for u in range(1, N):
-        if gcd(u, N) != 1:
-            continue
-        cand = (v[0] * u % N, v[1] * u % N)
-        if best is None or cand < best:
-            best = cand
-    return best
+            if (x, y) not in label and gcd(gcd(x, y), N) == 1:
+                for u in units:
+                    label[x * u % N, y * u % N] = (x, y)
+    return label
 
 
 def _lift_coprime(c, d, N):
@@ -165,6 +159,11 @@ def _coset_rep(label, N):
 
 @dataclass
 class EigenSystem:
+    """One system of Hecke eigenvalues on a symbol space.  field is the
+    field the eigenvalues generate over the space's scalar field; vector (an
+    eigenvector in the space's coordinates) and lambdas (l -> eigenvalue of
+    T_l) live in it.  space is the symbol space itself, over its own field."""
+
     level: int
     p: int
     weight: tuple
@@ -172,9 +171,6 @@ class EigenSystem:
     lambdas: dict
     field: FiniteField
     space: "SymbolSpace"
-
-    def fingerprint(self):
-        return tuple(sorted((l, v.coords) for l, v in self.lambdas.items()))
 
 
 class SymbolSpace:
@@ -203,7 +199,8 @@ class SymbolSpace:
         self.field = field
         self.chi1 = chi1
         self.module = build_gl2_module(p, a, b)
-        self.labels = p1_points(N)
+        self._label = p1_points(N)
+        self.labels = sorted(set(self._label.values()))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.reps = [_coset_rep(lab, N) for lab in self.labels]
         self.dimV = self.module.dim
@@ -240,7 +237,7 @@ class SymbolSpace:
         return out
 
     def _label_of(self, M):
-        return _p1_canonical((M[0][1] % self.N, M[1][1] % self.N), self.N)
+        return self._label[M[0][1] % self.N, M[1][1] % self.N]
 
     def _to_full(self, M, v, out, sign=1):
         """Accumulate the class of the unimodular symbol M with coefficient
@@ -292,28 +289,6 @@ class SymbolSpace:
         pivots = set(reducer.pivot_columns())
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
-
-    def extend_scalars(self, big):
-        """This space over the extension field big of its scalar field: a
-        copy with the same free columns whose relation rows, cached
-        matrices and chi1 are embedded, with no relation rebuilt.  Exact: every relation and every
-        cached matrix has entries in the current field, and the fully
-        reduced basis of a span is unique, so the embedded rows are the rows
-        a rebuild over big would reach."""
-        small = self.field
-        zero = big.zero()
-
-        def embed(x):
-            return zero if x.is_zero() else small.embed(x, big)
-
-        out = copy.copy(self)
-        out.field = big
-        out.chi1 = _embed_character(self.chi1, big)
-        out._reducer = self._reducer.extend_scalars(big)
-        out._act_cache = {key: (R, embed(scalar)) for key, (R, scalar) in self._act_cache.items()}
-        out._action_cache = {key: tuple(tuple(map(embed, row)) for row in A) for key, A in self._action_cache.items()}
-        out._hecke_cache = {l: [list(map(embed, row)) for row in T] for l, T in self._hecke_cache.items()}
-        return out
 
     def reduce_to_coords(self, full):
         red = self._reducer.reduce(full)
@@ -399,36 +374,14 @@ class SymbolSpace:
         self._hecke_cache[l] = T
         return T
 
-    def apply_matrix(self, T, v):
-        out = []
-        for i in range(self.dim):
-            acc = self.field.zero()
-            for j in range(self.dim):
-                if not T[i][j].is_zero():
-                    acc = acc + T[i][j] * v[j]
-            out.append(acc)
-        return out
-
-
-def build_space(N, p, a, b, chi1=None, field=None):
-    return SymbolSpace(N, p, a, b, chi1=chi1, field=field)
-
-
-def hecke_t(space, l):
-    return space.hecke_matrix(l)
-
-
-def semigroup_act(space, coords, m):
-    return space.semigroup_act(coords, m)
-
 
 # -- eigensystem extraction -----------------------------------------------------
 
 
-def _restrict(space, T, basis):
-    """Matrix of T on the span of basis (each an Fq coordinate vector)."""
-    field = space.field
-    reducer = RowReducer(field, space.dim)
+def _restrict(field, T, basis):
+    """Matrix over field of the square matrix T on the span of basis (vectors
+    over field); raises unless the span is T-invariant."""
+    reducer = RowReducer(field, len(T))
     for b in basis:
         reducer.add(b)
     pivots = reducer.pivot_columns()
@@ -439,19 +392,24 @@ def _restrict(space, T, basis):
     Minv = _invert_fq(M, field)
     A = [[field.zero()] * k for _ in range(k)]
     for j in range(k):
-        img = space.apply_matrix(T, B[j])
+        img = apply_matrix(T, B[j], field)
         rhs = [img[c] for c in piv]
         # img restricted to pivots = M^T coeffs, so coeffs = (M^T)^-1 rhs
         coeffs = [sum((Minv[t][i] * rhs[t] for t in range(k)), field.zero()) for i in range(k)]
-        recon = [field.zero()] * space.dim
-        for i in range(k):
-            if not coeffs[i].is_zero():
-                recon = [x + coeffs[i] * y for x, y in zip(recon, B[i])]
-        if any(x != y for x, y in zip(recon, img)):
+        if _combine(coeffs, B, field) != img:
             raise RuntimeError("subspace is not invariant")
         for i in range(k):
             A[i][j] = coeffs[i]
     return A
+
+
+def _combine(coeffs, vectors, field):
+    """sum_i coeffs[i] * vectors[i], for vectors of the same length."""
+    out = [field.zero()] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if not c.is_zero():
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
 
 
 def _invert_fq(M, field):
@@ -463,32 +421,32 @@ def _invert_fq(M, field):
     return [row[k:] for row in R[:k]]
 
 
-def _eigen_split(space, A, basis):
-    """Split span(basis) into eigen-pieces of the restricted matrix A.
+def _eigen_split(field, A, basis):
+    """Eigenspaces of A, the matrix over field of an operator on span(basis).
 
-    The eigenvalues are the roots in the scalar field of the minimal
-    polynomial m of A, visited in field.elements() order, and each costs one
-    nullspace.  Returns (pieces as (eigenvalue, basis) lists, the sorted
-    degrees > 1 of the irreducible factors of m)."""
-    field = space.field
-    k = len(basis)
-    m = _minimal_polynomial(A, field)
-    roots = _roots(m, field)
+    The eigenvalues are the roots of the minimal polynomial m of A.  For a
+    distinct-degree part (d, g_d) of m, each root of g_d generates
+    E = field.extension(d), and d = 1 gives field itself; its eigenspace is
+    nullspace(A - lambda) over E.  One nullspace serves a whole Galois orbit:
+    x -> x^q (q = |field|) fixes A and commutes with row reduction, so it
+    maps the reduced kernel basis at lambda to the one at lambda^q.  Returns
+    (eigenvalue, E, eigenvectors over E) triples, d increasing and the roots
+    of each part in E.elements() order."""
+    q = field.order
     pieces = []
-    for lam in roots:
-        M = [[A[i][j] - lam if i == j else A[i][j] for j in range(k)] for i in range(k)]
-        vecs = []
-        for cvec in linalg.nullspace(M, field):
-            v = [field.zero()] * space.dim
-            for i, ci in enumerate(cvec):
-                if not ci.is_zero():
-                    v = [x + ci * y for x, y in zip(v, basis[i])]
-            vecs.append(v)
-        pieces.append((lam, vecs))
-    degrees = []
-    if len(roots) < len(m) - 1:
-        degrees = [d for d in _distinct_degrees(m, field) if d > 1]
-    return pieces, degrees
+    for d, g in _distinct_degrees(_minimal_polynomial(A, field), field):
+        big = field.extension(d)
+        A_big, basis_big = embed_matrix(A, big), embed_matrix(basis, big)
+        kernels = {}
+        for lam in _roots([field.embed(c, big) for c in g], big):
+            if lam not in kernels:
+                M = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(A_big)]
+                ker, mu = linalg.nullspace(M, big), lam
+                for _ in range(d):
+                    kernels[mu] = ker
+                    ker, mu = [[x**q for x in c] for c in ker], mu**q
+            pieces.append((lam, big, [_combine(c, basis_big, big) for c in kernels[lam]]))
+    return pieces
 
 
 def _minimal_polynomial(A, field):
@@ -509,7 +467,7 @@ def _minimal_polynomial(A, field):
         reducer.add(v)
         cur = v
         while True:
-            cur = [sum((A[i][j] * cur[j] for j in range(k) if not A[i][j].is_zero()), field.zero()) for i in range(k)]
+            cur = apply_matrix(A, cur, field)
             if not reducer.add(cur):
                 break
             seq.append(cur)
@@ -520,34 +478,6 @@ def _minimal_polynomial(A, field):
         for w in seq:
             span.add(w)
     return m
-
-
-def _roots(m, field):
-    """The distinct roots in the field of the nonzero polynomial m, in
-    field.elements() order.  g = gcd(x^q - x, m) is the product of the
-    x - root; it is split by deterministic equal-degree splitting with
-    gcd(f, (x + a)^((q - 1)/2) - 1) for a in field.elements() (q is odd).
-    For two roots r != s, (q - 1)/2 values of a give r + a and s + a
-    different quadratic characters, so the loop always finishes."""
-    q, p = field.order, field.p
-    one = field.one()
-    xq = _poly_powmod_fq([field.zero(), one], q, m, field)
-    g = _poly_gcd_fq(_poly_add_fq(xq, [field.zero(), -one], field), m)
-    linear = [g] if len(g) == 2 else []
-    todo = [g] if len(g) > 2 else []
-    for a in field.elements():
-        if not todo:
-            break
-        rest = []
-        for f in todo:
-            h = _poly_gcd_fq(_poly_add_fq(_poly_powmod_fq([a, one], (q - 1) // 2, f, field), [-one], field), f)
-            for part in [h, _poly_divide_out(f, h, field)] if 1 < len(h) < len(f) else [f]:
-                (linear if len(part) == 2 else rest).append(part)
-        todo = rest
-    if todo:
-        raise RuntimeError("equal-degree splitting left %d factors unsplit" % len(todo))
-    # the monic linear factors are x - root
-    return sorted((-f[0] for f in linear), key=lambda lam: sum(c * p**i for i, c in enumerate(lam.coords)))
 
 
 def _solve_fq(A_cols, b, field):
@@ -564,179 +494,59 @@ def _solve_fq(A_cols, b, field):
     return x
 
 
-# Polynomials over the scalar field are coefficient lists, constant term
-# first, with no zero leading coefficient; the zero polynomial is [].
+def _frobenius_shift(base, F, E):
+    """The exponent p^j for which x -> x^(p^j) on E turns the embedding of
+    base into E through F (base.embed, then F.embed) into base.embed(., E).
+    Applied to a piece found over F and embedded in E, it makes the piece
+    meet matrices embedded from base directly.  It is 1 when base is a prime
+    field or F is base; a tower of larger fields can disagree."""
+    g = base.element([0, 1] + [0] * (base.r - 2)) if base.r > 1 else base.one()
+    via, direct = F.embed(base.embed(g, F), E), base.embed(g, E)
+    return next(base.p**j for j in range(base.r) if via ** (base.p**j) == direct)
 
 
-def _poly_trim_fq(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
+def find_eigensystems(space, window):
+    """Simultaneous eigensystems of the Hecke operators T_l, l in window.
 
-
-def _poly_add_fq(a, b, field):
-    n = max(len(a), len(b))
-    zero = field.zero()
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return _poly_trim_fq([x + y for x, y in zip(a, b)])
-
-
-def _poly_mul_fq(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _poly_trim_fq(out)
-
-
-def _poly_mod_fq(a, m):
-    a = _poly_trim_fq(list(a))
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        f = a[-1] / m[-1]
-        for i in range(len(m)):
-            a[shift + i] = a[shift + i] - f * m[i]
-        a = _poly_trim_fq(a)
-    return a
-
-
-def _poly_gcd_fq(a, b):
-    """Monic gcd; gcd(0, 0) = 0."""
-    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
-    while b:
-        a, b = b, _poly_mod_fq(a, b)
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _poly_powmod_fq(base, e, m, field):
-    result = _poly_mod_fq([field.one()], m)
-    base = _poly_mod_fq(base, m)
-    while e:
-        if e & 1:
-            result = _poly_mod_fq(_poly_mul_fq(result, base, field), m)
-        base = _poly_mod_fq(_poly_mul_fq(base, base, field), m)
-        e >>= 1
-    return result
-
-
-def _distinct_degrees(m, field):
-    """Degrees d for which the nonzero polynomial m has an irreducible
-    factor of degree d.  Distinct-degree factorisation on m itself, not its
-    squarefree part: after the gcd with x^(q^d) - x finds the factors of
-    degree d, every power of them is divided out of m, so a factor whose
-    multiplicity is divisible by p is found like any other."""
-    q = field.order
-    work = _poly_trim_fq(list(m))
-    minus_x = [field.zero(), -field.one()]
-    h = [field.zero(), field.one()]  # x^(q^d) mod work
-    degs = []
-    d = 0
-    while len(work) > 1:
-        d += 1
-        if 2 * d > len(work) - 1:
-            # every factor left has degree >= d, and there is no room for
-            # two of them (a repeated one included): work is irreducible
-            degs.append(len(work) - 1)
-            break
-        h = _poly_powmod_fq(h, q, work, field)
-        g = _poly_gcd_fq(_poly_add_fq(h, minus_x, field), work)
-        if len(g) > 1:
-            degs.append(d)
-            while len(g) > 1:
-                work = _poly_divide_out(work, g, field)
-                g = _poly_gcd_fq(work, g)
-            h = _poly_mod_fq(h, work)
-    return degs
-
-
-def _poly_divide_out(a, g, field):
-    """a / g for exact polynomial division."""
-    a = _poly_trim_fq(list(a))
-    out = [field.zero()] * (len(a) - len(g) + 1)
-    while len(a) >= len(g):
-        f = a[-1] / g[-1]
-        shift = len(a) - len(g)
-        out[shift] = f
-        for i in range(len(g)):
-            a[shift + i] = a[shift + i] - f * g[i]
-        a = _poly_trim_fq(a)
-    return _poly_trim_fq(out)
-
-
-def find_eigensystems(space, window, allow_extension=True):
-    """Simultaneous eigensystems of the Hecke operators over the window.
-
-    Splits iteratively by exact eigenspaces: each piece is cut by the roots
-    of the minimal polynomial of T_l restricted to it.  When a minimal
-    polynomial has an irreducible factor of degree e > 1, the scalars of the
-    space are extended (SymbolSpace.extend_scalars) to the extension of
-    degree lcm of the offending degrees and the search reruns there.  With
-    allow_extension=False (as in that rerun), such a factor raises
-    ValueError naming l and the factor degrees instead of dropping the piece.
+    The search refines the whole space one prime at a time: each piece is
+    cut into the eigenspaces of T_l restricted to it (_eigen_split).  A
+    piece lives over the field its eigenvalues so far generate, and only the
+    piece is extended when a new eigenvalue needs more; T_l is computed once
+    over the space's field and embedded once per piece field.  The space is
+    never rebuilt or copied.  A piece extended a second time is moved by
+    _frobenius_shift, so every piece agrees with the space's field embedded
+    in its own directly.  Each system's field is generated by its
+    eigenvalues over the space's field, so its degree is the lcm of theirs,
+    and every system is checked against T_l v = lambda_l v in that field
+    before it is returned.
     """
     field = space.field
     window = sorted(set(window))
-    basis0 = []
-    for k in range(space.dim):
-        v = [field.zero()] * space.dim
-        v[k] = field.one()
-        basis0.append(v)
-    pieces = [({}, basis0)] if space.dim else []
-    needed = {}  # l -> degrees of the factors of T_l that do not split
+    embedded = {}
+
+    def hecke(l, E):
+        if (l, E) not in embedded:
+            embedded[l, E] = embed_matrix(space.hecke_matrix(l), E)
+        return embedded[l, E]
+
+    unit = [[field.one() if i == j else field.zero() for j in range(space.dim)] for i in range(space.dim)]
+    pieces = [({}, field, unit)] if space.dim else []
     for l in window:
-        T = space.hecke_matrix(l)
-        new_pieces = []
-        for lams, basis in pieces:
-            A = _restrict(space, T, basis)
-            subpieces, degrees = _eigen_split(space, A, basis)
-            if degrees:
-                needed.setdefault(l, set()).update(degrees)
-            for lam, vecs in subpieces:
-                d = dict(lams)
-                d[l] = lam
-                new_pieces.append((d, vecs))
-        pieces = new_pieces
-    if needed and not allow_extension:
-        missing = "; ".join("l=%d: degrees %s" % (l, sorted(needed[l])) for l in sorted(needed))
-        raise ValueError(
-            "eigenspaces do not split over %s, irreducible factors of the Hecke minimal "
-            "polynomials remain (%s)" % (space.field, missing)
-        )
-    if needed:
-        e = 1
-        for d in sorted(set().union(*needed.values())):
-            e = lcm(e, d)
-        return find_eigensystems(space.extend_scalars(space.field.extension(e)), window, allow_extension=False)
-    systems = {}
-    for lams, vecs in pieces:
-        sys = EigenSystem(
-            level=space.N,
-            p=space.p,
-            weight=space.weight,
-            vector=tuple(vecs[0]),
-            lambdas=lams,
-            field=space.field,
-            space=space,
-        )
+        refined = []
+        for lams, F, basis in pieces:
+            for lam, E, vecs in _eigen_split(F, _restrict(F, hecke(l, F), basis), basis):
+                e = _frobenius_shift(field, F, E)
+                lams_E = {m: F.embed(x, E) ** e for m, x in lams.items()}
+                lams_E[l] = lam**e
+                refined.append((lams_E, E, [[x**e for x in v] for v in vecs]))
+        pieces = refined
+    systems = []
+    for lams, E, vecs in pieces:
+        v = vecs[0]
         for l in window:
-            T = space.hecke_matrix(l)
-            img = space.apply_matrix(T, list(sys.vector))
-            want = [lams[l] * x for x in sys.vector]
-            if img != want:
+            if apply_matrix(hecke(l, E), v, E) != [lams[l] * x for x in v]:
                 raise RuntimeError("eigensystem verification failed")
-        systems[sys.fingerprint()] = sys
-    return list(systems.values())
-
-
-def _embed_character(chi, big):
-    values = {u: chi.field.embed(v, big) for u, v in chi._values.items()}
-    return DirichletCharacter(big, chi.modulus, values)
+        systems.append(
+            EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=tuple(v), lambdas=lams, field=E, space=space)
+        )
+    return systems

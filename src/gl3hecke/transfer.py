@@ -12,6 +12,12 @@ does not descend to the quotient.  Nothing is hand-simplified; the
 closed-form eigenvalue expressions are used only as test oracles.  T(l,3)
 has the single coset diag(l,l,l), and its measured eigenvalue enters the
 attachment identity together with those of T(l,1) and T(l,2).
+
+Every operator is built over the scalar field of the symbol space.  The
+eigenclass lives over the possibly larger field its eigenvalues generate,
+so an operator is embedded there only to be applied to the eigenvector, and
+the closed forms and Frobenius data are evaluated there with chi0(l) and
+chi1(l) embedded.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from math import gcd
 
 from .characters import DirichletCharacter
 from .heckegl3 import hecke_orbit_action
+from .linalg import apply_matrix, embed_matrix
 from .modsym2 import EigenSystem, SymbolSpace, find_eigensystems
 
 
@@ -73,9 +80,8 @@ class BoundaryDatum:
             sys = matches[0]
         else:
             sys = systems[0]
-        sp = sys.space
-        chi0 = _match_field(chi0, sp.field)
-        return cls(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=sp.chi1, space=sp, eigen=sys)
+        chi0 = _match_field(chi0, space.field)
+        return cls(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=sys)
 
 
 def _match_field(chi, field):
@@ -125,10 +131,11 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
 
 
 def eigenvalue_of(datum, mat):
-    """The scalar by which mat acts on the eigenclass; exact, or None."""
-    space = datum.space
+    """The scalar by which mat, a matrix over the space's field, acts on the
+    eigenclass: exact, in the field of the eigenclass, or None."""
+    field = datum.eigen.field
     v = list(datum.eigen.vector)
-    img = space.apply_matrix(mat, v)
+    img = apply_matrix(embed_matrix(mat, field), v, field)
     pivot = next((i for i, x in enumerate(v) if not x.is_zero()), None)
     if pivot is None:
         raise ValueError("zero eigenvector")
@@ -138,14 +145,19 @@ def eigenvalue_of(datum, mat):
     return lam
 
 
+def _character_values(datum, l):
+    """chi0(l) and chi1(l), embedded in the field of the eigenclass."""
+    field = datum.eigen.field
+    return tuple(x.field.embed(x, field) for x in (datum.chi0(l), datum.chi1(l)))
+
+
 def expected_eigenvalues(datum, l):
     """The closed-form oracle values for T(l,1) and T(l,2) on the class."""
-    field = datum.space.field
+    field = datum.eigen.field
     p = datum.p
     lam = datum.eigen.lambdas[l]
     lmod = field.from_int(l % p)
-    chi0l = datum.chi0(l)
-    chi1l = datum.chi1(l)
+    chi0l, chi1l = _character_values(datum, l)
     a, b, c = datum.a, datum.b, datum.c
     e1 = lmod * lam + chi0l * field.from_int(pow(l, c % (p - 1), p))
     e2 = chi1l * field.from_int(pow(l, (a + b + 2) % (p - 1), p)) + chi0l * field.from_int(
@@ -158,13 +170,10 @@ def a_l3(datum, l):
     """Closed-form eigenvalue of the central third operator T(l,3): the
     determinant-type scalar chi0(l) chi1(l) l^(a+b+c).  A test oracle; the
     attachment check uses the measured eigenvalue."""
-    field = datum.space.field
+    field = datum.eigen.field
     p = datum.p
-    return (
-        datum.chi0(l)
-        * datum.chi1(l)
-        * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
-    )
+    chi0l, chi1l = _character_values(datum, l)
+    return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
 
 
 @dataclass
@@ -180,11 +189,11 @@ class FrobeniusData:
 
     @classmethod
     def from_boundary(cls, datum, l):
-        field = datum.space.field
+        field = datum.eigen.field
         p = datum.p
         lam = datum.eigen.lambdas[l]
         lmod = field.from_int(l % p)
-        chi0l, chi1l = datum.chi0(l), datum.chi1(l)
+        chi0l, chi1l = _character_values(datum, l)
         a, b, c = datum.a, datum.b, datum.c
         lc = field.from_int(pow(l, c % (p - 1), p))
         trace = lmod * lam + chi0l * lc

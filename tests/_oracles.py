@@ -5,7 +5,10 @@ brute-force point counts, and the discriminant-cusp-form coefficients come
 from expanding the Jacobi product directly.  SequentialSpinBasis is the
 row-at-a-time basis that the batched linalg.SpinBasis replaced, and
 scan_eigen_split is the eigenvalue scan that the root split in
-modsym2._eigen_split replaced.  BfsProjectiveOrbits classifies P^2(Z/N) by a
+modsym2._eigen_split replaced.  p1_canonical_scan normalises a pair mod N by
+scanning every unit, the reference for the modsym2.p1_points label table,
+and prime_field_minpoly multiplies out the Frobenius conjugates of a field
+element.  BfsProjectiveOrbits classifies P^2(Z/N) by a
 breadth-first search over every point under generators of the level group,
 with points normalised by scanning every unit mod N; it is the reference for
 the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
@@ -114,10 +117,10 @@ class SequentialSpinBasis:
         return self.rows.copy()
 
 
-def scan_eigen_split(space, A, basis):
-    """Eigen-pieces of the restricted matrix A, found by trying every field
-    element as an eigenvalue: a list of (eigenvalue, basis) pairs."""
-    field = space.field
+def scan_eigen_split(field, A, basis):
+    """Eigen-pieces of the restricted matrix A over field, found by trying
+    every field element as an eigenvalue: a list of (eigenvalue, basis)
+    pairs."""
     k = len(basis)
     pieces = []
     for lam in field.elements():
@@ -127,13 +130,43 @@ def scan_eigen_split(space, A, basis):
             continue
         vecs = []
         for cvec in ker:
-            v = [field.zero()] * space.dim
+            v = [field.zero()] * len(basis[0])
             for i, ci in enumerate(cvec):
                 if not ci.is_zero():
                     v = [x + ci * y for x, y in zip(v, basis[i])]
             vecs.append(v)
         pieces.append((lam, vecs))
     return pieces
+
+
+def p1_canonical_scan(v, N):
+    """The least of the pairs u * v mod N over the units u mod N; (0, 1)
+    mod 1."""
+    if N == 1:
+        return (0, 1)
+    best = None
+    for u in range(1, N):
+        if gcd(u, N) != 1:
+            continue
+        cand = (v[0] * u % N, v[1] * u % N)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def prime_field_minpoly(x):
+    """Minimal polynomial over F_p of the field element x, as integers,
+    monic and constant term first: the product of X - c over the distinct
+    Frobenius conjugates c of x.  It does not depend on the modulus of the
+    field x lies in, nor on which conjugate x is."""
+    F = x.field
+    conjugates = [x]
+    while conjugates[-1].frobenius() != x:
+        conjugates.append(conjugates[-1].frobenius())
+    poly = [F.one()]
+    for c in conjugates:
+        poly = [a - c * b for a, b in zip([F.zero()] + poly, poly + [F.zero()])]
+    return tuple(a.lift() for a in poly)
 
 
 class BfsProjectiveOrbits:

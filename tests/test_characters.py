@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from gl3hecke.characters import (
     CyclotomicExponent,
     DirichletCharacter,
-    character_from_generators,
     crt,
-    factor_character,
     niveau2_normal_form,
     unit_group_structure,
 )
@@ -52,7 +50,7 @@ def test_character_from_generators_order_mismatch():
     with pytest.raises(ValueError):
         # generator of (Z/3)* has order 2; image of order 4 in F25 is invalid
         g = F25.primitive_element() ** 6  # order 4
-        character_from_generators(F25, 3, [g])
+        DirichletCharacter.from_generators(F25, 3, [g])
 
 
 def test_crt_factorization_roundtrip_mod_33():
@@ -66,8 +64,8 @@ def test_crt_factorization_roundtrip_mod_33():
             images.append(-F5.one())
         else:
             images.append(F5.one())
-    chi = character_from_generators(F5, 33, images)
-    chi0, chi1 = factor_character(chi, 3)
+    chi = DirichletCharacter.from_generators(F5, 33, images)
+    chi0, chi1 = chi.factor(3)
     assert chi0.modulus == 3 and chi1.modulus == 11
     units = [u for u in range(1, 33) if gcd(u, 33) == 1]
     assert len(units) == 20
@@ -79,14 +77,14 @@ def test_crt_factorization_roundtrip_mod_33():
 
 def test_factor_trivial_mod_6():
     chi = DirichletCharacter.trivial(F5, 6)
-    chi0, chi1 = factor_character(chi, 2)
+    chi0, chi1 = chi.factor(2)
     assert chi0.modulus == 2 and chi1.modulus == 3
     assert chi0.is_trivial() and chi1.is_trivial()
 
 
 def test_factor_d_equals_1():
     chi = DirichletCharacter.quadratic(F5, 3)
-    chi0, chi1 = factor_character(chi, 1)
+    chi0, chi1 = chi.factor(1)
     assert chi0.modulus == 1
     assert chi1 == chi
 
@@ -94,7 +92,7 @@ def test_factor_d_equals_1():
 def test_factor_rejects_noncoprime():
     chi = DirichletCharacter.trivial(F5, 4)
     with pytest.raises(ValueError):
-        factor_character(chi, 2)
+        chi.factor(2)
 
 
 def test_conductor_of_lifted_character():
@@ -111,7 +109,7 @@ def test_character_values_are_roots_of_unity(N):
     F = make_field(7, 2)
     g0 = F.primitive_element()
     images = [g0 ** (48 // gcd(48, o)) for _, o in gens]
-    chi = character_from_generators(F, N, images)
+    chi = DirichletCharacter.from_generators(F, N, images)
     for u in range(1, max(N, 2)):
         if N > 1 and gcd(u, N) != 1:
             continue

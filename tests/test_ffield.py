@@ -98,6 +98,23 @@ def test_embedding_into_extension():
     assert F.embed(F.one(), K) == K.one()
 
 
+@pytest.mark.parametrize("p,r,e", [(5, 1, 2), (7, 1, 3), (5, 2, 2), (7, 2, 2), (5, 2, 3)])
+def test_embedding_root_is_the_least_root_a_scan_finds(p, r, e):
+    # the root-finder picks the same root as scanning big.elements() for the
+    # first zero of the small field's modulus, so coordinates do not move
+    small = make_field(p, r)
+    big = small.extension(e)
+
+    def modulus_at(x):
+        return sum((c * x**i for i, c in enumerate(small.modulus)), big.zero())
+
+    scan = next(x for x in big.elements() if modulus_at(x).is_zero())
+    assert small._embedding_root(big) == scan
+    g = small.primitive_element()
+    assert small.embed(g, big) ** (small.order - 1) == big.one()
+    assert small.embed(g * g + g, big) == small.embed(g, big) ** 2 + small.embed(g, big)
+
+
 def test_json_roundtrip():
     F = make_field(7, 2)
     x = F.primitive_element()

@@ -1,26 +1,16 @@
 import random
-from types import SimpleNamespace
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.characters import DirichletCharacter
-from gl3hecke.ffield import make_field
+from gl3hecke.ffield import _distinct_degrees, _poly_mul_fq, make_field
 from gl3hecke.linalg import rref
-from gl3hecke.modsym2 import (
-    SymbolSpace,
-    _distinct_degrees,
-    _eigen_split,
-    _poly_mul_fq,
-    build_space,
-    find_eigensystems,
-    hecke_t,
-    semigroup_act,
-    symbol_terms,
-)
+from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, find_eigensystems, p1_points, symbol_terms
 
-from _oracles import elliptic_ap, scan_eigen_split, tau
+from _oracles import elliptic_ap, p1_canonical_scan, prime_field_minpoly, scan_eigen_split, tau
 
 
 def test_oracles_pinned_values():
@@ -58,13 +48,13 @@ def test_symbol_terms_boundary_telescopes():
 
 
 def test_level_one_weight_two_vanishes():
-    space = build_space(1, 5, 0, 0)
+    space = SymbolSpace(1, 5, 0, 0)
     assert space.dim == 0
     assert find_eigensystems(space, [2, 3]) == []
 
 
 def test_level11_weight2_regression_mod5():
-    space = build_space(11, 5, 0, 0)
+    space = SymbolSpace(11, 5, 0, 0)
     assert space.dim > 0
     systems = find_eigensystems(space, [2, 3, 7, 13])
     assert systems
@@ -77,32 +67,36 @@ def test_level11_weight2_regression_mod5():
 
 
 def test_level1_weight12_delta_mod11():
-    space = build_space(1, 11, 10, 0)
+    space = SymbolSpace(1, 11, 10, 0)
     systems = find_eigensystems(space, [2])
     assert any(s.lambdas[2] == s.field.from_int(tau(2)) for s in systems)
 
 
 def test_eisenstein_eigenvalue_level11():
-    space = build_space(11, 7, 0, 0)
+    space = SymbolSpace(11, 7, 0, 0)
     systems = find_eigensystems(space, [2, 3])
     assert any(
         s.lambdas[2] == s.field.from_int(3) and s.lambdas[3] == s.field.from_int(4) for s in systems
     )
 
 
-def test_unsplit_piece_without_extension_raises():
-    # T_2 on this space has an irreducible quadratic factor over F_5; the
-    # extension search finds 4 systems, and without it nothing may be dropped
+def test_unsplit_piece_is_extended_alone():
+    # T_2 on this space has an irreducible quadratic factor over F_5: its
+    # two conjugate systems move to F_25, the two rational ones stay over
+    # F_5, nothing is dropped, and the space itself stays over F_5
     space = SymbolSpace(11, 5, 4, 0)
-    with pytest.raises(ValueError, match=r"l=2: degrees \[2\]"):
-        find_eigensystems(space, [2, 3], allow_extension=False)
-    assert len(find_eigensystems(space, [2, 3])) == 4
+    systems = find_eigensystems(space, [2, 3])
+    assert [s.field for s in systems] == [make_field(5)] * 2 + [make_field(5, 2)] * 2
+    assert all(s.space is space for s in systems) and space.field == make_field(5)
+    x, y = systems[2:]
+    assert {l: v.frobenius() for l, v in x.lambdas.items()} == y.lambdas
+    assert all(v.field == s.field for s in systems for v in list(s.vector) + list(s.lambdas.values()))
 
 
 def test_hecke_operators_commute():
-    space = build_space(11, 5, 0, 0)
-    T2 = hecke_t(space, 2)
-    T3 = hecke_t(space, 3)
+    space = SymbolSpace(11, 5, 0, 0)
+    T2 = space.hecke_matrix(2)
+    T3 = space.hecke_matrix(3)
     n = space.dim
     F = space.field
     for i in range(n):
@@ -113,9 +107,9 @@ def test_hecke_operators_commute():
 
 
 def test_hecke_from_coset_sum_matches():
-    space = build_space(11, 5, 0, 0)
+    space = SymbolSpace(11, 5, 0, 0)
     l = 3
-    T = hecke_t(space, l)
+    T = space.hecke_matrix(l)
     cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
     F = space.field
     for k in range(space.dim):
@@ -123,14 +117,14 @@ def test_hecke_from_coset_sum_matches():
         v[k] = F.one()
         acc = [F.zero()] * space.dim
         for m in cosets:
-            img = semigroup_act(space, v, m)
+            img = space.semigroup_act(v, m)
             acc = [x + y for x, y in zip(acc, img)]
         col = [T[i][k] for i in range(space.dim)]
         assert acc == col
 
 
 def test_action_matrix_columns_and_hecke_coset_sum():
-    space = build_space(11, 5, 2, 0)
+    space = SymbolSpace(11, 5, 2, 0)
     F = space.field
     for l in (2, 3):
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
@@ -139,9 +133,9 @@ def test_action_matrix_columns_and_hecke_coset_sum():
             for j in range(space.dim):
                 e = [F.zero()] * space.dim
                 e[j] = F.one()
-                assert [A[i][j] for i in range(space.dim)] == semigroup_act(space, e, m)
+                assert [A[i][j] for i in range(space.dim)] == space.semigroup_act(e, m)
         total = [[sum((A[i][j] for A in mats), F.zero()) for j in range(space.dim)] for i in range(space.dim)]
-        assert hecke_t(space, l) == total
+        assert space.hecke_matrix(l) == total
     # single summands do not descend to the quotient: matrices congruent
     # mod N act differently, so the cache key is the integer matrix
     assert space.action_matrix(((1, 0), (1, 2))) != space.action_matrix(((1, 0), (12, 2)))
@@ -151,7 +145,7 @@ def test_symbol_action_multiplicative_sample():
     # multiplicativity holds at the symbol-representative level: individual
     # semigroup elements are Hecke summands and only coset sums descend to
     # the quotient
-    space = build_space(11, 5, 2, 0)
+    space = SymbolSpace(11, 5, 2, 0)
     F = space.field
     from gl3hecke.modsym2 import _mul2
 
@@ -170,30 +164,30 @@ def test_symbol_action_multiplicative_sample():
 
 def test_central_scalar_action():
     # l * identity acts by chi1(l) * l^(a+b) on coefficients and fixes symbols
-    space = build_space(11, 5, 2, 1)
+    space = SymbolSpace(11, 5, 2, 1)
     F = space.field
     l = 3
     m = ((l, 0), (0, l))
     for k in range(space.dim):
         v = [F.zero()] * space.dim
         v[k] = F.one()
-        img = semigroup_act(space, v, m)
+        img = space.semigroup_act(v, m)
         want = [F.from_int(pow(l, 3, 5)) * x for x in v]
         assert img == want
 
 
 def test_semigroup_rejects_bad_matrices():
-    space = build_space(11, 5, 0, 0)
+    space = SymbolSpace(11, 5, 0, 0)
     with pytest.raises(ValueError):
-        semigroup_act(space, [space.field.zero()] * space.dim, ((1, 1), (0, 2)))
+        space.semigroup_act([space.field.zero()] * space.dim, ((1, 1), (0, 2)))
     with pytest.raises(ValueError):
-        semigroup_act(space, [space.field.zero()] * space.dim, ((1, 0), (0, -1)))
+        space.semigroup_act([space.field.zero()] * space.dim, ((1, 0), (0, -1)))
 
 
 def test_irrational_system_triggers_extension():
     # level 23 weight 2: the cuspidal eigenvalues generate a quadratic
     # extension mod 7 (disc 5 is a non-residue), so the search must extend
-    space = build_space(23, 7, 0, 0)
+    space = SymbolSpace(23, 7, 0, 0)
     systems = find_eigensystems(space, [2])
     assert systems
     big = [s for s in systems if s.field.r > 1]
@@ -212,10 +206,10 @@ def test_irrational_system_triggers_extension():
 def test_quadratic_character_twist_space_builds():
     F = make_field(5)
     chi = DirichletCharacter.quadratic(F, 3).lift(33)
-    space = build_space(33, 5, 0, 0, chi1=chi)
+    space = SymbolSpace(33, 5, 0, 0, chi1=chi)
     assert space.dim >= 0
     if space.dim:
-        hecke_t(space, 2)
+        space.hecke_matrix(2)
 
 
 # -- the eigenvalue split ------------------------------------------------------
@@ -256,11 +250,33 @@ def test_eigen_split_finds_a_factor_both_first_krylov_runs_miss():
     # diag(1, 2) + companion(x^2 - 2) over F_5: the Krylov runs from e0 and
     # e1 see only x - 1 and x - 2, and x^2 - 2 is irreducible mod 5
     F = make_field(5)
+    F25 = make_field(5, 2)
     A = _block_diag(F, [[[F.from_int(1)]], [[F.from_int(2)]], _companion(F, [F.from_int(-2), F.zero(), F.one()])])
-    space = SimpleNamespace(field=F, dim=4)
-    pieces, degrees = _eigen_split(space, A, _units(F, 4))
-    assert degrees == [2]
-    assert [(lam, vecs) for lam, vecs in pieces] == [(F.from_int(1), [_units(F, 4)[0]]), (F.from_int(2), [_units(F, 4)[1]])]
+    pieces = _eigen_split(F, A, _units(F, 4))
+    assert [(lam, E, vecs) for lam, E, vecs in pieces[:2]] == [
+        (F.from_int(1), F, [_units(F, 4)[0]]),
+        (F.from_int(2), F, [_units(F, 4)[1]]),
+    ]
+    # the two square roots of 2, each over F_25 with an eigenvector in the
+    # companion block
+    assert [E for _, E, _ in pieces[2:]] == [F25, F25]
+    assert {lam * lam for lam, _, _ in pieces[2:]} == {F25.from_int(2)} and pieces[2][0] != pieces[3][0]
+    for lam, _, (v,) in pieces[2:]:
+        assert v[:2] == [F25.zero()] * 2 and v[2] == lam * v[3]
+
+
+def test_eigen_split_extends_a_piece_already_over_an_extension():
+    # over F_25, companion(x^2 - a) with a a non-square of F_25 needs F_625;
+    # the piece's own field is F_25, and the rational root 3 stays there
+    F25 = make_field(5, 2)
+    a = next(x for x in F25.units() if x ** ((F25.order - 1) // 2) != F25.one())
+    A = _block_diag(F25, [[[F25.from_int(3)]], _companion(F25, [-a, F25.zero(), F25.one()])])
+    pieces = _eigen_split(F25, A, _units(F25, 3))
+    F625 = make_field(5, 4)
+    assert [(lam, E) for lam, E, _ in pieces[:1]] == [(F25.from_int(3), F25)]
+    assert [E for _, E, _ in pieces[1:]] == [F625, F625]
+    a_big = F25.embed(a, F625)
+    assert all(lam * lam == a_big for lam, _, _ in pieces[1:])
 
 
 def test_distinct_degrees_keeps_a_factor_of_multiplicity_p():
@@ -268,7 +284,7 @@ def test_distinct_degrees_keeps_a_factor_of_multiplicity_p():
     m = [F.from_int(-1), F.one()]
     for _ in range(5):
         m = _poly_mul_fq(m, [F.from_int(-2), F.zero(), F.one()], F)
-    assert _distinct_degrees(m, F) == [1, 2]
+    assert _distinct_degrees(m, F) == [(1, [F.from_int(-1), F.one()]), (2, [F.from_int(-2), F.zero(), F.one()])]
 
 
 def _irreducible(field, d, rng):
@@ -314,37 +330,125 @@ def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
             break
     Pinv = [row[k:] for row in R]
     A = _matmul(F, _matmul(F, P, _block_diag(F, blocks)), Pinv)
-    space = SimpleNamespace(field=F, dim=k + 1)
     basis = [[rng.choice(elements) for _ in range(k + 1)] for _ in range(k)]
-    pieces, got_degrees = _eigen_split(space, A, basis)
-    assert pieces == scan_eigen_split(space, A, basis)
-    assert got_degrees == sorted(degrees)
+    pieces = _eigen_split(F, A, basis)
+    # the pieces over F are the scan's; the others are over the field each
+    # eigenvalue generates, one per root of the irreducible blocks
+    assert [(lam, vecs) for lam, E, vecs in pieces if E == F] == scan_eigen_split(F, A, basis)
+    extended = [(lam, E) for lam, E, _ in pieces if E != F]
+    assert sorted({E.r // r for _, E in extended}) == sorted(degrees)
+    for lam, E in extended:
+        assert len({lam ** (F.order**i) for i in range(E.r // r)}) == E.r // r
 
 
-@pytest.mark.parametrize("label,e", [((5, 4, 0, 11), 2), ((7, 4, 0, 11), 3)], ids=["F25", "F343"])
-def test_extend_scalars_matches_a_rebuild(label, e):
-    p, a, b, N = label
-    small = SymbolSpace(N, p, a, b)
-    for l in (2, 3):
-        small.hecke_matrix(l)  # cached before the extension, so embedded
-    big = small.field.extension(e)
-    ext = small.extend_scalars(big)
-    ref = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(big, N), field=big)
-    assert ext.field == big and ext.chi1 == ref.chi1
-    assert ext.free == ref.free and ext.dim == ref.dim
-    assert ext._reducer.rows == ref._reducer.rows
-    for l in (2, 3):
-        assert ext.hecke_matrix(l) == ref.hecke_matrix(l)
-    for psi2 in [((1, 0), (3, 2)), ((3, 0), (1, 1)), ((2, 11), (1, 7)), ((5, 22), (2, 9))]:
-        assert ext.action_matrix(psi2) == ref.action_matrix(psi2)
-    # the small space is left as it was
-    assert small.field == make_field(p) and all(x.field == small.field for row in small.hecke_matrix(2) for x in row)
+# (N, p, a, b): the boundary benchmark's spaces and four more
+ORACLE_SPACES = [
+    (11, 13, 4, 0),
+    (11, 7, 4, 0),
+    (53, 7, 0, 0),
+    (11, 5, 4, 0),
+    (43, 5, 0, 0),
+    (29, 5, 0, 0),
+    (67, 5, 0, 0),
+    (11, 13, 0, 0),
+    (101, 5, 0, 0),
+    (23, 7, 0, 0),
+    (67, 17, 0, 0),
+]
+
+
+def _minpolys(system):
+    return tuple(sorted((l, prime_field_minpoly(v)) for l, v in system.lambdas.items()))
+
+
+@pytest.mark.parametrize("key", ORACLE_SPACES, ids=["N%d-p%d-w%d,%d" % key for key in ORACLE_SPACES])
+def test_systems_match_the_whole_space_oracle(key):
+    # the same space rebuilt over the lcm field, where every eigenvalue is
+    # rational, gives the old whole-space answer: the per-system minimal
+    # polynomials over F_p must agree as multisets
+    N, p, a, b = key
+    window = [2, 3]
+    systems = find_eigensystems(SymbolSpace(N, p, a, b), window)
+    # each system lives over the field its eigenvalues generate: a rational
+    # system stays over F_p
+    for s in systems:
+        assert s.field.r == lcm(*(len(prime_field_minpoly(v)) - 1 for v in s.lambdas.values()))
+    big = make_field(p, lcm(*(s.field.r for s in systems)))
+    oracle = find_eigensystems(SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(big, N), field=big), window)
+    assert {s.field for s in oracle} == {big}
+    assert sorted(map(_minpolys, systems)) == sorted(map(_minpolys, oracle))
 
 
 def test_level101_eigensystems_need_a_sextic_extension():
-    # T_2 has an irreducible factor of degree 6 over F_5 on this space
+    # T_2 has an irreducible factor of degree 6 over F_5 on this space; its
+    # six systems move to F_{5^6} and the two rational ones stay over F_5
     systems = find_eigensystems(SymbolSpace(101, 5, 0, 0), [2, 3])
     assert len(systems) == 8
-    assert {s.field for s in systems} == {make_field(5, 6)}
-    lams = {(s.lambdas[2], s.lambdas[3]) for s in systems}
+    assert [s.field for s in systems] == [make_field(5)] * 2 + [make_field(5, 6)] * 6
+    lams = {(s.lambdas[2], s.lambdas[3]) for s in systems[2:]}
     assert {(x.frobenius(), y.frobenius()) for x, y in lams} == lams
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 11, 12, 29, 43, 53, 67, 143, 211])
+def test_p1_label_table_matches_the_unit_scan(N):
+    label = p1_points(N)
+    pairs = [(x, y) for x in range(N) for y in range(N) if gcd(gcd(x, y), N) == 1]
+    assert sorted(label) == pairs
+    # the scan costs a unit loop per pair, so the largest levels are sampled
+    sample = pairs if N < 100 else random.Random(N).sample(pairs, 400)
+    assert all(label[v] == p1_canonical_scan(v, N) for v in sample)
+    # |P^1(Z/N)| = N prod (1 + 1/q) over the primes q dividing N
+    size = N
+    for q in {q for q in range(2, N + 1) if N % q == 0 and all(q % r for r in range(2, q))}:
+        size = size // q * (q + 1)
+    assert len(set(label.values())) == size
+
+
+class _MatrixSpace:
+    """Just what find_eigensystems reads of a space: its field, dimension and
+    Hecke matrices, here given outright."""
+
+    N, p, weight = 1, 5, (0, 0)
+
+    def __init__(self, field, hecke):
+        self.field, self.dim, self._hecke = field, len(hecke[2]), hecke
+
+    def hecke_matrix(self, l):
+        return self._hecke[l]
+
+
+def _matpow(field, A, e):
+    out = _units(field, len(A))
+    while e:
+        if e & 1:
+            out = _matmul(field, out, A)
+        A = _matmul(field, A, A)
+        e >>= 1
+    return out
+
+
+def test_a_piece_extended_twice_meets_the_directly_embedded_operators():
+    # over F_25, C = companion(h) with h irreducible of degree 6 acts like a
+    # generator t of F_{5^12}, and T_2 = N(C), N the norm down to F_{5^4},
+    # acts like an element of F_{5^4} outside F_25.  The pieces go F_25 ->
+    # F_{5^4} -> F_{5^12}, a tower that disagrees with embedding F_25 in
+    # F_{5^12} directly, and every system must still check out against the
+    # directly embedded T_2 and T_3
+    F25 = make_field(5, 2)
+    rng = random.Random(12)
+    elements = list(F25.elements())
+    while True:
+        h = [rng.choice(elements) for _ in range(6)] + [F25.one()]
+        if _distinct_degrees(h, F25) != [(6, h)]:
+            continue
+        C = _companion(F25, h)
+        C1 = _matpow(F25, C, 625)
+        T2 = _matmul(F25, _matmul(F25, C, C1), _matpow(F25, C1, 625))
+        if [d for d, _ in _distinct_degrees(_minimal_polynomial(T2, F25), F25)] == [2]:
+            break
+    systems = find_eigensystems(_MatrixSpace(F25, {2: T2, 3: C}), [2, 3])
+    F12 = make_field(5, 12)
+    assert [s.field for s in systems] == [F12] * 6
+    h12 = [F25.embed(c, F12) for c in h]
+    assert all(sum((c * s.lambdas[3] ** i for i, c in enumerate(h12)), F12.zero()).is_zero() for s in systems)
+    assert len({s.lambdas[3] for s in systems}) == 6 and len({s.lambdas[2] for s in systems}) == 2

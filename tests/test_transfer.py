@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import hecke_orbit_action
+from gl3hecke.modsym2 import find_eigensystems
 from gl3hecke.transfer import (
     BoundaryDatum,
     FrobeniusData,
@@ -220,16 +223,15 @@ def _per_coset_reference(datum, data):
     "p,a,b,window,degree",
     [
         pytest.param(5, 0, 0, WINDOW, 1, id="F5"),
-        # the eigen search of this space moves to F_{7^3}
+        # a space built over F_{7^3}, where every eigenvalue of this one lies
         pytest.param(7, 4, 0, (2, 3), 3, id="F343"),
     ],
 )
 @pytest.mark.parametrize("d", [1, 3])
 def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d):
-    F = make_field(p)
-    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 else None
-    datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, window=window)
-    assert datum.space.field.r == degree
+    chi0 = DirichletCharacter.quadratic(make_field(p), 3) if d == 3 else None
+    datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, window=window, field=make_field(p, degree))
+    assert datum.space.field.r == degree and datum.chi0.field == datum.space.field
     for l in (2, 7, 13):
         if l == p:
             continue
@@ -244,3 +246,36 @@ def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d
             ref = _per_coset_reference(datum, data["least"])
             for policy in ("least", "alt"):
                 assert gl3_hecke_on_boundary(datum, l, k, policy=policy) == ref, (l, k, policy)
+
+
+# (p, a, b, N1): the boundary benchmark's spaces, whose eigenvalues need F_{p^2}
+# or F_{p^3}
+EXT_SPACES = [
+    (13, 4, 0, 11),
+    (7, 4, 0, 11),
+    (7, 0, 0, 53),
+    (5, 4, 0, 11),
+    (5, 0, 0, 43),
+    (5, 0, 0, 29),
+    (5, 0, 0, 67),
+    (13, 0, 0, 11),
+]
+
+
+@pytest.mark.parametrize("key", EXT_SPACES, ids=["p%d-w%d,%d-N%d" % key for key in EXT_SPACES])
+def test_extended_eigenclass_keeps_operators_over_the_base_field(key):
+    # the datum's eigenclass is moved to a system over the largest field of
+    # the space: every check holds there, and every operator, Hecke matrix
+    # and cached action matrix stays over F_p
+    p, a, b, N1 = key
+    window = (2, 3)
+    datum = BoundaryDatum.build(p, a, b, 1, 1, N1, window=window)
+    system = max(find_eigensystems(datum.space, window), key=lambda s: s.field.r)
+    datum = dataclasses.replace(datum, eigen=system)
+    Fp = make_field(p)
+    for entry in run_transfer_checks(datum, window):
+        assert all(entry.values()), entry
+    space = datum.space
+    assert space.field == Fp and system.space is space
+    cached = list(space._action_cache.values()) + list(space._hecke_cache.values())
+    assert cached and all(x.field == Fp for A in cached for row in A for x in row)
