@@ -1,6 +1,7 @@
 """Elementary number theory on small integers: primality, squarefreeness,
-divisors and primitive roots.  Trial division throughout; every input here
-is a level, a prime p or a Hecke prime l, all desk-scale.
+divisors and primitive roots, and determinants and adjugates of small
+integer matrices.  Trial division throughout; every input here is a level,
+a prime p or a Hecke prime l, all desk-scale.
 """
 
 from __future__ import annotations
@@ -65,3 +66,26 @@ def primitive_root(p):
             order += 1
         if order == p - 1:
             return g
+
+
+def det(A):
+    """Determinant of a 2 x 2 or 3 x 3 matrix given by rows."""
+    if len(A) == 2:
+        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
+    if len(A) != 3:
+        raise ValueError("only 2x2 and 3x3 determinants are supported")
+    return (
+        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
+    )
+
+
+def adj3(A):
+    """Adjugate of a 3 x 3 matrix given by rows, as a tuple of row tuples:
+    adj3(A) A = det(A) I.  Entry (i, j) is the cofactor of A at (j, i),
+    which with indices taken mod 3 needs no sign."""
+    c = lambda i, j: A[i % 3][j % 3]
+    return tuple(
+        tuple(c(j + 1, i + 1) * c(j + 2, i + 2) - c(j + 1, i + 2) * c(j + 2, i + 1) for j in range(3)) for i in range(3)
+    )

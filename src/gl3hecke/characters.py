@@ -8,6 +8,7 @@ only their exponents (mod p-1, respectively mod p^2-1) are tracked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -17,20 +18,7 @@ from .ffield import Fq, FiniteField
 
 def _prime_power_split(N):
     """[(q, p0)] with q the prime-power factors of N and p0 the prime."""
-    out = []
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                q *= d
-                n //= d
-            out.append((q, d))
-        d += 1
-    if n > 1:
-        out.append((n, n))
-    return out
+    return [(p0**e, p0) for p0, e in Counter(prime_factors(N)).items()]
 
 
 def xgcd(a, b):

@@ -6,9 +6,18 @@ across runs.  A field embeds in each of its extensions by sending the
 generator to the least root of its modulus there, found by the same
 root-finder that reads off Hecke eigenvalues.  All arithmetic is exact;
 nothing here floats.
+
+Fq objects are scalars: eigenvalues, character values and polynomial
+coefficients.  Vectors and matrices over F_{p^r} are int64 arrays of F_p
+coordinates whose trailing axis has length r (see linalg); to_array and
+from_array convert between the two, and every field keeps, cached, the F_p
+matrices of multiplication by a scalar, of its embeddings and of its
+Frobenius powers, each acting on coordinate columns.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .arith import is_prime, prime_factors
 
@@ -167,6 +176,7 @@ class FiniteField:
         self.r = r
         self.order = p**r
         self.modulus = self._least_irreducible(p, r)
+        self._maps = {}
         self._ready = True
 
     @staticmethod
@@ -231,13 +241,7 @@ class FiniteField:
             raise ValueError("element not in this field")
         if big.p != self.p or big.r % self.r != 0:
             raise ValueError("not an extension of this field")
-        if big is self:
-            return x
-        root = self._embedding_root(big)
-        acc = big.zero()
-        for c in reversed(x.coords):
-            acc = acc * root + big.from_int(c)
-        return acc
+        return x if big is self else Fq(big, (self.embedding_matrix(big) @ x.coords).tolist())
 
     def _embedding_root(self, big):
         """The least root of this field's modulus in big, in big.elements()
@@ -246,6 +250,51 @@ class FiniteField:
         if big.r not in cached:
             cached[big.r] = _roots([big.from_int(c) for c in self.modulus], big)[0]
         return cached[big.r]
+
+    def to_array(self, xs):
+        """The coordinate array, shape (len(xs), r), of a sequence of elements."""
+        if any(x.field != self for x in xs):
+            raise ValueError("element not in this field")
+        return np.array([x.coords for x in xs], dtype=np.int64).reshape(-1, self.r)
+
+    def from_array(self, arr):
+        """The elements whose coordinates are the rows of arr, shape (n, r)."""
+        return [Fq(self, row) for row in np.asarray(arr).reshape(-1, self.r).tolist()]
+
+    def _map(self, key, column):
+        """The read-only F_p matrix, cached under key, with the coordinate
+        columns column(t), t < r."""
+        if key not in self._maps:
+            M = np.array([column(t) for t in range(self.r)], dtype=np.int64).T
+            M.flags.writeable = False
+            self._maps[key] = M
+        return self._maps[key]
+
+    def _power(self, t):
+        """g^t for g the class of x, t < r: the t-th coordinate vector."""
+        return Fq(self, [int(s == t) for s in range(self.r)])
+
+    def mul_matrix(self, x):
+        """The r x r F_p matrix of y -> x * y: coords(x * y) = M @ coords(y)."""
+        if not isinstance(x, Fq) or x.field != self:
+            raise ValueError("element not in this field")
+        return self._map(("mul", x.coords), lambda t: (x * self._power(t)).coords)
+
+    def power_matrices(self):
+        """The (r, r, r) array of mul_matrix(g^t), t < r."""
+        if "powers" not in self._maps:
+            self._maps["powers"] = np.array([self.mul_matrix(self._power(t)) for t in range(self.r)])
+        return self._maps["powers"]
+
+    def embedding_matrix(self, big):
+        """The big.r x r F_p matrix of embed(., big): its column t holds the
+        coordinates of root^t, root = _embedding_root(big)."""
+        return self._map(("embed", big.r), lambda t: (self._embedding_root(big) ** t).coords)
+
+    def frobenius_matrix(self, k=1):
+        """The r x r F_p matrix of x -> x^(p^k)."""
+        k %= self.r
+        return self._map(("frobenius", k), lambda t: (self._power(t) ** self.p**k).coords)
 
     def __eq__(self, other):
         return self is other or isinstance(other, FiniteField) and (self.p, self.r) == (other.p, other.r)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, is_prime, is_squarefree
+from .arith import adj3, det, divisors, is_prime, is_squarefree
 from .characters import crt, xgcd
 
 # -- integer 3x3 helpers -----------------------------------------------------
@@ -41,37 +41,6 @@ def mat_vec3(v, A):
     return tuple(v0 * A[0][j] + v1 * A[1][j] + v2 * A[2][j] for j in range(3))
 
 
-def det3(A):
-    return (
-        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
-    )
-
-
-def adj3(A):
-    c = lambda i, j: A[i][j]
-    return mat3(
-        [
-            [
-                c(1, 1) * c(2, 2) - c(1, 2) * c(2, 1),
-                c(0, 2) * c(2, 1) - c(0, 1) * c(2, 2),
-                c(0, 1) * c(1, 2) - c(0, 2) * c(1, 1),
-            ],
-            [
-                c(1, 2) * c(2, 0) - c(1, 0) * c(2, 2),
-                c(0, 0) * c(2, 2) - c(0, 2) * c(2, 0),
-                c(0, 2) * c(1, 0) - c(0, 0) * c(1, 2),
-            ],
-            [
-                c(1, 0) * c(2, 1) - c(1, 1) * c(2, 0),
-                c(0, 1) * c(2, 0) - c(0, 0) * c(2, 1),
-                c(0, 0) * c(1, 1) - c(0, 1) * c(1, 0),
-            ],
-        ]
-    )
-
-
 IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -92,7 +61,7 @@ def in_semigroup(s, N, n=3):
 def in_gamma0(g, N):
     """Membership in the determinant-one congruence subgroup with first row
     congruent to (*,0,0) mod N."""
-    return det3(g) == 1 and in_semigroup(g, N)
+    return det(g) == 1 and in_semigroup(g, N)
 
 
 def in_parabolic(s, d):
@@ -114,7 +83,7 @@ def smith_diagonal(A):
     for row in adj:
         for x in row:
             m2 = gcd(m2, x)
-    D = abs(det3(A))
+    D = abs(det(A))
     # gcd of 2x2 minors equals D / gcd-of-adjugate... adjugate entries ARE the
     # 2x2 minors up to sign, so m2 is the gcd of the 2x2 minors.
     d2 = m2 // d1
@@ -124,8 +93,8 @@ def smith_diagonal(A):
 
 def same_right_coset(g, h, N):
     """g Gamma = h Gamma for the level-N congruence subgroup."""
-    D = det3(g)
-    if D == 0 or det3(h) != D:
+    D = det(g)
+    if D == 0 or det(h) != D:
         return False
     prod = mat_mul3(adj3(g), h)  # det(g) * g^{-1} h
     if any(x % D for row in prod for x in row):
@@ -235,7 +204,7 @@ def translate_to_parabolic(s, d, N, l=None, policy="least"):
         raise ValueError("representative must be lower triangular")
     if l is None:
         l = max(s[0][0], s[1][1], s[2][2])
-    if gcd(det3(s), N) != 1:
+    if gcd(det(s), N) != 1:
         raise ValueError("determinant must be prime to N")
     a, b, c = s[1][0], s[2][0], s[2][1]
     l1, l2, l3 = s[0][0], s[1][1], s[2][2]

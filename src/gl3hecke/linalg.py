@@ -1,82 +1,113 @@
-"""Exact linear algebra: generic routines over a FiniteField handle for the
-small symbol spaces, and vectorized numpy kernels mod a prime for the dense
-representation-theory work.
+"""Exact linear algebra over finite fields, on int64 numpy arrays.
 
-Matrix products mod p go through matmul_mod, which multiplies in float64 and
-is exact only while n * (p - 1)**2 < 2**53 for inner dimension n; past that
-bound it raises OverflowError rather than round.  The elementwise int64
-updates of np_rref and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise
-OverflowError beyond it."""
+A vector or matrix over F_q = F_{p^r} is an int64 array of F_p coordinates
+whose trailing axis has length r (r = 1 over F_p): a matrix has shape
+(n, m, r), a vector (n, r).  The field handle, from ffield, carries the
+F_p-linear maps of multiplication by a scalar, of embeddings and of
+Frobenius.  Every routine over F_q runs on the prime-field kernels at the
+end of this module (np_rref, SpinBasis, matmul_mod) by restriction of
+scalars.
+
+With g the field generator, an F_q row v expands to the r F_p rows
+coords(g^t v), t < r (_expand).  Let R_j be the reduced echelon rows over
+F_q, with pivots c_j.  Then coords(g^t R_j) is 1 at position (c_j, t), 0 at
+every other (c_i, s) and 0 before (c_j, t).  These rows span the expansion
+of the span and are fully reduced, so by uniqueness they are its F_p
+reduced echelon form, in the order (j, t).  The F_q pivots are therefore
+the F_p pivots at (j, 0), and F_q rows, kernels and residues are read off
+there: they are the ones row reduction over F_q itself gives.
+
+Exactness: every product mod p goes through matmul_mod, which is exact
+only while n * (p - 1)**2 < 2**53 for inner dimension n (the float64
+mantissa; small products run in int64, which is exact there too); over F_q
+that n is the expanded width, columns times r.  Past the bound it raises
+OverflowError rather than round.  The elementwise int64 updates of np_rref
+and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise OverflowError
+beyond it."""
 
 from __future__ import annotations
 
 import numpy as np
 
-# -- generic field matrices: lists of lists of Fq ---------------------------
+# -- matrices over F_q as F_p coordinate arrays ------------------------------
 
 
-def rref(rows, field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    R = [list(r) for r in rows]
-    if not R:
-        return [], []
-    ncols = len(R[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(R)):
-            if not R[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        # the pivot row is zero left of c, so only columns from c on change
-        inv = R[r][c].inverse()
-        R[r][c:] = [x * inv for x in R[r][c:]]
-        tail = R[r][c:]
-        for i in range(len(R)):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i][c:] = [a - f * b for a, b in zip(R[i][c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R[:r], pivots
+def _expand(X, field):
+    """The F_p rows coords(g^t x), t < r, of each F_q vector x in X:
+    shape (..., n, r) -> (..., r, n * r)."""
+    X = np.asarray(X, dtype=np.int64)
+    r = field.r
+    # E[..., j, t, s] = coords(g^t x_j)[s] = sum_u G[t][s, u] x_j[u]
+    E = matmul_mod(X, field.power_matrices().transpose(2, 0, 1).reshape(r, r * r), field.p)
+    E = E.reshape(X.shape + (r,))
+    return E.swapaxes(-2, -3).reshape(X.shape[:-2] + (r, X.shape[-2] * r))
+
+
+def identity(n, field):
+    """The n x n identity matrix over field."""
+    out = np.zeros((n, n, field.r), dtype=np.int64)
+    out[np.arange(n), np.arange(n), 0] = 1
+    return out
+
+
+def rref(A, field):
+    """Reduced row echelon form over field of the (m, n, r) array A:
+    (rows, an (k, n, r) array, and the pivot column list)."""
+    A = np.asarray(A, dtype=np.int64)
+    m, n, r = A.shape
+    R, pivots = np_rref(_expand(A, field).reshape(m * r, n * r), field.p)
+    return R[::r].reshape(-1, n, r), [c // r for c in pivots[::r]]
 
 
 def nullspace(A, field):
-    """Basis of {v : A v = 0}, vectors as lists."""
-    if not A:
-        return []
-    R, pivots = rref(A, field)
-    n = len(A[0])
+    """Basis of {v : A v = 0} for the (m, n, r) array A: a list of (n, r)
+    arrays, one per free column of rref(A)."""
+    return list(_kernel(*rref(A, field), field.p))
+
+
+def _kernel(R, pivots, p):
+    """The kernel basis (k, n, r) read off a reduced echelon form R of shape
+    (m, n, r): 1 at a free column f and -R[i, f] at the pivot of row i."""
+    n, r = R.shape[1:]
     free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero()] * n
-        v[f] = field.one()
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][f]
-        basis.append(v)
-    return basis
+    K = np.zeros((len(free), n, r), dtype=np.int64)
+    K[range(len(free)), free, 0] = 1
+    K[:, pivots] = (-R[:, free] % p).swapaxes(0, 1)
+    return K
 
 
 def apply_matrix(A, v, field):
-    """A v for a matrix A (a list of rows) and a vector v over field."""
-    zero = field.zero()
-    return [sum((a * x for a, x in zip(row, v) if not a.is_zero()), zero) for row in A]
+    """A v over field, for A of shape (n, m, r) and v a vector (m, r) or a
+    block of columns (m, k, r)."""
+    n, m, r = A.shape
+    v = np.asarray(v, dtype=np.int64)
+    block = v if v.ndim == 3 else v[:, None]
+    # row (j, t) of W is coords(g^t v[j]), so (A v)[i] = sum_{j,t} A[i, j, t] W[j, t]
+    W = _expand(block, field).reshape(m * r, block.shape[1] * r)
+    return matmul_mod(A.reshape(n, m * r), W, field.p).reshape((n,) + v.shape[1:])
 
 
-def embed_matrix(A, big):
-    """A with every entry embedded in big, an extension of the entry's field."""
-    return [[x.field.embed(x, big) for x in row] for row in A]
+def eigenvalue(A, v, field):
+    """The scalar lam of field with A v = lam v, for a nonzero vector v of
+    shape (n, r), or None when v is not an eigenvector."""
+    support = np.flatnonzero(np.any(v, axis=1))
+    if not support.size:
+        raise ValueError("zero eigenvector")
+    img, i = apply_matrix(A, v, field), support[0]
+    lam = field.element(img[i].tolist()) / field.element(v[i].tolist())
+    return lam if np.array_equal(img, matmul_mod(v, field.mul_matrix(lam).T, field.p)) else None
+
+
+def embed_matrix(A, field, big):
+    """The coordinate array A over field with every entry embedded in big."""
+    if big is field:
+        return A
+    return matmul_mod(A, field.embedding_matrix(big).T, field.p)
 
 
 class RowReducer:
-    """Incrementally maintained reduced row space over a generic field.
+    """Incrementally maintained fully reduced row space over field, for
+    vectors of shape (n, r): a view over the SpinBasis of the expanded rows.
 
     Used to canonicalize vectors modulo a growing relation space: reduce()
     returns the residue of a vector modulo the span of everything added.
@@ -84,46 +115,29 @@ class RowReducer:
 
     def __init__(self, field, n):
         self.field = field
-        self.n = n
-        self.rows = {}  # pivot column -> reduced row
-        self._support = {}  # pivot column -> nonzero columns of its row
+        self._spin = SpinBasis(field.p, n * field.r)
 
     def reduce(self, v):
-        # Every row is zero at every other pivot, so the order of the
-        # subtractions does not change the result.
-        v = list(v)
-        for c, row in self.rows.items():
-            f = v[c]
-            if not f.is_zero():
-                for j in self._support[c]:
-                    v[j] = v[j] - f * row[j]
-        return v
+        """The residue of v, or of each vector of a block (k, n, r)."""
+        v = np.asarray(v, dtype=np.int64)
+        return self._spin.reduce(v.reshape(v.shape[:-2] + (v.shape[-2] * v.shape[-1],))).reshape(v.shape)
 
     def add(self, v):
         """Add v to the span. Returns True if the span grew."""
-        v = self.reduce(v)
-        support = [c for c in range(self.n) if not v[c].is_zero()]
-        if not support:
-            return False
-        piv = support[0]
-        inv = v[piv].inverse()
-        v = [x * inv for x in v]
-        for c, row in self.rows.items():
-            f = row[piv]
-            if not f.is_zero():
-                for j in support:
-                    row[j] = row[j] - f * v[j]
-                self._support[c] = [j for j in range(self.n) if not row[j].is_zero()]
-        self.rows[piv] = v
-        self._support[piv] = support
-        return True
+        return bool(self.add_rows(np.asarray(v)[None])[0])
 
-    @property
-    def rank(self):
-        return len(self.rows)
+    def add_rows(self, M):
+        """Add the vectors of the (k, n, r) block M in order; the same flags
+        and span as [self.add(v) for v in M].  A vector outside the span
+        grows it by all r rows of its expansion at once, since the span is
+        closed under F_q scalars."""
+        r = self.field.r
+        grew = self._spin.add_rows(_expand(M, self.field))
+        return grew.reshape(-1, r)[:, 0]
 
     def pivot_columns(self):
-        return sorted(self.rows)
+        r = self.field.r
+        return sorted(c // r for c in self._spin.pivots if c % r == 0)
 
 
 # -- fast prime-field kernels (numpy int64) ---------------------------------
@@ -131,6 +145,7 @@ class RowReducer:
 # Every partial sum of a float64 product of integer matrices is an integer no
 # larger in size than n * (p - 1)**2, and integers below 2**53 are exact.
 _EXACT = 2**53
+_SMALL = 4096
 
 
 def _check_int64(p):
@@ -142,16 +157,20 @@ def _check_int64(p):
 def matmul_mod(A, B, p):
     """A @ B mod p as int64, for entries of A and B in (-p, p).
 
-    The product runs in float64 BLAS, which is exact while
-    n * (p - 1)**2 < 2**53 for the inner dimension n; above that bound it
-    raises OverflowError instead of returning a rounded answer.  Operands
-    already in float64 are used without a copy.
+    The product is exact while n * (p - 1)**2 < 2**53 for the inner
+    dimension n; above that bound it raises OverflowError instead of
+    returning a rounded answer.  It runs in float64 BLAS, and operands
+    already in float64 are used without a copy; integer products of at most
+    _SMALL multiplications run in int64, where the conversions would cost
+    more than the product.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     n = A.shape[-1]
     if n * (p - 1) ** 2 >= _EXACT:
         raise OverflowError("float64 product mod %d is inexact at inner dimension %d" % (p, n))
+    if A.dtype.kind == B.dtype.kind == "i" and A.size * B.shape[-1] <= _SMALL:
+        return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False) % p
     return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False) % p).astype(np.int64)
 
 
@@ -184,26 +203,11 @@ def np_rref(A, p):
 
 def np_nullspace(A, p):
     """Basis (rows) of the right kernel of A mod p."""
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
     R, pivots = np_rref(A, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-R[i, f]) % p
-    return basis
+    return _kernel(R[..., None], pivots, p)[..., 0]
 
 
-def np_inv(A, p):
-    A = np.array(A, dtype=np.int64) % p
-    n = A.shape[0]
-    aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-    R, pivots = np_rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible mod %d" % p)
-    return R[:, n:]
+_CHUNK = 64
 
 
 class SpinBasis:
@@ -236,10 +240,14 @@ class SpinBasis:
         """Add the rows of M in order; the same flags, pivots and rows as
         [self.add(v) for v in M].  The block is reduced against the rows
         present with one product, then each row only against the rows added
-        before it from the same block."""
+        before it from the same block.  A long block is added in chunks of
+        _CHUNK rows, so that this row-by-row step stays short."""
         p = self.p
         _check_int64(p)
-        M = self.reduce(np.reshape(M, (-1, self.n)))
+        M = np.reshape(M, (-1, self.n))
+        if len(M) > _CHUNK:
+            return np.concatenate([self.add_rows(M[i : i + _CHUNK]) for i in range(0, len(M), _CHUNK)])
+        M = self.reduce(M)
         grew = M.any(axis=1)
         start = len(self.pivots)
         new_pivots = []

@@ -34,10 +34,9 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .arith import primitive_root
+from .arith import adj3, det, primitive_root
 from .characters import DirichletCharacter
-from .ffield import Fq
-from .linalg import SpinBasis, matmul_mod, np_inv, np_nullspace, np_rref
+from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref
 
 
 class CertificateError(RuntimeError):
@@ -103,30 +102,6 @@ def sub_matrix(M, deg, p):
     return S
 
 
-def cofactor3(M):
-    M = np.asarray(M, dtype=np.int64)
-    C = np.zeros((3, 3), dtype=np.int64)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            C[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return C
-
-
-def _det(M, p):
-    M = np.asarray(M, dtype=np.int64)
-    n = M.shape[0]
-    if n == 2:
-        return int(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) % p
-    if n != 3:
-        raise ValueError("only 2x2 and 3x3 supported")
-    return int(
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    ) % p
-
-
 def gl_generators(n, p):
     """Adjacent transvections plus torus generators of the rank-n group."""
     gens = []
@@ -185,7 +160,7 @@ class _Gl2Module(IrreducibleModule):
     def _compute_rho(self, g):
         a, b = self.label
         S = sub_matrix(g.T % self.p, a - b, self.p)
-        d = pow(_det(g, self.p), b % (self.p - 1), self.p)
+        d = pow(int(det(g)) % self.p, b % (self.p - 1), self.p)
         return S * d % self.p
 
 
@@ -238,7 +213,7 @@ def _build_gl3_base(p, i, j):
 
     def carrier_rho(g):
         Sy = sub_matrix(np.asarray(g).T % p, i, p)
-        Sz = sub_matrix(cofactor3(np.asarray(g).T) % p, j, p)
+        Sz = sub_matrix(np.array(adj3(g)) % p, j, p)
         return np.kron(Sy, Sz) % p
 
     # highest weight vector: y1^i * z3^j
@@ -325,7 +300,7 @@ def _twist_gl3(base, p, a, b, c):
     shift = c
 
     def carrier_rho(g):
-        d = pow(_det(g, p), shift % (p - 1), p)
+        d = pow(int(det(g)) % p, shift % (p - 1), p)
         return base._carrier_rho(g) * d % p
 
     twisted._carrier_rho = carrier_rho
@@ -348,7 +323,7 @@ def _form_weights(ybasis, zbasis, p):
 def _random_invertible(p, rng):
     while True:
         g = rng.integers(0, p, (3, 3))
-        if _det(g, p) % p:
+        if det(g) % p:
             return np.asarray(g, dtype=np.int64)
 
 
@@ -459,11 +434,15 @@ def u_invariants(mod):
 
 
 def _coord_solver(B, p):
-    R, pivots = np_rref(B, p)
-    Jinv = np_inv(np.asarray(B, dtype=np.int64)[:, pivots], p)
+    """Coordinates of rows in the span of the independent rows of B: with
+    rref([B | I]) = [R | S], S B = R is the identity at the pivot columns,
+    so a row w of the span is w[pivots] S in the basis B."""
+    k, n = B.shape
+    R, pivots = np_rref(np.hstack([B, np.eye(k, dtype=np.int64)]), p)
+    S = R[:, n:]
 
     def coords(rows):
-        return matmul_mod(np.asarray(rows, dtype=np.int64)[:, pivots], Jinv, p)
+        return matmul_mod(np.asarray(rows, dtype=np.int64)[:, pivots], S, p)
 
     return coords
 
@@ -519,17 +498,14 @@ def _g_off_inv(n, x):
 
 
 def twisted_act(T, e, s):
-    """e |^x_chi s = chi(s_11) * (e | g_x s g_x^-1): Fq-vector result."""
+    """e |^x_chi s = chi(s_11) * (e | g_x s g_x^-1) for an integer
+    coordinate vector e: a coordinate array (dim, r) over the character
+    field."""
     base, x, chi = T.base, T.x, T.chi
     n = base.n
     s = np.asarray(s, dtype=object)
     N = chi.modulus
-    if n == 3:
-        from .heckegl3 import det3, mat3
-
-        dets = det3(mat3(s.tolist()))
-    else:
-        dets = int(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0])
+    dets = det(s.tolist())
     if dets == 0 or gcd(dets, base.p * N) != 1:
         raise ValueError("determinant must be nonzero and prime to p*N")
     for j in range(1, n):
@@ -537,24 +513,15 @@ def twisted_act(T, e, s):
             raise ValueError("first row must be congruent to (*,0,...,0) mod N")
     m = _g_off(n, x).astype(object) @ np.asarray(s, dtype=object) @ _g_off_inv(n, x).astype(object)
     m = np.asarray([[int(v) % base.p for v in row] for row in m], dtype=np.int64)
-    scalar = chi(int(s[0, 0]))
-    field = chi.field
-    acted = base.act_right(np.asarray([_as_int(c, field) for c in e], dtype=np.int64), m)
-    return [scalar * field.from_int(int(v)) for v in acted]
-
-
-def _as_int(c, field):
-    if isinstance(c, Fq):
-        return c.lift()
-    return int(c)
+    return np.outer(base.act_right(e, m), chi(int(s[0, 0])).coords) % base.p
 
 
 def levi_act(levi, d, chi0, chi1, s, e, c=None):
     """Action on the invariants-as-rank-2-module, by blocks:
     chi0(psi1) * psi1^c * chi1(psi2_11) * (e | psi2).
 
-    e is a coordinate vector in the build_gl2_module(p,a,b) model; returns
-    an Fq-vector over the character field.
+    e is an integer coordinate vector in the build_gl2_module(p,a,b) model;
+    returns a coordinate array (dim, r) over the character field.
     """
     from .heckegl3 import psi_blocks
 
@@ -566,10 +533,7 @@ def levi_act(levi, d, chi0, chi1, s, e, c=None):
     field = chi0.field
     scalar = chi0(psi1) * chi1(psi2[0][0]) * field.from_int(pow(psi1 % p, c % (p - 1), p))
     m = np.asarray(psi2, dtype=np.int64) % p
-    gl2 = levi.gl2_module
-    ints = np.asarray([_as_int(x, field) for x in e], dtype=np.int64)
-    acted = gl2.act_right(ints, m)
-    return [scalar * field.from_int(int(v)) for v in acted]
+    return np.outer(levi.gl2_module.act_right(e, m), scalar.coords) % p
 
 
 # -- meataxe-style dimension oracle --------------------------------------------

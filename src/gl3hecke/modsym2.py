@@ -7,11 +7,15 @@ group, subject to the order-4 and order-3 relations and the plus-quotient
 through continued-fraction decomposition of non-unimodular symbols, which is
 what the Hecke operators are built from.  Exact linear algebra over the
 scalar field F_{p^r} the space was given; the space, its caches and its
-operators never leave it.  Eigenvalues are the roots of the minimal
-polynomials of the Hecke matrices.  A root of an irreducible factor of
-degree d > 1 lives in the extension of degree d, and only the eigen-piece
-that needs it is embedded there, so each eigensystem lives over the field
-its own eigenvalues generate.
+operators never leave it.  Vectors and matrices are F_p coordinate arrays
+with a trailing axis of length r (see linalg): the relations of a coset
+representative are built for all coefficient unit vectors at once and
+reduced in one block, and the semigroup acts on a block of classes, so the
+symbol decomposition runs once per (label, matrix).  Eigenvalues are the
+roots of the minimal polynomials of the Hecke matrices.  A root of an
+irreducible factor of degree d > 1 lives in the extension of degree d, and
+only the eigen-piece that needs it is embedded there, so each eigensystem
+lives over the field its own eigenvalues generate.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
+from .arith import det
 from .characters import DirichletCharacter, xgcd
 from .ffield import FiniteField, _distinct_degrees, _poly_divide_out, _poly_gcd_fq, _poly_mul_fq, _roots
-from . import linalg
-from .linalg import RowReducer, apply_matrix, embed_matrix
+from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, identity, matmul_mod
 from .modrep import build_gl2_module
 
 SIGMA = ((0, -1), (1, 0))
@@ -39,12 +44,8 @@ def _mul2(A, B):
     )
 
 
-def _det2(A):
-    return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-
-
 def _inv2_unimodular(A):
-    d = _det2(A)
+    d = det(A)
     if d == 1:
         return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
     if d == -1:
@@ -73,7 +74,7 @@ def symbol_terms(M):
     w = _row_canonical((M[1][0], M[1][1]))
     if u == w:
         return []
-    d = _det2((u, w))
+    d = det((u, w))
     if d == -1:
         w = (-w[0], -w[1])
         d = 1
@@ -108,7 +109,7 @@ def _path_from_infinity(v):
     out = []
     for i in range(len(hs) - 1):
         x, y = _row_canonical(hs[i]), _row_canonical(hs[i + 1])
-        if _det2((x, y)) == -1:
+        if det((x, y)) == -1:
             y = (-y[0], -y[1])
         out.append((1, (x, y)))
     return out
@@ -140,7 +141,6 @@ def _lift_coprime(c, d, N):
     if c == 0:
         return 0, 1
     # adjust d by multiples of N to reach coprimality
-    step = d
     for k in range(1, 4 * N + 2):
         if gcd(c, d + k * N) == 1:
             return c, d + k * N
@@ -157,17 +157,18 @@ def _coset_rep(label, N):
     return ((x, c), (y, d))
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenSystem:
     """One system of Hecke eigenvalues on a symbol space.  field is the
     field the eigenvalues generate over the space's scalar field; vector (an
-    eigenvector in the space's coordinates) and lambdas (l -> eigenvalue of
-    T_l) live in it.  space is the symbol space itself, over its own field."""
+    eigenvector in the space's coordinates, a coordinate array (dim, r))
+    and lambdas (l -> eigenvalue of T_l, an Fq) live in it.  space is the
+    symbol space itself, over its own field."""
 
     level: int
     p: int
     weight: tuple
-    vector: tuple
+    vector: np.ndarray
     lambdas: dict
     field: FiniteField
     space: "SymbolSpace"
@@ -212,165 +213,117 @@ class SymbolSpace:
 
     # -- presentation ---------------------------------------------------------
 
-    def _zero(self):
-        z = self.field.zero()
-        return [z] * self.full_dim
-
-    def _coeff_act(self, v, m):
-        """v |_chi m for an Fq coefficient vector and an integer matrix m of
-        determinant prime to pN: chi1(m_11) times the module right action."""
+    def _coeff_act(self, V, m):
+        """V |_chi m for a block V of coefficient columns, shape (dimV, k, r),
+        and an integer matrix m of determinant prime to pN: chi1(m_11) times
+        the module right action."""
         key = (m[0][0], m[0][1], m[1][0], m[1][1])
         if key not in self._act_cache:
             R = self.module.rho(np.array([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], dtype=np.int64) % self.p)
-            scalar = self.chi1(m[0][0])
-            self._act_cache[key] = (R, scalar)
-        R, scalar = self._act_cache[key]
-        support = [j for j in range(self.dimV) if not v[j].is_zero()]
-        out = []
-        for i in range(self.dimV):
-            acc = self.field.zero()
-            for j in support:
-                rij = int(R[i, j])
-                if rij:
-                    acc = acc + v[j] * rij
-            out.append(acc * scalar)
-        return out
+            S = self.field.mul_matrix(self.chi1(m[0][0]))
+            # R times the scalar, on the coordinates (j, s) of the coefficients j
+            self._act_cache[key] = (R[:, None, :, None] * S[:, None, :] % self.p).reshape(len(R) * len(S), -1)
+        r = self.field.r
+        k = V.shape[1]
+        W = matmul_mod(self._act_cache[key], V.swapaxes(1, 2).reshape(self.dimV * r, k), self.p)
+        return W.reshape(self.dimV, r, k).swapaxes(1, 2)
 
     def _label_of(self, M):
         return self._label[M[0][1] % self.N, M[1][1] % self.N]
 
-    def _to_full(self, M, v, out, sign=1):
-        """Accumulate the class of the unimodular symbol M with coefficient
-        vector v into the full coordinate vector out."""
-        lab = self._label_of(M)
-        i = self.index[lab]
-        rep = self.reps[i]
-        gamma = _mul2(_inv2_unimodular(rep), M)
-        w = self._coeff_act(v, _inv2_unimodular(gamma))
+    def _to_full(self, M, V, out, sign=1):
+        """Accumulate the classes of the unimodular symbol M with the
+        coefficient columns V into the full coordinate columns out, shape
+        (full_dim, k, r); out is reduced mod p by its user."""
+        i = self.index[self._label_of(M)]
+        gamma = _mul2(_inv2_unimodular(self.reps[i]), M)
         base = i * self.dimV
-        for j in range(self.dimV):
-            if sign == 1:
-                out[base + j] = out[base + j] + w[j]
-            else:
-                out[base + j] = out[base + j] - w[j]
+        out[base : base + self.dimV] += sign * self._coeff_act(V, _inv2_unimodular(gamma))
 
-    def _symbol_class(self, M, v, out, sign=1):
+    def _symbol_class(self, M, V, out, sign=1):
         for s, U in symbol_terms(M):
-            self._to_full(U, v, out, sign=sign * s)
+            self._to_full(U, V, out, sign=sign * s)
 
     def _build_quotient(self):
-        field = self.field
-        reducer = RowReducer(field, self.full_dim)
-        unit_vectors = []
-        for j in range(self.dimV):
-            e = [field.zero()] * self.dimV
-            e[j] = field.one()
-            unit_vectors.append(e)
-        for i, rep in enumerate(self.reps):
-            for v in unit_vectors:
-                # order-4 relation
-                rel = self._zero()
-                self._to_full(rep, v, rel)
-                self._symbol_class(_mul2(SIGMA, rep), v, rel)
-                reducer.add(rel)
-                # order-3 relation
-                rel = self._zero()
-                self._to_full(rep, v, rel)
-                self._symbol_class(_mul2(TAU, rep), v, rel)
-                self._symbol_class(_mul2(TAU, _mul2(TAU, rep)), v, rel)
-                reducer.add(rel)
-                # plus-quotient: z = z | eta
-                rel = self._zero()
-                self._to_full(rep, v, rel)
-                w = self._coeff_act(v, ETA)
-                self._symbol_class(_mul2(rep, ETA), w, rel, sign=-1)
-                reducer.add(rel)
-        self._reducer = reducer
-        pivots = set(reducer.pivot_columns())
+        """The relation space, reduced in one block: for each coset
+        representative the order-4, order-3 and plus-quotient (z = z | eta)
+        relations, each for every coefficient unit vector at once."""
+        dimV, r = self.dimV, self.field.r
+        unit = identity(dimV, self.field)
+        rels = np.zeros((len(self.reps), 3, self.full_dim, dimV, r), dtype=np.int64)
+        for rep, (order4, order3, plus) in zip(self.reps, rels):
+            for rel in (order4, order3, plus):
+                self._to_full(rep, unit, rel)
+            self._symbol_class(_mul2(SIGMA, rep), unit, order4)
+            self._symbol_class(_mul2(TAU, rep), unit, order3)
+            self._symbol_class(_mul2(TAU, _mul2(TAU, rep)), unit, order3)
+            self._symbol_class(_mul2(rep, ETA), self._coeff_act(unit, ETA), plus, sign=-1)
+        # one relation per (representative, kind, unit vector), as rows
+        rows = rels.swapaxes(2, 3).reshape(-1, self.full_dim, r) % self.p
+        self._reducer = RowReducer(self.field, self.full_dim)
+        self._reducer.add_rows(rows)
+        pivots = set(self._reducer.pivot_columns())
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
 
-    def reduce_to_coords(self, full):
-        red = self._reducer.reduce(full)
-        return [red[c] for c in self.free]
-
-    def lift_coords(self, coords):
-        full = self._zero()
-        for c, x in zip(self.free, coords):
-            full[c] = x
-        return full
+    def _classes(self, full):
+        """Coordinates (dim, k, r) of the classes of the full coordinate
+        columns full, shape (full_dim, k, r)."""
+        rows = self._reducer.reduce(full.swapaxes(0, 1) % self.p)
+        return rows[:, self.free].swapaxes(0, 1)
 
     # -- actions ---------------------------------------------------------------
 
-    def act_symbols(self, pairs, m):
-        """Representative-level action on formal sums of unimodular symbols
-        with coefficients: pairs is [(sign, U, v)] and the image is the same
-        shape.  Multiplicative on the nose; individual semigroup elements do
-        not descend to the coinvariant quotient (only coset sums do)."""
-        out = []
-        for sign, U, v in pairs:
-            w = self._coeff_act(v, m)
-            for s, U2 in symbol_terms(_mul2(U, m)):
-                out.append((sign * s, U2, w))
-        return out
-
-    def symbols_to_coords(self, pairs):
-        out = self._zero()
-        for sign, U, v in pairs:
-            self._to_full(U, v, out, sign=sign)
-        return self.reduce_to_coords(out)
-
-    def semigroup_act(self, coords, m):
+    def semigroup_act(self, V, m):
         """Action of one integer matrix (positive determinant prime to pN,
-        first row congruent to (*,0) mod N) on the canonical representative
-        of a class.  Individual matrices are Hecke summands: only full coset
-        sums over a double coset are well defined on the quotient, so always
-        combine the results of these calls over a complete coset list.
-        Operator builders should use action_matrix, which caches the whole
-        matrix of this action per integer matrix."""
-        d = _det2(m)
+        first row congruent to (*,0) mod N) on the canonical representatives
+        of classes: V is one class, shape (dim, r), or a block of classes as
+        columns, shape (dim, k, r), and the image has the shape of V.
+        Individual matrices are Hecke summands: only full coset sums over a
+        double coset are well defined on the quotient, so always combine the
+        results of these calls over a complete coset list.  Operator builders
+        should use action_matrix, which caches the whole matrix of this
+        action per integer matrix."""
+        d = det(m)
         if d <= 0 or gcd(d, self.p * self.N) != 1:
             raise ValueError("determinant must be positive and prime to p*N")
         if m[0][1] % self.N:
             raise ValueError("first row must be congruent to (*,0) mod level")
-        full = self.lift_coords(coords)
-        out = self._zero()
-        for i in range(len(self.labels)):
-            base = i * self.dimV
-            v = full[base : base + self.dimV]
-            if all(x.is_zero() for x in v):
-                continue
-            w = self._coeff_act(v, m)
-            self._symbol_class(_mul2(self.reps[i], m), w, out)
-        return self.reduce_to_coords(out)
+        V = np.asarray(V, dtype=np.int64)
+        block = V if V.ndim == 3 else V[:, None]
+        full = np.zeros((self.full_dim,) + block.shape[1:], dtype=np.int64)
+        full[self.free] = block
+        out = np.zeros_like(full)
+        for i, rep in enumerate(self.reps):
+            W = full[i * self.dimV : (i + 1) * self.dimV]
+            if W.any():
+                self._symbol_class(_mul2(rep, m), self._coeff_act(W, m), out)
+        return self._classes(out).reshape(V.shape)
 
     def action_matrix(self, m):
         """Matrix of semigroup_act by m (columns = images of the unit
         vectors), cached per space.  The key is the integer matrix m itself,
         not its class mod N: single summands do not descend to the quotient,
         so two matrices congruent mod N can act differently.  The returned
-        rows are tuples shared by every caller."""
+        array is read-only and shared by every caller."""
         key = (tuple(m[0]), tuple(m[1]))
         if key not in self._action_cache:
-            cols = []
-            for j in range(self.dim):
-                e = [self.field.zero()] * self.dim
-                e[j] = self.field.one()
-                cols.append(self.semigroup_act(e, key))
-            self._action_cache[key] = tuple(zip(*cols))
+            A = self.semigroup_act(identity(self.dim, self.field), key)
+            A.flags.writeable = False
+            self._action_cache[key] = A
         return self._action_cache[key]
 
     def hecke_matrix(self, l):
         """T_l as a matrix over the scalar field (columns = images): the
-        sum of action_matrix over the l + 1 cosets of diag(1, l)."""
+        sum of action_matrix over the l + 1 cosets of diag(1, l).  Read-only
+        and cached."""
         if l in self._hecke_cache:
             return self._hecke_cache[l]
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        mats = [self.action_matrix(m) for m in cosets]
-        zero = self.field.zero()
-        T = [[sum((A[i][j] for A in mats), zero) for j in range(self.dim)] for i in range(self.dim)]
+        T = sum(self.action_matrix(m) for m in cosets) % self.p
+        T.flags.writeable = False
         self._hecke_cache[l] = T
         return T
 
@@ -379,73 +332,54 @@ class SymbolSpace:
 
 
 def _restrict(field, T, basis):
-    """Matrix over field of the square matrix T on the span of basis (vectors
-    over field); raises unless the span is T-invariant."""
-    reducer = RowReducer(field, len(T))
-    for b in basis:
-        reducer.add(b)
-    pivots = reducer.pivot_columns()
-    B = [list(b) for b in basis]
-    k = len(B)
-    piv = pivots[:k]
-    M = [[B[i][c] for c in piv] for i in range(k)]
-    Minv = _invert_fq(M, field)
-    A = [[field.zero()] * k for _ in range(k)]
-    for j in range(k):
-        img = apply_matrix(T, B[j], field)
-        rhs = [img[c] for c in piv]
-        # img restricted to pivots = M^T coeffs, so coeffs = (M^T)^-1 rhs
-        coeffs = [sum((Minv[t][i] * rhs[t] for t in range(k)), field.zero()) for i in range(k)]
-        if _combine(coeffs, B, field) != img:
-            raise RuntimeError("subspace is not invariant")
-        for i in range(k):
-            A[i][j] = coeffs[i]
+    """Matrix over field of the square matrix T on the span of basis, the
+    rows of a (k, n, r) array; raises unless the span is T-invariant.
+
+    rref([basis | I]) is [B | S] with B the reduced echelon form of basis
+    and B = S basis, so a vector w of the span is w[pivots] S in the basis."""
+    k, n, _ = basis.shape
+    R, pivots = linalg.rref(np.concatenate([basis, identity(k, field)], axis=1), field)
+    if len(pivots) != k or pivots[-1] >= n:
+        raise RuntimeError("basis vectors are dependent")
+    columns = basis.swapaxes(0, 1)
+    img = apply_matrix(T, columns, field)
+    A = apply_matrix(R[:, n:].swapaxes(0, 1), img[pivots], field)
+    if not np.array_equal(apply_matrix(columns, A, field), img):
+        raise RuntimeError("subspace is not invariant")
     return A
 
 
-def _combine(coeffs, vectors, field):
-    """sum_i coeffs[i] * vectors[i], for vectors of the same length."""
-    out = [field.zero()] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if not c.is_zero():
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
-
-
-def _invert_fq(M, field):
-    k = len(M)
-    aug = [list(row) + [field.one() if i == j else field.zero() for j in range(k)] for i, row in enumerate(M)]
-    R, pivots = linalg.rref(aug, field)
-    if pivots[:k] != list(range(k)):
-        raise RuntimeError("basis pivot matrix is singular")
-    return [row[k:] for row in R[:k]]
-
-
 def _eigen_split(field, A, basis):
-    """Eigenspaces of A, the matrix over field of an operator on span(basis).
+    """Eigenspaces of A, the matrix over field of an operator on the span of
+    basis (rows of a (k, n, r) array).
 
     The eigenvalues are the roots of the minimal polynomial m of A.  For a
     distinct-degree part (d, g_d) of m, each root of g_d generates
     E = field.extension(d), and d = 1 gives field itself; its eigenspace is
     nullspace(A - lambda) over E.  One nullspace serves a whole Galois orbit:
-    x -> x^q (q = |field|) fixes A and commutes with row reduction, so it
-    maps the reduced kernel basis at lambda to the one at lambda^q.  Returns
-    (eigenvalue, E, eigenvectors over E) triples, d increasing and the roots
-    of each part in E.elements() order."""
-    q = field.order
+    x -> x^q (q = |field|) fixes A and commutes with row reduction, so its
+    matrix on E's coordinates maps the reduced kernel basis at lambda to the
+    one at lambda^q.  Returns (eigenvalue, E, eigenvectors over E as rows of
+    a coordinate array) triples, d increasing and the roots of each part in
+    E.elements() order."""
+    q, p = field.order, field.p
+    k = len(A)
     pieces = []
     for d, g in _distinct_degrees(_minimal_polynomial(A, field), field):
         big = field.extension(d)
-        A_big, basis_big = embed_matrix(A, big), embed_matrix(basis, big)
+        A_big, basis_big = embed_matrix(A, field, big), embed_matrix(basis, field, big)
+        frobenius = big.frobenius_matrix(field.r).T
         kernels = {}
         for lam in _roots([field.embed(c, big) for c in g], big):
             if lam not in kernels:
-                M = [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(A_big)]
-                ker, mu = linalg.nullspace(M, big), lam
+                M = A_big.copy()
+                M[range(k), range(k)] -= lam.coords
+                ker, mu = linalg.nullspace(M % p, big), lam
                 for _ in range(d):
                     kernels[mu] = ker
-                    ker, mu = [[x**q for x in c] for c in ker], mu**q
-            pieces.append((lam, big, [_combine(c, basis_big, big) for c in kernels[lam]]))
+                    ker, mu = [matmul_mod(c, frobenius, p) for c in ker], mu**q
+            combos = np.stack(kernels[lam], axis=1)
+            pieces.append((lam, big, apply_matrix(basis_big.swapaxes(0, 1), combos, big).swapaxes(0, 1)))
     return pieces
 
 
@@ -457,52 +391,34 @@ def _minimal_polynomial(A, field):
     k = len(A)
     span = RowReducer(field, k)
     m = [field.one()]
-    for start in range(k):
-        v = [field.zero()] * k
-        v[start] = field.one()
-        if all(x.is_zero() for x in span.reduce(v)):
+    for v in identity(k, field):
+        if not span.reduce(v).any():
             continue
-        reducer = RowReducer(field, k)
-        seq = [v]
-        reducer.add(v)
-        cur = v
-        while True:
-            cur = apply_matrix(A, cur, field)
-            if not reducer.add(cur):
-                break
-            seq.append(cur)
-        # cur = sum c_i A^i v, so the Krylov polynomial is x^d - sum c_i x^i
-        coeffs = _solve_fq(seq, cur, field)
-        f = [-c for c in coeffs] + [field.one()]
+        seq, reducer = [v], RowReducer(field, k)
+        while reducer.add(seq[-1]):
+            seq.append(apply_matrix(A, seq[-1], field))
+        # the first dependent one is A^d v = sum c_i A^i v, so the Krylov
+        # polynomial is x^d - sum c_i x^i; the c_i are the last column of
+        # rref([A^0 v, ..., A^d v])
+        d = len(seq) - 1
+        R, pivots = linalg.rref(np.stack(seq, axis=1), field)
+        if pivots != list(range(d)):
+            raise RuntimeError("inconsistent Krylov solve")
+        f = [-c for c in field.from_array(R[:, d])] + [field.one()]
         m = _poly_mul_fq(m, _poly_divide_out(f, _poly_gcd_fq(m, f), field), field)  # lcm(m, f)
-        for w in seq:
-            span.add(w)
+        span.add_rows(np.stack(seq[:d]))
     return m
 
 
-def _solve_fq(A_cols, b, field):
-    """Solve sum_i x_i * col_i = b exactly (cols independent)."""
-    k = len(A_cols)
-    n = len(b)
-    rows = [[A_cols[i][r] for i in range(k)] + [b[r]] for r in range(n)]
-    R, pivots = linalg.rref(rows, field)
-    x = [field.zero()] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            raise RuntimeError("inconsistent Krylov solve")
-        x[c] = R[r][k]
-    return x
-
-
 def _frobenius_shift(base, F, E):
-    """The exponent p^j for which x -> x^(p^j) on E turns the embedding of
-    base into E through F (base.embed, then F.embed) into base.embed(., E).
-    Applied to a piece found over F and embedded in E, it makes the piece
-    meet matrices embedded from base directly.  It is 1 when base is a prime
-    field or F is base; a tower of larger fields can disagree."""
+    """The j for which x -> x^(p^j) on E turns the embedding of base into E
+    through F (base.embed, then F.embed) into base.embed(., E).  Applied to
+    a piece found over F and embedded in E, it makes the piece meet matrices
+    embedded from base directly.  It is 0 when base is a prime field or F is
+    base; a tower of larger fields can disagree."""
     g = base.element([0, 1] + [0] * (base.r - 2)) if base.r > 1 else base.one()
     via, direct = F.embed(base.embed(g, F), E), base.embed(g, E)
-    return next(base.p**j for j in range(base.r) if via ** (base.p**j) == direct)
+    return next(j for j in range(base.r) if via ** (base.p**j) == direct)
 
 
 def find_eigensystems(space, window):
@@ -520,33 +436,29 @@ def find_eigensystems(space, window):
     and every system is checked against T_l v = lambda_l v in that field
     before it is returned.
     """
-    field = space.field
+    field, p = space.field, space.p
     window = sorted(set(window))
     embedded = {}
 
     def hecke(l, E):
         if (l, E) not in embedded:
-            embedded[l, E] = embed_matrix(space.hecke_matrix(l), E)
+            embedded[l, E] = embed_matrix(space.hecke_matrix(l), field, E)
         return embedded[l, E]
 
-    unit = [[field.one() if i == j else field.zero() for j in range(space.dim)] for i in range(space.dim)]
-    pieces = [({}, field, unit)] if space.dim else []
+    pieces = [({}, field, identity(space.dim, field))] if space.dim else []
     for l in window:
         refined = []
         for lams, F, basis in pieces:
             for lam, E, vecs in _eigen_split(F, _restrict(F, hecke(l, F), basis), basis):
-                e = _frobenius_shift(field, F, E)
-                lams_E = {m: F.embed(x, E) ** e for m, x in lams.items()}
-                lams_E[l] = lam**e
-                refined.append((lams_E, E, [[x**e for x in v] for v in vecs]))
+                j = _frobenius_shift(field, F, E)
+                lams_E = {m: F.embed(x, E) ** p**j for m, x in lams.items()}
+                lams_E[l] = lam ** p**j
+                refined.append((lams_E, E, matmul_mod(vecs, E.frobenius_matrix(j).T, p)))
         pieces = refined
     systems = []
     for lams, E, vecs in pieces:
         v = vecs[0]
-        for l in window:
-            if apply_matrix(hecke(l, E), v, E) != [lams[l] * x for x in v]:
-                raise RuntimeError("eigensystem verification failed")
-        systems.append(
-            EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=tuple(v), lambdas=lams, field=E, space=space)
-        )
+        if any(eigenvalue(hecke(l, E), v, E) != lams[l] for l in window):
+            raise RuntimeError("eigensystem verification failed")
+        systems.append(EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=v, lambdas=lams, field=E, space=space))
     return systems

@@ -13,9 +13,11 @@ closed-form eigenvalue expressions are used only as test oracles.  T(l,3)
 has the single coset diag(l,l,l), and its measured eigenvalue enters the
 attachment identity together with those of T(l,1) and T(l,2).
 
-Every operator is built over the scalar field of the symbol space.  The
-eigenclass lives over the possibly larger field its eigenvalues generate,
-so an operator is embedded there only to be applied to the eigenvector, and
+Every operator is a coordinate array over the scalar field of the symbol
+space (see linalg): a group's scalar multiplies its action matrix through
+the scalar's multiplication matrix.  The eigenclass lives over the possibly
+larger field its eigenvalues generate, so an operator is embedded there,
+through the embedding matrix, only to be applied to the eigenvector, and
 the closed forms and Frobenius data are evaluated there with chi0(l) and
 chi1(l) embedded.
 """
@@ -26,9 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .characters import DirichletCharacter
 from .heckegl3 import hecke_orbit_action
-from .linalg import apply_matrix, embed_matrix
+from .linalg import eigenvalue, embed_matrix, matmul_mod
 from .modsym2 import EigenSystem, SymbolSpace, find_eigensystems
 
 
@@ -116,33 +120,20 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     for (psi2, psi1), n in counts.items():
         scalar = datum.chi0(psi1) * field.from_int(n * pow(psi1 % p, datum.c % (p - 1), p))
         groups[psi2] = groups[psi2] + scalar if psi2 in groups else scalar
-    dim = space.dim
-    mat = [[field.zero()] * dim for _ in range(dim)]
-    for psi2, scalar in groups.items():
-        if scalar.is_zero():
-            continue
-        A = space.action_matrix(psi2)
-        for i in range(dim):
-            row, Ai = mat[i], A[i]
-            for j in range(dim):
-                if not Ai[j].is_zero():
-                    row[j] = row[j] + scalar * Ai[j]
-    return mat
+    live = [(psi2, scalar) for psi2, scalar in groups.items() if not scalar.is_zero()]
+    if not live:
+        return np.zeros((space.dim, space.dim, field.r), dtype=np.int64)
+    # every action matrix times its group's scalar, in one batched product
+    A = np.array([space.action_matrix(psi2) for psi2, _ in live])
+    S = np.array([field.mul_matrix(scalar).T for _, scalar in live])
+    return matmul_mod(A, S[:, None], p).sum(axis=0) % p
 
 
 def eigenvalue_of(datum, mat):
     """The scalar by which mat, a matrix over the space's field, acts on the
     eigenclass: exact, in the field of the eigenclass, or None."""
     field = datum.eigen.field
-    v = list(datum.eigen.vector)
-    img = apply_matrix(embed_matrix(mat, field), v, field)
-    pivot = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-    if pivot is None:
-        raise ValueError("zero eigenvector")
-    lam = img[pivot] / v[pivot]
-    if img != [lam * x for x in v]:
-        return None
-    return lam
+    return eigenvalue(embed_matrix(mat, datum.space.field, field), datum.eigen.vector, field)
 
 
 def _character_values(datum, l):

@@ -14,6 +14,9 @@ with points normalised by scanning every unit mod N; it is the reference for
 the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
 dict_sub_matrix expands each substituted monomial as a dictionary
 polynomial; it is the reference for the table-driven modrep.sub_matrix.
+rref, nullspace and RowReducer are the row reduction over lists of Fq
+entries that linalg ran before it moved to F_p coordinate arrays; they are
+the reference for the array versions.
 """
 
 from math import gcd
@@ -22,7 +25,6 @@ import numpy as np
 
 from gl3hecke.arith import divisors, is_squarefree
 from gl3hecke.heckegl3 import mat3
-from gl3hecke.linalg import nullspace
 from gl3hecke.modrep import sym_basis
 
 
@@ -115,6 +117,109 @@ class SequentialSpinBasis:
 
     def basis(self):
         return self.rows.copy()
+
+
+# -- row reduction over lists of Fq: the reference for linalg -----------------
+
+
+def rref(rows, field):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    R = [list(r) for r in rows]
+    if not R:
+        return [], []
+    ncols = len(R[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(R)):
+            if not R[i][c].is_zero():
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        # the pivot row is zero left of c, so only columns from c on change
+        inv = R[r][c].inverse()
+        R[r][c:] = [x * inv for x in R[r][c:]]
+        tail = R[r][c:]
+        for i in range(len(R)):
+            if i != r and not R[i][c].is_zero():
+                f = R[i][c]
+                R[i][c:] = [a - f * b for a, b in zip(R[i][c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return R[:r], pivots
+
+
+def nullspace(A, field):
+    """Basis of {v : A v = 0}, vectors as lists."""
+    if not A:
+        return []
+    R, pivots = rref(A, field)
+    n = len(A[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [field.zero()] * n
+        v[f] = field.one()
+        for i, c in enumerate(pivots):
+            v[c] = -R[i][f]
+        basis.append(v)
+    return basis
+
+
+class RowReducer:
+    """Incrementally maintained reduced row space over a generic field.
+
+    Used to canonicalize vectors modulo a growing relation space: reduce()
+    returns the residue of a vector modulo the span of everything added.
+    """
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.rows = {}  # pivot column -> reduced row
+        self._support = {}  # pivot column -> nonzero columns of its row
+
+    def reduce(self, v):
+        # Every row is zero at every other pivot, so the order of the
+        # subtractions does not change the result.
+        v = list(v)
+        for c, row in self.rows.items():
+            f = v[c]
+            if not f.is_zero():
+                for j in self._support[c]:
+                    v[j] = v[j] - f * row[j]
+        return v
+
+    def add(self, v):
+        """Add v to the span. Returns True if the span grew."""
+        v = self.reduce(v)
+        support = [c for c in range(self.n) if not v[c].is_zero()]
+        if not support:
+            return False
+        piv = support[0]
+        inv = v[piv].inverse()
+        v = [x * inv for x in v]
+        for c, row in self.rows.items():
+            f = row[piv]
+            if not f.is_zero():
+                for j in support:
+                    row[j] = row[j] - f * v[j]
+                self._support[c] = [j for j in range(self.n) if not row[j].is_zero()]
+        self.rows[piv] = v
+        self._support[piv] = support
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivot_columns(self):
+        return sorted(self.rows)
 
 
 def scan_eigen_split(field, A, basis):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from gl3hecke.arith import divisors, is_prime, is_squarefree, primitive_root
+from gl3hecke.arith import adj3, det, divisors, is_prime, is_squarefree, primitive_root
 
 
 def test_is_prime_small_range():
@@ -28,3 +30,19 @@ def test_primitive_root_is_least_generator():
         assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(1, g))
     with pytest.raises(ValueError):
         primitive_root(4)
+
+
+def test_det_and_adjugate_against_cofactor_expansion():
+    rng = random.Random(5)
+    for _ in range(50):
+        A = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        # Laplace expansion along the first row, with 2x2 minors
+        minor = lambda i, j: [[A[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
+        assert det(A) == sum((-1) ** j * A[0][j] * det(minor(0, j)) for j in range(3))
+        adj = adj3(A)
+        assert all(adj[j][i] == (-1) ** (i + j) * det(minor(i, j)) for i in range(3) for j in range(3))
+        assert [[sum(adj[i][k] * A[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == [
+            [det(A) * (i == j) for j in range(3)] for i in range(3)
+        ]
+    with pytest.raises(ValueError):
+        det([[1]])

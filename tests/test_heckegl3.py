@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.arith import divisors, is_squarefree
+from gl3hecke.arith import det, divisors, is_squarefree
 from gl3hecke.heckegl3 import (
     IDENTITY3,
     ProjectiveOrbits,
     coset_reps,
-    det3,
     g_elem,
     g_elem_inv,
     gl2_orbit_example_check,
@@ -46,14 +45,14 @@ def test_coset_reps_l2_k1_shapes():
 def test_coset_reps_l2_k2_count():
     cs = coset_reps(2, 2, 1)
     assert len(cs) == 7
-    assert all(det3(g) == 4 for g in cs.reps)
+    assert all(det(g) == 4 for g in cs.reps)
 
 
 def test_coset_reps_l3_N5_det_and_shape():
     cs = coset_reps(3, 1, 5)
     assert len(cs) == 13
     for g in cs.reps:
-        assert det3(g) == 3
+        assert det(g) == 3
         assert in_semigroup(g, 5)
 
 
@@ -161,7 +160,7 @@ def test_translate_randomized_validation():
         for policy in ("least", "alt"):
             tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
             gamma = tr.gamma
-            assert det3(gamma) == 1
+            assert det(gamma) == 1
             assert in_gamma0(gamma, N)
             assert gamma[0][2] == gamma[1][2] == gamma[2][0] == gamma[2][1] == 0
             assert gamma[2][2] == 1
@@ -204,7 +203,7 @@ def test_psi_congruence_on_parabolic_semigroup_samples():
             ]
         )
         s = mat_mul3(mat_mul3(g_elem_inv(d), x), g_elem(d))
-        if gcd(det3(s), 5 * N) != 1 or det3(s) <= 0:
+        if gcd(det(s), 5 * N) != 1 or det(s) <= 0:
             continue
         if not in_semigroup(s, N):
             continue
@@ -224,7 +223,7 @@ def test_unipotent_levi_intersection_small_height():
             for u2 in range(-3, 4):
                 m = mat3([[x11, 0, 0], [u1, 1, 0], [u2, 0, 1]])
                 s = mat_mul3(mat_mul3(g_elem_inv(d), m), g_elem(d))
-                if det3(s) == 1 and in_gamma0(s, N):
+                if det(s) == 1 and in_gamma0(s, N):
                     assert x11 == 1
 
 

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl3hecke import linalg
+from gl3hecke.ffield import make_field
 from gl3hecke.linalg import SpinBasis, matmul_mod, np_rref
 
+import _oracles
 from _oracles import SequentialSpinBasis
 
 
@@ -26,13 +29,15 @@ def test_matmul_mod_matches_exact_reference(p):
 
 
 def test_matmul_mod_exact_at_the_largest_allowed_entries():
-    # n * (p - 1)**2 just below 2**53: every partial sum is still exact
+    # n * (p - 1)**2 just below 2**53: every partial sum is still exact, in
+    # the int64 product of small operands and in the float64 one of large ones
     p = 2**25 - 39  # prime
     n = (2**53 - 1) // (p - 1) ** 2
     assert n == 8
-    A = np.full((2, n), p - 1, dtype=np.int64)
-    B = np.full((n, 3), p - 1, dtype=np.int64)
-    assert np.array_equal(matmul_mod(A, B, p), np.full((2, 3), n * (p - 1) ** 2 % p))
+    for m, k in [(2, 3), (100, 60)]:
+        A = np.full((m, n), p - 1, dtype=np.int64)
+        B = np.full((n, k), p - 1, dtype=np.int64)
+        assert np.array_equal(matmul_mod(A, B, p), np.full((m, k), n * (p - 1) ** 2 % p))
 
 
 def test_matmul_mod_raises_past_the_float64_bound():
@@ -86,6 +91,96 @@ def test_add_rows_matches_sequential_adds(case):
             assert spin.pivots == oracle.pivots
             assert np.array_equal(spin.basis(), oracle.basis())
     assert np.array_equal(batched.reduce(block), np.array([oracle.reduce(v) for v in block]).reshape(-1, n))
+
+
+def test_a_long_block_is_added_in_chunks_like_sequential_adds():
+    # more rows than one chunk, with a rank past the chunk size
+    rng = np.random.default_rng(11)
+    p, n = 7, 150
+    rows = rng.integers(0, p, (300, 100)) @ rng.integers(0, p, (100, n)) % p
+    rows[::9] = 0
+    rows = np.vstack([rows, rows[:50]])
+    spin, oracle = SpinBasis(p, n), SequentialSpinBasis(p, n)
+    assert list(spin.add_rows(rows)) == [oracle.add(v) for v in rows]
+    assert spin.rank == 100 and spin.pivots == oracle.pivots
+    assert np.array_equal(spin.basis(), oracle.basis())
+
+
+# -- matrices over F_q as coordinate arrays, against the list-of-Fq oracles ------
+
+
+@st.composite
+def fq_rows(draw):
+    """A field F_{p^r} and rows over it mixing random, zero, repeated and
+    dependent rows."""
+    F = make_field(draw(st.sampled_from([5, 7, 13])), draw(st.sampled_from([1, 2, 3, 6])))
+    n = draw(st.integers(1, 6))
+    element = st.lists(st.integers(0, F.p - 1), min_size=F.r, max_size=F.r).map(F.element)
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([F.zero()] * n)
+        elif kind == "random":
+            rows.append(draw(st.lists(element, min_size=n, max_size=n)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(element, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), F.zero()) for j in range(n)])
+    return F, rows
+
+
+def _arr(F, rows):
+    return np.array([F.to_array(row) for row in rows], dtype=np.int64).reshape(len(rows), -1, F.r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fq_rows())
+def test_coordinate_kernels_match_the_list_oracles(case):
+    F, rows = case
+    n = len(rows[0])
+    A = _arr(F, rows)
+    R, pivots = linalg.rref(A, F)
+    R0, pivots0 = _oracles.rref(rows, F)
+    assert pivots == pivots0 and R.tolist() == [F.to_array(row).tolist() for row in R0]
+    kernel = linalg.nullspace(A, F)
+    assert isinstance(kernel, list)
+    assert [v.tolist() for v in kernel] == [F.to_array(v).tolist() for v in _oracles.nullspace(rows, F)]
+    reducer, oracle = linalg.RowReducer(F, n), _oracles.RowReducer(F, n)
+    flags = [oracle.add(v) for v in rows]
+    assert [reducer.add(v) for v in A] == flags
+    assert reducer.pivot_columns() == oracle.pivot_columns()
+    batch = linalg.RowReducer(F, n)
+    assert list(batch.add_rows(A)) == flags and batch.pivot_columns() == oracle.pivot_columns()
+    # residues of the rows reversed and rotated, against the final span
+    probe = [row[1:] + row[:1] for row in reversed(rows)]
+    assert np.array_equal(reducer.reduce(_arr(F, probe)), _arr(F, [oracle.reduce(v) for v in probe]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fq_rows())
+def test_products_embeddings_and_frobenius_match_fq_arithmetic(case):
+    F, rows = case
+    A, v = _arr(F, rows), rows[-1]
+    want = [sum((a * x for a, x in zip(row, v)), F.zero()) for row in rows]
+    assert np.array_equal(linalg.apply_matrix(A, F.to_array(v), F), F.to_array(want))
+    x = rows[0][0]
+    assert np.array_equal(matmul_mod(A, F.mul_matrix(x).T, F.p), _arr(F, [[x * a for a in row] for row in rows]))
+    # the embedding as the old Horner evaluation at the least root, and x -> x^p
+    big = F.extension(2)
+    root = F._embedding_root(big)
+
+    def horner(y):
+        acc = big.zero()
+        for c in reversed(y.coords):
+            acc = acc * root + big.from_int(c)
+        return acc
+
+    assert np.array_equal(linalg.embed_matrix(A, F, big), _arr(big, [[horner(a) for a in row] for row in rows]))
+    assert all(F.embed(a, big) == horner(a) for a in rows[0])
+    frobenius = F.frobenius_matrix(1)
+    assert np.array_equal(matmul_mod(A, frobenius.T, F.p), _arr(F, [[a**F.p for a in row] for row in rows]))
 
 
 def test_int64_kernels_raise_past_the_int64_bound():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import modrep
+from gl3hecke.arith import adj3, det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import g_elem, g_elem_inv, mat3, mat_mul3
@@ -85,9 +86,7 @@ def test_gl3_adjoint_label_dim8_with_meataxe_oracle():
 
     def carrier(g):
         Sy = sub_matrix(np.asarray(g).T % p, 1, p)
-        from gl3hecke.modrep import cofactor3
-
-        Sz = sub_matrix(cofactor3(np.asarray(g).T) % p, 1, p)
+        Sz = sub_matrix(np.array(adj3(g)) % p, 1, p)
         return np.kron(Sy, Sz) % p
 
     dims = composition_factor_dims([carrier(g) for g in gens], p, seed=3)
@@ -104,9 +103,7 @@ def test_gl3_rho_homomorphism_sample():
     while count < 6:
         g = rng.integers(0, 5, (3, 3))
         h = rng.integers(0, 5, (3, 3))
-        from gl3hecke.modrep import _det
-
-        if _det(g, 5) == 0 or _det(h, 5) == 0:
+        if det(g) % 5 == 0 or det(h) % 5 == 0:
             continue
         count += 1
         assert np.array_equal(mod.rho(g @ h % 5), mod.rho(g) @ mod.rho(h) % 5)
@@ -170,12 +167,11 @@ def test_twisted_act_identity_and_torus():
     T = TwistedAction(base=mod, x=0, chi=chi)
     e = [1, 0, 0, 0]
     out = twisted_act(T, e, np.eye(2, dtype=np.int64))
-    assert [v.lift() for v in out] == e
+    assert out.tolist() == [[x] for x in e]
     # diag(l, 1) on the highest-weight vector scales by l^a
     l = 2
     out = twisted_act(T, e, np.diag([l, 1]))
-    assert out[0] == F5.from_int(pow(l, 3, 5))
-    assert all(v.is_zero() for v in out[1:])
+    assert out.tolist() == [[pow(l, 3, 5)], [0], [0], [0]]
 
 
 def test_twisted_act_character_scalar():
@@ -187,7 +183,7 @@ def test_twisted_act_character_scalar():
     plain = TwistedAction(base=mod, x=0, chi=DirichletCharacter.trivial(F5, 3))
     out = twisted_act(T, e, s)
     ref = twisted_act(plain, e, s)
-    assert out == [-v for v in ref]
+    assert np.array_equal(out, -ref % 5)
 
 
 def test_twisted_act_rejects_bad_first_row():
@@ -205,13 +201,13 @@ def test_levi_act_identity_and_block():
     chi1 = DirichletCharacter.trivial(F5, 11)
     e = [1, 0]
     out = levi_act(levi, 1, chi0, chi1, np.eye(3, dtype=np.int64), e)
-    assert [v.lift() for v in out] == e
+    assert out.tolist() == [[x] for x in e]
     # block diag(1, diag(l,1)) conjugated into P_d acts as diag(l,1) on F(a,b)
     l, d = 2, 1
     s = mat_mul3(mat_mul3(g_elem_inv(d), mat3([[1, 0, 0], [0, l, 0], [0, 0, 1]])), g_elem(d))
     out = levi_act(levi, d, chi0, chi1, s, e)
     direct = levi.gl2_module.act_right(np.array(e), np.diag([l, 1]))
-    assert [v.lift() for v in out] == [int(x) for x in direct]
+    assert out.tolist() == [[int(x)] for x in direct]
 
 
 def test_levi_act_character_and_power_scalar():
@@ -226,8 +222,7 @@ def test_levi_act_character_and_power_scalar():
     e = [1, 0]
     out = levi_act(levi, d, chi0, chi1, s, e)
     # psi1 = 2: chi0(2) = -1, power scalar 2^1; block action trivial
-    want = -F5.from_int(2)
-    assert out[0] == want and out[1].is_zero()
+    assert out.tolist() == [[-2 % 5], [0]]
 
 
 @pytest.mark.parametrize("p,label", [(5, (3, 2, 1)), (5, (4, 2, 0)), (7, (3, 1, 0))])

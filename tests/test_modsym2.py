@@ -1,16 +1,28 @@
 import random
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import _distinct_degrees, _poly_mul_fq, make_field
-from gl3hecke.linalg import rref
-from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, find_eigensystems, p1_points, symbol_terms
+from gl3hecke.linalg import identity
+from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, _mul2, find_eigensystems, p1_points, symbol_terms
 
-from _oracles import elliptic_ap, p1_canonical_scan, prime_field_minpoly, scan_eigen_split, tau
+from _oracles import elliptic_ap, p1_canonical_scan, prime_field_minpoly, rref, scan_eigen_split, tau
+
+
+def _arr(field, M):
+    """The coordinate array (k, n, r) of a list of k rows of Fq."""
+    return np.array([field.to_array(row) for row in M], dtype=np.int64).reshape(len(M), -1, field.r)
+
+
+def _fq(field, X):
+    """The rows of the coordinate array X (k, n, r) as lists of Fq."""
+    return [field.from_array(row) for row in X]
 
 
 def test_oracles_pinned_values():
@@ -27,9 +39,7 @@ def test_symbol_terms_unimodular_passthrough():
     assert len(terms) == 1
     sign, U = terms[0]
     assert sign == 1
-    from gl3hecke.modsym2 import _det2
-
-    assert _det2(U) == 1
+    assert det(U) == 1
 
 
 def test_symbol_terms_boundary_telescopes():
@@ -51,6 +61,7 @@ def test_level_one_weight_two_vanishes():
     space = SymbolSpace(1, 5, 0, 0)
     assert space.dim == 0
     assert find_eigensystems(space, [2, 3]) == []
+    assert space.hecke_matrix(2).shape == (0, 0, 1)
 
 
 def test_level11_weight2_regression_mod5():
@@ -90,20 +101,16 @@ def test_unsplit_piece_is_extended_alone():
     assert all(s.space is space for s in systems) and space.field == make_field(5)
     x, y = systems[2:]
     assert {l: v.frobenius() for l, v in x.lambdas.items()} == y.lambdas
-    assert all(v.field == s.field for s in systems for v in list(s.vector) + list(s.lambdas.values()))
+    assert all(s.vector.shape == (space.dim, s.field.r) for s in systems)
+    assert all(v.field == s.field for s in systems for v in s.lambdas.values())
 
 
 def test_hecke_operators_commute():
     space = SymbolSpace(11, 5, 0, 0)
-    T2 = space.hecke_matrix(2)
-    T3 = space.hecke_matrix(3)
-    n = space.dim
-    F = space.field
-    for i in range(n):
-        for j in range(n):
-            a = sum((T2[i][k] * T3[k][j] for k in range(n)), F.zero())
-            b = sum((T3[i][k] * T2[k][j] for k in range(n)), F.zero())
-            assert a == b
+    # over F_5 the coordinate arrays are integer matrices with one trailing coordinate
+    T2 = space.hecke_matrix(2)[..., 0]
+    T3 = space.hecke_matrix(3)[..., 0]
+    assert np.array_equal(T2 @ T3 % 5, T3 @ T2 % 5)
 
 
 def test_hecke_from_coset_sum_matches():
@@ -111,55 +118,57 @@ def test_hecke_from_coset_sum_matches():
     l = 3
     T = space.hecke_matrix(l)
     cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-    F = space.field
-    for k in range(space.dim):
-        v = [F.zero()] * space.dim
-        v[k] = F.one()
-        acc = [F.zero()] * space.dim
-        for m in cosets:
-            img = space.semigroup_act(v, m)
-            acc = [x + y for x, y in zip(acc, img)]
-        col = [T[i][k] for i in range(space.dim)]
-        assert acc == col
+    for k, v in enumerate(identity(space.dim, space.field)):
+        acc = sum(space.semigroup_act(v, m) for m in cosets) % 5
+        assert np.array_equal(acc, T[:, k])
 
 
 def test_action_matrix_columns_and_hecke_coset_sum():
     space = SymbolSpace(11, 5, 2, 0)
-    F = space.field
     for l in (2, 3):
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
         mats = [space.action_matrix(m) for m in cosets]
         for m, A in zip(cosets, mats):
-            for j in range(space.dim):
-                e = [F.zero()] * space.dim
-                e[j] = F.one()
-                assert [A[i][j] for i in range(space.dim)] == space.semigroup_act(e, m)
-        total = [[sum((A[i][j] for A in mats), F.zero()) for j in range(space.dim)] for i in range(space.dim)]
-        assert space.hecke_matrix(l) == total
+            for j, e in enumerate(identity(space.dim, space.field)):
+                assert np.array_equal(A[:, j], space.semigroup_act(e, m))
+        assert np.array_equal(space.hecke_matrix(l), sum(mats) % 5)
     # single summands do not descend to the quotient: matrices congruent
     # mod N act differently, so the cache key is the integer matrix
-    assert space.action_matrix(((1, 0), (1, 2))) != space.action_matrix(((1, 0), (12, 2)))
+    assert not np.array_equal(space.action_matrix(((1, 0), (1, 2))), space.action_matrix(((1, 0), (12, 2))))
+
+
+def _act_symbols(space, pairs, m):
+    """Representative-level action on formal sums of unimodular symbols with
+    coefficients: pairs is [(sign, U, V)], V a block of coefficient columns
+    (dimV, k, r), and the image is the same shape."""
+    out = []
+    for sign, U, V in pairs:
+        W = space._coeff_act(V, m)
+        out.extend((sign * s, U2, W) for s, U2 in symbol_terms(_mul2(U, m)))
+    return out
+
+
+def _symbols_to_classes(space, pairs):
+    full = np.zeros((space.full_dim,) + pairs[0][2].shape[1:], dtype=np.int64)
+    for sign, U, V in pairs:
+        space._to_full(U, V, full, sign=sign)
+    return space._classes(full)
 
 
 def test_symbol_action_multiplicative_sample():
     # multiplicativity holds at the symbol-representative level: individual
     # semigroup elements are Hecke summands and only coset sums descend to
-    # the quotient
+    # the quotient.  Every coefficient unit vector is one column of the block.
     space = SymbolSpace(11, 5, 2, 0)
-    F = space.field
-    from gl3hecke.modsym2 import _mul2
-
     m1 = ((1, 0), (3, 2))  # det 2
     m2 = ((3, 0), (1, 1))  # det 3
     m12 = _mul2(m1, m2)
-    for j in range(space.dimV):
-        e = [F.zero()] * space.dimV
-        e[j] = F.one()
-        for rep in space.reps[:4]:
-            z = [(1, rep, e)]
-            step = space.symbols_to_coords(space.act_symbols(space.act_symbols(z, m1), m2))
-            direct = space.symbols_to_coords(space.act_symbols(z, m12))
-            assert step == direct
+    units = identity(space.dimV, space.field)
+    for rep in space.reps[:4]:
+        z = [(1, rep, units)]
+        step = _symbols_to_classes(space, _act_symbols(space, _act_symbols(space, z, m1), m2))
+        direct = _symbols_to_classes(space, _act_symbols(space, z, m12))
+        assert np.array_equal(step, direct)
 
 
 def test_central_scalar_action():
@@ -168,20 +177,16 @@ def test_central_scalar_action():
     F = space.field
     l = 3
     m = ((l, 0), (0, l))
-    for k in range(space.dim):
-        v = [F.zero()] * space.dim
-        v[k] = F.one()
-        img = space.semigroup_act(v, m)
-        want = [F.from_int(pow(l, 3, 5)) * x for x in v]
-        assert img == want
+    for v in identity(space.dim, F):
+        assert np.array_equal(space.semigroup_act(v, m), pow(l, 3, 5) * v)
 
 
 def test_semigroup_rejects_bad_matrices():
     space = SymbolSpace(11, 5, 0, 0)
     with pytest.raises(ValueError):
-        space.semigroup_act([space.field.zero()] * space.dim, ((1, 1), (0, 2)))
+        space.semigroup_act(np.zeros((space.dim, 1), dtype=np.int64), ((1, 1), (0, 2)))
     with pytest.raises(ValueError):
-        space.semigroup_act([space.field.zero()] * space.dim, ((1, 0), (0, -1)))
+        space.semigroup_act(np.zeros((space.dim, 1), dtype=np.int64), ((1, 0), (0, -1)))
 
 
 def test_irrational_system_triggers_extension():
@@ -252,8 +257,8 @@ def test_eigen_split_finds_a_factor_both_first_krylov_runs_miss():
     F = make_field(5)
     F25 = make_field(5, 2)
     A = _block_diag(F, [[[F.from_int(1)]], [[F.from_int(2)]], _companion(F, [F.from_int(-2), F.zero(), F.one()])])
-    pieces = _eigen_split(F, A, _units(F, 4))
-    assert [(lam, E, vecs) for lam, E, vecs in pieces[:2]] == [
+    pieces = _eigen_split(F, _arr(F, A), identity(4, F))
+    assert [(lam, E, _fq(E, vecs)) for lam, E, vecs in pieces[:2]] == [
         (F.from_int(1), F, [_units(F, 4)[0]]),
         (F.from_int(2), F, [_units(F, 4)[1]]),
     ]
@@ -261,7 +266,8 @@ def test_eigen_split_finds_a_factor_both_first_krylov_runs_miss():
     # companion block
     assert [E for _, E, _ in pieces[2:]] == [F25, F25]
     assert {lam * lam for lam, _, _ in pieces[2:]} == {F25.from_int(2)} and pieces[2][0] != pieces[3][0]
-    for lam, _, (v,) in pieces[2:]:
+    for lam, _, vecs in pieces[2:]:
+        (v,) = _fq(F25, vecs)
         assert v[:2] == [F25.zero()] * 2 and v[2] == lam * v[3]
 
 
@@ -271,7 +277,7 @@ def test_eigen_split_extends_a_piece_already_over_an_extension():
     F25 = make_field(5, 2)
     a = next(x for x in F25.units() if x ** ((F25.order - 1) // 2) != F25.one())
     A = _block_diag(F25, [[[F25.from_int(3)]], _companion(F25, [-a, F25.zero(), F25.one()])])
-    pieces = _eigen_split(F25, A, _units(F25, 3))
+    pieces = _eigen_split(F25, _arr(F25, A), identity(3, F25))
     F625 = make_field(5, 4)
     assert [(lam, E) for lam, E, _ in pieces[:1]] == [(F25.from_int(3), F25)]
     assert [E for _, E, _ in pieces[1:]] == [F625, F625]
@@ -331,10 +337,10 @@ def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
     Pinv = [row[k:] for row in R]
     A = _matmul(F, _matmul(F, P, _block_diag(F, blocks)), Pinv)
     basis = [[rng.choice(elements) for _ in range(k + 1)] for _ in range(k)]
-    pieces = _eigen_split(F, A, basis)
+    pieces = _eigen_split(F, _arr(F, A), _arr(F, basis))
     # the pieces over F are the scan's; the others are over the field each
     # eigenvalue generates, one per root of the irreducible blocks
-    assert [(lam, vecs) for lam, E, vecs in pieces if E == F] == scan_eigen_split(F, A, basis)
+    assert [(lam, _fq(F, vecs)) for lam, E, vecs in pieces if E == F] == scan_eigen_split(F, A, basis)
     extended = [(lam, E) for lam, E, _ in pieces if E != F]
     assert sorted({E.r // r for _, E in extended}) == sorted(degrees)
     for lam, E in extended:
@@ -406,12 +412,13 @@ def test_p1_label_table_matches_the_unit_scan(N):
 
 class _MatrixSpace:
     """Just what find_eigensystems reads of a space: its field, dimension and
-    Hecke matrices, here given outright."""
+    Hecke matrices, here given outright as rows of Fq."""
 
     N, p, weight = 1, 5, (0, 0)
 
     def __init__(self, field, hecke):
-        self.field, self.dim, self._hecke = field, len(hecke[2]), hecke
+        self.field, self.dim = field, len(hecke[2])
+        self._hecke = {l: _arr(field, T) for l, T in hecke.items()}
 
     def hecke_matrix(self, l):
         return self._hecke[l]
@@ -444,7 +451,7 @@ def test_a_piece_extended_twice_meets_the_directly_embedded_operators():
         C = _companion(F25, h)
         C1 = _matpow(F25, C, 625)
         T2 = _matmul(F25, _matmul(F25, C, C1), _matpow(F25, C1, 625))
-        if [d for d, _ in _distinct_degrees(_minimal_polynomial(T2, F25), F25)] == [2]:
+        if [d for d, _ in _distinct_degrees(_minimal_polynomial(_arr(F25, T2), F25), F25)] == [2]:
             break
     systems = find_eigensystems(_MatrixSpace(F25, {2: T2, 3: C}), [2, 3])
     F12 = make_field(5, 12)

@@ -1,0 +1,36 @@
+"""The traced benchmark pass (bench/tracing.py) wraps library names at the
+places their callers look them up, and reads the results of some of them.
+This runs it on the chain's smallest datum in a fresh interpreter, so that a
+renamed, moved or reshaped name fails here and not in a benchmark run.
+Nothing under bench/ is changed."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import tracing
+from gl3hecke import transfer
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+datum = transfer.BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,))
+report = transfer.run_transfer_checks(datum, (2,))
+assert [e["l"] for e in report] == [2], report
+assert all(v is True for e in report for k, v in e.items() if k != "l"), report
+metrics = tracing.layer_metrics(tracer)
+for name in ("modsym2.space.s", "modsym2.find_eigensystems.s", "modsym2.semigroup_act.calls", "transfer.gl3_hecke_on_boundary.calls"):
+    assert metrics[name] > 0, name
+print("traced chain ok")
+"""
+
+
+def test_traced_chain_runs_on_the_smallest_datum():
+    script = SCRIPT.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "traced chain ok"

@@ -1,11 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import hecke_orbit_action
+from gl3hecke.linalg import identity
 from gl3hecke.modsym2 import find_eigensystems
 from gl3hecke.transfer import (
     BoundaryDatum,
@@ -74,16 +76,10 @@ def test_full_checks_d3_quadratic():
 
 def test_gl3_operators_commute_with_gl2_hecke():
     datum = _datum(0)
-    space = datum.space
-    F = space.field
-    t1 = gl3_hecke_on_boundary(datum, 2, 1)
-    T7 = space.hecke_matrix(7)
-    n = space.dim
-    for i in range(n):
-        for j in range(n):
-            a = sum((t1[i][k] * T7[k][j] for k in range(n)), F.zero())
-            b = sum((T7[i][k] * t1[k][j] for k in range(n)), F.zero())
-            assert a == b
+    # over F_5 the coordinate arrays are integer matrices with one trailing coordinate
+    t1 = gl3_hecke_on_boundary(datum, 2, 1)[..., 0]
+    T7 = datum.space.hecke_matrix(7)[..., 0]
+    assert np.array_equal(t1 @ T7 % 5, T7 @ t1 % 5)
 
 
 def test_case_weighted_contribution_count():
@@ -117,13 +113,13 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     # by one, which the report's attachment flag must catch
     datum = _datum(2, d=3, chi0=DirichletCharacter.quadratic(F5, 3))
     build = transfer.gl3_hecke_on_boundary
-    one = datum.space.field.one()
+    one = identity(datum.space.dim, datum.space.field)
 
     def shifted(datum, l, k, policy="least"):
         mat = build(datum, l, k, policy=policy)
         if k != bumped_k:
             return mat
-        return [[x + one if i == j else x for j, x in enumerate(row)] for i, row in enumerate(mat)]
+        return (mat + one) % datum.p
 
     monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
     report = run_transfer_checks(datum, WINDOW, recheck_gamma=False)
@@ -203,20 +199,17 @@ def test_c_varies_only_scalar():
 def _per_coset_reference(datum, data):
     """T(l,k) summed coset by coset and basis vector by basis vector with
     semigroup_act, from the per-coset (psi1, psi2) data: the assembly
-    without grouping or cached action matrices."""
+    without grouping, cached action matrices or multiplication matrices
+    (the scalars multiply as Fq)."""
     space = datum.space
     F, p, dim = space.field, datum.p, space.dim
-    mat = [[F.zero()] * dim for _ in range(dim)]
+    mat = np.zeros((dim, dim, F.r), dtype=np.int64)
     for psi1, psi2 in data:
         scalar = datum.chi0(psi1) * F.from_int(pow(psi1 % p, datum.c % (p - 1), p))
-        for j in range(dim):
-            e = [F.zero()] * dim
-            e[j] = F.one()
-            img = space.semigroup_act(e, psi2)
-            for i in range(dim):
-                if not img[i].is_zero():
-                    mat[i][j] = mat[i][j] + scalar * img[i]
-    return mat
+        for j, e in enumerate(identity(dim, F)):
+            img = F.from_array(space.semigroup_act(e, psi2))
+            mat[:, j] += F.to_array([scalar * x for x in img])
+    return mat % p
 
 
 @pytest.mark.parametrize(
@@ -245,7 +238,7 @@ def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d
             assert data["alt"] == data["least"]
             ref = _per_coset_reference(datum, data["least"])
             for policy in ("least", "alt"):
-                assert gl3_hecke_on_boundary(datum, l, k, policy=policy) == ref, (l, k, policy)
+                assert np.array_equal(gl3_hecke_on_boundary(datum, l, k, policy=policy), ref), (l, k, policy)
 
 
 # (p, a, b, N1): the boundary benchmark's spaces, whose eigenvalues need F_{p^2}
@@ -278,4 +271,4 @@ def test_extended_eigenclass_keeps_operators_over_the_base_field(key):
     space = datum.space
     assert space.field == Fp and system.space is space
     cached = list(space._action_cache.values()) + list(space._hecke_cache.values())
-    assert cached and all(x.field == Fp for A in cached for row in A for x in row)
+    assert cached and all(A.shape == (space.dim, space.dim, Fp.r) for A in cached)
