@@ -1,19 +1,36 @@
 """GL(3) Hecke coset combinatorics over the integers.
 
-Provides the explicit right-coset representatives of the two double cosets
-attached to a prime l (determinant l and l^2), the congruence-subgroup
-translation gamma moving each representative into the parabolic stabilizing
-(1:d:0), the block data psi^1, psi^2 read off after conjugating by the
-elementary matrix g_d, and the closed-form orbit classification of P^2(Z/N)
-for squarefree N (one orbit per divisor d, named by gcd(v_1, v_2, N)).
+Provides the explicit right-coset representatives of the double cosets
+attached to a prime l (determinant l, l^2 and the scalar l^3), the
+congruence-subgroup translation gamma moving each representative into the
+parabolic P_d stabilizing (1:d:0), the block data psi^1, psi^2 read off after
+conjugating by the elementary matrix g_d, and the closed-form orbit
+classification of P^2(Z/N) for squarefree N (one orbit per divisor d, named
+by gcd(v_1, v_2, N)).
 
-All matrices are integer tuples-of-tuples; arithmetic is exact.
+A single matrix is a tuple of integer row tuples, exact in Python ints:
+translate_to_parabolic works on one representative this way.  A coset set is
+a read-only (n, 3, 3) int64 array, built once per (l, k), and
+hecke_orbit_action translates all of it at once.  Every representative is lower triangular with diagonal (l1, l2, l3)
+and entries a, b, c below it, and (1, d, 0) s = (l1 + d a, d l2, 0) never
+meets its last row: whether s gamma fixes (1:d:0) depends on s only through
+the key (l1, l2, a), so gamma is solved once per key (at most l + 2 keys
+among the l^2 + l + 1 cosets) and shared by the cosets with that key.  The
+certificates that s gamma fixes (1:d:0) and that x = g_d s gamma g_d^{-1}
+lies in the standard parabolic are then checked on every coset as array
+tests.  With G the largest |entry| of any gamma, entries of s gamma are at
+most 3 l G and every intermediate of those tests at most 3 l G (1 + d)^2;
+hecke_orbit_action raises OverflowError unless that bound is below 2^63, so
+int64 never wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .arith import adj3, det, divisors, is_prime, is_squarefree
 from .characters import crt, xgcd
@@ -106,21 +123,11 @@ def same_right_coset(g, h, N):
 # -- double-coset representatives (determinant l and l^2) --------------------
 
 
-@dataclass(frozen=True)
-class HeckeCosetSet:
-    l: int
-    k: int
-    N: int
-    reps: tuple
-
-    def __len__(self):
-        return len(self.reps)
-
-
 def coset_reps(l, k, N):
     """Right-coset representatives of the double coset of diag(1,..,l,..)
-    with k entries l, for the level-N pair.  Exactly l^2 + l + 1 matrices
-    for k in {1, 2}; for k = 3 the scalar diag(l, l, l) is its own coset.
+    with k entries l, for the level-N pair, as a read-only (n, 3, 3) int64
+    array shared by every caller.  Exactly l^2 + l + 1 matrices for k in
+    {1, 2}; for k = 3 the scalar diag(l, l, l) is its own coset.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -130,24 +137,37 @@ def coset_reps(l, k, N):
         raise ValueError("l must be prime")
     if N % l == 0:
         raise ValueError("l must not divide N")
-    reps = []
-    if k == 1:
-        for b in range(l):
-            for c in range(l):
-                reps.append(mat3([[1, 0, 0], [0, 1, 0], [b, c, l]]))
-        for a in range(l):
-            reps.append(mat3([[1, 0, 0], [a, l, 0], [0, 0, 1]]))
-        reps.append(mat3([[l, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    elif k == 3:
-        reps.append(mat3([[l, 0, 0], [0, l, 0], [0, 0, l]]))
+    return _coset_table(l, k)[0]
+
+
+@lru_cache(maxsize=None)
+def _coset_table(l, k):
+    """The representatives (the level only restricts l), one representative
+    per key (l1, l2, a) as a tuple of rows, and the index of each coset's
+    key."""
+    if k == 3:
+        reps = l * np.eye(3, dtype=np.int64)[None]
     else:
-        for a in range(l):
-            for b in range(l):
-                reps.append(mat3([[1, 0, 0], [a, l, 0], [b, 0, l]]))
-        for c in range(l):
-            reps.append(mat3([[l, 0, 0], [0, 1, 0], [0, c, l]]))
-        reps.append(mat3([[l, 0, 0], [0, l, 0], [0, 0, 1]]))
-    return HeckeCosetSet(l, k, N, tuple(reps))
+        n = l * l + l + 1
+        reps = np.tile(np.eye(3, dtype=np.int64), (n, 1, 1))
+        outer, inner = np.divmod(np.arange(l * l), l)
+        grid, line, last = reps[: l * l], reps[l * l : n - 1], reps[n - 1]
+        if k == 1:
+            # [[1,0,0],[0,1,0],[b,c,l]], then [[1,0,0],[a,l,0],[0,0,1]], diag(l,1,1)
+            grid[:, 2, 0], grid[:, 2, 1], grid[:, 2, 2] = outer, inner, l
+            line[:, 1, 0], line[:, 1, 1] = np.arange(l), l
+            last[0, 0] = l
+        else:
+            # [[1,0,0],[a,l,0],[b,0,l]], then [[l,0,0],[0,1,0],[0,c,l]], diag(l,l,1)
+            grid[:, 1, 0], grid[:, 2, 0], grid[:, 1, 1], grid[:, 2, 2] = outer, inner, l, l
+            line[:, 0, 0], line[:, 2, 1], line[:, 2, 2] = l, np.arange(l), l
+            last[0, 0] = last[1, 1] = l
+    # entries of reps lie in [0, l], so this names the key (l1, l2, a)
+    key = (reps[:, 0, 0] * (l + 1) + reps[:, 1, 1]) * (l + 1) + reps[:, 1, 0]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    for a in (reps, inverse):
+        a.setflags(write=False)
+    return reps, tuple(map(mat3, reps[first].tolist())), inverse
 
 
 # -- translation into the parabolic ------------------------------------------
@@ -267,23 +287,6 @@ def translate_to_parabolic(s, d, N, l=None, policy="least"):
     return TranslationResult(s=s, gamma=gamma, x=x, d=d, N=N, case=case)
 
 
-def theorem_psi_blocks(s, d, l):
-    """Closed-form (psi1, psi2) for the four representative cases; the oracle
-    the numeric translation is tested against."""
-    s = mat3(s)
-    a, b, c = s[1][0], s[2][0], s[2][1]
-    l1, l2, l3 = s[0][0], s[1][1], s[2][2]
-    case = _case_of(s, l)
-    if case == 1:
-        return l1, ((l2, 0), (c - b * d, l3)), 1
-    if case == 2:
-        return 1, ((l, 0), (-b * d + c * l, l3)), 2
-    t = a * d + 1
-    if t % l:
-        return 1, ((l, 0), (-b * l * d + c * t, l3)), 3
-    return l, ((1, 0), (-b * d + c * (t // l), l3)), 4
-
-
 def psi_blocks(s, d):
     """(psi^1, psi^2) of an element of P_d, read off after conjugation."""
     s = mat3(s)
@@ -342,101 +345,47 @@ def orbit_rep(v, N):
     return ProjectiveOrbits(N).orbit_rep(v)
 
 
+@dataclass(frozen=True, eq=False)
+class CosetTranslations:
+    """The translation data of a whole coset set, one row per coset: reps,
+    gamma and x = g_d s gamma g_d^{-1} of shape (n, 3, 3), case of shape
+    (n,), and the views psi1 (n,) and psi2 (n, 2, 2) of x."""
+
+    reps: np.ndarray
+    gamma: np.ndarray
+    x: np.ndarray
+    case: np.ndarray
+
+    @property
+    def psi1(self):
+        return self.x[:, 0, 0]
+
+    @property
+    def psi2(self):
+        return self.x[:, 1:, 1:]
+
+    def __len__(self):
+        return len(self.reps)
+
+
 def hecke_orbit_action(l, k, N, d, policy="least"):
-    """Per-coset translation data for the orbit of (1:d:0): the complete
-    list of (representative, TranslationResult) pairs, with the stabilizer
-    condition (1:d:0) s gamma = (1:d:0) verified."""
-    out = []
-    for s in coset_reps(l, k, N).reps:
-        tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
-        out.append((s, tr))
-    return out
-
-
-# -- the rank-2 orbit example -------------------------------------------------
-
-
-def _primitive(v):
-    g = gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g)
-
-
-def p1_row_orbit_equivalent(N, v, w):
-    """Exact decision: is there an integer matrix of determinant one with
-    lower-left entry divisible by N taking the primitive row v to +-w?
-
-    Equivalence of rational points under the rank-2 congruence group; solved
-    by elementary linear-diophantine reduction, no finite-model shortcut.
-    """
-    v, w = _primitive(v), _primitive(w)
-    for sign in (1, -1):
-        if _row_orbit_witness(N, v, (sign * w[0], sign * w[1])) is not None:
-            return True
-    return False
-
-
-def _row_orbit_witness(N, v, w):
-    """gamma = [[a,b],[c,d]] with det 1, c = 0 mod N, v*gamma = w, or None.
-
-    Write (a, c) = (a0 + t*v2, c0 - t*v1) over the solution line of
-    v1*a + v2*c = w1, likewise (b, d) for w2; the determinant condition
-    becomes s*w1 - t*w2 = a0*d0 - b0*c0 - 1, linear in the parameters.
-    """
-    v1, v2 = v
-    w1, w2 = w
-    g, x, y = xgcd(v1, v2)
-    if g != 1:
-        return None
-    a0, c0 = x * w1, y * w1
-    b0, d0 = x * w2, y * w2
-    # constraint: c0 - t*v1 = 0 mod N; det: s*w1 - t*w2 = a0*d0 - b0*c0 - 1
-    K = a0 * d0 - b0 * c0 - 1
-    gt = gcd(v1, N)
-    if c0 % gt:
-        return None
-    # t = t0 + (N//gt)*r over residues mod N solving t*v1 = c0 (mod N)
-    v1g, Ng, c0g = v1 // gt, N // gt, c0 // gt
-    t0 = c0g * pow(v1g % Ng, -1, Ng) % Ng if Ng > 1 else 0
-    M = Ng
-    # need s*w1 = K + t*w2 solvable: w1 | K + t*w2 with t = t0 + M*r
-    if w1 == 0:
-        # need K + t*w2 = 0 exactly: t = -K/w2 when integral and = t0 mod M
-        if w2 == 0 or K % w2:
-            return None
-        t = -K // w2
-        if (t - t0) % M:
-            return None
-        s = 0
-    else:
-        gg = gcd(M * w2, w1)
-        if (K + t0 * w2) % gg:
-            return None
-        r = -(K + t0 * w2) // gg * pow((M * w2 // gg) % (abs(w1) // gg), -1, abs(w1) // gg) % (abs(w1) // gg) if abs(w1) // gg > 1 else 0
-        t = t0 + M * r
-        s = (K + t * w2) // w1
-    a, c = a0 + t * v2, c0 - t * v1
-    b, d = b0 + s * v2, d0 - s * v1
-    gamma = ((a, b), (c, d))
-    if a * d - b * c != 1 or c % N:
-        return None
-    if (v1 * a + v2 * c, v1 * b + v2 * d) != w:
-        return None
-    return gamma
-
-
-def gl2_orbit_example_check():
-    """Semigroup elements need not preserve rational orbits: under the
-    rank-2 level-25 group, (5:1) and (5:6) are equivalent but their images
-    under diag(2,1), namely (10:1) and (5:3), are not.  The reductions mod 25
-    coincide pointwise, so the check is integral, not a finite-model one."""
-    N = 25
-    if not p1_row_orbit_equivalent(N, (5, 1), (5, 6)):
-        return False
-    # the shear witness: (5,1) * [[1,1],[0,1]] = (5,6)
-    if (5 * 1 + 1 * 0, 5 * 1 + 1 * 1) != (5, 6):
-        return False
-    a = (5 * 2, 1)
-    b = _primitive((5 * 2, 6 * 1))
-    if b != (5, 3):
-        return False
-    return not p1_row_orbit_equivalent(N, a, b)
+    """Translation data of every right coset of T(l, k) for the orbit of
+    (1:d:0).  gamma is solved by translate_to_parabolic once per key
+    (l1, l2, a) (see the module docstring); that (1:d:0) s gamma = (1:d:0)
+    and that x lies in the standard parabolic are verified on every coset."""
+    reps = coset_reps(l, k, N)
+    _, keyed, inverse = _coset_table(l, k)
+    solved = [translate_to_parabolic(s, d, N, l=l, policy=policy) for s in keyed]
+    G = max(abs(v) for tr in solved for row in tr.gamma for v in row)
+    if 3 * l * G * (1 + d) ** 2 >= 2**63:
+        raise OverflowError("coset translation at l = %d, N = %d, d = %d overflows int64" % (l, N, d))
+    gamma = np.array([tr.gamma for tr in solved], dtype=np.int64)[inverse]
+    case = np.array([tr.case for tr in solved], dtype=np.int64)[inverse]
+    sg = reps @ gamma
+    v = sg[:, 0] + d * sg[:, 1]  # (1, d, 0) s gamma
+    if ((v[:, 2] != 0) | (v[:, 1] != d * v[:, 0]) | (v[:, 0] == 0)).any():
+        raise RuntimeError("internal error: s*gamma not in the parabolic")
+    x = np.array(g_elem(d), dtype=np.int64) @ sg @ np.array(g_elem_inv(d), dtype=np.int64)
+    if x[:, 0, 1:].any():
+        raise RuntimeError("internal error: x not in the standard parabolic")
+    return CosetTranslations(reps=reps, gamma=gamma, x=x, case=case)

@@ -2,10 +2,12 @@
 characteristic-polynomial identity.
 
 The operator for a prime l and k in {1,2,3} is assembled from the raw
-translation data of its right cosets: each representative contributes the
-scalar chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.
-The operator is linear in that coset sum, so cosets sharing a psi2 block are
-grouped exactly: their scalars are added and the block's action matrix is
+translation data of its right cosets, which heckegl3.hecke_orbit_action
+returns as arrays: each representative contributes the scalar
+chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
+operator is linear in that coset sum, so cosets sharing a psi2 block are
+grouped exactly: np.unique counts the distinct (psi2, psi1) rows, the
+counted scalars of a psi2 are added, and the block's action matrix is
 accumulated once.  Action matrices are cached on the symbol space keyed on
 the integer matrix psi2, never on its class mod N1, because a single summand
 does not descend to the quotient.  Nothing is hand-simplified; the
@@ -24,7 +26,6 @@ chi1(l) embedded.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -63,6 +64,9 @@ class BoundaryDatum:
         lambda fingerprint (or the unique one), and package the datum."""
         from .ffield import FiniteField
 
+        unsearched = sorted(set(lambdas or ()) - set(window))
+        if unsearched:
+            raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
         if field is None:
             field = FiniteField(p, 1)
         if chi0 is None:
@@ -99,25 +103,29 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     """The rank-3 operator T(l,k) on the boundary symbol space, as a matrix
     over the scalar field, built from raw per-coset translation data.
 
-    Every coset's psi2 is checked to lie in the level-N1 semigroup.  Cosets
-    are then grouped by psi2, which is exact because the operator is linear
-    in the coset sum: each group's scalars chi0(psi1) * psi1^c are added
-    (cosets that also share psi1 are counted first), a zero sum is skipped,
-    and the cached space.action_matrix(psi2) is accumulated once.  The cache
-    is keyed on the integer matrix psi2, not on its class mod N1."""
+    Every coset's psi2 is checked, as one array test, to lie in the level-N1
+    semigroup.  Cosets are then grouped by psi2, which is exact because the
+    operator is linear in the coset sum: the distinct (psi2, psi1) rows are
+    counted with np.unique, each group's scalars chi0(psi1) * psi1^c are
+    added, a zero sum is skipped, and the cached space.action_matrix(psi2)
+    is accumulated once.  The cache is keyed on the integer matrix psi2, not
+    on its class mod N1."""
     space = datum.space
     p = datum.p
     N, d = datum.N, datum.d
     if gcd(l, p * N) != 1:
         raise ValueError("l must be prime to p and the level")
     field = space.field
-    counts = Counter()
-    for _, tr in hecke_orbit_action(l, k, N, d, policy=policy):
-        if tr.psi2[0][1] % datum.N1:
-            raise RuntimeError("psi2 is not in the level-N1 semigroup")
-        counts[tr.psi2, tr.psi1] += 1
+    cosets = hecke_orbit_action(l, k, N, d, policy=policy)
+    if (cosets.psi2[:, 0, 1] % datum.N1).any():
+        raise RuntimeError("psi2 is not in the level-N1 semigroup")
+    rows = np.column_stack([cosets.psi2.reshape(-1, 4), cosets.psi1])
+    # each row viewed as one opaque item: np.unique on the flat array groups
+    # equal rows several times faster than np.unique(rows, axis=0)
+    items, counts = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 5))).ravel(), return_counts=True)
     groups = {}
-    for (psi2, psi1), n in counts.items():
+    for (m00, m01, m10, m11, psi1), n in zip(items.view(np.int64).reshape(-1, 5).tolist(), counts.tolist()):
+        psi2 = ((m00, m01), (m10, m11))
         scalar = datum.chi0(psi1) * field.from_int(n * pow(psi1 % p, datum.c % (p - 1), p))
         groups[psi2] = groups[psi2] + scalar if psi2 in groups else scalar
     live = [(psi2, scalar) for psi2, scalar in groups.items() if not scalar.is_zero()]
@@ -142,11 +150,20 @@ def _character_values(datum, l):
     return tuple(x.field.embed(x, field) for x in (datum.chi0(l), datum.chi1(l)))
 
 
+def _lambda(datum, l):
+    """The eigenclass's rank-2 eigenvalue at l, or ValueError when l was
+    not in the window the datum was searched over."""
+    lambdas = datum.eigen.lambdas
+    if l not in lambdas:
+        raise ValueError("l = %d is not in the datum's window %s" % (l, tuple(sorted(lambdas))))
+    return lambdas[l]
+
+
 def expected_eigenvalues(datum, l):
     """The closed-form oracle values for T(l,1) and T(l,2) on the class."""
     field = datum.eigen.field
     p = datum.p
-    lam = datum.eigen.lambdas[l]
+    lam = _lambda(datum, l)
     lmod = field.from_int(l % p)
     chi0l, chi1l = _character_values(datum, l)
     a, b, c = datum.a, datum.b, datum.c
@@ -155,16 +172,6 @@ def expected_eigenvalues(datum, l):
         pow(l, c % (p - 1), p)
     ) * lam
     return e1, e2
-
-
-def a_l3(datum, l):
-    """Closed-form eigenvalue of the central third operator T(l,3): the
-    determinant-type scalar chi0(l) chi1(l) l^(a+b+c).  A test oracle; the
-    attachment check uses the measured eigenvalue."""
-    field = datum.eigen.field
-    p = datum.p
-    chi0l, chi1l = _character_values(datum, l)
-    return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
 
 
 @dataclass
@@ -182,7 +189,7 @@ class FrobeniusData:
     def from_boundary(cls, datum, l):
         field = datum.eigen.field
         p = datum.p
-        lam = datum.eigen.lambdas[l]
+        lam = _lambda(datum, l)
         lmod = field.from_int(l % p)
         chi0l, chi1l = _character_values(datum, l)
         a, b, c = datum.a, datum.b, datum.c
@@ -223,11 +230,13 @@ def twisted_contragredient(frob):
 def run_transfer_checks(datum, window, recheck_gamma=True):
     """Per-prime report: operator eigenvalues vs the closed forms, the
     attachment identity on the measured T(l,1), T(l,2), T(l,3) eigenvalues,
-    and the alternative-translation re-run."""
+    and the alternative-translation re-run.  Raises ValueError, before any
+    operator is built, when a prime of the window was not searched."""
+    primes = [l for l in window if gcd(l, datum.p * datum.N) == 1]
+    for l in primes:
+        _lambda(datum, l)
     report = []
-    for l in window:
-        if gcd(l, datum.p * datum.N) != 1:
-            continue
+    for l in primes:
         t1 = gl3_hecke_on_boundary(datum, l, 1)
         t2 = gl3_hecke_on_boundary(datum, l, 2)
         ev1 = eigenvalue_of(datum, t1)

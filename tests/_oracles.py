@@ -17,6 +17,13 @@ polynomial; it is the reference for the table-driven modrep.sub_matrix.
 rref, nullspace and RowReducer are the row reduction over lists of Fq
 entries that linalg ran before it moved to F_p coordinate arrays; they are
 the reference for the array versions.
+theorem_psi_blocks is the closed form of (psi^1, psi^2) per representative
+shape that the numeric coset translation is checked against.
+p1_row_orbit_equivalent decides equivalence of rational points of P^1 under
+the rank-2 level-N group by linear-diophantine reduction, and
+gl2_orbit_example_check uses it for the paper's example that semigroup
+elements need not preserve rational orbits.  a_l3 is the closed-form
+eigenvalue of the central operator T(l,3).
 """
 
 from math import gcd
@@ -24,8 +31,10 @@ from math import gcd
 import numpy as np
 
 from gl3hecke.arith import divisors, is_squarefree
+from gl3hecke.characters import xgcd
 from gl3hecke.heckegl3 import mat3
 from gl3hecke.modrep import sym_basis
+from gl3hecke.transfer import _character_values
 
 
 def elliptic_ap(l):
@@ -431,3 +440,118 @@ def dict_sub_matrix(M, deg, p):
             if c % p:
                 out[index[m], j] = c % p
     return out
+
+
+def theorem_psi_blocks(s, d, l):
+    """Closed-form (psi1, psi2, case) for the four shapes of a coset
+    representative s with diagonal (l1, l2, l3) and entries a, b, c below
+    it; the oracle heckegl3.translate_to_parabolic is tested against."""
+    s = mat3(s)
+    a, b, c = s[1][0], s[2][0], s[2][1]
+    l1, l2, l3 = s[0][0], s[1][1], s[2][2]
+    if l1 == l2 and a == 0:
+        return l1, ((l2, 0), (c - b * d, l3)), 1
+    if l1 == l and l2 == 1 and a == 0:
+        return 1, ((l, 0), (-b * d + c * l, l3)), 2
+    if (l1, l2) != (1, l):
+        raise ValueError("matrix is not one of the standard representatives")
+    t = a * d + 1
+    if t % l:
+        return 1, ((l, 0), (-b * l * d + c * t, l3)), 3
+    return l, ((1, 0), (-b * d + c * (t // l), l3)), 4
+
+
+def _primitive(v):
+    g = gcd(v[0], v[1])
+    return (v[0] // g, v[1] // g)
+
+
+def p1_row_orbit_equivalent(N, v, w):
+    """Exact decision: is there an integer matrix of determinant one with
+    lower-left entry divisible by N taking the primitive row v to +-w?
+
+    Equivalence of rational points under the rank-2 congruence group; solved
+    by elementary linear-diophantine reduction, no finite-model shortcut.
+    """
+    v, w = _primitive(v), _primitive(w)
+    for sign in (1, -1):
+        if _row_orbit_witness(N, v, (sign * w[0], sign * w[1])) is not None:
+            return True
+    return False
+
+
+def _row_orbit_witness(N, v, w):
+    """gamma = [[a,b],[c,d]] with det 1, c = 0 mod N, v*gamma = w, or None.
+
+    Write (a, c) = (a0 + t*v2, c0 - t*v1) over the solution line of
+    v1*a + v2*c = w1, likewise (b, d) for w2; the determinant condition
+    becomes s*w1 - t*w2 = a0*d0 - b0*c0 - 1, linear in the parameters.
+    """
+    v1, v2 = v
+    w1, w2 = w
+    g, x, y = xgcd(v1, v2)
+    if g != 1:
+        return None
+    a0, c0 = x * w1, y * w1
+    b0, d0 = x * w2, y * w2
+    # constraint: c0 - t*v1 = 0 mod N; det: s*w1 - t*w2 = a0*d0 - b0*c0 - 1
+    K = a0 * d0 - b0 * c0 - 1
+    gt = gcd(v1, N)
+    if c0 % gt:
+        return None
+    # t = t0 + (N//gt)*r over residues mod N solving t*v1 = c0 (mod N)
+    v1g, Ng, c0g = v1 // gt, N // gt, c0 // gt
+    t0 = c0g * pow(v1g % Ng, -1, Ng) % Ng if Ng > 1 else 0
+    M = Ng
+    # need s*w1 = K + t*w2 solvable: w1 | K + t*w2 with t = t0 + M*r
+    if w1 == 0:
+        # need K + t*w2 = 0 exactly: t = -K/w2 when integral and = t0 mod M
+        if w2 == 0 or K % w2:
+            return None
+        t = -K // w2
+        if (t - t0) % M:
+            return None
+        s = 0
+    else:
+        gg = gcd(M * w2, w1)
+        if (K + t0 * w2) % gg:
+            return None
+        r = -(K + t0 * w2) // gg * pow((M * w2 // gg) % (abs(w1) // gg), -1, abs(w1) // gg) % (abs(w1) // gg) if abs(w1) // gg > 1 else 0
+        t = t0 + M * r
+        s = (K + t * w2) // w1
+    a, c = a0 + t * v2, c0 - t * v1
+    b, d = b0 + s * v2, d0 - s * v1
+    gamma = ((a, b), (c, d))
+    if a * d - b * c != 1 or c % N:
+        return None
+    if (v1 * a + v2 * c, v1 * b + v2 * d) != w:
+        return None
+    return gamma
+
+
+def gl2_orbit_example_check():
+    """Semigroup elements need not preserve rational orbits: under the
+    rank-2 level-25 group, (5:1) and (5:6) are equivalent but their images
+    under diag(2,1), namely (10:1) and (5:3), are not.  The reductions mod 25
+    coincide pointwise, so the check is integral, not a finite-model one."""
+    N = 25
+    if not p1_row_orbit_equivalent(N, (5, 1), (5, 6)):
+        return False
+    # the shear witness: (5,1) * [[1,1],[0,1]] = (5,6)
+    if (5 * 1 + 1 * 0, 5 * 1 + 1 * 1) != (5, 6):
+        return False
+    a = (5 * 2, 1)
+    b = _primitive((5 * 2, 6 * 1))
+    if b != (5, 3):
+        return False
+    return not p1_row_orbit_equivalent(N, a, b)
+
+
+def a_l3(datum, l):
+    """Closed-form eigenvalue of the central third operator T(l,3): the
+    determinant-type scalar chi0(l) chi1(l) l^(a+b+c).  The attachment
+    check uses the measured eigenvalue."""
+    field = datum.eigen.field
+    p = datum.p
+    chi0l, chi1l = _character_values(datum, l)
+    return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))

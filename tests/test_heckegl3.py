@@ -1,18 +1,20 @@
+import dataclasses
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.arith import det, divisors, is_squarefree
+from gl3hecke import heckegl3
+from gl3hecke.arith import det, divisors, is_prime, is_squarefree
 from gl3hecke.heckegl3 import (
     IDENTITY3,
     ProjectiveOrbits,
     coset_reps,
     g_elem,
     g_elem_inv,
-    gl2_orbit_example_check,
     hecke_orbit_action,
     in_gamma0,
     in_parabolic,
@@ -21,44 +23,71 @@ from gl3hecke.heckegl3 import (
     mat_mul3,
     mat_vec3,
     orbit_rep,
-    p1_row_orbit_equivalent,
     psi_blocks,
     same_right_coset,
     smith_diagonal,
-    theorem_psi_blocks,
     translate_to_parabolic,
 )
 
-from _oracles import BfsProjectiveOrbits, level_group_generators
+from _oracles import (
+    BfsProjectiveOrbits,
+    gl2_orbit_example_check,
+    level_group_generators,
+    p1_row_orbit_equivalent,
+    theorem_psi_blocks,
+)
 
 
 def test_coset_reps_l2_k1_shapes():
     cs = coset_reps(2, 1, 1)
-    assert len(cs) == 7
-    bottom = [g for g in cs.reps if g[2][2] == 2]
-    middle = [g for g in cs.reps if g[1][1] == 2]
-    top = [g for g in cs.reps if g[0][0] == 2]
+    assert cs.shape == (7, 3, 3) and cs.dtype == np.int64 and not cs.flags.writeable
+    bottom = [g for g in cs.tolist() if g[2][2] == 2]
+    middle = [g for g in cs.tolist() if g[1][1] == 2]
+    top = [g for g in cs.tolist() if g[0][0] == 2]
     assert len(bottom) == 4 and len(middle) == 2 and len(top) == 1
-    assert top[0] == mat3([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert mat3(top[0]) == mat3([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_coset_reps_l2_k2_count():
     cs = coset_reps(2, 2, 1)
     assert len(cs) == 7
-    assert all(det(g) == 4 for g in cs.reps)
+    assert all(det(g) == 4 for g in cs.tolist())
 
 
 def test_coset_reps_l3_N5_det_and_shape():
     cs = coset_reps(3, 1, 5)
     assert len(cs) == 13
-    for g in cs.reps:
+    for g in cs.tolist():
         assert det(g) == 3
         assert in_semigroup(g, 5)
 
 
+def _listed_coset_reps(l, k):
+    """The representatives written out one at a time, in their order."""
+    if k == 3:
+        return [[[l, 0, 0], [0, l, 0], [0, 0, l]]]
+    if k == 1:
+        return (
+            [[[1, 0, 0], [0, 1, 0], [b, c, l]] for b in range(l) for c in range(l)]
+            + [[[1, 0, 0], [a, l, 0], [0, 0, 1]] for a in range(l)]
+            + [[[l, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        )
+    return (
+        [[[1, 0, 0], [a, l, 0], [b, 0, l]] for a in range(l) for b in range(l)]
+        + [[[l, 0, 0], [0, 1, 0], [0, c, l]] for c in range(l)]
+        + [[[l, 0, 0], [0, l, 0], [0, 0, 1]]]
+    )
+
+
+@pytest.mark.parametrize("l", [2, 3, 7, 47])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coset_reps_array_matches_listed_order(l, k):
+    assert coset_reps(l, k, 1).tolist() == _listed_coset_reps(l, k)
+
+
 @pytest.mark.parametrize("l,k,N", [(2, 1, 11), (2, 2, 11), (3, 1, 5), (3, 2, 5), (5, 1, 33)])
 def test_coset_reps_pairwise_distinct(l, k, N):
-    reps = coset_reps(l, k, N).reps
+    reps = coset_reps(l, k, N).tolist()
     assert len(reps) == l * l + l + 1
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
@@ -68,7 +97,7 @@ def test_coset_reps_pairwise_distinct(l, k, N):
 @pytest.mark.parametrize("l,k", [(2, 1), (2, 2), (3, 1), (3, 3)])
 def test_coset_smith_form(l, k):
     want = {1: (1, 1, l), 2: (1, l, l), 3: (l, l, l)}[k]
-    for g in coset_reps(l, k, 7).reps:
+    for g in coset_reps(l, k, 7).tolist():
         assert smith_diagonal(g) == want
 
 
@@ -76,7 +105,7 @@ def test_double_coset_closure_randomized():
     # random gamma1 * rep * gamma2 lands back in the union of rep cosets
     rng = random.Random(7)
     N, l, k = 5, 2, 1
-    reps = coset_reps(l, k, N).reps
+    reps = coset_reps(l, k, N).tolist()
     gens = [
         mat3([[1, 0, 0], [1, 1, 0], [0, 0, 1]]),
         mat3([[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
@@ -155,7 +184,7 @@ def _random_squarefree_instances(rng, count):
 def test_translate_randomized_validation():
     rng = random.Random(20240811)
     for l, k, N, d in _random_squarefree_instances(rng, 250):
-        reps = coset_reps(l, k, N).reps
+        reps = coset_reps(l, k, N).tolist()
         s = rng.choice(reps)
         for policy in ("least", "alt"):
             tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
@@ -310,10 +339,10 @@ def test_orbit_rep_rejects_bad_input():
 def test_hecke_orbit_action_stabilizes():
     for (l, N, d) in [(2, 11, 1), (2, 33, 3), (3, 35, 5)]:
         for k in (1, 2):
-            rows = hecke_orbit_action(l, k, N, d)
-            assert len(rows) == l * l + l + 1
-            for s, tr in rows:
-                v = mat_vec3((1, d, 0), mat_mul3(s, tr.gamma))
+            out = hecke_orbit_action(l, k, N, d)
+            assert len(out) == l * l + l + 1
+            for s, gamma in zip(out.reps.tolist(), out.gamma.tolist()):
+                v = mat_vec3((1, d, 0), mat_mul3(s, gamma))
                 assert v[2] == 0 and v[1] == d * v[0]
                 # orbit preservation: (1:d:0)s stays in the orbit of (1:d:0)
                 w = mat_vec3((1, d, 0), s)
@@ -323,7 +352,7 @@ def test_hecke_orbit_action_stabilizes():
 def test_case_partition_matches_四_family_split():
     # for T(l,1): l^2 in case 1, l-1 in case 3, 1 in case 4, 1 in case 2
     l, N, d = 2, 33, 3
-    cases = [tr.case for _, tr in hecke_orbit_action(l, 1, N, d)]
+    cases = hecke_orbit_action(l, 1, N, d).case.tolist()
     assert cases.count(1) == l * l
     assert cases.count(3) == l - 1
     assert cases.count(4) == 1
@@ -339,3 +368,92 @@ def test_p1_row_equivalence_witness_and_identity_images():
     # with s = identity the images stay equivalent
     assert p1_row_orbit_equivalent(25, (5, 1), (5, 6))
     assert not p1_row_orbit_equivalent(25, (10, 1), (5, 3))
+
+
+PRIMES_UP_TO_47 = [l for l in range(2, 48) if is_prime(l)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    l=st.sampled_from(PRIMES_UP_TO_47),
+    N=st.sampled_from(SQUAREFREE_UP_TO_210),
+    k=st.sampled_from([1, 2, 3]),
+    policy=st.sampled_from(["least", "alt"]),
+)
+def test_batched_translation_matches_per_coset(data, l, N, k, policy):
+    # every coset's gamma, x and case are those of its own translation, and
+    # under the least policy (psi1, psi2) is the closed form
+    assume(N % l)
+    d = data.draw(st.sampled_from([x for x in divisors(N) if gcd(x, N // x) == 1]))
+    out = hecke_orbit_action(l, k, N, d, policy=policy)
+    reps = coset_reps(l, k, N)
+    assert len(out) == len(reps) and np.array_equal(out.reps, reps)
+    for i, s in enumerate(reps.tolist()):
+        tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
+        assert mat3(out.gamma[i].tolist()) == tr.gamma
+        assert mat3(out.x[i].tolist()) == tr.x
+        assert out.case[i] == tr.case
+        if policy == "least":
+            psi1, psi2, case = theorem_psi_blocks(s, d, l)
+            assert (out.psi1[i], mat3(out.psi2[i].tolist()), out.case[i]) == (psi1, psi2, case)
+
+
+@pytest.mark.parametrize("l", [2, 7, 23, 47])
+def test_one_translation_per_key(monkeypatch, l):
+    # gamma is solved once per (l1, l2, a): l + 2 keys for k = 1, 2 and one for k = 3
+    calls = []
+    solve = heckegl3.translate_to_parabolic
+
+    def counted(s, *args, **kwargs):
+        calls.append(s)
+        return solve(s, *args, **kwargs)
+
+    monkeypatch.setattr(heckegl3, "translate_to_parabolic", counted)
+    for k in (1, 2, 3):
+        for policy in ("least", "alt"):
+            calls.clear()
+            out = hecke_orbit_action(l, k, 33, 3, policy=policy)
+            assert len(out) == (l * l + l + 1 if k < 3 else 1)
+            assert len(calls) == (l + 2 if k < 3 else 1)
+            assert len({(s[0][0], s[1][1], s[1][0]) for s in map(mat3, calls)}) == len(calls)
+
+
+def test_corrupted_gamma_of_one_coset_raises(monkeypatch):
+    # the key a = 1 of T(l,1) holds the one coset [[1,0,0],[1,l,0],[0,0,1]];
+    # moving its gamma by a level-group element off the stabilizer of
+    # (1:d:0) must fail the per-coset certificate
+    solve = heckegl3.translate_to_parabolic
+    off = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+
+    def corrupted(s, *args, **kwargs):
+        tr = solve(s, *args, **kwargs)
+        if s[1][0] == 1:
+            assert in_gamma0(mat_mul3(tr.gamma, off), 33)
+            return dataclasses.replace(tr, gamma=mat_mul3(tr.gamma, off))
+        return tr
+
+    assert [s[1][0] for s in coset_reps(7, 1, 33).tolist()].count(1) == 1
+    hecke_orbit_action(7, 1, 33, 3)
+    monkeypatch.setattr(heckegl3, "translate_to_parabolic", corrupted)
+    with pytest.raises(RuntimeError, match=r"s\*gamma not in the parabolic"):
+        hecke_orbit_action(7, 1, 33, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_translation_exact_below_the_int64_bound_and_raises_above(k):
+    # N = 2^55 + 1 leaves 3 l G (1 + d)^2 below 2^63 for the largest gamma
+    # entry G; at N = 2^59 + 1 every gamma entry still fits in int64 but the
+    # bound does not, so the products could wrap
+    l, d = 2, 1
+    for policy in ("least", "alt"):
+        N = 2**55 + 1
+        out = hecke_orbit_action(l, k, N, d, policy=policy)
+        for i, s in enumerate(coset_reps(l, k, N).tolist()):
+            tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
+            assert mat3(out.gamma[i].tolist()) == tr.gamma and mat3(out.x[i].tolist()) == tr.x
+        N = 2**59 + 1
+        G = max(abs(v) for s in coset_reps(l, k, N).tolist() for row in translate_to_parabolic(s, d, N, l=l, policy=policy).gamma for v in row)
+        assert G < 2**63 <= 3 * l * G * (1 + d) ** 2
+        with pytest.raises(OverflowError, match="int64"):
+            hecke_orbit_action(l, k, N, d, policy=policy)

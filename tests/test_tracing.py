@@ -25,6 +25,10 @@ assert all(v is True for e in report for k, v in e.items() if k != "l"), report
 metrics = tracing.layer_metrics(tracer)
 for name in ("modsym2.space.s", "modsym2.find_eigensystems.s", "modsym2.semigroup_act.calls", "transfer.gl3_hecke_on_boundary.calls"):
     assert metrics[name] > 0, name
+# T(2,1) and T(2,2) under both policies, 7 cosets each, and T(2,3): the
+# count reads len() of each result of the name transfer calls
+assert metrics["heckegl3.cosets"] == 29, metrics["heckegl3.cosets"]
+assert metrics["heckegl3.hecke_orbit_action.s"] > 0
 print("traced chain ok")
 """
 

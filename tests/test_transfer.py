@@ -6,13 +6,12 @@ import pytest
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
-from gl3hecke.heckegl3 import hecke_orbit_action
+from gl3hecke.heckegl3 import coset_reps, hecke_orbit_action, translate_to_parabolic
 from gl3hecke.linalg import identity
 from gl3hecke.modsym2 import find_eigensystems
 from gl3hecke.transfer import (
     BoundaryDatum,
     FrobeniusData,
-    a_l3,
     eigenvalue_of,
     expected_eigenvalues,
     gl3_hecke_on_boundary,
@@ -21,7 +20,7 @@ from gl3hecke.transfer import (
     verify_attachment,
 )
 
-from _oracles import elliptic_ap
+from _oracles import a_l3, elliptic_ap
 
 F5 = make_field(5)
 WINDOW = (2, 7, 13)
@@ -84,10 +83,8 @@ def test_gl3_operators_commute_with_gl2_hecke():
 
 def test_case_weighted_contribution_count():
     # T(l,1) decomposes as l^2 + (l-1) + 1 + 1 case-weighted contributions
-    from gl3hecke.heckegl3 import hecke_orbit_action
-
     l, N, d = 2, 33, 3
-    cases = [tr.case for _, tr in hecke_orbit_action(l, 1, N, d)]
+    cases = hecke_orbit_action(l, 1, N, d).case.tolist()
     assert sorted(cases) == sorted([1] * (l * l) + [3] * (l - 1) + [4] + [2])
 
 
@@ -125,6 +122,49 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     report = run_transfer_checks(datum, WINDOW, recheck_gamma=False)
     assert report
     assert all(entry["attachment"] is False for entry in report)
+
+
+def test_unsearched_prime_raises_before_any_operator(monkeypatch):
+    datum = BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,))
+    built = []
+    monkeypatch.setattr(transfer, "hecke_orbit_action", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=r"l = 31 is not in the datum's window \(2,\)"):
+        run_transfer_checks(datum, (2, 31))
+    assert built == []
+    for oracle in (expected_eigenvalues, FrobeniusData.from_boundary):
+        with pytest.raises(ValueError, match=r"l = 31 is not in the datum's window \(2,\)"):
+            oracle(datum, 31)
+    with pytest.raises(ValueError, match=r"l = 31 is not in the datum's window \(2,\)"):
+        BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,), lambdas={2: 3, 31: 7})
+
+
+def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
+    # moving one coset's psi2 out of the level-N1 semigroup must fail the
+    # array check in the operator assembly
+    datum = _datum(0)
+    translate = transfer.hecke_orbit_action
+
+    def corrupted(*args, **kwargs):
+        out = translate(*args, **kwargs)
+        out.x[5, 1, 2] += 1
+        return out
+
+    monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
+    with pytest.raises(RuntimeError, match="level-N1 semigroup"):
+        gl3_hecke_on_boundary(datum, 7, 1)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_full_checks_at_large_window_primes(d):
+    # T(l,k) at l = 31 and 47, the largest window primes of the target scale
+    window = WINDOW + (31, 47)
+    chi0 = DirichletCharacter.quadratic(F5, 3) if d == 3 else None
+    lambdas = {l: elliptic_ap(l) for l in window}
+    datum = BoundaryDatum.build(5, 0, 0, 2, d, 11, chi0=chi0, window=window, lambdas=lambdas)
+    report = run_transfer_checks(datum, (31, 47))
+    assert [entry["l"] for entry in report] == [31, 47]
+    for entry in report:
+        assert all(entry.values()), entry
 
 
 def test_attachment_eisenstein_calibration():
@@ -229,8 +269,12 @@ def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d
         if l == p:
             continue
         for k in (1, 2, 3):
+            # the reference translates each coset on its own
             data = {
-                policy: [(tr.psi1, tr.psi2) for _, tr in hecke_orbit_action(l, k, datum.N, d, policy=policy)]
+                policy: [
+                    (tr.psi1, tr.psi2)
+                    for tr in (translate_to_parabolic(s, d, datum.N, l=l, policy=policy) for s in coset_reps(l, k, datum.N))
+                ]
                 for policy in ("least", "alt")
             }
             # the alternative translation gives the same per-coset data,
