@@ -21,7 +21,10 @@ Exactness: every product mod p goes through matmul_mod, which is exact
 only while n * (p - 1)**2 < 2**53 for inner dimension n (the float64
 mantissa; small products run in int64, which is exact there too); over F_q
 that n is the expanded width, columns times r.  Past the bound it raises
-OverflowError rather than round.  The elementwise int64 updates of np_rref
+OverflowError rather than round.  Below it the float64 product is an exact
+integer, so it is converted to int64 before the remainder: the conversion
+loses nothing, and the integer remainder is several times cheaper than
+numpy's float64 one.  The elementwise int64 updates of np_rref
 and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise OverflowError
 beyond it."""
 
@@ -162,7 +165,10 @@ def matmul_mod(A, B, p):
     returning a rounded answer.  It runs in float64 BLAS, and operands
     already in float64 are used without a copy; integer products of at most
     _SMALL multiplications run in int64, where the conversions would cost
-    more than the product.
+    more than the product.  Every entry of the float64 product is an integer
+    of size below 2**53, so converting it to int64 is exact, and the
+    remainder is taken there: numpy's float64 remainder costs several times
+    the int64 one, and on a wide product several times the product itself.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -171,7 +177,7 @@ def matmul_mod(A, B, p):
         raise OverflowError("float64 product mod %d is inexact at inner dimension %d" % (p, n))
     if A.dtype.kind == B.dtype.kind == "i" and A.size * B.shape[-1] <= _SMALL:
         return A.astype(np.int64, copy=False) @ B.astype(np.int64, copy=False) % p
-    return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False) % p).astype(np.int64)
+    return (A.astype(np.float64, copy=False) @ B.astype(np.float64, copy=False)).astype(np.int64) % p
 
 
 def np_rref(A, p):

@@ -10,6 +10,14 @@ build time: the highest-weight line, form adjointness, and the spin
 irreducibility check.  Every matrix product mod p goes through
 linalg.matmul_mod, which is exact or raises.
 
+The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
+and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
+carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
+two products with inner dimensions dy and dz in place of one with inner
+dimension D.  A twist by det^c has the base module's basis and
+coordinates, and coordinates are linear, so its rho(g) is det(g)^c times
+the base rho(g) mod p; twists read the base module's cache.
+
 The substitution matrices Sym^k(M) behind every carrier action are built by
 degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
 times one variable y_w, so its image is the parent's image times the linear
@@ -30,12 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 
 from .arith import adj3, det, primitive_root
-from .characters import DirichletCharacter
 from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref
 
 
@@ -133,11 +140,6 @@ class IrreducibleModule:
 
     def __post_init__(self):
         self._rho_cache = {}
-        self._solver = None
-
-    # internal hooks installed by the builders
-    _carrier_rho = None
-    _coords = None
 
     def rho(self, g):
         """Left homomorphism matrix of g (n x n integers, reduced mod p)."""
@@ -165,13 +167,23 @@ class _Gl2Module(IrreducibleModule):
 
 
 class _Gl3Module(IrreducibleModule):
+    # installed by _build_gl3_base: g -> the carrier factors (Sy, Sz), and
+    # carrier rows in the span of [radical; basis] -> their coordinates
+    _carrier_rho = None
+    _coords = None
+
+    def _compute_rho(self, g):
+        imgs = _carrier_act(self._carrier_rho(g), self.basis, self.p)
+        return self._coords(imgs)[:, -self.dim :].T.copy()
+
+
+class _TwistedGl3Module(IrreducibleModule):
+    base = None  # the (a-c, b-c, 0) module, installed by _twist_gl3
+
     def _compute_rho(self, g):
         p = self.p
-        C = self._carrier_rho(g)
-        imgs = matmul_mod(self.basis, C.T, p)
-        coords = self._coords(imgs)
-        k = self.dim
-        return coords[:, -k:].T.copy()
+        d = pow(int(det(g)) % p, self.label[2] % (p - 1), p)
+        return self.base.rho(g) * d % p
 
 
 def build_gl2_module(p, a, b):
@@ -212,9 +224,11 @@ def _build_gl3_base(p, i, j):
     D = dy * dz
 
     def carrier_rho(g):
-        Sy = sub_matrix(np.asarray(g).T % p, i, p)
-        Sz = sub_matrix(np.array(adj3(g)) % p, j, p)
-        return np.kron(Sy, Sz) % p
+        return sub_matrix(np.asarray(g).T % p, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
+
+    def act(g):
+        factors = carrier_rho(g)
+        return lambda X: _carrier_act(factors, X, p)
 
     # highest weight vector: y1^i * z3^j
     y_top = ybasis.index(tuple([i, 0, 0]))
@@ -222,12 +236,9 @@ def _build_gl3_base(p, i, j):
     vplus = np.zeros(D, dtype=np.int64)
     vplus[y_top * dz + z_top] = 1
 
-    gens = gl_generators(3, p)
-    gen_mats = [carrier_rho(g) for g in gens]
-
     # highest-weight certificate on the carrier
     for u in (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])):
-        if not np.array_equal(matmul_mod(carrier_rho(u), vplus, p), vplus):
+        if not np.array_equal(act(u)(vplus), vplus):
             raise CertificateError("highest-weight vector is not unipotent-invariant")
     g0 = primitive_root(p)
     for t, want in (
@@ -235,7 +246,7 @@ def _build_gl3_base(p, i, j):
         (np.diag([1, g0, 1]), pow(g0, b, p)),
         (np.diag([1, 1, g0]), pow(g0, c, p)),
     ):
-        if not np.array_equal(matmul_mod(carrier_rho(t), vplus, p), want * vplus % p):
+        if not np.array_equal(act(t)(vplus), want * vplus % p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
     # adjointness of the contravariant form on the carrier (spot check)
@@ -243,17 +254,15 @@ def _build_gl3_base(p, i, j):
     rng = np.random.default_rng(12345)
     for _ in range(3):
         g = _random_invertible(p, rng)
-        A = carrier_rho(g)
-        At = carrier_rho(g.T % p)
         u = rng.integers(0, p, D)
         w = rng.integers(0, p, D)
-        lhs = int(matmul_mod(matmul_mod(A, u, p) * wt % p, w, p))
-        rhs = int(matmul_mod(u * wt % p, matmul_mod(At, w, p), p))
+        lhs = int(matmul_mod(act(g)(u) * wt % p, w, p))
+        rhs = int(matmul_mod(u * wt % p, act(g.T % p)(w), p))
         if lhs != rhs:
             raise CertificateError("contravariant pairing is not adjoint")
 
     # spin the highest-weight submodule W
-    W = _spin(vplus, gen_mats, p)
+    W = _spin(vplus, [act(g) for g in gl_generators(3, p)], p)
 
     if int(matmul_mod(vplus, vplus * wt, p)) == 0:
         raise CertificateError("form degenerates on the highest-weight vector")
@@ -288,7 +297,7 @@ def _twist_gl3(base, p, a, b, c):
     """Tensor the cached (a-c, b-c, 0) module by det^c."""
     if c % (p - 1) == 0 and (a, b, c) == base.label:
         return base
-    twisted = _Gl3Module(
+    twisted = _TwistedGl3Module(
         p=p,
         n=3,
         label=(a, b, c),
@@ -297,15 +306,21 @@ def _twist_gl3(base, p, a, b, c):
         carrier_dim=base.carrier_dim,
         monomials=base.monomials,
     )
-    shift = c
-
-    def carrier_rho(g):
-        d = pow(int(det(g)) % p, shift % (p - 1), p)
-        return base._carrier_rho(g) * d % p
-
-    twisted._carrier_rho = carrier_rho
-    twisted._coords = base._coords
+    twisted.base = base
     return twisted
+
+
+def _carrier_act(factors, X, p):
+    """Carrier rows X (shape (..., dy * dz)) times kron(Sy, Sz)^T mod p:
+    each row, read as a dy x dz matrix Y, goes to Sy Y Sz^T.  Two flat
+    products, Y Sz^T on all rows at once and then Sy on the left."""
+    Sy, Sz = factors
+    dy, dz = len(Sy), len(Sz)
+    X = np.asarray(X)
+    Y = matmul_mod(X.reshape(-1, dz), Sz.T, p).reshape(-1, dy, dz)
+    k = len(Y)
+    Y = matmul_mod(Sy, Y.transpose(1, 0, 2).reshape(dy, k * dz), p)
+    return Y.reshape(dy, k, dz).transpose(1, 0, 2).reshape(X.shape)
 
 
 def _form_weights(ybasis, zbasis, p):
@@ -331,8 +346,8 @@ def _certify_module(mod):
     """Irreducibility certificate: spinning the highest-weight image and a
     deterministic sample of vectors regenerates the whole module."""
     p = mod.p
-    gens = gl_generators(mod.n, p)
-    mats = [mod.rho(g) for g in gens]
+    transposes = [mod.rho(g).T.astype(np.float64) for g in gl_generators(mod.n, p)]
+    actions = [lambda X, Gt=Gt: matmul_mod(X, Gt, p) for Gt in transposes]
     rng = np.random.default_rng(271828)
     vectors = []
     if mod.n == 3:
@@ -348,7 +363,7 @@ def _certify_module(mod):
             w[0] = 1
         vectors.append(w % p)
     for v in vectors:
-        if len(_spin(v, mats, p)) != mod.dim:
+        if len(_spin(v, actions, p)) != mod.dim:
             raise CertificateError("spin certificate failed: proper submodule found")
 
 
@@ -448,9 +463,10 @@ def _coord_solver(B, p):
 
 
 def _intertwiner(restricted, gl2, p):
-    """Solve Phi . A(h) = rho2(h) . Phi over the rank-2 generators; the
-    solution space is one-dimensional by irreducibility, and any nonzero
-    solution is invertible."""
+    """Solve Phi . A(h) = rho2(h) . Phi over the rank-2 generators.  Both
+    sides are absolutely irreducible, so by Schur's lemma the solutions form
+    a line, and any nonzero solution is invertible; any other dimension
+    raises."""
     k = gl2.dim
     gens = gl_generators(2, p)
     mats = [(restricted(h), gl2.rho(h)) for h in gens]
@@ -460,8 +476,10 @@ def _intertwiner(restricted, gl2, p):
         op = np.kron(np.eye(k, dtype=np.int64), A.T) - np.kron(R2, np.eye(k, dtype=np.int64))
         rows.append(op % p)
     sol = np_nullspace(np.vstack(rows), p)
-    if len(sol) == 0:
-        raise CertificateError("no equivariant isomorphism onto the rank-2 model")
+    if len(sol) != 1:
+        raise CertificateError(
+            "equivariant maps onto the rank-2 model form a space of dimension %d, not 1" % len(sol)
+        )
     phi = sol[0].reshape(k, k)
     for A, R2 in mats:
         if not np.array_equal(matmul_mod(phi, A, p), matmul_mod(R2, phi, p)):
@@ -471,49 +489,7 @@ def _intertwiner(restricted, gl2, p):
     return phi
 
 
-# -- twisted and Levi actions --------------------------------------------------
-
-
-@dataclass
-class TwistedAction:
-    base: IrreducibleModule
-    x: int
-    chi: DirichletCharacter
-
-    @property
-    def level(self):
-        return self.chi.modulus
-
-
-def _g_off(n, x):
-    g = np.eye(n, dtype=np.int64)
-    g[0, 1] = x
-    return g
-
-
-def _g_off_inv(n, x):
-    g = np.eye(n, dtype=np.int64)
-    g[0, 1] = -x
-    return g
-
-
-def twisted_act(T, e, s):
-    """e |^x_chi s = chi(s_11) * (e | g_x s g_x^-1) for an integer
-    coordinate vector e: a coordinate array (dim, r) over the character
-    field."""
-    base, x, chi = T.base, T.x, T.chi
-    n = base.n
-    s = np.asarray(s, dtype=object)
-    N = chi.modulus
-    dets = det(s.tolist())
-    if dets == 0 or gcd(dets, base.p * N) != 1:
-        raise ValueError("determinant must be nonzero and prime to p*N")
-    for j in range(1, n):
-        if int(s[0, j]) % N:
-            raise ValueError("first row must be congruent to (*,0,...,0) mod N")
-    m = _g_off(n, x).astype(object) @ np.asarray(s, dtype=object) @ _g_off_inv(n, x).astype(object)
-    m = np.asarray([[int(v) % base.p for v in row] for row in m], dtype=np.int64)
-    return np.outer(base.act_right(e, m), chi(int(s[0, 0])).coords) % base.p
+# -- Levi action ----------------------------------------------------------------
 
 
 def levi_act(levi, d, chi0, chi1, s, e, c=None):
@@ -536,92 +512,23 @@ def levi_act(levi, d, chi0, chi1, s, e, c=None):
     return np.outer(levi.gl2_module.act_right(e, m), scalar.coords) % p
 
 
-# -- meataxe-style dimension oracle --------------------------------------------
+# -- spin ------------------------------------------------------------------------
 
 
-def composition_factor_dims(gens, p, seed=0, max_tries=400):
-    """Dimensions of the composition factors of the module given by the
-    generator matrices (left homomorphisms over F_p), by random splitting
-    with the dual-spin irreducibility certificate."""
-    gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
-    rng = np.random.default_rng(seed)
-    return sorted(_split(gens, p, rng, max_tries))
-
-
-def _split(gens, p, rng, max_tries):
-    D = gens[0].shape[0]
-    if D == 0:
-        return []
-    if D == 1:
-        return [1]
-    for _ in range(max_tries):
-        r = _random_algebra_element(gens, p, rng)
-        for lam in range(p):
-            M = (r - lam * np.eye(D, dtype=np.int64)) % p
-            ker = np_nullspace(M, p)
-            if len(ker) == 0 or len(ker) == D:
-                continue
-            U = _spin(ker[:1], gens, p)
-            if U.shape[0] < D:
-                sub, quo = _restrict_and_quotient(gens, U, p)
-                return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
-            if len(ker) == 1:
-                kert = np_nullspace(M.T, p)
-                Ut = _spin(kert[:1], [g.T % p for g in gens], p)
-                if Ut.shape[0] < D:
-                    ann = np_nullspace(Ut, p)
-                    U2 = _spin(ann, gens, p)
-                    if U2.shape[0] < D:
-                        sub, quo = _restrict_and_quotient(gens, U2, p)
-                        return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
-                    continue
-                return [D]
-    raise RuntimeError("meataxe failed to decide after %d tries" % max_tries)
-
-
-def _random_algebra_element(gens, p, rng):
-    D = gens[0].shape[0]
-    r = np.zeros((D, D), dtype=np.int64)
-    for _ in range(3):
-        w = np.eye(D, dtype=np.int64)
-        for _ in range(int(rng.integers(1, 4))):
-            w = matmul_mod(w, gens[int(rng.integers(0, len(gens)))], p)
-        r = (r + int(rng.integers(1, p)) * w) % p
-    return r
-
-
-def _spin(rows, mats, p):
+def _spin(rows, actions, p):
     """Reduced basis of the smallest subspace containing the given rows and
-    stable under the left actions mats.  Breadth first: each round images the
-    rows that grew the span in the previous round under every matrix."""
-    D = mats[0].shape[0]
+    stable under the actions, callables taking a block of rows to the block
+    of their images.  Breadth first: each round images the rows that grew
+    the span in the previous round under every action."""
+    rows = np.asarray(rows, dtype=np.int64)
+    D = rows.shape[-1]
     spin = SpinBasis(p, D)
-    queue = np.asarray(rows, dtype=np.int64).reshape(-1, D) % p
+    queue = rows.reshape(-1, D) % p
     queue = queue[spin.add_rows(queue)]
-    transposes = [G.T.astype(np.float64) for G in mats]
     while len(queue):
         grown = []
-        for Gt in transposes:
-            imgs = matmul_mod(queue, Gt, p)
+        for act in actions:
+            imgs = act(queue)
             grown.append(imgs[spin.add_rows(imgs)])
         queue = np.vstack(grown)
     return spin.basis()
-
-
-def _restrict_and_quotient(gens, U, p):
-    """Matrices of the action on the invariant row space U and its quotient."""
-    D = gens[0].shape[0]
-    k = U.shape[0]
-    solver = _coord_solver(U, p)
-    sub = [solver(matmul_mod(U, g.T, p)).T for g in gens]
-    comp = SpinBasis(p, D)
-    comp.add_rows(U)
-    eye = np.eye(D, dtype=np.int64)
-    C = eye[comp.add_rows(eye)]
-    full = np.vstack([U, C])
-    solver_full = _coord_solver(full, p)
-    quo = []
-    for g in gens:
-        co = solver_full(matmul_mod(C, g.T, p))  # rows: coords in [U; C]
-        quo.append(co[:, k:].T % p)
-    return sub, quo

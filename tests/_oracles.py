@@ -17,6 +17,14 @@ polynomial; it is the reference for the table-driven modrep.sub_matrix.
 rref, nullspace and RowReducer are the row reduction over lists of Fq
 entries that linalg ran before it moved to F_p coordinate arrays; they are
 the reference for the array versions.
+kron_carrier is the explicit D x D Kronecker product of the two
+substitution matrices, and KronTwist the determinant twist that multiplies
+it by det^c and reads coordinates off it; kron_carrier_act and
+kron_twist_gl3 put them in place of the factored carrier action and the
+twist by the base rho of modrep.  composition_factor_dims is a meataxe that
+splits a module given by generator matrices into composition factors, an
+independent check of the module dimensions; TwistedAction and twisted_act
+are the off-parabolic twisted semigroup action on a module.
 theorem_psi_blocks is the closed form of (psi^1, psi^2) per representative
 shape that the numeric coset translation is checked against.
 p1_row_orbit_equivalent decides equivalence of rational points of P^1 under
@@ -26,14 +34,16 @@ elements need not preserve rational orbits.  a_l3 is the closed-form
 eigenvalue of the central operator T(l,3).
 """
 
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
-from gl3hecke.arith import divisors, is_squarefree
-from gl3hecke.characters import xgcd
+from gl3hecke.arith import adj3, det, divisors, is_squarefree
+from gl3hecke.characters import DirichletCharacter, xgcd
 from gl3hecke.heckegl3 import mat3
-from gl3hecke.modrep import sym_basis
+from gl3hecke.linalg import SpinBasis, matmul_mod, np_nullspace
+from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
 from gl3hecke.transfer import _character_values
 
 
@@ -555,3 +565,179 @@ def a_l3(datum, l):
     p = datum.p
     chi0l, chi1l = _character_values(datum, l)
     return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
+
+
+# -- the explicit Kronecker carrier: the reference for modrep._carrier_act ---------
+
+
+def kron_carrier(p, i, j, g):
+    """The D x D carrier matrix kron(Sym^i(g^T), Sym^j(adj g)) mod p."""
+    Sy = sub_matrix(np.asarray(g).T % p, i, p)
+    Sz = sub_matrix(np.array(adj3(g)) % p, j, p)
+    return np.kron(Sy, Sz) % p
+
+
+def kron_carrier_act(factors, X, p):
+    """Carrier rows X times the explicit kron(Sy, Sz)^T mod p."""
+    Sy, Sz = factors
+    X = np.asarray(X)
+    return matmul_mod(X.reshape(-1, X.shape[-1]), (np.kron(Sy, Sz) % p).T, p).reshape(X.shape)
+
+
+class KronTwist(IrreducibleModule):
+    """The twist of a GL(3) module by det^c, with rho(g) read off the
+    explicit carrier matrix of g times det(g)^c in the base coordinates."""
+
+    base = None
+
+    def _compute_rho(self, g):
+        p = self.p
+        a, b, c = self.label
+        C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
+        coords = self.base._coords(matmul_mod(self.basis, C.T, p))
+        return coords[:, -self.dim :].T.copy()
+
+
+def kron_twist_gl3(base, p, a, b, c):
+    """Drop-in for modrep._twist_gl3 that builds KronTwist modules."""
+    if c % (p - 1) == 0 and (a, b, c) == base.label:
+        return base
+    twisted = KronTwist(
+        p=p, n=3, label=(a, b, c), dim=base.dim, basis=base.basis, carrier_dim=base.carrier_dim, monomials=base.monomials
+    )
+    twisted.base = base
+    return twisted
+
+
+# -- meataxe-style dimension oracle --------------------------------------------
+
+
+def composition_factor_dims(gens, p, seed=0, max_tries=400):
+    """Dimensions of the composition factors of the module given by the
+    generator matrices (left homomorphisms over F_p), by random splitting
+    with the dual-spin irreducibility certificate."""
+    gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
+    rng = np.random.default_rng(seed)
+    return sorted(_split(gens, p, rng, max_tries))
+
+
+def _split(gens, p, rng, max_tries):
+    D = gens[0].shape[0]
+    if D == 0:
+        return []
+    if D == 1:
+        return [1]
+    for _ in range(max_tries):
+        r = _random_algebra_element(gens, p, rng)
+        for lam in range(p):
+            M = (r - lam * np.eye(D, dtype=np.int64)) % p
+            ker = np_nullspace(M, p)
+            if len(ker) == 0 or len(ker) == D:
+                continue
+            U = _matrix_spin(ker[:1], gens, p)
+            if U.shape[0] < D:
+                sub, quo = _restrict_and_quotient(gens, U, p)
+                return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
+            if len(ker) == 1:
+                kert = np_nullspace(M.T, p)
+                Ut = _matrix_spin(kert[:1], [g.T % p for g in gens], p)
+                if Ut.shape[0] < D:
+                    ann = np_nullspace(Ut, p)
+                    U2 = _matrix_spin(ann, gens, p)
+                    if U2.shape[0] < D:
+                        sub, quo = _restrict_and_quotient(gens, U2, p)
+                        return _split(sub, p, rng, max_tries) + _split(quo, p, rng, max_tries)
+                    continue
+                return [D]
+    raise RuntimeError("meataxe failed to decide after %d tries" % max_tries)
+
+
+def _random_algebra_element(gens, p, rng):
+    D = gens[0].shape[0]
+    r = np.zeros((D, D), dtype=np.int64)
+    for _ in range(3):
+        w = np.eye(D, dtype=np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            w = matmul_mod(w, gens[int(rng.integers(0, len(gens)))], p)
+        r = (r + int(rng.integers(1, p)) * w) % p
+    return r
+
+
+def _matrix_spin(rows, mats, p):
+    """Reduced basis of the smallest subspace containing the given rows and
+    stable under the left actions mats."""
+    D = mats[0].shape[0]
+    spin = SpinBasis(p, D)
+    queue = np.asarray(rows, dtype=np.int64).reshape(-1, D) % p
+    queue = queue[spin.add_rows(queue)]
+    while len(queue):
+        grown = []
+        for G in mats:
+            imgs = matmul_mod(queue, G.T, p)
+            grown.append(imgs[spin.add_rows(imgs)])
+        queue = np.vstack(grown)
+    return spin.basis()
+
+
+def _restrict_and_quotient(gens, U, p):
+    """Matrices of the action on the invariant row space U and its quotient."""
+    D = gens[0].shape[0]
+    k = U.shape[0]
+    solver = _coord_solver(U, p)
+    sub = [solver(matmul_mod(U, g.T, p)).T for g in gens]
+    comp = SpinBasis(p, D)
+    comp.add_rows(U)
+    eye = np.eye(D, dtype=np.int64)
+    C = eye[comp.add_rows(eye)]
+    full = np.vstack([U, C])
+    solver_full = _coord_solver(full, p)
+    quo = []
+    for g in gens:
+        co = solver_full(matmul_mod(C, g.T, p))  # rows: coords in [U; C]
+        quo.append(co[:, k:].T % p)
+    return sub, quo
+
+
+# -- the off-parabolic twisted action --------------------------------------------
+
+
+@dataclass
+class TwistedAction:
+    base: IrreducibleModule
+    x: int
+    chi: DirichletCharacter
+
+    @property
+    def level(self):
+        return self.chi.modulus
+
+
+def _g_off(n, x):
+    g = np.eye(n, dtype=np.int64)
+    g[0, 1] = x
+    return g
+
+
+def _g_off_inv(n, x):
+    g = np.eye(n, dtype=np.int64)
+    g[0, 1] = -x
+    return g
+
+
+def twisted_act(T, e, s):
+    """e |^x_chi s = chi(s_11) * (e | g_x s g_x^-1) for an integer
+    coordinate vector e: a coordinate array (dim, r) over the character
+    field."""
+    base, x, chi = T.base, T.x, T.chi
+    n = base.n
+    s = np.asarray(s, dtype=object)
+    N = chi.modulus
+    dets = det(s.tolist())
+    if dets == 0 or gcd(dets, base.p * N) != 1:
+        raise ValueError("determinant must be nonzero and prime to p*N")
+    for j in range(1, n):
+        if int(s[0, j]) % N:
+            raise ValueError("first row must be congruent to (*,0,...,0) mod N")
+    m = _g_off(n, x).astype(object) @ np.asarray(s, dtype=object) @ _g_off_inv(n, x).astype(object)
+    m = np.asarray([[int(v) % base.p for v in row] for row in m], dtype=np.int64)
+    return np.outer(base.act_right(e, m), chi(int(s[0, 0])).coords) % base.p

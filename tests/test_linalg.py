@@ -28,6 +28,29 @@ def test_matmul_mod_matches_exact_reference(p):
     assert int(matmul_mod(v, v, p)) == int(v.astype(object) @ v.astype(object)) % p
 
 
+@pytest.mark.parametrize("p,n", [(2, 40), (5, 40), (13, 40), (65521, 40), (2**25 - 39, 8)])
+def test_matmul_mod_float_path_on_negative_and_float64_operands(p, n):
+    # past _SMALL, so the product runs in float64 and is converted to int64
+    # before the remainder; entries in (-p, p) give negative sums
+    rng = np.random.default_rng(p)
+    m, k = 70, 90
+    A = rng.integers(-(p - 1), p, (m, n))
+    B = rng.integers(-(p - 1), p, (n, k))
+    assert A.size * k > linalg._SMALL
+    # sums -p, -2p and -n (p - 1)**2: exact negative multiples and the extreme
+    A[0], A[1] = -1, -(p - 1)
+    B[:, :3] = 0
+    B[:2, 0] = (p - 1, 1)
+    B[:4, 1] = (p - 1, 1, p - 1, 1)
+    B[:, 2] = p - 1
+    want = ((A.astype(object) @ B.astype(object)) % p).astype(np.int64)
+    assert want[0, 0] == want[0, 1] == 0
+    for X, Y in [(A, B), (A.astype(np.float64), B.astype(np.float64)), (A, B.astype(np.float64))]:
+        got = matmul_mod(X, Y, p)
+        assert got.dtype == np.int64 and got.min() >= 0 and got.max() < p
+        assert np.array_equal(got, want)
+
+
 def test_matmul_mod_exact_at_the_largest_allowed_entries():
     # n * (p - 1)**2 just below 2**53: every partial sum is still exact, in
     # the int64 product of small operands and in the float64 one of large ones

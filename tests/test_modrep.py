@@ -4,23 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import modrep
-from gl3hecke.arith import adj3, det
+from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import g_elem, g_elem_inv, mat3, mat_mul3
 from gl3hecke.modrep import (
-    TwistedAction,
+    CertificateError,
     build_gl2_module,
     build_gl3_module,
-    composition_factor_dims,
     gl_generators,
     levi_act,
     sub_matrix,
-    twisted_act,
     u_invariants,
 )
 
-from _oracles import SequentialSpinBasis, dict_sub_matrix
+from _oracles import (
+    SequentialSpinBasis,
+    TwistedAction,
+    composition_factor_dims,
+    dict_sub_matrix,
+    kron_carrier,
+    kron_carrier_act,
+    kron_twist_gl3,
+    twisted_act,
+)
 
 F5 = make_field(5)
 
@@ -82,14 +89,7 @@ def test_gl3_adjoint_label_dim8_with_meataxe_oracle():
     mod = build_gl3_module(7, 2, 1, 0)
     # independent oracle: decompose the 9-dimensional carrier
     p = 7
-    gens = gl_generators(3, p)
-
-    def carrier(g):
-        Sy = sub_matrix(np.asarray(g).T % p, 1, p)
-        Sz = sub_matrix(np.array(adj3(g)) % p, 1, p)
-        return np.kron(Sy, Sz) % p
-
-    dims = composition_factor_dims([carrier(g) for g in gens], p, seed=3)
+    dims = composition_factor_dims([kron_carrier(p, 1, 1, g) for g in gl_generators(3, p)], p, seed=3)
     assert mod.dim in dims
     assert sum(dims) == 9
     assert dims == [1, 8]
@@ -312,6 +312,65 @@ def test_module_matches_dict_substitution_oracle(label, monkeypatch):
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
     monkeypatch.setattr(modrep, "sub_matrix", dict_sub_matrix)
     _assert_byte_identical(got, _module_arrays(label))
+
+
+# determinant twists: c not divisible by p - 1, and c a nonzero multiple of p - 1
+TWIST_LABELS = [(5, 5, 4, 1), (7, 9, 5, 3), (11, 16, 10, 5), (5, 4, 4, 4), (7, 9, 7, 6), (13, 18, 12, 12)]
+
+
+@pytest.mark.parametrize(
+    "label", ORACLE_LABELS + SUBSTITUTION_LABELS + TWIST_LABELS, ids=lambda lab: "%d-%d-%d-%d" % lab
+)
+def test_module_matches_explicit_kronecker_carrier_oracle(label, monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    got = _module_arrays(label)
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_carrier_act", kron_carrier_act)
+    monkeypatch.setattr(modrep, "_twist_gl3", kron_twist_gl3)
+    _assert_byte_identical(got, _module_arrays(label))
+
+
+@pytest.mark.parametrize("label", TWIST_LABELS, ids=lambda lab: "%d-%d-%d-%d" % lab)
+def test_twist_rho_is_det_power_times_base_rho(label):
+    p, a, b, c = label
+    mod = build_gl3_module(*label)
+    base = build_gl3_module(p, a - c, b - c, 0)
+    assert mod.base is base and mod.basis is base.basis
+    rng = np.random.default_rng(c)
+    for g in gl_generators(3, p) + [modrep._random_invertible(p, rng) for _ in range(4)]:
+        d = pow(int(det(g)) % p, c, p)
+        assert np.array_equal(mod.rho(g), base.rho(g) * d % p)
+
+
+def test_twist_with_a_built_key_computes_no_carrier_action(monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    calls, act = [], modrep._carrier_act
+
+    def counted(factors, X, p):
+        calls.append(len(X))
+        return act(factors, X, p)
+
+    monkeypatch.setattr(modrep, "_carrier_act", counted)
+    first = u_invariants(build_gl3_module(11, 12, 6, 1))
+    assert calls and first.base.carrier_dim == 588
+    calls.clear()
+    second = u_invariants(build_gl3_module(11, 16, 10, 5))
+    assert calls == []
+    assert second.dim == first.dim == 7 and second.gl1_exponent == 5
+
+
+class _IdentityBlock:
+    dim = 2
+
+    def rho(self, h):
+        return np.eye(self.dim, dtype=np.int64)
+
+
+def test_intertwiner_raises_unless_the_solution_space_is_a_line():
+    # with the identity on both sides every 2 x 2 matrix intertwines: a
+    # four-dimensional solution space, which Schur's lemma rules out
+    with pytest.raises(CertificateError, match="dimension 4, not 1"):
+        modrep._intertwiner(lambda h: np.eye(2, dtype=np.int64), _IdentityBlock(), 5)
 
 
 def test_characteristic_two_modules():

@@ -7,13 +7,20 @@ not move by a single coordinate.
 Per space (N, p, a, b) over F_{p^r}: the free columns, T_2 and T_3, and for
 every eigensystem over [2, 3] its field degree, its eigenvalues and its
 vector; then, on the datum built with c = 1, d = 1, the transfer report and
-the measured eigenvalues of T(l, k), l in [2, 3], k in {1, 2, 3}."""
+the measured eigenvalues of T(l, k), l in [2, 3], k in {1, 2, 3}.
+
+A second sha256 pins the GL(3) modules as the float64 remainder, the D x D
+Kronecker carrier and the per-twist carrier action computed them (commit
+0e89602): for each module key of the local-weights benchmark, at its base
+label and twisted by det, the basis, rho of the generators, and the
+parabolic invariants with their isomorphism onto the rank-2 model."""
 
 import hashlib
 import json
 
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
+from gl3hecke.modrep import build_gl3_module, gl_generators, u_invariants
 from gl3hecke.modsym2 import SymbolSpace, find_eigensystems
 from gl3hecke.transfer import BoundaryDatum, eigenvalue_of, gl3_hecke_on_boundary, run_transfer_checks
 
@@ -60,3 +67,26 @@ def _record(N, p, a, b, r):
 def test_outputs_match_the_pinned_digest():
     blob = json.dumps([_record(*key) for key in SPACES], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED
+
+
+# The GL(3) modules of the local-weights benchmark: each key (p, a-b, b-c)
+# at its base label (a-c, b-c, 0) and at the twist by det^1.
+MODULE_KEYS = [
+    (5, 1, 3), (5, 3, 1), (7, 0, 0), (7, 0, 6), (7, 1, 1), (7, 3, 0), (7, 3, 3),
+    (11, 2, 3), (11, 3, 2), (11, 5, 6), (11, 6, 5), (13, 0, 3), (13, 6, 0),
+]
+
+MODULE_PINNED = "08043861bbaf9dca7358357e0bdb95a37d8e212ab723d2ee3a81600fdde201af"
+
+
+def _module_record(p, a, b, c):
+    mod = build_gl3_module(p, a, b, c)
+    levi = u_invariants(mod)
+    arrays = [mod.basis] + [mod.rho(g) for g in gl_generators(3, p)] + [levi.basis, levi.iso]
+    return [[p, a, b, c], [x.tolist() for x in arrays]]
+
+
+def test_modules_match_the_pinned_digest():
+    labels = [(p, i + j + c, j + c, c) for p, i, j in MODULE_KEYS for c in (0, 1)]
+    blob = json.dumps([_module_record(*label) for label in labels])
+    assert hashlib.sha256(blob.encode()).hexdigest() == MODULE_PINNED
