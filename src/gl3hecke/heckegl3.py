@@ -32,7 +32,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import adj3, det, divisors, is_prime, is_squarefree
+from .arith import det, divisors, is_prime, is_squarefree
 from .characters import crt, xgcd
 
 # -- integer 3x3 helpers -----------------------------------------------------
@@ -86,38 +86,6 @@ def in_parabolic(s, d):
     v = mat_vec3((1, d, 0), s)
     # projective equality with (1, d, 0): cross-multiplication
     return v[2] == 0 and v[1] == d * v[0] and v[0] != 0
-
-
-def smith_diagonal(A):
-    """Elementary divisors (d1, d2, d3) of an integer 3x3 matrix by gcds of
-    minors; valid for nonzero determinant."""
-    d1 = 0
-    for row in A:
-        for x in row:
-            d1 = gcd(d1, x)
-    m2 = 0
-    adj = adj3(A)
-    for row in adj:
-        for x in row:
-            m2 = gcd(m2, x)
-    D = abs(det(A))
-    # gcd of 2x2 minors equals D / gcd-of-adjugate... adjugate entries ARE the
-    # 2x2 minors up to sign, so m2 is the gcd of the 2x2 minors.
-    d2 = m2 // d1
-    d3 = D // m2
-    return (d1, d2, d3)
-
-
-def same_right_coset(g, h, N):
-    """g Gamma = h Gamma for the level-N congruence subgroup."""
-    D = det(g)
-    if D == 0 or det(h) != D:
-        return False
-    prod = mat_mul3(adj3(g), h)  # det(g) * g^{-1} h
-    if any(x % D for row in prod for x in row):
-        return False
-    q = mat3([[x // D for x in row] for row in prod])
-    return in_gamma0(q, N)
 
 
 # -- double-coset representatives (determinant l and l^2) --------------------

@@ -6,9 +6,15 @@ std) (x) det^c, realized on monomials in two sets of three variables.  The
 highest-weight vector is spun under group generators to a highest-weight
 submodule W; the radical of the contravariant (apolarity) form on W is cut
 out exactly, and W/rad is the irreducible module.  Certificates run at
-build time: the highest-weight line, form adjointness, and the spin
-irreducibility check.  Every matrix product mod p goes through
-linalg.matmul_mod, which is exact or raises.
+build time: the carrier highest-weight vector, form adjointness, and the
+irreducibility certificate of _certify_module, which serves both ranks.  It
+takes K, the joint fixed space of the upper unipotent generators
+E_{i,i+1}(1), requires dim K = 1 with the labelled torus weight, and spins
+that line to the whole module.  This proves irreducibility: the upper
+unitriangular group U+ is a p-group, so every nonzero submodule has a nonzero
+U+-fixed vector; that vector lies on the line K, so every nonzero submodule
+holds K and hence everything K spins to.  Every matrix product mod p goes
+through linalg.matmul_mod, which is exact or raises.
 
 The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
@@ -237,17 +243,7 @@ def _build_gl3_base(p, i, j):
     vplus[y_top * dz + z_top] = 1
 
     # highest-weight certificate on the carrier
-    for u in (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])):
-        if not np.array_equal(act(u)(vplus), vplus):
-            raise CertificateError("highest-weight vector is not unipotent-invariant")
-    g0 = primitive_root(p)
-    for t, want in (
-        (np.diag([g0, 1, 1]), pow(g0, a, p)),
-        (np.diag([1, g0, 1]), pow(g0, b, p)),
-        (np.diag([1, 1, g0]), pow(g0, c, p)),
-    ):
-        if not np.array_equal(act(t)(vplus), want * vplus % p):
-            raise CertificateError("highest-weight vector has the wrong torus weight")
+    _check_highest_weight(act, vplus, 3, (a, b, c), p)
 
     # adjointness of the contravariant form on the carrier (spot check)
     wt = _form_weights(ybasis, zbasis, p)
@@ -342,54 +338,59 @@ def _random_invertible(p, rng):
             return np.asarray(g, dtype=np.int64)
 
 
-def _certify_module(mod):
-    """Irreducibility certificate: spinning the highest-weight image and a
-    deterministic sample of vectors regenerates the whole module."""
-    p = mod.p
-    transposes = [mod.rho(g).T.astype(np.float64) for g in gl_generators(mod.n, p)]
-    actions = [lambda X, Gt=Gt: matmul_mod(X, Gt, p) for Gt in transposes]
-    rng = np.random.default_rng(271828)
-    vectors = []
-    if mod.n == 3:
-        hw = _module_highest_vector(mod)
-        vectors.append(hw)
-    else:
-        v = np.zeros(mod.dim, dtype=np.int64)
-        v[0] = 1
-        vectors.append(v)
-    for _ in range(2):
-        w = rng.integers(0, p, mod.dim)
-        if not w.any():
-            w[0] = 1
-        vectors.append(w % p)
-    for v in vectors:
-        if len(_spin(v, actions, p)) != mod.dim:
-            raise CertificateError("spin certificate failed: proper submodule found")
+def _upper_unipotents(n):
+    """E_{i,i+1}(1) for i < n - 1, which generate the upper unitriangular
+    group U+ of the rank-n group over F_p."""
+    gens = []
+    for i in range(n - 1):
+        E = np.eye(n, dtype=np.int64)
+        E[i, i + 1] = 1
+        gens.append(E)
+    return gens
 
 
-def _module_highest_vector(mod):
-    """Image of the carrier highest-weight vector in module coordinates."""
-    p = mod.p
-    mats = [
-        mod.rho(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])),
-        mod.rho(np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])),
-    ]
-    stack = np.vstack([m - np.eye(mod.dim, dtype=np.int64) for m in mats])
-    K = np_nullspace(stack, p)
-    if len(K) == 0:
-        raise CertificateError("no unipotent-fixed vector in the module")
-    # pick the torus eigenvector of weight equal to the label
+def _check_highest_weight(act, v, n, label, p):
+    """Raise unless v is a highest-weight vector of weight label: fixed by
+    U+, and scaled by g0^label[i] under diag(1, .., g0, .., 1) with the
+    primitive root g0 in place i.  act(g) takes rows to their images."""
+    for u in _upper_unipotents(n):
+        if not np.array_equal(act(u)(v), v):
+            raise CertificateError("highest-weight vector is not unipotent-invariant")
     g0 = primitive_root(p)
-    for v in K:
-        ok = True
-        for i, t in enumerate([np.diag([g0, 1, 1]), np.diag([1, g0, 1]), np.diag([1, 1, g0])]):
-            lamb = pow(g0, mod.label[i] % (p - 1), p)
-            if not np.array_equal(matmul_mod(mod.rho(t), v, p), lamb * v % p):
-                ok = False
-                break
-        if ok:
-            return v
-    raise CertificateError("no highest-weight vector of the labelled weight")
+    for i in range(n):
+        t = np.eye(n, dtype=np.int64)
+        t[i, i] = g0
+        if not np.array_equal(act(t)(v), pow(g0, label[i] % (p - 1), p) * v % p):
+            raise CertificateError("highest-weight vector has the wrong torus weight")
+
+
+def _certify_module(mod):
+    """Irreducibility certificate for either rank: the U+-fixed space K of
+    the module is one line, of the labelled highest weight, and that line
+    spins to the whole module.
+
+    Why this proves irreducibility: U+ is a p-group, and a p-group acting on
+    a nonzero F_p-space fixes a nonzero vector (its orbits off the fixed
+    points have p-power sizes).  So a nonzero submodule M' has a nonzero
+    U+-fixed vector; it lies in K, a line, so M' holds K, and with it the
+    span of K under the group, which is the whole module.  A p-group fixes
+    a nonzero vector over any field of characteristic p, and neither dim K
+    nor the spin changes under field extension, so the module is absolutely
+    irreducible.
+    """
+    p, n = mod.p, mod.n
+    eye = np.eye(mod.dim, dtype=np.int64)
+    K = np_nullspace(np.vstack([mod.rho(u) - eye for u in _upper_unipotents(n)]), p)
+    if len(K) != 1:
+        raise CertificateError("U+-fixed space has dimension %d, not 1, for label %s" % (len(K), mod.label))
+
+    def act(g):
+        Gt = mod.rho(g).T.astype(np.float64)
+        return lambda X: matmul_mod(X, Gt, p)
+
+    _check_highest_weight(act, K[0], n, mod.label, p)
+    if len(_spin(K, [act(g) for g in gl_generators(n, p)], p)) != mod.dim:
+        raise CertificateError("the U+-fixed line spans a proper submodule")
 
 
 # -- parabolic invariants ------------------------------------------------------
@@ -487,29 +488,6 @@ def _intertwiner(restricted, gl2, p):
     if len(np_nullspace(phi, p)):
         raise CertificateError("intertwiner is singular")
     return phi
-
-
-# -- Levi action ----------------------------------------------------------------
-
-
-def levi_act(levi, d, chi0, chi1, s, e, c=None):
-    """Action on the invariants-as-rank-2-module, by blocks:
-    chi0(psi1) * psi1^c * chi1(psi2_11) * (e | psi2).
-
-    e is an integer coordinate vector in the build_gl2_module(p,a,b) model;
-    returns a coordinate array (dim, r) over the character field.
-    """
-    from .heckegl3 import psi_blocks
-
-    base = levi.base
-    p = base.p
-    if c is None:
-        c = levi.gl1_exponent
-    psi1, psi2 = psi_blocks(s, d)
-    field = chi0.field
-    scalar = chi0(psi1) * chi1(psi2[0][0]) * field.from_int(pow(psi1 % p, c % (p - 1), p))
-    m = np.asarray(psi2, dtype=np.int64) % p
-    return np.outer(levi.gl2_module.act_right(e, m), scalar.coords) % p
 
 
 # -- spin ------------------------------------------------------------------------

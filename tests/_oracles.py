@@ -24,14 +24,18 @@ kron_twist_gl3 put them in place of the factored carrier action and the
 twist by the base rho of modrep.  composition_factor_dims is a meataxe that
 splits a module given by generator matrices into composition factors, an
 independent check of the module dimensions; TwistedAction and twisted_act
-are the off-parabolic twisted semigroup action on a module.
+are the off-parabolic twisted semigroup action on a module, and levi_act
+the block action chi0(psi1) psi1^c chi1(psi2_11) (e | psi2) on the
+parabolic invariants, whose scalar transfer.gl3_hecke_on_boundary computes.
 theorem_psi_blocks is the closed form of (psi^1, psi^2) per representative
 shape that the numeric coset translation is checked against.
 p1_row_orbit_equivalent decides equivalence of rational points of P^1 under
 the rank-2 level-N group by linear-diophantine reduction, and
 gl2_orbit_example_check uses it for the paper's example that semigroup
 elements need not preserve rational orbits.  a_l3 is the closed-form
-eigenvalue of the central operator T(l,3).
+eigenvalue of the central operator T(l,3).  smith_diagonal reads the
+elementary divisors of an integer matrix off gcds of its minors, and
+same_right_coset decides g Gamma = h Gamma for the level-N group.
 """
 
 from dataclasses import dataclass
@@ -41,7 +45,7 @@ import numpy as np
 
 from gl3hecke.arith import adj3, det, divisors, is_squarefree
 from gl3hecke.characters import DirichletCharacter, xgcd
-from gl3hecke.heckegl3 import mat3
+from gl3hecke.heckegl3 import in_gamma0, mat3, mat_mul3, psi_blocks
 from gl3hecke.linalg import SpinBasis, matmul_mod, np_nullspace
 from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
 from gl3hecke.transfer import _character_values
@@ -741,3 +745,52 @@ def twisted_act(T, e, s):
     m = _g_off(n, x).astype(object) @ np.asarray(s, dtype=object) @ _g_off_inv(n, x).astype(object)
     m = np.asarray([[int(v) % base.p for v in row] for row in m], dtype=np.int64)
     return np.outer(base.act_right(e, m), chi(int(s[0, 0])).coords) % base.p
+
+
+# -- the Levi action on parabolic invariants ----------------------------------------
+
+
+def levi_act(levi, d, chi0, chi1, s, e, c=None):
+    """Action on the invariants-as-rank-2-module, by blocks:
+    chi0(psi1) * psi1^c * chi1(psi2_11) * (e | psi2).
+
+    e is an integer coordinate vector in the build_gl2_module(p,a,b) model;
+    returns a coordinate array (dim, r) over the character field.
+    """
+    p = levi.base.p
+    if c is None:
+        c = levi.gl1_exponent
+    psi1, psi2 = psi_blocks(s, d)
+    scalar = chi0(psi1) * chi1(psi2[0][0]) * chi0.field.from_int(pow(psi1 % p, c % (p - 1), p))
+    m = np.asarray(psi2, dtype=np.int64) % p
+    return np.outer(levi.gl2_module.act_right(e, m), scalar.coords) % p
+
+
+# -- integer coset checks ------------------------------------------------------------
+
+
+def smith_diagonal(A):
+    """Elementary divisors (d1, d2, d3) of an integer 3x3 matrix of nonzero
+    determinant: d1 is the gcd of the entries, d1 d2 the gcd of the 2x2
+    minors (the adjugate's entries up to sign), and d1 d2 d3 = |det A|."""
+    d1 = 0
+    for row in A:
+        for x in row:
+            d1 = gcd(d1, x)
+    m2 = 0
+    for row in adj3(A):
+        for x in row:
+            m2 = gcd(m2, x)
+    return (d1, m2 // d1, abs(det(A)) // m2)
+
+
+def same_right_coset(g, h, N):
+    """g Gamma = h Gamma for the level-N congruence subgroup."""
+    D = det(g)
+    if D == 0 or det(h) != D:
+        return False
+    prod = mat_mul3(adj3(g), h)  # det(g) * g^{-1} h
+    if any(x % D for row in prod for x in row):
+        return False
+    q = mat3([[x // D for x in row] for row in prod])
+    return in_gamma0(q, N)

@@ -24,8 +24,6 @@ from gl3hecke.heckegl3 import (
     mat_vec3,
     orbit_rep,
     psi_blocks,
-    same_right_coset,
-    smith_diagonal,
     translate_to_parabolic,
 )
 
@@ -34,6 +32,8 @@ from _oracles import (
     gl2_orbit_example_check,
     level_group_generators,
     p1_row_orbit_equivalent,
+    same_right_coset,
+    smith_diagonal,
     theorem_psi_blocks,
 )
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import modrep
-from gl3hecke.arith import det
+from gl3hecke.arith import adj3, det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.heckegl3 import g_elem, g_elem_inv, mat3, mat_mul3
@@ -13,8 +13,8 @@ from gl3hecke.modrep import (
     build_gl2_module,
     build_gl3_module,
     gl_generators,
-    levi_act,
     sub_matrix,
+    sym_basis,
     u_invariants,
 )
 
@@ -26,6 +26,7 @@ from _oracles import (
     kron_carrier,
     kron_carrier_act,
     kron_twist_gl3,
+    levi_act,
     twisted_act,
 )
 
@@ -139,11 +140,10 @@ def test_u_invariants_nonzero_c():
 
 
 def test_conjugated_module_same_dim_and_weight():
-    # the off-parabolic twist leaves dimension and highest weight unchanged
+    # the off-parabolic twist leaves dimension and highest weight unchanged:
+    # the conjugated module still has one U+-fixed line, of the labelled weight
     mod = build_gl3_module(5, 2, 1, 0)
     p = 5
-    from gl3hecke.modrep import _module_highest_vector
-
     gx = np.eye(3, dtype=np.int64)
     gx[0, 1] = 3
     gxi = np.eye(3, dtype=np.int64)
@@ -158,7 +158,98 @@ def test_conjugated_module_same_dim_and_weight():
         def rho(self, g):
             return mod.rho(gx @ np.asarray(g) @ gxi % p)
 
-    _module_highest_vector(Conj())  # raises if the weight moved
+    modrep._certify_module(Conj())  # raises if the weight moved
+
+
+def _highest_weight_submodule(p, i, j):
+    """W, the span of the carrier highest-weight vector y1^i z3^j under the
+    group, as _build_gl3_base spins it but without quotienting out the
+    radical of the contravariant form; rho is read through _coord_solver."""
+    ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
+    dz = len(zbasis)
+
+    def carrier_rho(g):
+        return sub_matrix(np.asarray(g).T % p, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
+
+    vplus = np.zeros(len(ybasis) * dz, dtype=np.int64)
+    vplus[ybasis.index((i, 0, 0)) * dz + zbasis.index((0, 0, j))] = 1
+    actions = [lambda X, g=g: modrep._carrier_act(carrier_rho(g), X, p) for g in gl_generators(3, p)]
+    W = modrep._spin(vplus, actions, p)
+    mod = modrep._Gl3Module(
+        p=p, n=3, label=(i + j, j, 0), dim=len(W), basis=W, carrier_dim=len(vplus), monomials=()
+    )
+    mod._carrier_rho = carrier_rho
+    mod._coords = modrep._coord_solver(W, p)
+    return mod
+
+
+@pytest.mark.parametrize("p,i,j,w_dim,irr_dim", [(7, 3, 3, 64, 37), (5, 1, 3, 24, 18)])
+def test_certificate_rejects_the_unquotiented_highest_weight_submodule(p, i, j, w_dim, irr_dim):
+    # W is generated by its highest-weight vector, so a spin from that vector
+    # alone cannot tell it from the irreducible quotient; its U+-fixed space can
+    W = _highest_weight_submodule(p, i, j)
+    assert W.dim == w_dim
+    assert build_gl3_module(p, i + j, j, 0).dim == irr_dim
+    with pytest.raises(CertificateError, match="dimension 2, not 1"):
+        modrep._certify_module(W)
+
+
+class _Dual:
+    """The contragredient g -> rho(g^-1)^T of a module, labelled by the
+    highest weight (-c, -b, -a) of the dual of F(a,b,c)."""
+
+    def __init__(self, mod):
+        self.mod, self.p, self.n, self.dim = mod, mod.p, mod.n, mod.dim
+        a, b, c = mod.label
+        self.label = (-c, -b, -a)
+
+    def rho(self, g):
+        p = self.p
+        g = np.asarray(g) % p
+        return self.mod.rho(np.array(adj3(g)) * pow(int(det(g)), p - 2, p) % p).T
+
+
+@pytest.mark.parametrize("p,i,j", [(7, 3, 3), (5, 1, 3)])
+def test_certificate_rejects_the_dual_of_the_highest_weight_submodule(p, i, j):
+    # the dual of W has one U+-fixed line, of the right weight, but that line
+    # spans only the socle, the dual of the irreducible quotient of W
+    with pytest.raises(CertificateError, match="spans a proper submodule"):
+        modrep._certify_module(_Dual(_highest_weight_submodule(p, i, j)))
+    modrep._certify_module(_Dual(build_gl3_module(p, i + j, j, 0)))  # the irreducible's dual passes
+
+
+def test_certificate_rejects_a_wrong_label():
+    mod = build_gl2_module(5, 3, 1)
+
+    class Relabelled:
+        p, n, dim, label = 5, 2, mod.dim, (4, 2)
+        rho = staticmethod(mod.rho)
+
+    with pytest.raises(CertificateError, match="wrong torus weight"):
+        modrep._certify_module(Relabelled())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_every_restricted_gl2_label_builds(p):
+    for b in range(p - 1):
+        for a in range(b, b + p):
+            assert build_gl2_module(p, a, b).dim == a - b + 1
+
+
+def _weyl_dim(i, j):
+    return (i + 1) * (j + 1) * (i + j + 2) // 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_gl3_key_builds(p, monkeypatch):
+    # restricted weights above the lowest alcove (i + j + 2 > p) lose the
+    # Weyl module of the reflected weight (p - 2 - j, p - 2 - i); the Weyl
+    # dimension vanishes when a coordinate of that weight is -1
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    for i in range(p):
+        for j in range(p):
+            want = _weyl_dim(i, j) - (_weyl_dim(p - 2 - j, p - 2 - i) if i + j + 2 > p else 0)
+            assert build_gl3_module(p, i + j, j, 0).dim == want
 
 
 def test_twisted_act_identity_and_torus():

@@ -1,7 +1,8 @@
 """The traced benchmark pass (bench/tracing.py) wraps library names at the
 places their callers look them up, and reads the results of some of them.
-This runs it on the chain's smallest datum in a fresh interpreter, so that a
-renamed, moved or reshaped name fails here and not in a benchmark run.
+This runs it on the chain's smallest datum and on one GL(3) module build
+with its parabolic invariants, in a fresh interpreter, so that a renamed,
+moved or reshaped name fails here and not in a benchmark run.
 Nothing under bench/ is changed."""
 
 import subprocess
@@ -14,7 +15,7 @@ SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
 import tracing
-from gl3hecke import transfer
+from gl3hecke import modrep, transfer
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -22,8 +23,13 @@ datum = transfer.BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,))
 report = transfer.run_transfer_checks(datum, (2,))
 assert [e["l"] for e in report] == [2], report
 assert all(v is True for e in report for k, v in e.items() if k != "l"), report
+levi = modrep.u_invariants(modrep.build_gl3_module(5, 3, 1, 0))
+assert (levi.base.dim, levi.dim) == (15, 3), (levi.base.dim, levi.dim)
 metrics = tracing.layer_metrics(tracer)
-for name in ("modsym2.space.s", "modsym2.find_eigensystems.s", "modsym2.semigroup_act.calls", "transfer.gl3_hecke_on_boundary.calls"):
+for name in (
+    "modsym2.space.s", "modsym2.find_eigensystems.s", "modsym2.semigroup_act.calls", "transfer.gl3_hecke_on_boundary.calls",
+    "modrep.build_gl3.s", "modrep.build_gl3.carrier_dim", "modrep.u_invariants.s", "modrep.build_gl2.s",
+):
     assert metrics[name] > 0, name
 # T(2,1) and T(2,2) under both policies, 7 cosets each, and T(2,3): the
 # count reads len() of each result of the name transfer calls
