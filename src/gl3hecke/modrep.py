@@ -93,26 +93,37 @@ def _sym_tables(nvars, deg):
 
 
 def sub_matrix(M, deg, p):
-    """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p.
+    """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p, for
+    one square matrix M or for each matrix of a stack (..., nvars, nvars).
 
     Columns are images of basis monomials; the map is an anti-homomorphism
     in M (substitutions compose contravariantly).  Built degree by degree
     from Sym^0 = (1) through the tables of _sym_tables.
     """
     M = np.asarray(M, dtype=np.int64) % p
-    nvars = M.shape[0]
+    nvars = M.shape[-1]
     if nvars * (p - 1) ** 2 >= 2**63:
         raise OverflowError("sub_matrix needs nvars*(p-1)^2 < 2^63 (p = %d)" % p)
-    S = np.ones((1, 1), dtype=np.int64)
+    S = np.ones(M.shape[:-2] + (1, 1), dtype=np.int64)
     for k in range(1, deg + 1):
         parent, var, times = _sym_tables(nvars, k)
         # column j is the image of its parent times (row var[j] of M) . y
-        cols = S[:, parent]
-        S = np.zeros((len(parent), len(parent)), dtype=np.int64)
+        cols = S[..., parent]
+        S = np.zeros(M.shape[:-2] + (len(parent), len(parent)), dtype=np.int64)
         for w in range(nvars):
-            S[times[w]] += cols * M[var, w]
+            S[..., times[w], :] += cols * M[..., None, var, w]
         S %= p
     return S
+
+
+def gl2_rho(g, a, b, p):
+    """rho(g) of the model of F(a,b) that build_gl2_module makes,
+    Sym^(a-b)(g^T) times det(g)^b mod p, for one 2 x 2 integer matrix g or
+    for each matrix of a stack (..., 2, 2)."""
+    g = np.asarray(g, dtype=np.int64) % p
+    d = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]) % p
+    power = np.array([pow(x, b % (p - 1), p) for x in range(p)], dtype=np.int64)
+    return sub_matrix(np.swapaxes(g, -1, -2), a - b, p) * power[d][..., None, None] % p
 
 
 def gl_generators(n, p):
@@ -166,10 +177,7 @@ class IrreducibleModule:
 
 class _Gl2Module(IrreducibleModule):
     def _compute_rho(self, g):
-        a, b = self.label
-        S = sub_matrix(g.T % self.p, a - b, self.p)
-        d = pow(int(det(g)) % self.p, b % (self.p - 1), self.p)
-        return S * d % self.p
+        return gl2_rho(g, *self.label, self.p)
 
 
 class _Gl3Module(IrreducibleModule):

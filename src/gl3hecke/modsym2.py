@@ -4,14 +4,23 @@ to (*,0) mod N) with coefficients in a character-twisted irreducible module.
 The space is presented on unimodular symbols indexed by cosets of the level
 group, subject to the order-4 and order-3 relations and the plus-quotient
 (coinvariants of diag(1,-1)).  The full positive-determinant semigroup acts
-through continued-fraction decomposition of non-unimodular symbols, which is
-what the Hecke operators are built from.  Exact linear algebra over the
-scalar field F_{p^r} the space was given; the space, its caches and its
-operators never leave it.  Vectors and matrices are F_p coordinate arrays
-with a trailing axis of length r (see linalg): the relations of a coset
-representative are built for all coefficient unit vectors at once and
-reduced in one block, and the semigroup acts on a block of classes, so the
-symbol decomposition runs once per (label, matrix).  Eigenvalues are the
+through continued-fraction decomposition of non-unimodular symbols (the
+Manin trick), which is what the Hecke operators are built from.  Exact
+linear algebra over the scalar field F_{p^r} the space was given; the space,
+its caches and its operators never leave it.  Vectors and matrices are F_p
+coordinate arrays with a trailing axis of length r (see linalg).
+
+One array pass computes the class of a batch of symbols: Euclid's algorithm
+and the convergents run on all of them at once (_symbol_terms), each term's
+coset is read from an N x N table, and its coefficient matrix, which depends
+only on gamma^-1 mod p and its corner mod N, from a cache keyed on that
+residue as one int64 code; the terms are then applied with one batched
+product and scattered into full coordinates (_scatter).  The relations of
+the presentation are built by that pass for every representative and
+coefficient unit vector at once and reduced in one block, and the semigroup
+action of a whole stack of matrices on a block of classes is one pass
+followed by one reduction, so a Hecke operator's cosets, or all new psi2 of
+a boundary operator, cost one pass.  Eigenvalues are the
 roots of the minimal polynomials of the Hecke matrices.  A root of an
 irreducible factor of degree d > 1 lives in the extension of degree d, and
 only the eigen-piece that needs it is embedded there, so each eigensystem
@@ -26,93 +35,72 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .arith import det
 from .characters import DirichletCharacter, xgcd
 from .ffield import FiniteField, _distinct_degrees, _poly_divide_out, _poly_gcd_fq, _poly_mul_fq, _roots
 from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, identity, matmul_mod
-from .modrep import build_gl2_module
+from .modrep import build_gl2_module, gl2_rho
 
-SIGMA = ((0, -1), (1, 0))
-TAU = ((0, -1), (1, -1))
-ETA = ((1, 0), (0, -1))
-
-
-def _mul2(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
+SIGMA = np.array([[0, -1], [1, 0]])
+TAU = np.array([[0, -1], [1, -1]])
+ETA = np.array([[1, 0], [0, -1]])
 
 
-def _inv2_unimodular(A):
-    d = det(A)
-    if d == 1:
-        return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
-    if d == -1:
-        return ((-A[1][1], A[0][1]), (A[1][0], -A[0][0]))
-    raise ValueError("matrix is not unimodular")
+def _canonical(x, y):
+    """The rows (x, y) divided by their gcd and turned so that the first
+    nonzero entry is positive: (x, y, gcd, sign of the turn)."""
+    g = np.gcd(x, y)
+    x, y = x // g, y // g
+    s = np.where((x < 0) | ((x == 0) & (y < 0)), -1, 1)
+    return s * x, s * y, g, s
 
 
-def _row_canonical(v):
-    g = gcd(v[0], v[1])
-    if g == 0:
-        raise ValueError("zero row in a symbol")
-    v = (v[0] // g, v[1] // g)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = (-v[0], -v[1])
-    return v
+def _symbol_terms(M, dets):
+    """The Manin trick on arrays: the symbol with rows M[i], for a (P, 2, 2)
+    int64 stack with determinants dets (nonzero), as a sum of symbols of
+    determinant one.  Returns (src, sign, U): term t is sign[t] times the
+    symbol U[t] and belongs to symbol src[t].
 
-
-def symbol_terms(M):
-    """Express the symbol with rows of M as a sum of unimodular symbols.
-
-    Returns [(sign, U)] with U integer matrices of determinant +1; rows are
-    scaling-normalized lines, and non-unimodular symbols are decomposed
-    along continued-fraction paths between the two boundary points.
-    """
-    u = _row_canonical((M[0][0], M[0][1]))
-    w = _row_canonical((M[1][0], M[1][1]))
-    if u == w:
-        return []
-    d = det((u, w))
-    if d == -1:
-        w = (-w[0], -w[1])
-        d = 1
-    if d == 1:
-        return [(1, (u, w))]
-    terms = []
-    for sign, pt in ((-1, u), (1, w)):
-        terms.extend((sign * s, U) for s, U in _path_from_infinity(pt))
-    return terms
-
-
-def _path_from_infinity(v):
-    """{infinity, v} as consecutive continued-fraction convergent symbols."""
-    p, q = v
-    if q == 0:
-        return []
-    if q < 0:
-        p, q = -p, -q
-    a_list = []
-    pp, qq = p, q
-    while qq:
-        a = pp // qq
-        a_list.append(a)
-        pp, qq = qq, pp - a * qq
-    hs = [(1, 0)]
-    h, k = a_list[0], 1
-    hs.append((h, k))
-    hprev, kprev = 1, 0
-    for a in a_list[1:]:
-        h, k, hprev, kprev = a * h + hprev, a * k + kprev, h, k
-        hs.append((h, k))
-    out = []
-    for i in range(len(hs) - 1):
-        x, y = _row_canonical(hs[i]), _row_canonical(hs[i + 1])
-        if det((x, y)) == -1:
-            y = (-y[0], -y[1])
-        out.append((1, (x, y)))
-    return out
+    Rows are scaling-normalized lines (_canonical).  When the two lines u, w
+    form a unimodular pair the symbol is the one term (u, +-w).  Otherwise
+    {u, w} = {inf, w} - {inf, u}, and {inf, x/y} is the chain of consecutive
+    continued-fraction convergents h_n/k_n of x/y, y > 0, from h_-1/k_-1 =
+    1/0: Euclid's algorithm runs on every point at once, on the lanes whose
+    remainder is still nonzero.  No determinant of two rows is multiplied
+    out: det(u, w) is det(M) / (gcd(u) gcd(w)) up to the turns, and
+    h_(n-1) k_n - h_n k_(n-1) = (-1)^n."""
+    u0, u1, gu, su = _canonical(M[:, 0, 0], M[:, 0, 1])
+    w0, w1, gw, sw = _canonical(M[:, 1, 0], M[:, 1, 1])
+    uni = gu * gw == np.abs(dets)
+    e = su * sw * np.sign(dets)  # det(u, w) on the unimodular pairs
+    one = np.flatnonzero(uni)
+    src, sign = [one], [np.ones(len(one), dtype=np.int64)]
+    terms = [np.stack([u0, u1, e * w0, e * w1], axis=1)[one]]
+    pair = np.flatnonzero(~uni)
+    lane = np.concatenate([pair, pair])
+    s = np.repeat(np.array([-1, 1], dtype=np.int64), len(pair))
+    x, y = np.concatenate([u0[pair], w0[pair]]), np.concatenate([u1[pair], w1[pair]])
+    live = y != 0  # the point at infinity has an empty path
+    lane, s, x, y = lane[live], s[live], x[live], y[live]
+    x, y = np.where(y < 0, -x, x), np.abs(y)
+    h, k = np.ones_like(x), np.zeros_like(x)
+    hp, kp = np.zeros_like(x), np.ones_like(x)
+    n = 0
+    while len(x):
+        a = x // y
+        x, y = y, x - a * y
+        hn, kn = a * h + hp, a * k + kp
+        # the term is f (h_(n-1), k_(n-1); (-1)^n h_n, (-1)^n k_n), with f
+        # the turn that makes its first row canonical
+        f = np.where((h < 0) | ((h == 0) & (k < 0)), -1, 1)
+        g = f if n % 2 == 0 else -f
+        src.append(lane)
+        sign.append(s)
+        terms.append(np.stack([f * h, f * k, g * hn, g * kn], axis=1))
+        live = y != 0
+        lane, s, x, y = lane[live], s[live], x[live], y[live]
+        h, k, hp, kp = hn[live], kn[live], h[live], k[live]
+        n += 1
+    return np.concatenate(src), np.concatenate(sign), np.concatenate(terms).reshape(-1, 2, 2)
 
 
 def p1_points(N):
@@ -200,129 +188,199 @@ class SymbolSpace:
         self.field = field
         self.chi1 = chi1
         self.module = build_gl2_module(p, a, b)
-        self._label = p1_points(N)
-        self.labels = sorted(set(self._label.values()))
+        label = p1_points(N)
+        self.labels = sorted(set(label.values()))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.reps = [_coset_rep(lab, N) for lab in self.labels]
+        # the coset of every pair (x, y) mod N, -1 off P^1(Z/N)
+        self._coset_of = np.full((N, N), -1, dtype=np.intp)
+        self._coset_of[tuple(np.array(list(label)).T)] = [self.index[lab] for lab in label.values()]
+        self.reps = np.array([_coset_rep(lab, N) for lab in self.labels], dtype=np.int64)
+        self.reps.flags.writeable = False
+        self._rep_max = int(np.abs(self.reps).max())
         self.dimV = self.module.dim
         self.full_dim = len(self.labels) * self.dimV
-        self._act_cache = {}
+        # the multiplication matrix of chi1(u) for each residue u mod N, zero
+        # off the units
+        zero = np.zeros((field.r, field.r), dtype=np.int64)
+        self._chi_mul = np.array([field.mul_matrix(chi1(u)) if gcd(u, N) == 1 else zero for u in range(N)])
+        self._coeff_cache = {}
         self._action_cache = {}
         self._hecke_cache = {}
         self._build_quotient()
 
-    # -- presentation ---------------------------------------------------------
+    # -- the symbol pass ---------------------------------------------------------
 
-    def _coeff_act(self, V, m):
-        """V |_chi m for a block V of coefficient columns, shape (dimV, k, r),
-        and an integer matrix m of determinant prime to pN: chi1(m_11) times
-        the module right action."""
-        key = (m[0][0], m[0][1], m[1][0], m[1][1])
-        if key not in self._act_cache:
-            R = self.module.rho(np.array([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], dtype=np.int64) % self.p)
-            S = self.field.mul_matrix(self.chi1(m[0][0]))
+    def _coefficients(self, g):
+        """(C, index): C[index[i]] is the F_p matrix, of size D = dimV * r,
+        of V -> V |_chi g[i] = chi1(g_00) rho(g^T) V on coefficient blocks
+        (D, k) with rows (j, s), for the integer matrices of the stack g
+        (n, 2, 2), of determinant prime to pN.  The matrix depends only on
+        g mod p and g_00 mod N, so it is cached on that residue as one int64
+        code; the codes not met before are computed together."""
+        p, N, D = self.p, self.N, self.dimV * self.field.r
+        res = g % p
+        code = (((res[:, 0, 0] * p + res[:, 0, 1]) * p + res[:, 1, 0]) * p + res[:, 1, 1]) * N + g[:, 0, 0] % N
+        uniq, first, index = np.unique(code, return_index=True, return_inverse=True)
+        uniq = uniq.tolist()
+        new = [i for i, c in enumerate(uniq) if c not in self._coeff_cache]
+        if new:
+            at = first[new]
+            R = gl2_rho(res[at].swapaxes(1, 2), *self.weight, p)
+            S = self._chi_mul[g[at, 0, 0] % N]
             # R times the scalar, on the coordinates (j, s) of the coefficients j
-            self._act_cache[key] = (R[:, None, :, None] * S[:, None, :] % self.p).reshape(len(R) * len(S), -1)
-        r = self.field.r
-        k = V.shape[1]
-        W = matmul_mod(self._act_cache[key], V.swapaxes(1, 2).reshape(self.dimV * r, k), self.p)
-        return W.reshape(self.dimV, r, k).swapaxes(1, 2)
+            C = (R[:, :, None, :, None] * S[:, None, :, None, :] % p).reshape(len(at), D, D)
+            self._coeff_cache.update(zip((uniq[i] for i in new), C))
+        return np.array([self._coeff_cache[c] for c in uniq]).reshape(len(uniq), D, D), index
 
-    def _label_of(self, M):
-        return self._label[M[0][1] % self.N, M[1][1] % self.N]
+    def _scatter(self, M, dets, C, slot, out):
+        """Add to out, shape (slots, cosets, D, k), the full coordinates of
+        the symbols with rows M (P, 2, 2) and determinants dets, symbol i
+        carrying the coefficient block C[i] (D, k) into out[slot[i]]: each
+        term U of _symbol_terms lands at the coset of its label, where U =
+        rep gamma, with the coefficients C[i] |_chi gamma^-1."""
+        src, sign, U = _symbol_terms(M, dets)
+        coset = self._coset_of[U[:, 0, 1] % self.N, U[:, 1, 1] % self.N]
+        U_inv = np.stack([U[:, 1, 1], -U[:, 0, 1], -U[:, 1, 0], U[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+        coeffs, index = self._coefficients(U_inv @ self.reps[coset])
+        np.add.at(out, (slot[src], coset), sign[:, None, None] * matmul_mod(coeffs[index], C[src], self.p))
 
-    def _to_full(self, M, V, out, sign=1):
-        """Accumulate the classes of the unimodular symbol M with the
-        coefficient columns V into the full coordinate columns out, shape
-        (full_dim, k, r); out is reduced mod p by its user."""
-        i = self.index[self._label_of(M)]
-        gamma = _mul2(_inv2_unimodular(self.reps[i]), M)
-        base = i * self.dimV
-        out[base : base + self.dimV] += sign * self._coeff_act(V, _inv2_unimodular(gamma))
-
-    def _symbol_class(self, M, V, out, sign=1):
-        for s, U in symbol_terms(M):
-            self._to_full(U, V, out, sign=sign * s)
+    # -- presentation ---------------------------------------------------------
 
     def _build_quotient(self):
         """The relation space, reduced in one block: for each coset
         representative the order-4, order-3 and plus-quotient (z = z | eta)
-        relations, each for every coefficient unit vector at once."""
-        dimV, r = self.dimV, self.field.r
-        unit = identity(dimV, self.field)
-        rels = np.zeros((len(self.reps), 3, self.full_dim, dimV, r), dtype=np.int64)
-        for rep, (order4, order3, plus) in zip(self.reps, rels):
-            for rel in (order4, order3, plus):
-                self._to_full(rep, unit, rel)
-            self._symbol_class(_mul2(SIGMA, rep), unit, order4)
-            self._symbol_class(_mul2(TAU, rep), unit, order3)
-            self._symbol_class(_mul2(TAU, _mul2(TAU, rep)), unit, order3)
-            self._symbol_class(_mul2(rep, ETA), self._coeff_act(unit, ETA), plus, sign=-1)
+        relations, each for every coefficient unit vector at once.  The
+        representative's own symbol is the unit block at its own coset; sigma
+        rep, tau rep, tau^2 rep and rep eta go through _scatter, the kernel of
+        the semigroup action."""
+        n, dimV, r, p = len(self.reps), self.dimV, self.field.r, self.p
+        # the coefficient unit vectors as a (D, dimV) block: column c is 1 at row (c, 0)
+        unit = np.zeros((dimV, r, dimV), dtype=np.int64)
+        unit[range(dimV), 0, range(dimV)] = 1
+        unit = unit.reshape(dimV * r, dimV)
+        rels = np.zeros((n, 3, n, dimV * r, dimV), dtype=np.int64)
+        rels[range(n), :, range(n)] = unit
+        coeffs, _ = self._coefficients(ETA[None])
+        reps = self.reps
+        M = np.concatenate([SIGMA @ reps, TAU @ reps, TAU @ TAU @ reps, reps @ ETA])
+        C = np.concatenate(
+            [np.broadcast_to(unit, (3 * n,) + unit.shape), np.broadcast_to(-matmul_mod(coeffs[0], unit, p), (n,) + unit.shape)]
+        )
+        # the four symbols of each representative go to its order-4, order-3, order-3 and plus relation
+        slot = (3 * np.arange(n) + np.array([[0], [1], [1], [2]])).ravel()
+        self._scatter(M, np.repeat([1, 1, 1, -1], n), C, slot, rels.reshape(3 * n, n, dimV * r, dimV))
         # one relation per (representative, kind, unit vector), as rows
-        rows = rels.swapaxes(2, 3).reshape(-1, self.full_dim, r) % self.p
+        rows = rels.reshape(n, 3, n, dimV, r, dimV).transpose(0, 1, 5, 2, 3, 4).reshape(-1, self.full_dim, r) % p
         self._reducer = RowReducer(self.field, self.full_dim)
         self._reducer.add_rows(rows)
         pivots = set(self._reducer.pivot_columns())
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
 
-    def _classes(self, full):
-        """Coordinates (dim, k, r) of the classes of the full coordinate
-        columns full, shape (full_dim, k, r)."""
-        rows = self._reducer.reduce(full.swapaxes(0, 1) % self.p)
-        return rows[:, self.free].swapaxes(0, 1)
-
     # -- actions ---------------------------------------------------------------
 
+    def _semigroup_dets(self, ms):
+        """The determinants of the stack ms (n, 2, 2) of integer matrices,
+        once the whole stack is checked: ValueError, naming the first bad
+        matrix, unless every determinant is positive and prime to pN and
+        every first row is congruent to (*,0) mod N; OverflowError when a
+        determinant or a product rep m could leave int64."""
+        # float64 magnitudes, a factor 2 below 2**63 for rounding: the two
+        # products of each determinant, and every entry of rep m
+        a = np.abs(ms.astype(np.float64))
+        products = (a[:, 0, 0] * a[:, 1, 1] + a[:, 0, 1] * a[:, 1, 0]).max(initial=0)
+        if max(products, 2 * self._rep_max * a.max(initial=0)) >= 2.0**62:
+            raise OverflowError("matrix entries too large for int64 symbol arithmetic")
+        dets = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
+        bad_det = (dets <= 0) | (np.gcd(dets, self.p * self.N) != 1)
+        bad = bad_det | (ms[:, 0, 1] % self.N != 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = "determinant must be positive and prime to p*N" if bad_det[i] else "first row must be congruent to (*,0) mod level"
+            raise ValueError("matrix %d of the batch, %s: %s" % (i, ms[i].tolist(), why))
+        return dets
+
     def semigroup_act(self, V, m):
-        """Action of one integer matrix (positive determinant prime to pN,
+        """Action of integer matrices (positive determinant prime to pN,
         first row congruent to (*,0) mod N) on the canonical representatives
-        of classes: V is one class, shape (dim, r), or a block of classes as
-        columns, shape (dim, k, r), and the image has the shape of V.
+        of classes.  m is one matrix (2, 2) or a stack (n, 2, 2); V is one
+        class, shape (dim, r), or a block of classes as columns, shape
+        (dim, k, r).  The image has the shape of V, after the stack's axis
+        for a stack.
+
+        The whole stack is checked before any work, and one array pass then
+        serves all of it: rep m for every coset representative rep with a
+        nonzero block and every m, the continued-fraction decomposition
+        (_symbol_terms) of all of them at once, the coefficients read from
+        the residue-keyed cache (_coefficients) and scattered by _scatter,
+        and every column of the batch reduced by one call of the row
+        reducer.  Every convergent and every gamma^-1 = U^-1 rep is exact in
+        int64 while 2 max|rep m| max|rep| < 2^63; past that it raises
+        OverflowError.
+
         Individual matrices are Hecke summands: only full coset sums over a
         double coset are well defined on the quotient, so always combine the
-        results of these calls over a complete coset list.  Operator builders
-        should use action_matrix, which caches the whole matrix of this
-        action per integer matrix."""
-        d = det(m)
-        if d <= 0 or gcd(d, self.p * self.N) != 1:
-            raise ValueError("determinant must be positive and prime to p*N")
-        if m[0][1] % self.N:
-            raise ValueError("first row must be congruent to (*,0) mod level")
+        results over a complete coset list.  Operator builders should use
+        action_matrices, which caches the whole matrix of this action per
+        integer matrix."""
+        ms = np.asarray(m, dtype=np.int64)
+        if ms.ndim not in (2, 3) or ms.shape[-2:] != (2, 2):
+            raise ValueError("expected a 2 x 2 integer matrix or a stack of them, got shape %s" % (ms.shape,))
+        stack = ms.reshape(-1, 2, 2)
+        dets = self._semigroup_dets(stack)
         V = np.asarray(V, dtype=np.int64)
         block = V if V.ndim == 3 else V[:, None]
-        full = np.zeros((self.full_dim,) + block.shape[1:], dtype=np.int64)
+        n, cosets, dimV, r, p = len(stack), len(self.reps), self.dimV, self.field.r, self.p
+        k = block.shape[1]
+        full = np.zeros((self.full_dim, k, r), dtype=np.int64)
         full[self.free] = block
-        out = np.zeros_like(full)
-        for i, rep in enumerate(self.reps):
-            W = full[i * self.dimV : (i + 1) * self.dimV]
-            if W.any():
-                self._symbol_class(_mul2(rep, m), self._coeff_act(W, m), out)
-        return self._classes(out).reshape(V.shape)
+        # each coset's coefficient block as a (D, k) F_p matrix with rows (j, s)
+        W = full.reshape(cosets, dimV, k, r).swapaxes(2, 3).reshape(cosets, dimV * r, k)
+        active = np.flatnonzero(W.any(axis=(1, 2)))
+        M = self.reps[active] @ stack[:, None]
+        if 2 * int(np.abs(M).max(initial=0)) * self._rep_max >= 2**63:
+            raise OverflowError("rep m too large for exact int64 continued fractions")
+        coeffs, index = self._coefficients(stack)
+        Wm = matmul_mod(coeffs[index][:, None], W[active], p)  # W |_chi m
+        out = np.zeros((n, cosets, dimV * r, k), dtype=np.int64)
+        a = len(active)
+        self._scatter(M.reshape(-1, 2, 2), np.repeat(dets, a), Wm.reshape(n * a, dimV * r, k), np.repeat(np.arange(n), a), out)
+        rows = out.reshape(n, cosets, dimV, r, k).transpose(0, 4, 1, 2, 3).reshape(n * k, self.full_dim, r)
+        classes = self._reducer.reduce(rows % p)[:, self.free]
+        return classes.reshape(n, k, self.dim, r).swapaxes(1, 2).reshape(ms.shape[:-2] + V.shape)
+
+    def action_matrices(self, ms):
+        """The matrices of semigroup_act (columns = images of the unit
+        vectors) of the integer matrices of the stack ms (n, 2, 2), as an
+        (n, dim, dim, r) array.  Each is cached per space, keyed on the
+        integer matrix itself, not its class mod N: single summands do not
+        descend to the quotient, so two matrices congruent mod N can act
+        differently.  The ones not cached yet are computed together, by one
+        call of semigroup_act."""
+        ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2, 2)
+        keys = [tuple(m) for m in ms.reshape(-1, 4).tolist()]
+        missing = list(dict.fromkeys(key for key in keys if key not in self._action_cache))
+        if missing:
+            A = self.semigroup_act(identity(self.dim, self.field), np.array(missing).reshape(-1, 2, 2))
+            A.flags.writeable = False
+            self._action_cache.update(zip(missing, A))
+        return np.stack([self._action_cache[key] for key in keys])
 
     def action_matrix(self, m):
-        """Matrix of semigroup_act by m (columns = images of the unit
-        vectors), cached per space.  The key is the integer matrix m itself,
-        not its class mod N: single summands do not descend to the quotient,
-        so two matrices congruent mod N can act differently.  The returned
-        array is read-only and shared by every caller."""
-        key = (tuple(m[0]), tuple(m[1]))
-        if key not in self._action_cache:
-            A = self.semigroup_act(identity(self.dim, self.field), key)
-            A.flags.writeable = False
-            self._action_cache[key] = A
-        return self._action_cache[key]
+        """The matrix of semigroup_act by the one integer matrix m: see
+        action_matrices."""
+        return self.action_matrices(m)[0]
 
     def hecke_matrix(self, l):
         """T_l as a matrix over the scalar field (columns = images): the
-        sum of action_matrix over the l + 1 cosets of diag(1, l).  Read-only
-        and cached."""
+        sum of the action matrices of the l + 1 cosets of diag(1, l), taken
+        by one action_matrices call.  Read-only and cached."""
         if l in self._hecke_cache:
             return self._hecke_cache[l]
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        T = sum(self.action_matrix(m) for m in cosets) % self.p
+        T = self.action_matrices(cosets).sum(axis=0) % self.p
         T.flags.writeable = False
         self._hecke_cache[l] = T
         return T

@@ -8,9 +8,13 @@ chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
 grouped exactly: np.unique counts the distinct (psi2, psi1) rows, the
 counted scalars of a psi2 are added, and the block's action matrix is
-accumulated once.  Action matrices are cached on the symbol space keyed on
-the integer matrix psi2, never on its class mod N1, because a single summand
-does not descend to the quotient.  Nothing is hand-simplified; the
+accumulated once.  The action matrices of all live psi2 come from one
+SymbolSpace.action_matrices call, whose cache misses share one array pass of
+the continued-fraction symbol decomposition, with the coefficient matrices
+read from a table keyed on the residues of each gamma^-1.  Action matrices
+are cached on the symbol space keyed on the integer matrix psi2, never on
+its class mod N1, because a single summand does not descend to the
+quotient.  Nothing is hand-simplified; the
 closed-form eigenvalue expressions are used only as test oracles.  T(l,3)
 has the single coset diag(l,l,l), and its measured eigenvalue enters the
 attachment identity together with those of T(l,1) and T(l,2).
@@ -107,9 +111,10 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     semigroup.  Cosets are then grouped by psi2, which is exact because the
     operator is linear in the coset sum: the distinct (psi2, psi1) rows are
     counted with np.unique, each group's scalars chi0(psi1) * psi1^c are
-    added, a zero sum is skipped, and the cached space.action_matrix(psi2)
-    is accumulated once.  The cache is keyed on the integer matrix psi2, not
-    on its class mod N1."""
+    added, and a zero sum is skipped.  The action matrices of the live psi2
+    are taken by one space.action_matrices call, which computes the ones not
+    cached in one batched symbol pass; each is accumulated once.  The cache
+    is keyed on the integer matrix psi2, not on its class mod N1."""
     space = datum.space
     p = datum.p
     N, d = datum.N, datum.d
@@ -131,8 +136,9 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     live = [(psi2, scalar) for psi2, scalar in groups.items() if not scalar.is_zero()]
     if not live:
         return np.zeros((space.dim, space.dim, field.r), dtype=np.int64)
-    # every action matrix times its group's scalar, in one batched product
-    A = np.array([space.action_matrix(psi2) for psi2, _ in live])
+    # every action matrix, from one batched symbol pass over the ones not
+    # cached, times its group's scalar, in one batched product
+    A = space.action_matrices(np.array([psi2 for psi2, _ in live]))
     S = np.array([field.mul_matrix(scalar).T for _, scalar in live])
     return matmul_mod(A, S[:, None], p).sum(axis=0) % p
 

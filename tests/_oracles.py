@@ -1,6 +1,6 @@
 """Independent arithmetic oracles used by the test suite.
 
-These never touch the symbol-space machinery: elliptic trace counts are
+Most of these never touch the symbol-space machinery: elliptic trace counts are
 brute-force point counts, and the discriminant-cusp-form coefficients come
 from expanding the Jacobi product directly.  SequentialSpinBasis is the
 row-at-a-time basis that the batched linalg.SpinBasis replaced, and
@@ -14,6 +14,12 @@ with points normalised by scanning every unit mod N; it is the reference for
 the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
 dict_sub_matrix expands each substituted monomial as a dictionary
 polynomial; it is the reference for the table-driven modrep.sub_matrix.
+symbol_terms, coeff_act, to_full, symbol_class and scalar_semigroup_act are
+the symbol class of modsym2 as it was before it moved to arrays: each symbol
+is decomposed on its own by continued fractions in Python integers, its cosets
+found by p1_canonical_scan, and the coefficients applied term by term;
+scalar_free_columns builds the relations of the quotient the same way.  They
+are the reference for SymbolSpace.semigroup_act and _build_quotient.
 rref, nullspace and RowReducer are the row reduction over lists of Fq
 entries that linalg ran before it moved to F_p coordinate arrays; they are
 the reference for the array versions.
@@ -46,6 +52,7 @@ import numpy as np
 from gl3hecke.arith import adj3, det, divisors, is_squarefree
 from gl3hecke.characters import DirichletCharacter, xgcd
 from gl3hecke.heckegl3 import in_gamma0, mat3, mat_mul3, psi_blocks
+from gl3hecke.linalg import RowReducer as LinalgRowReducer
 from gl3hecke.linalg import SpinBasis, matmul_mod, np_nullspace
 from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
 from gl3hecke.transfer import _character_values
@@ -281,6 +288,163 @@ def p1_canonical_scan(v, N):
             best = cand
     return best
 
+
+
+# -- the scalar symbol class: the reference for modsym2's array pass ----------
+
+
+def mul2(A, B):
+    return (
+        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
+    )
+
+
+def _inv2_unimodular(A):
+    d = det(A)
+    if d == 1:
+        return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
+    if d == -1:
+        return ((-A[1][1], A[0][1]), (A[1][0], -A[0][0]))
+    raise ValueError("matrix is not unimodular")
+
+
+def row_canonical(v):
+    g = gcd(v[0], v[1])
+    if g == 0:
+        raise ValueError("zero row in a symbol")
+    v = (v[0] // g, v[1] // g)
+    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
+        v = (-v[0], -v[1])
+    return v
+
+
+def symbol_terms(M):
+    """Express the symbol with rows M as a sum of unimodular symbols.
+
+    Returns [(sign, U)] with U integer matrices of determinant +1; rows are
+    scaling-normalized lines, and non-unimodular symbols are decomposed
+    along continued-fraction paths between the two boundary points.
+    """
+    u = row_canonical((M[0][0], M[0][1]))
+    w = row_canonical((M[1][0], M[1][1]))
+    if u == w:
+        return []
+    d = det((u, w))
+    if d == -1:
+        w = (-w[0], -w[1])
+        d = 1
+    if d == 1:
+        return [(1, (u, w))]
+    terms = []
+    for sign, pt in ((-1, u), (1, w)):
+        terms.extend((sign * s, U) for s, U in _path_from_infinity(pt))
+    return terms
+
+
+def _path_from_infinity(v):
+    """{infinity, v} as consecutive continued-fraction convergent symbols."""
+    p, q = v
+    if q == 0:
+        return []
+    if q < 0:
+        p, q = -p, -q
+    a_list = []
+    pp, qq = p, q
+    while qq:
+        a = pp // qq
+        a_list.append(a)
+        pp, qq = qq, pp - a * qq
+    hs = [(1, 0)]
+    h, k = a_list[0], 1
+    hs.append((h, k))
+    hprev, kprev = 1, 0
+    for a in a_list[1:]:
+        h, k, hprev, kprev = a * h + hprev, a * k + kprev, h, k
+        hs.append((h, k))
+    out = []
+    for i in range(len(hs) - 1):
+        x, y = row_canonical(hs[i]), row_canonical(hs[i + 1])
+        if det((x, y)) == -1:
+            y = (-y[0], -y[1])
+        out.append((1, (x, y)))
+    return out
+
+
+def coeff_act(space, V, m):
+    """V |_chi m for a block V of coefficient columns, shape (dimV, k, r),
+    and an integer matrix m of determinant prime to pN: chi1(m_11) times
+    the module right action."""
+    p, r = space.p, space.field.r
+    R = space.module.rho(np.array([[m[0][0] % p, m[1][0] % p], [m[0][1] % p, m[1][1] % p]], dtype=np.int64))
+    S = space.field.mul_matrix(space.chi1(m[0][0]))
+    A = (R[:, None, :, None] * S[:, None, :] % p).reshape(len(R) * len(S), -1)
+    k = V.shape[1]
+    W = matmul_mod(A, V.swapaxes(1, 2).reshape(space.dimV * r, k), p)
+    return W.reshape(space.dimV, r, k).swapaxes(1, 2)
+
+
+def to_full(space, M, V, out, sign=1):
+    """Accumulate the class of the unimodular symbol M with the coefficient
+    columns V into the full coordinate columns out, shape (full_dim, k, r);
+    the coset is found by scanning the units (p1_canonical_scan)."""
+    i = space.index[p1_canonical_scan((M[0][1] % space.N, M[1][1] % space.N), space.N)]
+    rep = tuple(map(tuple, space.reps[i].tolist()))
+    gamma = mul2(_inv2_unimodular(rep), M)
+    base = i * space.dimV
+    out[base : base + space.dimV] += sign * coeff_act(space, V, _inv2_unimodular(gamma))
+
+
+def symbol_class(space, M, V, out, sign=1):
+    for s, U in symbol_terms(M):
+        to_full(space, U, V, out, sign=sign * s)
+
+
+def classes(space, full):
+    """Coordinates (dim, k, r) of the classes of the full coordinate
+    columns full, shape (full_dim, k, r)."""
+    rows = space._reducer.reduce(full.swapaxes(0, 1) % space.p)
+    return rows[:, space.free].swapaxes(0, 1)
+
+
+def scalar_semigroup_act(space, V, m):
+    """SymbolSpace.semigroup_act by one integer matrix m as a loop over the
+    coset representatives and the terms of each symbol, in Python integers."""
+    m = tuple(map(tuple, np.asarray(m).tolist()))
+    V = np.asarray(V, dtype=np.int64)
+    block = V if V.ndim == 3 else V[:, None]
+    full = np.zeros((space.full_dim,) + block.shape[1:], dtype=np.int64)
+    full[space.free] = block
+    out = np.zeros_like(full)
+    for i, rep in enumerate(space.reps.tolist()):
+        W = full[i * space.dimV : (i + 1) * space.dimV]
+        if W.any():
+            symbol_class(space, mul2(tuple(map(tuple, rep)), m), coeff_act(space, W, m), out)
+    return classes(space, out).reshape(V.shape)
+
+
+def scalar_free_columns(space):
+    """The free columns of the quotient, from the relations built symbol by
+    symbol: for each representative the order-4, order-3 and plus-quotient
+    relations, each for every coefficient unit vector."""
+    sigma, tau, eta = ((0, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, -1))
+    unit = np.zeros((space.dimV, space.dimV, space.field.r), dtype=np.int64)
+    unit[range(space.dimV), range(space.dimV), 0] = 1
+    rows = []
+    for rep in space.reps.tolist():
+        rep = tuple(map(tuple, rep))
+        rels = np.zeros((3, space.full_dim, space.dimV, space.field.r), dtype=np.int64)
+        for rel in rels:
+            to_full(space, rep, unit, rel)
+        symbol_class(space, mul2(sigma, rep), unit, rels[0])
+        symbol_class(space, mul2(tau, rep), unit, rels[1])
+        symbol_class(space, mul2(tau, mul2(tau, rep)), unit, rels[1])
+        symbol_class(space, mul2(rep, eta), coeff_act(space, unit, eta), rels[2], sign=-1)
+        rows.append(rels.swapaxes(1, 2).reshape(-1, space.full_dim, space.field.r) % space.p)
+    reducer = LinalgRowReducer(space.field, space.full_dim)
+    reducer.add_rows(np.concatenate(rows))
+    pivots = set(reducer.pivot_columns())
+    return [c for c in range(space.full_dim) if c not in pivots]
 
 def prime_field_minpoly(x):
     """Minimal polynomial over F_p of the field element x, as integers,

@@ -3,16 +3,31 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import _distinct_degrees, _poly_mul_fq, make_field
-from gl3hecke.linalg import identity
-from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, _mul2, find_eigensystems, p1_points, symbol_terms
+from gl3hecke.linalg import apply_matrix, identity
+from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, _symbol_terms, find_eigensystems, p1_points
 
-from _oracles import elliptic_ap, p1_canonical_scan, prime_field_minpoly, rref, scan_eigen_split, tau
+from _oracles import (
+    classes,
+    coeff_act,
+    elliptic_ap,
+    mul2,
+    p1_canonical_scan,
+    prime_field_minpoly,
+    row_canonical,
+    rref,
+    scalar_free_columns,
+    scalar_semigroup_act,
+    scan_eigen_split,
+    symbol_terms,
+    tau,
+    to_full,
+)
 
 
 def _arr(field, M):
@@ -44,15 +59,13 @@ def test_symbol_terms_unimodular_passthrough():
 
 def test_symbol_terms_boundary_telescopes():
     # the line divisor of the decomposition telescopes to (w) - (u)
-    from gl3hecke.modsym2 import _row_canonical
-
     for M in [((1, 0), (3, 7)), ((2, 5), (9, 4)), ((1, 2), (5, 3))]:
         terms = symbol_terms(M)
         divisor = {}
         for s, U in terms:
-            for pt, c in ((_row_canonical(U[0]), -s), (_row_canonical(U[1]), s)):
+            for pt, c in ((row_canonical(U[0]), -s), (row_canonical(U[1]), s)):
                 divisor[pt] = divisor.get(pt, 0) + c
-        u, w = _row_canonical(M[0]), _row_canonical(M[1])
+        u, w = row_canonical(M[0]), row_canonical(M[1])
         divisor = {k: v for k, v in divisor.items() if v}
         assert divisor == {u: -1, w: 1} or (u == w and divisor == {})
 
@@ -143,16 +156,16 @@ def _act_symbols(space, pairs, m):
     (dimV, k, r), and the image is the same shape."""
     out = []
     for sign, U, V in pairs:
-        W = space._coeff_act(V, m)
-        out.extend((sign * s, U2, W) for s, U2 in symbol_terms(_mul2(U, m)))
+        W = coeff_act(space, V, m)
+        out.extend((sign * s, U2, W) for s, U2 in symbol_terms(mul2(U, m)))
     return out
 
 
 def _symbols_to_classes(space, pairs):
     full = np.zeros((space.full_dim,) + pairs[0][2].shape[1:], dtype=np.int64)
     for sign, U, V in pairs:
-        space._to_full(U, V, full, sign=sign)
-    return space._classes(full)
+        to_full(space, U, V, full, sign=sign)
+    return classes(space, full)
 
 
 def test_symbol_action_multiplicative_sample():
@@ -162,10 +175,10 @@ def test_symbol_action_multiplicative_sample():
     space = SymbolSpace(11, 5, 2, 0)
     m1 = ((1, 0), (3, 2))  # det 2
     m2 = ((3, 0), (1, 1))  # det 3
-    m12 = _mul2(m1, m2)
+    m12 = mul2(m1, m2)
     units = identity(space.dimV, space.field)
-    for rep in space.reps[:4]:
-        z = [(1, rep, units)]
+    for rep in space.reps[:4].tolist():
+        z = [(1, tuple(map(tuple, rep)), units)]
         step = _symbols_to_classes(space, _act_symbols(space, _act_symbols(space, z, m1), m2))
         direct = _symbols_to_classes(space, _act_symbols(space, z, m12))
         assert np.array_equal(step, direct)
@@ -187,6 +200,107 @@ def test_semigroup_rejects_bad_matrices():
         space.semigroup_act(np.zeros((space.dim, 1), dtype=np.int64), ((1, 1), (0, 2)))
     with pytest.raises(ValueError):
         space.semigroup_act(np.zeros((space.dim, 1), dtype=np.int64), ((1, 0), (0, -1)))
+    # a stack is checked as a whole, before any work, and the error names its
+    # first bad matrix: determinant 5 = p here, a first row (1, 1) after it
+    stack = np.array([((1, 0), (0, 2)), ((2, 0), (1, 1)), ((1, 11), (0, 5)), ((1, 1), (0, 2))])
+    with pytest.raises(ValueError, match=r"matrix 2 of the batch, \[\[1, 11\], \[0, 5\]\]: determinant"):
+        space.semigroup_act(identity(space.dim, space.field), stack)
+    with pytest.raises(ValueError, match=r"matrix 2 of the batch, .*: first row"):
+        space.action_matrices(stack[[0, 1, 3]])
+    assert not space._action_cache
+
+
+def _random_semigroup_matrix(rng, N, p):
+    """An integer matrix with entries of both signs up to 10^4, first row
+    congruent to (*, 0) mod N and positive determinant prime to pN."""
+    while True:
+        m00, m10, m11 = (rng.randint(-(10**4), 10**4) for _ in range(3))
+        m01 = N * rng.randint(-(10**4 // N), 10**4 // N)
+        d = m00 * m11 - m01 * m10
+        if d < 0:
+            m10, m11, d = -m10, -m11, -d
+        if d and gcd(d, p * N) == 1:
+            return ((m00, m01), (m10, m11))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mats=st.lists(
+        st.tuples(*[st.integers(-(10**4), 10**4)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]), min_size=1, max_size=8
+    )
+)
+def test_symbol_terms_on_arrays_match_the_scalar_decomposition(mats):
+    # every term, with its sign and the overall sign of U, which no action
+    # matrix can see: -U has the same coset, and its coefficients differ by
+    # chi1(-1) (-1)^(a-b), which is 1 on every nonzero space
+    M = np.array(mats, dtype=np.int64).reshape(-1, 2, 2)
+    src, sign, U = _symbol_terms(M, M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
+    for i, (a, b, c, d) in enumerate(mats):
+        got = sorted((s, tuple(map(tuple, u))) for s, u in zip(sign[src == i].tolist(), U[src == i].tolist()))
+        assert got == sorted(symbol_terms(((a, b), (c, d))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 13]),
+    N=st.sampled_from([11, 13, 29, 53]),
+    dimV=st.integers(1, 5),
+    b=st.integers(0, 1),
+    r=st.sampled_from([1, 2, 3]),
+    quadratic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_action_matrices_match_the_scalar_oracle(p, N, dimV, b, r, quadratic, seed):
+    # the quadratic character mod N is even for N = 13, 29, 53; mod 11 it is
+    # odd, which keeps the spaces of odd a - b nonzero there
+    assume(N != p)
+    F = make_field(p, r)
+    space = SymbolSpace(N, p, b + dimV - 1, b, chi1=DirichletCharacter.quadratic(F, N) if quadratic else None, field=F)
+    assert space.free == scalar_free_columns(space)
+    rng = random.Random(seed)
+    ms = [_random_semigroup_matrix(rng, N, p) for _ in range(3)]
+    ms.append(ms[0])  # a batch that repeats a matrix
+    A = space.action_matrices(np.array(ms))
+    assert A.shape == (4, space.dim, space.dim, r)
+    units = identity(space.dim, F)
+    for m, Am in zip(ms, A):
+        assert np.array_equal(Am, scalar_semigroup_act(space, units, m))
+    # the pass on a block of classes that are not unit vectors
+    V = np.array([[[rng.randrange(p) for _ in range(r)] for _ in range(2)] for _ in range(space.dim)], dtype=np.int64)
+    V = V.reshape(space.dim, 2, r)
+    assert np.array_equal(space.semigroup_act(V, np.array(ms)), np.stack([apply_matrix(Am, V, F) for Am in A]))
+
+
+def test_action_matrices_of_a_zero_space():
+    # chi1(-1) (-1)^(a-b) = -1 kills every symbol: the batch still has its shape
+    F = make_field(5, 2)
+    space = SymbolSpace(11, 5, 0, 0, chi1=DirichletCharacter.quadratic(F, 11), field=F)
+    assert space.dim == 0
+    ms = np.array([((1, 0), (0, 2)), ((1, 0), (1, 2)), ((2, 0), (0, 1))])
+    assert space.action_matrices(ms).shape == (3, 0, 0, 2)
+    assert space.hecke_matrix(2).shape == (0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "huge",
+    [
+        ((1, 0), (2**57 + 1, 1)),  # 2 max|rep m| max|rep| passes 2^63 (rep m reaches 10 (2^57 + 1))
+        ((2**61 + 1, 0), (0, 1)),  # rep m itself could leave int64
+    ],
+)
+def test_large_entries_are_exact_or_raise_overflow(huge):
+    # the pass is in int64: entries near 2^40 are still exact, equal to the
+    # oracle's Python integers, and entries whose products could leave int64
+    # raise OverflowError instead of wrapping
+    space = SymbolSpace(11, 5, 2, 0)
+    near = 2**40 + 1  # 2^40 = 1 mod 5 and mod 11
+    ms = [((near, 0), (7, 1)), ((3, 0), (5 - 2**40, 2)), ((1, 11 * 2**36), (-5, 2**40 + 3))]
+    A = space.action_matrices(np.array(ms))
+    units = identity(space.dim, space.field)
+    for m, Am in zip(ms, A):
+        assert np.array_equal(Am, scalar_semigroup_act(space, units, m))
+    with pytest.raises(OverflowError):
+        space.action_matrices(np.array([huge]))
 
 
 def test_irrational_system_triggers_extension():

@@ -35,6 +35,11 @@ for name in (
 # count reads len() of each result of the name transfer calls
 assert metrics["heckegl3.cosets"] == 29, metrics["heckegl3.cosets"]
 assert metrics["heckegl3.hecke_orbit_action.s"] > 0
+# the action matrices of a Hecke operator, or of a boundary operator, come
+# from at most one batched symbol pass, not one pass per matrix
+spans = tracer.summary()
+batches = spans["modsym2.hecke_matrix"][0] + spans["transfer.gl3_hecke_on_boundary"][0]
+assert 0 < spans["modsym2.semigroup_act"][0] <= batches, (spans["modsym2.semigroup_act"][0], batches)
 print("traced chain ok")
 """
 
