@@ -306,11 +306,6 @@ class CyclotomicExponent:
         if self.kind == "niveau2" and self.exponent % (self.p + 1) == 0:
             raise ValueError("exponent %d is a multiple of p+1: niveau-1 in disguise" % self.exponent)
 
-    def normal_form(self):
-        if self.kind != "niveau2":
-            raise ValueError("normal form only defined for niveau-2 exponents")
-        return niveau2_normal_form(self.p, self.exponent)
-
 
 def niveau2_normal_form(p, m):
     """Write m = a + b*p mod p^2-1 with 0 < a-b <= p.

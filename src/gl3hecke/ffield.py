@@ -4,22 +4,37 @@ Elements are coordinate vectors with respect to a deterministically chosen
 monic irreducible modulus polynomial, so serialized values are reproducible
 across runs.  A field embeds in each of its extensions by sending the
 generator to the least root of its modulus there, found by the same
-root-finder that reads off Hecke eigenvalues.  All arithmetic is exact;
-nothing here floats.
+equal-degree splitting that reads off Hecke eigenvalues.  All arithmetic is
+exact; nothing here floats.
 
-Fq objects are scalars: eigenvalues, character values and polynomial
-coefficients.  Vectors and matrices over F_{p^r} are int64 arrays of F_p
-coordinates whose trailing axis has length r (see linalg); to_array and
-from_array convert between the two, and every field keeps, cached, the F_p
-matrices of multiplication by a scalar, of its embeddings and of its
-Frobenius powers, each acting on coordinate columns.
+Fq objects are scalars: eigenvalues and character values.  Vectors and
+matrices over F_{p^r} are int64 arrays of F_p coordinates whose trailing
+axis has length r (see linalg); to_array and from_array convert between the
+two, and every field keeps, cached, the F_p matrices of multiplication by a
+scalar, of its embeddings and of its Frobenius powers, each acting on
+coordinate columns.
+
+A polynomial of degree n over F_{p^r} is an int64 array (n + 1, r) of F_p
+coordinates in [0, p), constant term first, with a nonzero last row; the
+zero polynomial has shape (0, r).  A product is one np.convolve of the
+coefficients laid out in slots of width 2r - 1 (Kronecker substitution)
+and one matmul_mod that rewrites the powers of the generator by the field
+modulus; the convolution is exact in int64 while min(len(a), len(b)) * r *
+(p - 1)^2 < 2^63, and raises OverflowError past it.  Reduction mod a fixed
+monic m is one matmul_mod by the F_p map of x^k mod m.  On these rest
+powmod, gcd, exact division, distinct-degree factorisation and
+Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 8 and 14).
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .arith import is_prime, prime_factors
+from .linalg import _expand, matmul_mod, np_rref
 
 
 class Fq:
@@ -83,8 +98,7 @@ class Fq:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        q = self.field.order
-        return self ** (q - 2)
+        return Fq(self.field, _inverse(np.array(self.coords), self.field).tolist())
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -181,19 +195,15 @@ class FiniteField:
 
     @staticmethod
     def _least_irreducible(p, r):
-        # a monic f of degree r > 1 is irreducible when its one distinct-degree
-        # part over the prime field has degree r
+        # a monic f of degree r > 1 is irreducible when its first
+        # distinct-degree part over the prime field has degree r; a reducible
+        # one is rejected at its least factor, without factoring the rest
         if r == 1:
             return (0, 1)
         prime = FiniteField(p, 1)
         for k in range(p**r):
-            coeffs = []
-            kk = k
-            for _ in range(r):
-                coeffs.append(kk % p)
-                kk //= p
-            f = coeffs + [1]
-            if _distinct_degrees([prime.from_int(c) for c in f], prime)[0][0] == r:
+            f = [k // p**i % p for i in range(r)] + [1]
+            if next(_distinct_degrees(np.array(f, dtype=np.int64)[:, None], prime))[0] == r:
                 return tuple(f)
         raise RuntimeError("no irreducible modulus found")  # unreachable
 
@@ -248,7 +258,9 @@ class FiniteField:
         order: the image of the generator under embed."""
         cached = self.__dict__.setdefault("_embedding_roots", {})
         if big.r not in cached:
-            cached[big.r] = _roots([big.from_int(c) for c in self.modulus], big)[0]
+            m = np.zeros((self.r + 1, big.r), dtype=np.int64)
+            m[:, 0] = self.modulus
+            cached[big.r] = big.element(_roots(m, big)[0].tolist())
         return cached[big.r]
 
     def to_array(self, xs):
@@ -279,6 +291,30 @@ class FiniteField:
         if not isinstance(x, Fq) or x.field != self:
             raise ValueError("element not in this field")
         return self._map(("mul", x.coords), lambda t: (x * self._power(t)).coords)
+
+    def mul_matrices(self, X):
+        """The F_p matrices of multiplication by the elements whose
+        coordinates are the rows of X (..., r), shape (..., r, r): the sums
+        over t of X[..., t] power_matrices()[t]."""
+        X = np.asarray(X, dtype=np.int64)
+        r = self.r
+        M = matmul_mod(X.reshape(-1, r), self.power_matrices().reshape(r, r * r), self.p)
+        return M.reshape(X.shape[:-1] + (r, r))
+
+    def generator_powers(self):
+        """The (2r - 1, r) array of the coordinates of g^s, s < 2r - 1, for g
+        the class of x: the rows that rewrite a product of two coordinate
+        vectors by the modulus."""
+        if "generator_powers" not in self._maps:
+            Y = np.zeros((2 * self.r - 1, self.r), dtype=np.int64)
+            Y[: self.r] = np.eye(self.r, dtype=np.int64)
+            for s in range(self.r, 2 * self.r - 1):
+                # g^s = g * g^(s-1): shift up, and g^r = -(c_0 + ... + c_(r-1) g^(r-1))
+                Y[s, 1:] = Y[s - 1, :-1]
+                Y[s] = (Y[s] - Y[s - 1, -1] * np.array(self.modulus[:-1])) % self.p
+            Y.flags.writeable = False
+            self._maps["generator_powers"] = Y
+        return self._maps["generator_powers"]
 
     def power_matrices(self):
         """The (r, r, r) array of mul_matrix(g^t), t < r."""
@@ -319,145 +355,278 @@ class FiniteField:
         return self.element(data["coords"])
 
 
-# -- polynomials over a FiniteField --
-# Polynomials over a field are lists of its elements, constant term
-# first, with no zero leading coefficient; the zero polynomial is [].
+# -- polynomials over a FiniteField, as coordinate arrays (module docstring) --
+
+# how many pseudo-random splitting polynomials _equal_degree tries before it
+# gives up; each separates two given factors with probability about 1/2
+_SPLITTERS = 64
 
 
-def _poly_trim_fq(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
+def _trim(a):
+    """a without its zero leading coefficients."""
+    nonzero = np.flatnonzero(a.any(axis=1))
+    return a[: nonzero[-1] + 1 if nonzero.size else 0]
 
 
-def _poly_add_fq(a, b, field):
-    n = max(len(a), len(b))
-    zero = field.zero()
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return _poly_trim_fq([x + y for x, y in zip(a, b)])
+def _monomial(k, field):
+    """x^k."""
+    out = np.zeros((k + 1, field.r), dtype=np.int64)
+    out[k, 0] = 1
+    return out
 
 
-def _poly_mul_fq(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _poly_trim_fq(out)
+def _linear(a, field):
+    """x + a, for the coordinates a of a scalar."""
+    out = _monomial(1, field)
+    out[0] = a
+    return out
 
 
-def _poly_mod_fq(a, m):
-    """a mod m, for monic m."""
-    a = _poly_trim_fq(list(a))
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        f = a[-1]
-        for i in range(len(m)):
-            a[shift + i] = a[shift + i] - f * m[i]
-        a = _poly_trim_fq(a)
-    return a
+def _element_coords(field):
+    """The coordinates of field.elements(), in that order."""
+    p = field.p
+    for k in range(field.order):
+        yield np.array([k // p**i % p for i in range(field.r)], dtype=np.int64)
 
 
-def _poly_gcd_fq(a, b):
-    """Monic gcd; gcd(0, 0) = 0.  Each divisor is made monic first."""
-    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
-    while b:
-        inv = b[-1].inverse()
-        b = [c * inv for c in b]
-        a, b = b, _poly_mod_fq(a, b)
-    if not a:
+def _sort_elements(coords, field):
+    """The rows of coords sorted in field.elements() order, as an (n, r) array."""
+    p = field.p
+    rows = sorted(np.asarray(coords).tolist(), key=lambda c: sum(v * p**i for i, v in enumerate(c)))
+    return np.array(rows, dtype=np.int64).reshape(-1, field.r)
+
+
+def _inverse(c, field):
+    """The coordinates of 1 / c, for the coordinates c of a nonzero scalar:
+    c^(p - 2) over F_p, else the multiplication matrix of c solved against
+    the coordinates of 1."""
+    if field.r == 1:
+        return np.array([pow(int(c[0]), field.p - 2, field.p)], dtype=np.int64)
+    R, _ = np_rref(np.concatenate([field.mul_matrices(c), _monomial(0, field).T], axis=1), field.p)
+    return R[:, -1]
+
+
+def _monic(a, field):
+    """a divided by its leading coefficient."""
+    if a[-1, 0] == 1 and not a[-1, 1:].any():
         return a
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
+    return matmul_mod(a, field.mul_matrices(_inverse(a[-1], field)).T, field.p)
 
 
-def _poly_powmod_fq(base, e, m, field):
-    result = _poly_mod_fq([field.one()], m)
-    base = _poly_mod_fq(base, m)
-    while e:
-        if e & 1:
-            result = _poly_mod_fq(_poly_mul_fq(result, base, field), m)
-        base = _poly_mod_fq(_poly_mul_fq(base, base, field), m)
-        e >>= 1
-    return result
+def _poly_sub(a, b, field):
+    out = np.zeros((max(len(a), len(b)), field.r), dtype=np.int64)
+    out[: len(a)] += a
+    out[: len(b)] -= b
+    return _trim(out % field.p)
+
+
+def _poly_mul(a, b, field):
+    """a * b by Kronecker substitution.  Coefficient i of a polynomial is
+    written in the slot of width w = 2r - 1 that starts at i * w of one
+    integer sequence, so one np.convolve multiplies every pair of
+    coefficients at once: a product of two coefficients has degree at most
+    2r - 2 in the field generator g and never reaches the next slot.  One
+    matmul_mod then rewrites g^s, s < w, by the field modulus.
+
+    A convolution sum gathers at most min(len(a), len(b)) * r products, each
+    at most (p - 1)^2, and every term is nonnegative, so no partial sum
+    passes min(len(a), len(b)) * r * (p - 1)^2.  The product raises
+    OverflowError unless that bound is below 2^63."""
+    if not len(a) or not len(b):
+        return a[:0]
+    p, r = field.p, field.r
+    if min(len(a), len(b)) * r * (p - 1) ** 2 >= 2**63:
+        raise OverflowError("Kronecker product of polynomials over F_%d^%d overflows int64" % (p, r))
+    w = 2 * r - 1
+
+    def spread(c):
+        slots = np.zeros((len(c), w), dtype=np.int64)
+        slots[:, :r] = c
+        return slots.ravel()[: len(c) * w - r + 1]
+
+    # the two sequences have lengths (n - 1) w + r, so the product has (len(a) + len(b) - 1) w
+    prod = np.convolve(spread(a), spread(b)).reshape(-1, w) % p
+    return prod if r == 1 else matmul_mod(prod, field.generator_powers(), p)
+
+
+def _poly_divmod(a, b, field):
+    """(quotient, remainder) of a by a monic b of degree n: the coefficients
+    of a are cleared from the top down, each by its multiple of b, read off
+    the F_p rows coords(g^t b) of linalg._expand; what clears them is the
+    quotient."""
+    n, r, p = len(b) - 1, field.r, field.p
+    if len(a) <= n:
+        return a[:0], a
+    low = _expand(b[:n], field).reshape(r, n * r)
+    a = a.copy()
+    for k in range(len(a) - 1, n - 1, -1):
+        a[k - n : k] = (a[k - n : k] - matmul_mod(a[k], low, p).reshape(n, r)) % p
+    return a[n:], _trim(a[:n])
+
+
+def _poly_divide_exact(a, g, field):
+    """a / g for a monic g that divides a; ValueError if it does not."""
+    quotient, rem = _poly_divmod(a, g, field)
+    if len(rem):
+        raise ValueError("the division is not exact")
+    return quotient
+
+
+def _poly_gcd(a, b, field):
+    """The monic gcd; gcd(0, 0) = 0.  Euclid, each divisor made monic."""
+    while len(b):
+        b = _monic(b, field)
+        a, b = b, _poly_divmod(a, b, field)[1]
+    return _monic(a, field) if len(a) else a
+
+
+class _Modulus:
+    """Arithmetic mod a monic m of degree n >= 1 over field.  A product of
+    two reduced polynomials has degree at most 2n - 2; its coefficients of
+    x^n, ..., x^(2n - 2) enter the remainder through the F_p-linear map that
+    sends coordinate t of the coefficient of x^k to coords(g^t (x^k mod
+    m)), computed once, so each reduction is one matmul_mod."""
+
+    def __init__(self, m, field):
+        p, r, n = field.p, field.r, len(m) - 1
+        self.m, self.field, self.n = m, field, n
+        rows = [-m[:n] % p]  # x^n mod m
+        low = _expand(rows[0], field).reshape(r, n * r)
+        for _ in range(n - 2):
+            # x^(k+1) mod m: x^k mod m shifted up, its top coefficient times x^n mod m
+            top = rows[-1]
+            rows.append((np.concatenate([np.zeros((1, r), dtype=np.int64), top[:-1]]) + matmul_mod(top[-1], low, p).reshape(n, r)) % p)
+        self.map = _expand(np.array(rows), field).reshape(-1, n * r)
+
+    def reduce(self, a):
+        """a mod m; by long division when deg a > 2n - 2."""
+        n, p = self.n, self.field.p
+        if len(a) <= n:
+            return a
+        if len(a) > 2 * n - 1:
+            return _poly_divmod(a, self.m, self.field)[1]
+        high = a[n:].reshape(1, -1)
+        return _trim((a[:n] + matmul_mod(high, self.map[: high.shape[1]], p).reshape(n, -1)) % p)
+
+    def powmod(self, base, e):
+        """base^e mod m, squaring from the top bit down."""
+        base = self.reduce(base)
+        if e == 0:
+            return self.reduce(_monomial(0, self.field))
+        out = base
+        for bit in bin(e)[3:]:
+            out = self.reduce(_poly_mul(out, out, self.field))
+            if bit == "1":
+                out = self.reduce(_poly_mul(out, base, self.field))
+        return out
+
+
+def _poly_powmod(base, e, m, field):
+    """base^e mod the monic m, of degree at least 1."""
+    return _Modulus(m, field).powmod(base, e)
 
 
 def _distinct_degrees(m, field):
-    """The distinct-degree parts of the monic polynomial m: the pairs
-    (d, g_d), d increasing, where g_d is the product of the distinct monic
-    irreducible factors of m of degree d.  Distinct-degree factorisation on
-    m itself, not its squarefree part: after the gcd with x^(q^d) - x finds
-    the factors of degree d, every power of them is divided out of m, so a
-    factor whose multiplicity is divisible by p is found like any other."""
+    """The distinct-degree parts of the monic polynomial m, yielded as they
+    are found: the pairs (d, g_d), d increasing, where g_d is the product
+    of the distinct monic irreducible factors of m of degree d.
+    Distinct-degree factorisation on m itself, not its squarefree part:
+    after the gcd with x^(q^d) - x finds the factors of degree d, every
+    power of them is divided out of m, so a factor whose multiplicity is
+    divisible by p is found like any other."""
     q = field.order
-    work = _poly_trim_fq(list(m))
-    minus_x = [field.zero(), -field.one()]
-    h = [field.zero(), field.one()]  # x^(q^d) mod work
-    parts = []
+    work = m
+    x = _monomial(1, field)
+    h = x  # x^(q^d) mod work
+    mod = _Modulus(work, field) if len(work) > 1 else None
     d = 0
     while len(work) > 1:
         d += 1
         if 2 * d > len(work) - 1:
             # every factor left has degree >= d, and there is no room for
             # two of them (a repeated one included): work is irreducible
-            parts.append((len(work) - 1, work))
-            break
-        h = _poly_powmod_fq(h, q, work, field)
-        g = _poly_gcd_fq(_poly_add_fq(h, minus_x, field), work)
+            yield len(work) - 1, work
+            return
+        h = mod.powmod(h, q)
+        g = _poly_gcd(_poly_sub(h, x, field), work, field)
         if len(g) > 1:
-            parts.append((d, g))
+            yield d, g
             while len(g) > 1:
-                work = _poly_divide_out(work, g, field)
-                g = _poly_gcd_fq(work, g)
-            h = _poly_mod_fq(h, work)
-    return parts
+                work = _poly_divide_exact(work, g, field)
+                g = _poly_gcd(work, g, field)
+            if len(work) > 1:
+                mod = _Modulus(work, field)
+                h = mod.reduce(h)
 
 
-def _poly_divide_out(a, g, field):
-    """a / g for exact polynomial division by a monic g."""
-    a = _poly_trim_fq(list(a))
-    out = [field.zero()] * (len(a) - len(g) + 1)
-    while len(a) >= len(g):
-        f = a[-1]
-        shift = len(a) - len(g)
-        out[shift] = f
-        for i in range(len(g)):
-            a[shift + i] = a[shift + i] - f * g[i]
-        a = _poly_trim_fq(a)
-    return _poly_trim_fq(out)
-
-
-def _roots(m, field):
-    """The distinct roots in the field of the monic polynomial m, in
-    field.elements() order.  g = gcd(x^q - x, m) is the product of the
-    x - root; it is split by deterministic equal-degree splitting with
-    gcd(f, (x + a)^((q - 1)/2) - 1) for a in field.elements() (q is odd).
-    For two roots r != s, (q - 1)/2 values of a give r + a and s + a
-    different quadratic characters, so the loop always finishes."""
-    q, p = field.order, field.p
-    one = field.one()
-    xq = _poly_powmod_fq([field.zero(), one], q, m, field)
-    g = _poly_gcd_fq(_poly_add_fq(xq, [field.zero(), -one], field), m)
-    linear = [g] if len(g) == 2 else []
-    todo = [g] if len(g) > 2 else []
-    for a in field.elements():
+def _split(f, d, field, splitters, first=False):
+    """Equal-degree splitting (Cantor-Zassenhaus): the monic irreducible
+    factors of f, a product of distinct monic irreducibles of degree d over
+    field (q odd).  A splitter h cuts a factor g when gcd(g, h^((q^d -
+    1)/2) - 1) is proper.  With first, only the smaller part of every cut is
+    kept, and the one factor it ends in is returned.  RuntimeError if the
+    splitters run out first."""
+    e = (field.order**d - 1) // 2
+    one = _monomial(0, field)
+    done, todo = [], []
+    (done if len(f) - 1 == d else todo).append(f)
+    for h in splitters:
         if not todo:
             break
         rest = []
-        for f in todo:
-            h = _poly_gcd_fq(_poly_add_fq(_poly_powmod_fq([a, one], (q - 1) // 2, f, field), [-one], field), f)
-            for part in [h, _poly_divide_out(f, h, field)] if 1 < len(h) < len(f) else [f]:
-                (linear if len(part) == 2 else rest).append(part)
+        for g in todo:
+            s = _poly_gcd(_poly_sub(_Modulus(g, field).powmod(h, e), one, field), g, field)
+            parts = [s, _poly_divide_exact(g, s, field)] if 1 < len(s) < len(g) else [g]
+            for part in [min(parts, key=len)] if first else parts:
+                (done if len(part) - 1 == d else rest).append(part)
         todo = rest
     if todo:
         raise RuntimeError("equal-degree splitting left %d factors unsplit" % len(todo))
-    # the monic linear factors are x - root
-    return sorted((-f[0] for f in linear), key=lambda lam: sum(c * p**i for i, c in enumerate(lam.coords)))
+    return done
+
+
+def _equal_degree(g, d, field):
+    """The monic irreducible factors of g, a product of distinct monic
+    irreducibles of degree d over field.  For d = 1 the splitters are x + a,
+    a in field.elements(), which always finish (see _roots); for d > 1 they
+    are _SPLITTERS pseudo-random polynomials of degree below deg g, from a
+    fixed seed."""
+    if d == 1:
+        return _split(g, 1, field, (_linear(a, field) for a in _element_coords(field)))
+
+    def splitters():
+        rng = random.Random(0)
+        for _ in range(_SPLITTERS):
+            yield _trim(np.array([[rng.randrange(field.p) for _ in range(field.r)] for _ in range(len(g) - 1)]))
+
+    return _split(g, d, field, splitters())
+
+
+def _roots(m, field):
+    """The distinct roots in the field of the monic polynomial m, as a
+    coordinate array (k, r) in field.elements() order.  g = gcd(x^q - x, m)
+    is the product of the x - root; it is split by x + a for a in
+    field.elements() (q is odd).  For two roots r != s, (q - 1)/2 values of
+    a give r + a and s + a different quadratic characters, so the splitting
+    always finishes."""
+    x = _monomial(1, field)
+    g = _poly_gcd(_poly_sub(_poly_powmod(x, field.order, m, field), x, field), m, field)
+    if len(g) < 2:
+        return np.zeros((0, field.r), dtype=np.int64)
+    return _sort_elements([-f[0] % field.p for f in _equal_degree(g, 1, field)], field)
+
+
+def _one_root(f, field, sub):
+    """One root in field of the monic f, whose roots are distinct, lie in
+    field and are conjugate over its subfield sub.  A shift a in sub gives
+    every root of f the quadratic character of one of them, since x ->
+    x^|sub| fixes a and permutes the roots, so f is split by x + a for the
+    a of field.elements() outside sub; for two roots, (q - 1)/2 of all a
+    separate them, and none of those lies in sub."""
+    frobenius = field.frobenius_matrix(sub.r)
+    shifts = (a for a in _element_coords(field) if not np.array_equal(matmul_mod(frobenius, a, field.p), a))
+    (linear,) = _split(f, 1, field, (_linear(a, field) for a in shifts), first=True)
+    return -linear[0] % field.p
 
 
 def make_field(p, r=1):

@@ -98,7 +98,7 @@ def eigenvalue(A, v, field):
         raise ValueError("zero eigenvector")
     img, i = apply_matrix(A, v, field), support[0]
     lam = field.element(img[i].tolist()) / field.element(v[i].tolist())
-    return lam if np.array_equal(img, matmul_mod(v, field.mul_matrix(lam).T, field.p)) else None
+    return lam if np.array_equal(img, matmul_mod(v, field.mul_matrices(lam.coords).T, field.p)) else None
 
 
 def embed_matrix(A, field, big):
@@ -141,6 +141,12 @@ class RowReducer:
     def pivot_columns(self):
         r = self.field.r
         return sorted(c // r for c in self._spin.pivots if c % r == 0)
+
+    def expanded_basis(self):
+        """(pivots, rows): the F_p pivot columns c * r + t of the expanded
+        span and its fully reduced basis rows, shape (rank, n * r).  The
+        residue of an expanded vector w is w - w[pivots] @ rows mod p."""
+        return list(self._spin.pivots), self._spin.rows
 
 
 # -- fast prime-field kernels (numpy int64) ---------------------------------

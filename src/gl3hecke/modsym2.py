@@ -21,10 +21,13 @@ coefficient unit vector at once and reduced in one block, and the semigroup
 action of a whole stack of matrices on a block of classes is one pass
 followed by one reduction, so a Hecke operator's cosets, or all new psi2 of
 a boundary operator, cost one pass.  Eigenvalues are the
-roots of the minimal polynomials of the Hecke matrices.  A root of an
-irreducible factor of degree d > 1 lives in the extension of degree d, and
-only the eigen-piece that needs it is embedded there, so each eigensystem
-lives over the field its own eigenvalues generate.
+roots of the minimal polynomials of the Hecke matrices, factored over the
+piece's field on coordinate arrays (see ffield).  A root of an irreducible
+factor f of degree d > 1 lives in the extension of degree d: one root is
+found per Galois orbit, the others are its Frobenius conjugates, and its
+eigenspace is cut out of ker f(T), found over the piece's field.  Only the
+eigen-piece that needs the extension is embedded there, so each
+eigensystem lives over the field its own eigenvalues generate.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .characters import DirichletCharacter, xgcd
-from .ffield import FiniteField, _distinct_degrees, _poly_divide_out, _poly_gcd_fq, _poly_mul_fq, _roots
+from .ffield import FiniteField, _distinct_degrees, _equal_degree, _monomial, _one_root, _poly_divide_exact, _poly_gcd, _poly_mul, _sort_elements
 from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, identity, matmul_mod
 from .modrep import build_gl2_module, gl2_rho
 
@@ -276,6 +279,11 @@ class SymbolSpace:
         pivots = set(self._reducer.pivot_columns())
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
+        # the residue of a full vector w, as F_p coordinates (c, s), at the
+        # free columns alone: w[free] - w[pivots] @ basis[:, free]
+        self._free_fp = (np.array(self.free, dtype=np.intp)[:, None] * r + np.arange(r)).ravel()
+        self._pivots_fp, basis = self._reducer.expanded_basis()
+        self._pivot_rows = basis[:, self._free_fp]
 
     # -- actions ---------------------------------------------------------------
 
@@ -313,10 +321,11 @@ class SymbolSpace:
         nonzero block and every m, the continued-fraction decomposition
         (_symbol_terms) of all of them at once, the coefficients read from
         the residue-keyed cache (_coefficients) and scattered by _scatter,
-        and every column of the batch reduced by one call of the row
-        reducer.  Every convergent and every gamma^-1 = U^-1 rep is exact in
-        int64 while 2 max|rep m| max|rep| < 2^63; past that it raises
-        OverflowError.
+        and every column of the batch reduced by one product with the
+        relation basis, formed at the free columns only: the residue at the
+        pivot columns is never read.  Every convergent and every gamma^-1 =
+        U^-1 rep is exact in int64 while 2 max|rep m| max|rep| < 2^63; past
+        that it raises OverflowError.
 
         Individual matrices are Hecke summands: only full coset sums over a
         double coset are well defined on the quotient, so always combine the
@@ -345,8 +354,8 @@ class SymbolSpace:
         out = np.zeros((n, cosets, dimV * r, k), dtype=np.int64)
         a = len(active)
         self._scatter(M.reshape(-1, 2, 2), np.repeat(dets, a), Wm.reshape(n * a, dimV * r, k), np.repeat(np.arange(n), a), out)
-        rows = out.reshape(n, cosets, dimV, r, k).transpose(0, 4, 1, 2, 3).reshape(n * k, self.full_dim, r)
-        classes = self._reducer.reduce(rows % p)[:, self.free]
+        w = out.reshape(n, cosets, dimV, r, k).transpose(0, 4, 1, 2, 3).reshape(n * k, self.full_dim * r) % p
+        classes = (w[:, self._free_fp] - matmul_mod(w[:, self._pivots_fp], self._pivot_rows, p)) % p
         return classes.reshape(n, k, self.dim, r).swapaxes(1, 2).reshape(ms.shape[:-2] + V.shape)
 
     def action_matrices(self, ms):
@@ -411,44 +420,111 @@ def _eigen_split(field, A, basis):
     """Eigenspaces of A, the matrix over field of an operator on the span of
     basis (rows of a (k, n, r) array).
 
-    The eigenvalues are the roots of the minimal polynomial m of A.  For a
-    distinct-degree part (d, g_d) of m, each root of g_d generates
-    E = field.extension(d), and d = 1 gives field itself; its eigenspace is
-    nullspace(A - lambda) over E.  One nullspace serves a whole Galois orbit:
-    x -> x^q (q = |field|) fixes A and commutes with row reduction, so its
-    matrix on E's coordinates maps the reduced kernel basis at lambda to the
+    The eigenvalues are the roots of the minimal polynomial m of A, all on
+    coordinate arrays (see ffield).  For a distinct-degree part (d, g_d) of
+    m, each root of g_d generates E = field.extension(d), and d = 1 gives
+    field itself.  g_d is split over field into its irreducible factors f,
+    and each f is one Galois orbit of d roots: one root lambda is found in
+    E (_one_root), and the others are its conjugates lambda^(q^i), q =
+    |field|.  The eigenspace of lambda is found inside V_f = ker f(A),
+    computed over field, whose dimension is d times the multiplicity, not
+    k (_orbit_kernel).  x -> x^q fixes A and commutes with row reduction,
+    so its matrix on E's coordinates maps the kernel basis at lambda to the
     one at lambda^q.  Returns (eigenvalue, E, eigenvectors over E as rows of
     a coordinate array) triples, d increasing and the roots of each part in
-    E.elements() order."""
-    q, p = field.order, field.p
-    k = len(A)
+    E.elements() order, each kernel in the normal form that
+    nullspace(A - lambda) over E gives on the whole piece: the pieces, their
+    vectors and their order are those of a root-by-root search."""
+    p = field.p
+    if len(A) == 1:
+        # a line is the eigenspace of the one entry of A
+        return [(field.element(A[0, 0].tolist()), field, basis)]
     pieces = []
     for d, g in _distinct_degrees(_minimal_polynomial(A, field), field):
-        big = field.extension(d)
-        A_big, basis_big = embed_matrix(A, field, big), embed_matrix(basis, field, big)
-        frobenius = big.frobenius_matrix(field.r).T
+        E = field.extension(d)
+        frobenius = E.frobenius_matrix(field.r).T
         kernels = {}
-        for lam in _roots([field.embed(c, big) for c in g], big):
-            if lam not in kernels:
-                M = A_big.copy()
-                M[range(k), range(k)] -= lam.coords
-                ker, mu = linalg.nullspace(M % p, big), lam
-                for _ in range(d):
-                    kernels[mu] = ker
-                    ker, mu = [matmul_mod(c, frobenius, p) for c in ker], mu**q
-            combos = np.stack(kernels[lam], axis=1)
-            pieces.append((lam, big, apply_matrix(basis_big.swapaxes(0, 1), combos, big).swapaxes(0, 1)))
+        for f in _equal_degree(g, d, field):
+            lam, ker = _orbit_kernel(field, A, f, E)
+            for _ in range(d):
+                kernels[tuple(lam.tolist())] = ker
+                lam, ker = matmul_mod(lam, frobenius, p), matmul_mod(ker, frobenius, p)
+        basis_E = embed_matrix(basis, field, E).swapaxes(0, 1)
+        for lam in _sort_elements(list(kernels), E).tolist():
+            combos = kernels[tuple(lam)].swapaxes(0, 1)
+            pieces.append((E.element(lam), E, apply_matrix(basis_E, combos, E).swapaxes(0, 1)))
     return pieces
 
 
+def _orbit_kernel(field, A, f, E):
+    """(lambda, kernel) for f, a monic irreducible factor over field of the
+    minimal polynomial of A, of degree d: a root lambda of f in E and the
+    basis of ker(A - lambda) over E, a (mult, k, r_E) array, that
+    nullspace(A - lambda) returns.
+
+    The kernel lies in V_f = ker f(A), of dimension d * mult, whose basis W
+    comes from nullspace over field.  With h = f / (x - lambda) over E,
+    (A - lambda) h(A) = f(A) kills V_f, so h(A) maps V_f into the kernel.
+    The map is injective on the field-rational vectors: A is semisimple on
+    V_f, h(A) v is f'(lambda) != 0 times the component of v in the
+    lambda-eigenspace, and the components of v in the conjugate eigenspaces
+    are its conjugates, so they vanish together.  Both sides have dimension
+    d * mult over field, so the images h(A) w of W span the kernel; they
+    are sums of the Krylov vectors A^i w, computed over field, with the
+    coefficients of h.
+
+    nullspace returns the basis that is the identity on the free columns of
+    the reduced echelon form.  A free column is the last nonzero position
+    of some kernel vector, so that basis is the reduced echelon form of the
+    kernel taken from the right: it depends only on the subspace, and rref
+    of the images with their columns reversed gives it back.  For d = 1,
+    V_f is ker(A - lambda) itself and W is already that basis."""
+    p, k, d = field.p, len(A), len(f) - 1
+    # f(A) by Horner's rule; f is monic
+    fA = A.copy()
+    fA[range(k), range(k)] += f[d - 1]
+    for c in f[: d - 1][::-1]:
+        fA = apply_matrix(A, fA, field)
+        fA[range(k), range(k)] += c
+    W = np.stack(linalg.nullspace(fA % p, field))
+    if d == 1:
+        return -f[0] % p, W
+    f_E = embed_matrix(f, field, E)
+    lam = _one_root(f_E, E, field)
+    # h = f / (x - lambda) by synthetic division: h_(d-1) = 1, h_(i-1) = f_i + lambda h_i
+    h, L = [f_E[d]], E.mul_matrices(lam)
+    for c in f_E[d - 1 : 0 : -1]:
+        h.append((c + matmul_mod(L, h[-1], p)) % p)
+    # coords(h_i x) = maps[i] @ coords(x) for x in field, and the images
+    # sum_i h_i A^i w in one product over the Krylov blocks A^i W
+    maps = matmul_mod(E.mul_matrices(np.array(h[::-1])), field.embedding_matrix(E), p)
+    krylov = [W]
+    for _ in range(d - 1):
+        krylov.append(apply_matrix(A, krylov[-1].swapaxes(0, 1), field).swapaxes(0, 1))
+    blocks = np.stack(krylov, axis=2).reshape(len(W) * k, d * field.r)
+    images = matmul_mod(blocks, maps.transpose(0, 2, 1).reshape(d * field.r, E.r), p).reshape(len(W), k, E.r)
+    # the first len(W) / d images independent over E are a basis
+    span, rows = RowReducer(E, k), []
+    for v in images:
+        if len(rows) * d == len(W):
+            break
+        if span.add(v):
+            rows.append(v)
+    R, _ = linalg.rref(np.stack(rows)[:, ::-1], E)
+    if len(R) * d != len(W):
+        raise RuntimeError("the eigenspace of a root of a degree-%d factor has dimension %d, not %d" % (d, len(R), len(W) // d))
+    return lam, R[::-1, ::-1]
+
+
 def _minimal_polynomial(A, field):
-    """Minimal polynomial of the square matrix A (monic, constant term
-    first): the lcm of the Krylov polynomials of the unit vectors.  A unit
-    vector already in the sum of the earlier Krylov spaces, which is
-    A-invariant, cannot raise the lcm and is skipped."""
-    k = len(A)
+    """Minimal polynomial of the square matrix A, a coordinate array (monic,
+    constant term first; see ffield): the lcm of the Krylov polynomials of
+    the unit vectors.  A unit vector already in the sum of the earlier
+    Krylov spaces, which is A-invariant, cannot raise the lcm and is
+    skipped."""
+    k, p = len(A), field.p
     span = RowReducer(field, k)
-    m = [field.one()]
+    m = _monomial(0, field)
     for v in identity(k, field):
         if not span.reduce(v).any():
             continue
@@ -462,8 +538,8 @@ def _minimal_polynomial(A, field):
         R, pivots = linalg.rref(np.stack(seq, axis=1), field)
         if pivots != list(range(d)):
             raise RuntimeError("inconsistent Krylov solve")
-        f = [-c for c in field.from_array(R[:, d])] + [field.one()]
-        m = _poly_mul_fq(m, _poly_divide_out(f, _poly_gcd_fq(m, f), field), field)  # lcm(m, f)
+        f = np.concatenate([-R[:, d] % p, _monomial(0, field)])
+        m = _poly_mul(m, _poly_divide_exact(f, _poly_gcd(m, f, field), field), field)  # lcm(m, f)
         span.add_rows(np.stack(seq[:d]))
     return m
 

@@ -111,10 +111,11 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     semigroup.  Cosets are then grouped by psi2, which is exact because the
     operator is linear in the coset sum: the distinct (psi2, psi1) rows are
     counted with np.unique, each group's scalars chi0(psi1) * psi1^c are
-    added, and a zero sum is skipped.  The action matrices of the live psi2
-    are taken by one space.action_matrices call, which computes the ones not
-    cached in one batched symbol pass; each is accumulated once.  The cache
-    is keyed on the integer matrix psi2, not on its class mod N1."""
+    added as coordinate arrays with np.add.at, and a zero sum is skipped.
+    The action matrices of the live psi2 are taken by one
+    space.action_matrices call, which computes the ones not cached in one
+    batched symbol pass; each is accumulated once.  The cache is keyed on
+    the integer matrix psi2, not on its class mod N1."""
     space = datum.space
     p = datum.p
     N, d = datum.N, datum.d
@@ -127,20 +128,34 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     rows = np.column_stack([cosets.psi2.reshape(-1, 4), cosets.psi1])
     # each row viewed as one opaque item: np.unique on the flat array groups
     # equal rows several times faster than np.unique(rows, axis=0)
-    items, counts = np.unique(rows.view(np.dtype((np.void, rows.itemsize * 5))).ravel(), return_counts=True)
-    groups = {}
-    for (m00, m01, m10, m11, psi1), n in zip(items.view(np.int64).reshape(-1, 5).tolist(), counts.tolist()):
-        psi2 = ((m00, m01), (m10, m11))
-        scalar = datum.chi0(psi1) * field.from_int(n * pow(psi1 % p, datum.c % (p - 1), p))
-        groups[psi2] = groups[psi2] + scalar if psi2 in groups else scalar
-    live = [(psi2, scalar) for psi2, scalar in groups.items() if not scalar.is_zero()]
-    if not live:
+    items, counts = np.unique(_opaque(rows), return_counts=True)
+    rows = items.view(np.int64).reshape(-1, 5)
+    psi1 = rows[:, 4]
+    # the coordinates of each distinct row's scalar chi0(psi1) * n * psi1^c:
+    # chi0 read from its values at the residues present, the rest in F_p
+    residues, at = np.unique(psi1 % datum.chi0.modulus, return_inverse=True)
+    chi = field.to_array([datum.chi0(u) for u in residues.tolist()])[at]
+    power = np.array([pow(u, datum.c % (p - 1), p) for u in range(p)], dtype=np.int64)
+    scalars = chi * (counts * power[psi1 % p] % p)[:, None] % p
+    # added up per psi2; a zero sum is skipped
+    blocks, group = np.unique(_opaque(rows[:, :4]), return_inverse=True)
+    sums = np.zeros((len(blocks), field.r), dtype=np.int64)
+    np.add.at(sums, group, scalars)
+    sums %= p
+    live = np.flatnonzero(sums.any(axis=1))
+    if not live.size:
         return np.zeros((space.dim, space.dim, field.r), dtype=np.int64)
     # every action matrix, from one batched symbol pass over the ones not
     # cached, times its group's scalar, in one batched product
-    A = space.action_matrices(np.array([psi2 for psi2, _ in live]))
-    S = np.array([field.mul_matrix(scalar).T for _, scalar in live])
+    A = space.action_matrices(blocks[live].view(np.int64).reshape(-1, 2, 2))
+    S = field.mul_matrices(sums[live]).swapaxes(1, 2)
     return matmul_mod(A, S[:, None], p).sum(axis=0) % p
+
+
+def _opaque(rows):
+    """The rows of the int64 array rows, each viewed as one opaque item."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def eigenvalue_of(datum, mat):

@@ -120,9 +120,6 @@ class InertialData:
         if self.chi1 is not None and self.chi1.modulus != self.N1:
             raise ValueError("chi1 must have modulus N1")
 
-    def is_wild(self):
-        return self.kind == ORDINARY and self.flag in (PEU, TRES)
-
 
 def _lifts_in_window(residue, lo, p):
     """Integer lifts of residue mod p-1 lying in (lo, lo+p]."""

@@ -22,7 +22,10 @@ scalar_free_columns builds the relations of the quotient the same way.  They
 are the reference for SymbolSpace.semigroup_act and _build_quotient.
 rref, nullspace and RowReducer are the row reduction over lists of Fq
 entries that linalg ran before it moved to F_p coordinate arrays; they are
-the reference for the array versions.
+the reference for the array versions.  The _poly_*_fq helpers,
+distinct_degrees_fq and roots_fq are the polynomial arithmetic over lists of
+Fq that ffield ran before its polynomials became coordinate arrays; they are
+the reference for the array polynomial layer.
 kron_carrier is the explicit D x D Kronecker product of the two
 substitution matrices, and KronTwist the determinant twist that multiplies
 it by det^c and reads coordinates off it; kron_carrier_act and
@@ -272,6 +275,147 @@ def scan_eigen_split(field, A, basis):
             vecs.append(v)
         pieces.append((lam, vecs))
     return pieces
+
+
+# -- polynomials over lists of Fq: the reference for ffield's array polynomials --
+# Polynomials over a field are lists of its elements, constant term
+# first, with no zero leading coefficient; the zero polynomial is [].
+
+
+def _poly_trim_fq(a):
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _poly_add_fq(a, b, field):
+    n = max(len(a), len(b))
+    zero = field.zero()
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return _poly_trim_fq([x + y for x, y in zip(a, b)])
+
+
+def _poly_mul_fq(a, b, field):
+    if not a or not b:
+        return []
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return _poly_trim_fq(out)
+
+
+def _poly_mod_fq(a, m):
+    """a mod m, for monic m."""
+    a = _poly_trim_fq(list(a))
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        shift = len(a) - 1 - dm
+        f = a[-1]
+        for i in range(len(m)):
+            a[shift + i] = a[shift + i] - f * m[i]
+        a = _poly_trim_fq(a)
+    return a
+
+
+def _poly_gcd_fq(a, b):
+    """Monic gcd; gcd(0, 0) = 0.  Each divisor is made monic first."""
+    a, b = _poly_trim_fq(list(a)), _poly_trim_fq(list(b))
+    while b:
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]
+        a, b = b, _poly_mod_fq(a, b)
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [c * inv for c in a]
+
+
+def _poly_powmod_fq(base, e, m, field):
+    result = _poly_mod_fq([field.one()], m)
+    base = _poly_mod_fq(base, m)
+    while e:
+        if e & 1:
+            result = _poly_mod_fq(_poly_mul_fq(result, base, field), m)
+        base = _poly_mod_fq(_poly_mul_fq(base, base, field), m)
+        e >>= 1
+    return result
+
+
+def distinct_degrees_fq(m, field):
+    """The distinct-degree parts of the monic polynomial m: the pairs
+    (d, g_d), d increasing, where g_d is the product of the distinct monic
+    irreducible factors of m of degree d.  Distinct-degree factorisation on
+    m itself, not its squarefree part: after the gcd with x^(q^d) - x finds
+    the factors of degree d, every power of them is divided out of m, so a
+    factor whose multiplicity is divisible by p is found like any other."""
+    q = field.order
+    work = _poly_trim_fq(list(m))
+    minus_x = [field.zero(), -field.one()]
+    h = [field.zero(), field.one()]  # x^(q^d) mod work
+    parts = []
+    d = 0
+    while len(work) > 1:
+        d += 1
+        if 2 * d > len(work) - 1:
+            # every factor left has degree >= d, and there is no room for
+            # two of them (a repeated one included): work is irreducible
+            parts.append((len(work) - 1, work))
+            break
+        h = _poly_powmod_fq(h, q, work, field)
+        g = _poly_gcd_fq(_poly_add_fq(h, minus_x, field), work)
+        if len(g) > 1:
+            parts.append((d, g))
+            while len(g) > 1:
+                work = _poly_divide_out(work, g, field)
+                g = _poly_gcd_fq(work, g)
+            h = _poly_mod_fq(h, work)
+    return parts
+
+
+def _poly_divide_out(a, g, field):
+    """a / g for exact polynomial division by a monic g."""
+    a = _poly_trim_fq(list(a))
+    out = [field.zero()] * (len(a) - len(g) + 1)
+    while len(a) >= len(g):
+        f = a[-1]
+        shift = len(a) - len(g)
+        out[shift] = f
+        for i in range(len(g)):
+            a[shift + i] = a[shift + i] - f * g[i]
+        a = _poly_trim_fq(a)
+    return _poly_trim_fq(out)
+
+
+def roots_fq(m, field):
+    """The distinct roots in the field of the monic polynomial m, in
+    field.elements() order.  g = gcd(x^q - x, m) is the product of the
+    x - root; it is split by deterministic equal-degree splitting with
+    gcd(f, (x + a)^((q - 1)/2) - 1) for a in field.elements() (q is odd).
+    For two roots r != s, (q - 1)/2 values of a give r + a and s + a
+    different quadratic characters, so the loop always finishes."""
+    q, p = field.order, field.p
+    one = field.one()
+    xq = _poly_powmod_fq([field.zero(), one], q, m, field)
+    g = _poly_gcd_fq(_poly_add_fq(xq, [field.zero(), -one], field), m)
+    linear = [g] if len(g) == 2 else []
+    todo = [g] if len(g) > 2 else []
+    for a in field.elements():
+        if not todo:
+            break
+        rest = []
+        for f in todo:
+            h = _poly_gcd_fq(_poly_add_fq(_poly_powmod_fq([a, one], (q - 1) // 2, f, field), [-one], field), f)
+            for part in [h, _poly_divide_out(f, h, field)] if 1 < len(h) < len(f) else [f]:
+                (linear if len(part) == 2 else rest).append(part)
+        todo = rest
+    if todo:
+        raise RuntimeError("equal-degree splitting left %d factors unsplit" % len(todo))
+    # the monic linear factors are x - root
+    return sorted((-f[0] for f in linear), key=lambda lam: sum(c * p**i for i, c in enumerate(lam.coords)))
 
 
 def p1_canonical_scan(v, N):

@@ -1,8 +1,22 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3hecke.ffield import FiniteField, make_field
+from gl3hecke.ffield import (
+    FiniteField,
+    _distinct_degrees,
+    _equal_degree,
+    _poly_gcd,
+    _poly_mul,
+    _poly_powmod,
+    _roots,
+    make_field,
+)
+
+from _oracles import _poly_gcd_fq, _poly_mul_fq, _poly_powmod_fq, _poly_trim_fq, distinct_degrees_fq, roots_fq
 
 
 def test_rejects_bad_p():
@@ -121,3 +135,80 @@ def test_json_roundtrip():
     data = x.to_json()
     assert F.scalar_from_json(data) == x
     assert FiniteField.from_json(F.to_json()) is F
+
+
+# -- the array polynomial layer against the scalar Fq oracle -------------------
+
+
+def _oracle_irreducible(field, d, rng):
+    """A random monic irreducible polynomial of degree d, as a list of Fq:
+    its one distinct-degree part by the oracle is itself."""
+    while True:
+        f = [field.element([rng.randrange(field.p) for _ in range(field.r)]) for _ in range(d)] + [field.one()]
+        if distinct_degrees_fq(f, field) == [(d, f)]:
+            return f
+
+
+def _random_poly(field, n, rng):
+    """A random polynomial of degree below n, as a list of Fq with no zero
+    leading coefficient."""
+    return _poly_trim_fq([field.element([rng.randrange(field.p) for _ in range(field.r)]) for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 13]),
+    r=st.sampled_from([1, 2, 3]),
+    factors=st.lists(st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([1, 2])), min_size=1, max_size=3),
+    p_fold=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_polynomials_match_the_fq_oracle(p, r, factors, p_fold, seed):
+    # m is a product of linear and irreducible factors with multiplicities
+    # 1 or 2, and with p_fold one more factor of that degree with
+    # multiplicity p, which distinct-degree factorisation must not lose
+    F = make_field(p, r)
+    rng = random.Random(seed)
+    m = [F.one()]
+    for d, mult in factors + ([(p_fold, p)] if p_fold and p_fold * p <= 14 else []):
+        f = _oracle_irreducible(F, d, rng)
+        for _ in range(mult):
+            m = _poly_mul_fq(m, f, F)
+    a = _random_poly(F, rng.randrange(1, 2 * len(m)), rng)
+    b = _poly_mul_fq(_random_poly(F, rng.randrange(1, 4), rng), m[: len(m) // 2] + [F.one()], F)
+    arr = F.to_array
+    assert np.array_equal(_poly_mul(arr(a), arr(m), F), arr(_poly_mul_fq(a, m, F)))
+    e = rng.randrange(F.order**2)
+    assert np.array_equal(_poly_powmod(arr(a), e, arr(m), F), arr(_poly_powmod_fq(a, e, m, F)))
+    assert np.array_equal(_poly_gcd(arr(a), arr(m), F), arr(_poly_gcd_fq(a, m)))
+    assert np.array_equal(_poly_gcd(arr(b), arr(m), F), arr(_poly_gcd_fq(b, m)))
+    parts = list(_distinct_degrees(arr(m), F))
+    expected = distinct_degrees_fq(m, F)
+    assert [d for d, _ in parts] == [d for d, _ in expected]
+    assert all(np.array_equal(g, arr(h)) for (_, g), (_, h) in zip(parts, expected))
+    assert np.array_equal(_roots(arr(m), F), arr(roots_fq(m, F)))
+    # the irreducible factors of each part, multiplied back, give the part
+    for d, g in parts:
+        factors_d = _equal_degree(g, d, F)
+        assert all(len(f) == d + 1 for f in factors_d)
+        prod = np.eye(1, r, dtype=np.int64)
+        for f in factors_d:
+            prod = _poly_mul(prod, f, F)
+        assert np.array_equal(prod, g)
+
+
+def test_kronecker_product_is_exact_up_to_its_int64_bound():
+    # min(len(a), len(b)) * r * (p - 1)**2 < 2**63 is exact, and one more
+    # coefficient raises OverflowError instead of wrapping around
+    p = 2**31 - 1  # prime; 2 (p - 1)**2 < 2**63 <= 3 (p - 1)**2
+    F = make_field(p)
+    a, b = [p - 1, p - 2], [p - 3, p - 1]
+    exact = [a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]]
+    assert _poly_mul(np.array(a)[:, None], np.array(b)[:, None], F)[:, 0].tolist() == [c % p for c in exact]
+    c = np.array([[p - 1], [p - 1], [1]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _poly_mul(c, c, F)
+    # past (p - 1)**2 >= 2**63 even two constants overflow
+    q = 2**32 + 15  # prime
+    with pytest.raises(OverflowError):
+        _poly_mul(np.array([[2]]), np.array([[3]]), make_field(q))

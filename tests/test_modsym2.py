@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
-from gl3hecke.ffield import _distinct_degrees, _poly_mul_fq, make_field
-from gl3hecke.linalg import apply_matrix, identity
+from gl3hecke.ffield import _distinct_degrees, _poly_mul, make_field
+from gl3hecke.linalg import apply_matrix, embed_matrix, identity, nullspace
 from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, _symbol_terms, find_eigensystems, p1_points
 
 from _oracles import (
@@ -399,12 +399,19 @@ def test_eigen_split_extends_a_piece_already_over_an_extension():
     assert all(lam * lam == a_big for lam, _, _ in pieces[1:])
 
 
+def _poly(coeffs, p):
+    """The coordinate array over F_p of the integer coefficients, constant term first."""
+    return np.array(coeffs, dtype=np.int64)[:, None] % p
+
+
 def test_distinct_degrees_keeps_a_factor_of_multiplicity_p():
     F = make_field(5)
-    m = [F.from_int(-1), F.one()]
+    m = _poly([-1, 1], 5)
     for _ in range(5):
-        m = _poly_mul_fq(m, [F.from_int(-2), F.zero(), F.one()], F)
-    assert _distinct_degrees(m, F) == [(1, [F.from_int(-1), F.one()]), (2, [F.from_int(-2), F.zero(), F.one()])]
+        m = _poly_mul(m, _poly([-2, 0, 1], 5), F)
+    parts = list(_distinct_degrees(m, F))
+    assert [d for d, _ in parts] == [1, 2]
+    assert np.array_equal(parts[0][1], _poly([-1, 1], 5)) and np.array_equal(parts[1][1], _poly([-2, 0, 1], 5))
 
 
 def _irreducible(field, d, rng):
@@ -420,19 +427,21 @@ def _irreducible(field, d, rng):
 @given(
     p=st.sampled_from([5, 7]),
     r=st.sampled_from([1, 2]),
-    kinds=st.lists(st.sampled_from(["linear", "jordan", "quadratic", "cubic"]), min_size=1, max_size=5),
+    kinds=st.lists(st.sampled_from(["linear", "jordan", "quadratic", "cubic", "twice", "quadratic-jordan"]), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
     # A = P B P^-1 with B block diagonal: 1x1 eigenvalues (which may repeat),
-    # 2x2 Jordan blocks, companion matrices of irreducible quadratics and cubics
+    # 2x2 Jordan blocks, companion matrices C of irreducible quadratics and
+    # cubics, diag(C, C) (an eigenspace of dimension 2 at each root) and
+    # [[C, I], [0, C]] (a repeated factor with eigenspaces of dimension 1)
     F = make_field(p, r)
     rng = random.Random(seed)
     elements = list(F.elements())
-    size = {"linear": 1, "jordan": 2, "quadratic": 2, "cubic": 3}
+    size = {"linear": 1, "jordan": 2, "quadratic": 2, "cubic": 3, "twice": 4, "quadratic-jordan": 4}
     blocks, degrees, k = [], set(), 0
     for kind in kinds:
-        if k + size[kind] > 5:
+        if k + size[kind] > 6:
             continue
         k += size[kind]
         lam = rng.choice(elements)
@@ -440,9 +449,16 @@ def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
             blocks.append([[lam]])
         elif kind == "jordan":
             blocks.append([[lam, F.one()], [F.zero(), lam]])
-        else:
+        elif kind in ("quadratic", "cubic"):
             blocks.append(_companion(F, _irreducible(F, size[kind], rng)))
             degrees.add(size[kind])
+        else:
+            C = _companion(F, _irreducible(F, 2, rng))
+            block = _block_diag(F, [C, C])
+            if kind == "quadratic-jordan":
+                block[0][2], block[1][3] = F.one(), F.one()
+            blocks.append(block)
+            degrees.add(2)
     while True:
         P = [[rng.choice(elements) for _ in range(k)] for _ in range(k)]
         R, pivots = rref([row + e for row, e in zip(P, _units(F, k))], F)
@@ -459,6 +475,14 @@ def test_eigen_split_matches_the_scan_oracle(p, r, kinds, seed):
     assert sorted({E.r // r for _, E in extended}) == sorted(degrees)
     for lam, E in extended:
         assert len({lam ** (F.order**i) for i in range(E.r // r)}) == E.r // r
+    # every kernel is byte for byte the one nullspace(A - lambda) gives over
+    # E on the whole piece, carried to the span by basis
+    for lam, E, vecs in pieces:
+        M = embed_matrix(_arr(F, A), F, E)
+        M[range(k), range(k)] -= lam.coords
+        kernel = np.stack(nullspace(M % p, E), axis=1)
+        expected = apply_matrix(embed_matrix(_arr(F, basis), F, E).swapaxes(0, 1), kernel, E).swapaxes(0, 1)
+        assert np.array_equal(vecs, expected)
 
 
 # (N, p, a, b): the boundary benchmark's spaces and four more
@@ -560,7 +584,7 @@ def test_a_piece_extended_twice_meets_the_directly_embedded_operators():
     elements = list(F25.elements())
     while True:
         h = [rng.choice(elements) for _ in range(6)] + [F25.one()]
-        if _distinct_degrees(h, F25) != [(6, h)]:
+        if [d for d, _ in _distinct_degrees(F25.to_array(h), F25)] != [6]:
             continue
         C = _companion(F25, h)
         C1 = _matpow(F25, C, 625)
