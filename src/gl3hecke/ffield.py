@@ -290,7 +290,7 @@ class FiniteField:
         """The r x r F_p matrix of y -> x * y: coords(x * y) = M @ coords(y)."""
         if not isinstance(x, Fq) or x.field != self:
             raise ValueError("element not in this field")
-        return self._map(("mul", x.coords), lambda t: (x * self._power(t)).coords)
+        return self.mul_matrices(x.coords)
 
     def mul_matrices(self, X):
         """The F_p matrices of multiplication by the elements whose
@@ -317,9 +317,11 @@ class FiniteField:
         return self._maps["generator_powers"]
 
     def power_matrices(self):
-        """The (r, r, r) array of mul_matrix(g^t), t < r."""
+        """The (r, r, r) array of mul_matrix(g^t), t < r: column s of the
+        t-th holds the coordinates of g^(t + s)."""
         if "powers" not in self._maps:
-            self._maps["powers"] = np.array([self.mul_matrix(self._power(t)) for t in range(self.r)])
+            t = np.arange(self.r)
+            self._maps["powers"] = self.generator_powers()[t[:, None] + t].transpose(0, 2, 1)
         return self._maps["powers"]
 
     def embedding_matrix(self, big):
