@@ -1,26 +1,50 @@
 """GL(3) Hecke coset combinatorics over the integers.
 
 Provides the explicit right-coset representatives of the double cosets
-attached to a prime l (determinant l, l^2 and the scalar l^3), the
-congruence-subgroup translation gamma moving each representative into the
-parabolic P_d stabilizing (1:d:0), the block data psi^1, psi^2 read off after
-conjugating by the elementary matrix g_d, and the closed-form orbit
-classification of P^2(Z/N) for squarefree N (one orbit per divisor d, named
-by gcd(v_1, v_2, N)).
+attached to a prime l (determinant l, l^2 and the scalar l^3), the Levi
+blocks psi^1, psi^2 of each representative once it is moved into the
+parabolic P_d stabilizing (1:d:0), and the closed-form orbit classification
+of P^2(Z/N) for squarefree N (one orbit per divisor d, named by
+gcd(v_1, v_2, N)).
 
-A single matrix is a tuple of integer row tuples, exact in Python ints:
-translate_to_parabolic works on one representative this way.  A coset set is
-a read-only (n, 3, 3) int64 array, built once per (l, k), and
-hecke_orbit_action translates all of it at once.  Every representative is lower triangular with diagonal (l1, l2, l3)
-and entries a, b, c below it, and (1, d, 0) s = (l1 + d a, d l2, 0) never
-meets its last row: whether s gamma fixes (1:d:0) depends on s only through
-the key (l1, l2, a), so gamma is solved once per key (at most l + 2 keys
-among the l^2 + l + 1 cosets) and shared by the cosets with that key.  The
-certificates that s gamma fixes (1:d:0) and that x = g_d s gamma g_d^{-1}
-lies in the standard parabolic are then checked on every coset as array
-tests.  With G the largest |entry| of any gamma, entries of s gamma are at
-most 3 l G and every intermediate of those tests at most 3 l G (1 + d)^2;
-hecke_orbit_action raises OverflowError unless that bound is below 2^63, so
+A coset set is a read-only (n, 3, 3) int64 array, built once per (l, k).
+Every representative s is lower triangular with diagonal (l1, l2, l3) and
+entries s_10 = a, s_20 = b, s_21 = c.  The transfer needs, for a gamma in
+the level-N group with s gamma in P_d, only psi^1 = x_00 and
+psi^2 = x[1:, 1:] of x = g_d s gamma g_d^{-1}, where g_d is the elementary
+matrix with (0, 1)-entry d.  These have a closed form.  Take
+gamma = ((A, B, 0), (C, D, 0), (0, 0, 1)) with B = kN, and put u = B - dA,
+v = D - dC.  Multiplying out,
+
+    x_01 = (l1 + da) u + d l2 v,    x_00 = (l1 + da) A + d l2 C,
+    x_11 = a u + l2 v,              x_21 = b u + c v,
+    x_02 = x_12 = 0,  x_22 = l3,    det gamma = A v - u C.
+
+So s gamma lies in P_d iff x_01 = 0, and then, substituting d l2 v =
+-(l1 + da) u, v x_00 = (l1 + da) det gamma, so psi^1 = (l1 + da) / v.  The
+blocks depend on gamma only through (u, v).  With t = ad + 1 and m = N/d,
+each shape of representative gets one (u, v) with x_01 = 0:
+
+    case  shape                        u      v      psi^1  psi^2
+    1     l1 = l2, a = 0               -d     1      l1     ((l2, 0), (c - b d, l3))
+    2     (l1, l2) = (l, 1), a = 0     -d     l      1      ((l, 0), (c l - b d, l3))
+    3     (l1, l2) = (1, l), l !| t    -l d   t      1      ((l, 0), (c t - b l d, l3))
+    4     (l1, l2) = (1, l), l | t     -d     t/l    l      ((1, 0), (c t/l - b d, l3))
+
+Write u = -e d (e = l in case 3, else 1).  Then A = e + k m, D = v + dC, and
+det gamma = 1 is the one equation k (m v) + C (d e) = 1 - e v in the free
+pair (k, C).  It is solvable when d | N, gcd(d, m) = 1 and l !| N: then m
+is prime to d e, and so is v, since t = 1 mod d, l !| d, and l !| t in
+case 3, the one case with e = l.  Every solution gives the same psi^1 and
+psi^2, because they depend on gamma only through (u, v).
+hecke_orbit_action therefore reads the blocks off the table and never
+forms gamma; solving gamma is left to the test oracles (tests/_oracles.py).
+
+Bound: a, b, c < l and t <= T = (l - 1) d + 1.  The largest intermediate of
+the table is l2 v = l t in case 3, at most l T; the products a u, b u and
+c v are at most (l - 1) l d, and each sum adds two terms of opposite sign.
+The determinant certificate multiplies three entries of size at most l.
+hecke_orbit_action raises OverflowError unless l max(l^2, T) < 2^63, so
 int64 never wraps.
 """
 
@@ -32,61 +56,7 @@ from math import gcd
 
 import numpy as np
 
-from .arith import det, divisors, is_prime, is_squarefree
-from .characters import crt, xgcd
-
-# -- integer 3x3 helpers -----------------------------------------------------
-
-
-def mat3(rows):
-    return tuple(tuple(int(x) for x in r) for r in rows)
-
-
-def mat_mul3(A, B):
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
-    return (
-        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22),
-        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22),
-        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22),
-    )
-
-
-def mat_vec3(v, A):
-    """Row vector times matrix."""
-    v0, v1, v2 = v
-    return tuple(v0 * A[0][j] + v1 * A[1][j] + v2 * A[2][j] for j in range(3))
-
-
-IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def g_elem(d):
-    """The elementary matrix with (1,2)-entry d conjugating P_0 to P_d."""
-    return ((1, d, 0), (0, 1, 0), (0, 0, 1))
-
-
-def g_elem_inv(d):
-    return ((1, -d, 0), (0, 1, 0), (0, 0, 1))
-
-
-def in_semigroup(s, N, n=3):
-    """Membership in S_0: integer matrix, first row = (*,0,...,0) mod N."""
-    return all(s[0][j] % N == 0 for j in range(1, n)) if N > 1 else True
-
-
-def in_gamma0(g, N):
-    """Membership in the determinant-one congruence subgroup with first row
-    congruent to (*,0,0) mod N."""
-    return det(g) == 1 and in_semigroup(g, N)
-
-
-def in_parabolic(s, d):
-    """s stabilizes (1:d:0) projectively."""
-    v = mat_vec3((1, d, 0), s)
-    # projective equality with (1, d, 0): cross-multiplication
-    return v[2] == 0 and v[1] == d * v[0] and v[0] != 0
-
+from .arith import divisors, is_prime, is_squarefree
 
 # -- double-coset representatives (determinant l and l^2) --------------------
 
@@ -105,14 +75,12 @@ def coset_reps(l, k, N):
         raise ValueError("l must be prime")
     if N % l == 0:
         raise ValueError("l must not divide N")
-    return _coset_table(l, k)[0]
+    return _coset_table(l, k)
 
 
 @lru_cache(maxsize=None)
 def _coset_table(l, k):
-    """The representatives (the level only restricts l), one representative
-    per key (l1, l2, a) as a tuple of rows, and the index of each coset's
-    key."""
+    """The representatives; the level only restricts l."""
     if k == 3:
         reps = l * np.eye(3, dtype=np.int64)[None]
     else:
@@ -130,140 +98,60 @@ def _coset_table(l, k):
             grid[:, 1, 0], grid[:, 2, 0], grid[:, 1, 1], grid[:, 2, 2] = outer, inner, l, l
             line[:, 0, 0], line[:, 2, 1], line[:, 2, 2] = l, np.arange(l), l
             last[0, 0] = last[1, 1] = l
-    # entries of reps lie in [0, l], so this names the key (l1, l2, a)
-    key = (reps[:, 0, 0] * (l + 1) + reps[:, 1, 1]) * (l + 1) + reps[:, 1, 0]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    for a in (reps, inverse):
-        a.setflags(write=False)
-    return reps, tuple(map(mat3, reps[first].tolist())), inverse
+    reps.setflags(write=False)
+    return reps
 
 
-# -- translation into the parabolic ------------------------------------------
+# -- Levi blocks in the parabolic ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslationResult:
-    s: tuple
-    gamma: tuple
-    x: tuple  # g_d s gamma g_d^{-1}, in the standard parabolic
-    d: int
-    N: int
-    case: int
+@dataclass(frozen=True, eq=False)
+class CosetTranslations:
+    """The Levi blocks of a whole coset set, one row per coset: reps of
+    shape (n, 3, 3), case and psi1 of shape (n,), psi2 of shape (n, 2, 2)."""
 
-    @property
-    def psi1(self):
-        return self.x[0][0]
+    reps: np.ndarray
+    case: np.ndarray
+    psi1: np.ndarray
+    psi2: np.ndarray
 
-    @property
-    def psi2(self):
-        return ((self.x[1][1], self.x[1][2]), (self.x[2][1], self.x[2][2]))
+    def __len__(self):
+        return len(self.reps)
 
 
-def _case_of(s, l):
-    """Case split of the lower-triangular representative s with diagonal
-    (l1, l2, l3) and below-diagonal entries a, b, c."""
-    l1, l2 = s[0][0], s[1][1]
-    a = s[1][0]
-    if l1 == l2 and a == 0:
-        return 1
-    if l1 == l and l2 == 1 and a == 0:
-        return 2
-    if l1 == 1 and l2 == l:
-        return 3  # refined to 4 by divisibility later
-    raise ValueError("matrix is not one of the standard representatives")
-
-
-def translate_to_parabolic(s, d, N, l=None, policy="least"):
-    """Find gamma in the level-N group with s*gamma in the parabolic P_d.
-
-    s must be one of the coset_reps shapes (lower triangular, diagonal
-    (l1,l2,l3) a permutation-compatible pattern of 1s and a prime l).  The
-    returned x = g_d s gamma g_d^{-1} lies in the standard parabolic; its
-    (1,1) entry and lower 2x2 block are the transfer data.
-
-    policy chooses the congruence representative used for the solution
-    (gamma is not unique); "alt" picks a different one, for independence
-    checks downstream.
-    """
-    s = mat3(s)
-    if N % d or gcd(d, N // d) != 1:
+def hecke_orbit_action(l, k, N, d):
+    """psi^1, psi^2 and the case of every right coset of T(l, k) for the
+    orbit of (1:d:0), read off the closed form of the module docstring;
+    psi^1 det psi^2 = det s is verified on every coset."""
+    reps = coset_reps(l, k, N)
+    if d < 1 or N % d or gcd(d, N // d) != 1:
         raise ValueError("d must divide N with gcd(d, N/d) = 1")
-    if s[0][1] or s[0][2] or s[1][2]:
-        raise ValueError("representative must be lower triangular")
-    if l is None:
-        l = max(s[0][0], s[1][1], s[2][2])
-    if gcd(det(s), N) != 1:
-        raise ValueError("determinant must be prime to N")
-    a, b, c = s[1][0], s[2][0], s[2][1]
-    l1, l2, l3 = s[0][0], s[1][1], s[2][2]
-    case = _case_of(s, l)
-    m = N // d
-    bump = 1 if policy == "alt" else 0
-
-    if case == 1:
-        gamma = IDENTITY3
-    elif case == 2:
-        # solve Cd = 1 mod l and Cd = 1-l mod N/d, then k from exactness
-        dinv_l = pow(d % l, -1, l)
-        c1 = dinv_l % l
-        if m > 1:
-            c2 = (1 - l) * pow(d % m, -1, m) % m
-            C = crt([c1, c2], [l, m])
-        else:
-            C = c1
-        C += bump * l * m
-        k = (-C * d - l + 1) // (m * l)
-        A, B, D = 1 + k * m, k * N, l + C * d
-        gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
-    else:
-        t = a * d + 1
-        if t % l != 0:
-            case = 3
-            # 1 = k*(t*N/d) + C*(l*d) + t*l
-            g, k0, C0 = xgcd(t * m, l * d)
-            assert g == 1
-            rhs = 1 - t * l
-            k, C = k0 * rhs, C0 * rhs
-            # normalize the free parameter deterministically
-            shift = (k // (l * d)) + bump
-            k -= shift * (l * d)
-            C += shift * (t * m)
-            A, B, D = k * m + l, k * N, t + C * d
-            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
-        else:
-            case = 4
-            u = t // l
-            # 1 = u + k*(N/d)*u + C*d
-            g, k0, C0 = xgcd(m * u, d)
-            assert g == 1
-            rhs = 1 - u
-            k, C = k0 * rhs, C0 * rhs
-            shift = (k // d) + bump
-            k -= shift * d
-            C += shift * (m * u)
-            A, B, D = 1 + k * m, k * N, u + C * d
-            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
-
-    if not in_gamma0(gamma, N):
-        raise RuntimeError("internal error: gamma not in the level group")
-    sg = mat_mul3(s, gamma)
-    if not in_parabolic(sg, d):
-        raise RuntimeError("internal error: s*gamma not in the parabolic")
-    x = mat_mul3(mat_mul3(g_elem(d), sg), g_elem_inv(d))
-    if x[0][1] or x[0][2]:
-        raise RuntimeError("internal error: x not in the standard parabolic")
-    return TranslationResult(s=s, gamma=gamma, x=x, d=d, N=N, case=case)
+    if l * max(l * l, (l - 1) * d + 1) >= 2**63:
+        raise OverflowError("coset blocks at l = %d, d = %d overflow int64" % (l, d))
+    case, psi1, psi2 = _levi_blocks(reps, l, d)
+    det_s = reps[:, 0, 0] * reps[:, 1, 1] * reps[:, 2, 2]
+    det_psi2 = psi2[:, 0, 0] * psi2[:, 1, 1] - psi2[:, 0, 1] * psi2[:, 1, 0]
+    if (psi1 * det_psi2 != det_s).any():
+        raise RuntimeError("internal error: psi1 * det psi2 differs from det s")
+    return CosetTranslations(reps=reps, case=case, psi1=psi1, psi2=psi2)
 
 
-def psi_blocks(s, d):
-    """(psi^1, psi^2) of an element of P_d, read off after conjugation."""
-    s = mat3(s)
-    if not in_parabolic(s, d):
-        raise ValueError("matrix does not stabilize (1:d:0)")
-    x = mat_mul3(mat_mul3(g_elem(d), s), g_elem_inv(d))
-    if x[0][1] or x[0][2]:
-        raise ValueError("conjugate not in the standard parabolic")
-    return x[0][0], ((x[1][1], x[1][2]), (x[2][1], x[2][2]))
+def _levi_blocks(reps, l, d):
+    """case, psi^1 and psi^2 of every representative, by the table of the
+    module docstring."""
+    l1, l2, l3 = reps[:, 0, 0], reps[:, 1, 1], reps[:, 2, 2]
+    a, b, c = reps[:, 1, 0], reps[:, 2, 0], reps[:, 2, 1]
+    t = a * d + 1
+    # among the representatives l1 = l2 forces a = 0, and l1 = l != l2
+    # forces (l2, a) = (1, 0)
+    case = np.select([l1 == l2, l1 == l, t % l > 0], [1, 2, 3], 4)
+    u = np.where(case == 3, -l * d, -d)
+    v = np.choose(case - 1, [1, l, t, t // l])
+    psi2 = np.zeros((len(reps), 2, 2), dtype=np.int64)
+    psi2[:, 0, 0] = a * u + l2 * v
+    psi2[:, 1, 0] = b * u + c * v
+    psi2[:, 1, 1] = l3
+    return case, (l1 + a * d) // v, psi2
 
 
 # -- orbits of P^2(Z/N) under the level group --------------------------------
@@ -311,49 +199,3 @@ class ProjectiveOrbits:
 def orbit_rep(v, N):
     """Divisor d of squarefree N with v in the orbit of (1:d:0)."""
     return ProjectiveOrbits(N).orbit_rep(v)
-
-
-@dataclass(frozen=True, eq=False)
-class CosetTranslations:
-    """The translation data of a whole coset set, one row per coset: reps,
-    gamma and x = g_d s gamma g_d^{-1} of shape (n, 3, 3), case of shape
-    (n,), and the views psi1 (n,) and psi2 (n, 2, 2) of x."""
-
-    reps: np.ndarray
-    gamma: np.ndarray
-    x: np.ndarray
-    case: np.ndarray
-
-    @property
-    def psi1(self):
-        return self.x[:, 0, 0]
-
-    @property
-    def psi2(self):
-        return self.x[:, 1:, 1:]
-
-    def __len__(self):
-        return len(self.reps)
-
-
-def hecke_orbit_action(l, k, N, d, policy="least"):
-    """Translation data of every right coset of T(l, k) for the orbit of
-    (1:d:0).  gamma is solved by translate_to_parabolic once per key
-    (l1, l2, a) (see the module docstring); that (1:d:0) s gamma = (1:d:0)
-    and that x lies in the standard parabolic are verified on every coset."""
-    reps = coset_reps(l, k, N)
-    _, keyed, inverse = _coset_table(l, k)
-    solved = [translate_to_parabolic(s, d, N, l=l, policy=policy) for s in keyed]
-    G = max(abs(v) for tr in solved for row in tr.gamma for v in row)
-    if 3 * l * G * (1 + d) ** 2 >= 2**63:
-        raise OverflowError("coset translation at l = %d, N = %d, d = %d overflows int64" % (l, N, d))
-    gamma = np.array([tr.gamma for tr in solved], dtype=np.int64)[inverse]
-    case = np.array([tr.case for tr in solved], dtype=np.int64)[inverse]
-    sg = reps @ gamma
-    v = sg[:, 0] + d * sg[:, 1]  # (1, d, 0) s gamma
-    if ((v[:, 2] != 0) | (v[:, 1] != d * v[:, 0]) | (v[:, 0] == 0)).any():
-        raise RuntimeError("internal error: s*gamma not in the parabolic")
-    x = np.array(g_elem(d), dtype=np.int64) @ sg @ np.array(g_elem_inv(d), dtype=np.int64)
-    if x[:, 0, 1:].any():
-        raise RuntimeError("internal error: x not in the standard parabolic")
-    return CosetTranslations(reps=reps, gamma=gamma, x=x, case=case)

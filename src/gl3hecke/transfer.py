@@ -1,8 +1,8 @@
 """Rank-3 Hecke operators on boundary symbol spaces and the attachment
 characteristic-polynomial identity.
 
-The operator for a prime l and k in {1,2,3} is assembled from the raw
-translation data of its right cosets, which heckegl3.hecke_orbit_action
+The operator for a prime l and k in {1,2,3} is assembled from the Levi
+blocks psi1, psi2 of its right cosets, which heckegl3.hecke_orbit_action
 returns as arrays: each representative contributes the scalar
 chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
@@ -14,10 +14,12 @@ the continued-fraction symbol decomposition, with the coefficient matrices
 read from a table keyed on the residues of each gamma^-1.  Action matrices
 are cached on the symbol space keyed on the integer matrix psi2, never on
 its class mod N1, because a single summand does not descend to the
-quotient.  Nothing is hand-simplified; the
-closed-form eigenvalue expressions are used only as test oracles.  T(l,3)
-has the single coset diag(l,l,l), and its measured eigenvalue enters the
-attachment identity together with those of T(l,1) and T(l,2).
+quotient.  Nothing is hand-simplified: the operators never use the
+closed-form eigenvalues.  Those are written once, in expected_eigenvalues
+(FrobeniusData.from_boundary builds on it), and run_transfer_checks
+compares the measured eigenvalues with them.  T(l,3) has the single coset
+diag(l,l,l), and its measured eigenvalue enters the attachment identity
+together with those of T(l,1) and T(l,2).
 
 Every operator is a coordinate array over the scalar field of the symbol
 space (see linalg): a group's scalar multiplies its action matrix through
@@ -36,6 +38,7 @@ from math import gcd
 import numpy as np
 
 from .characters import DirichletCharacter
+from .ffield import FiniteField
 from .heckegl3 import hecke_orbit_action
 from .linalg import eigenvalue, embed_matrix, matmul_mod
 from .modsym2 import EigenSystem, SymbolSpace, find_eigensystems
@@ -66,15 +69,13 @@ class BoundaryDatum:
     def build(cls, p, a, b, c, d, N1, chi0=None, chi1=None, window=(2,), field=None, lambdas=None):
         """Construct the symbol space, locate the eigensystem with the given
         lambda fingerprint (or the unique one), and package the datum."""
-        from .ffield import FiniteField
-
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
         if field is None:
             field = FiniteField(p, 1)
         if chi0 is None:
-            chi0 = DirichletCharacter.trivial(field, d) if d > 1 else DirichletCharacter.trivial(field, 1)
+            chi0 = DirichletCharacter.trivial(field, d)
         if chi1 is None:
             chi1 = DirichletCharacter.trivial(field, N1)
         space = SymbolSpace(N1, p, a, b, chi1=chi1, field=field)
@@ -103,9 +104,9 @@ def _match_field(chi, field):
     return DirichletCharacter(field, chi.modulus, values)
 
 
-def gl3_hecke_on_boundary(datum, l, k, policy="least"):
+def gl3_hecke_on_boundary(datum, l, k):
     """The rank-3 operator T(l,k) on the boundary symbol space, as a matrix
-    over the scalar field, built from raw per-coset translation data.
+    over the scalar field, built from the per-coset Levi blocks.
 
     Every coset's psi2 is checked, as one array test, to lie in the level-N1
     semigroup.  Cosets are then grouped by psi2, which is exact because the
@@ -122,7 +123,7 @@ def gl3_hecke_on_boundary(datum, l, k, policy="least"):
     if gcd(l, p * N) != 1:
         raise ValueError("l must be prime to p and the level")
     field = space.field
-    cosets = hecke_orbit_action(l, k, N, d, policy=policy)
+    cosets = hecke_orbit_action(l, k, N, d)
     if (cosets.psi2[:, 0, 1] % datum.N1).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
     rows = np.column_stack([cosets.psi2.reshape(-1, 4), cosets.psi1])
@@ -208,17 +209,13 @@ class FrobeniusData:
 
     @classmethod
     def from_boundary(cls, datum, l):
+        """c1 and c2 / l are the expected eigenvalues of T(l,1) and T(l,2)."""
+        e1, e2 = expected_eigenvalues(datum, l)
         field = datum.eigen.field
         p = datum.p
-        lam = _lambda(datum, l)
-        lmod = field.from_int(l % p)
         chi0l, chi1l = _character_values(datum, l)
-        a, b, c = datum.a, datum.b, datum.c
-        lc = field.from_int(pow(l, c % (p - 1), p))
-        trace = lmod * lam + chi0l * lc
-        cotrace = lmod * (chi1l * field.from_int(pow(l, (a + b + 2) % (p - 1), p)) + chi0l * lc * lam)
-        det = chi0l * chi1l * field.from_int(pow(l, (a + b + 3 + c) % (p - 1), p))
-        return cls(l=l, c1=trace, c2=cotrace, c3=det)
+        det = chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + 3 + datum.c) % (p - 1), p))
+        return cls(l=l, c1=e1, c2=field.from_int(l % p) * e2, c3=det)
 
 
 def verify_attachment(frob, a1, a2, a3):
@@ -248,34 +245,25 @@ def twisted_contragredient(frob):
     )
 
 
-def run_transfer_checks(datum, window, recheck_gamma=True):
-    """Per-prime report: operator eigenvalues vs the closed forms, the
-    attachment identity on the measured T(l,1), T(l,2), T(l,3) eigenvalues,
-    and the alternative-translation re-run.  Raises ValueError, before any
-    operator is built, when a prime of the window was not searched."""
+def run_transfer_checks(datum, window):
+    """Per-prime report: operator eigenvalues vs the closed forms, and the
+    attachment identity on the measured T(l,1), T(l,2), T(l,3) eigenvalues.
+    Raises ValueError, before any operator is built, when a prime of the
+    window was not searched."""
     primes = [l for l in window if gcd(l, datum.p * datum.N) == 1]
     for l in primes:
         _lambda(datum, l)
     report = []
     for l in primes:
-        t1 = gl3_hecke_on_boundary(datum, l, 1)
-        t2 = gl3_hecke_on_boundary(datum, l, 2)
-        ev1 = eigenvalue_of(datum, t1)
-        ev2 = eigenvalue_of(datum, t2)
-        ev3 = eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, 3))
+        ev1, ev2, ev3 = (eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, k)) for k in (1, 2, 3))
         e1, e2 = expected_eigenvalues(datum, l)
-        entry = {
-            "l": l,
-            "t1_matches": ev1 is not None and ev1 == e1,
-            "t2_matches": ev2 is not None and ev2 == e2,
-        }
-        if recheck_gamma:
-            t1b = gl3_hecke_on_boundary(datum, l, 1, policy="alt")
-            t2b = gl3_hecke_on_boundary(datum, l, 2, policy="alt")
-            entry["gamma_independent"] = (
-                eigenvalue_of(datum, t1b) == ev1 and eigenvalue_of(datum, t2b) == ev2
-            )
         frob = FrobeniusData.from_boundary(datum, l)
-        entry["attachment"] = None not in (ev1, ev2, ev3) and verify_attachment(frob, ev1, ev2, ev3)
-        report.append(entry)
+        report.append(
+            {
+                "l": l,
+                "t1_matches": ev1 is not None and ev1 == e1,
+                "t2_matches": ev2 is not None and ev2 == e2,
+                "attachment": None not in (ev1, ev2, ev3) and verify_attachment(frob, ev1, ev2, ev3),
+            }
+        )
     return report

@@ -36,8 +36,16 @@ independent check of the module dimensions; TwistedAction and twisted_act
 are the off-parabolic twisted semigroup action on a module, and levi_act
 the block action chi0(psi1) psi1^c chi1(psi2_11) (e | psi2) on the
 parabolic invariants, whose scalar transfer.gl3_hecke_on_boundary computes.
-theorem_psi_blocks is the closed form of (psi^1, psi^2) per representative
-shape that the numeric coset translation is checked against.
+mat3, mat_mul3, mat_vec3, g_elem and the membership tests in_semigroup,
+in_gamma0 and in_parabolic are exact 3x3 integer matrices as tuples of rows.
+translate_to_parabolic is the coset translation that heckegl3 ran before it
+read the blocks off a closed form: it solves gamma in the level group with
+s gamma in P_d for one representative s, under either of two choices of
+the free parameter (policy "least" or "alt"), and returns x = g_d s gamma
+g_d^{-1} with psi^1, psi^2 read off it; psi_blocks reads them off any
+element of P_d.  theorem_psi_blocks is the table of the heckegl3 module
+docstring, one representative at a time.  Together they are the reference
+for heckegl3.hecke_orbit_action.
 p1_row_orbit_equivalent decides equivalence of rational points of P^1 under
 the rank-2 level-N group by linear-diophantine reduction, and
 gl2_orbit_example_check uses it for the paper's example that semigroup
@@ -53,8 +61,7 @@ from math import gcd
 import numpy as np
 
 from gl3hecke.arith import adj3, det, divisors, is_squarefree
-from gl3hecke.characters import DirichletCharacter, xgcd
-from gl3hecke.heckegl3 import in_gamma0, mat3, mat_mul3, psi_blocks
+from gl3hecke.characters import DirichletCharacter, crt, xgcd
 from gl3hecke.linalg import RowReducer as LinalgRowReducer
 from gl3hecke.linalg import SpinBasis, matmul_mod, np_nullspace
 from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
@@ -764,10 +771,188 @@ def dict_sub_matrix(M, deg, p):
     return out
 
 
+# -- integer 3x3 matrices and the gamma solve ------------------------------------
+
+
+def mat3(rows):
+    return tuple(tuple(int(x) for x in r) for r in rows)
+
+
+def mat_mul3(A, B):
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22),
+    )
+
+
+def mat_vec3(v, A):
+    """Row vector times matrix."""
+    v0, v1, v2 = v
+    return tuple(v0 * A[0][j] + v1 * A[1][j] + v2 * A[2][j] for j in range(3))
+
+
+IDENTITY3 = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def g_elem(d):
+    """The elementary matrix with (1,2)-entry d conjugating P_0 to P_d."""
+    return ((1, d, 0), (0, 1, 0), (0, 0, 1))
+
+
+def g_elem_inv(d):
+    return ((1, -d, 0), (0, 1, 0), (0, 0, 1))
+
+
+def in_semigroup(s, N, n=3):
+    """Membership in S_0: integer matrix, first row = (*,0,...,0) mod N."""
+    return all(s[0][j] % N == 0 for j in range(1, n)) if N > 1 else True
+
+
+def in_gamma0(g, N):
+    """Membership in the determinant-one congruence subgroup with first row
+    congruent to (*,0,0) mod N."""
+    return det(g) == 1 and in_semigroup(g, N)
+
+
+def in_parabolic(s, d):
+    """s stabilizes (1:d:0) projectively."""
+    v = mat_vec3((1, d, 0), s)
+    # projective equality with (1, d, 0): cross-multiplication
+    return v[2] == 0 and v[1] == d * v[0] and v[0] != 0
+
+
+@dataclass(frozen=True)
+class TranslationResult:
+    s: tuple
+    gamma: tuple
+    x: tuple  # g_d s gamma g_d^{-1}, in the standard parabolic
+    d: int
+    N: int
+    case: int
+
+    @property
+    def psi1(self):
+        return self.x[0][0]
+
+    @property
+    def psi2(self):
+        return ((self.x[1][1], self.x[1][2]), (self.x[2][1], self.x[2][2]))
+
+
+def _case_of(s, l):
+    """Case split of the lower-triangular representative s with diagonal
+    (l1, l2, l3) and below-diagonal entries a, b, c."""
+    l1, l2 = s[0][0], s[1][1]
+    a = s[1][0]
+    if l1 == l2 and a == 0:
+        return 1
+    if l1 == l and l2 == 1 and a == 0:
+        return 2
+    if l1 == 1 and l2 == l:
+        return 3  # refined to 4 by divisibility later
+    raise ValueError("matrix is not one of the standard representatives")
+
+
+def translate_to_parabolic(s, d, N, l=None, policy="least"):
+    """Find gamma in the level-N group with s*gamma in the parabolic P_d.
+
+    s must be one of the coset_reps shapes (lower triangular, diagonal
+    (l1,l2,l3) a permutation-compatible pattern of 1s and a prime l).  The
+    returned x = g_d s gamma g_d^{-1} lies in the standard parabolic; its
+    (1,1) entry and lower 2x2 block are the transfer data.
+
+    policy chooses the solution of the free parameter (gamma is not
+    unique); "alt" moves it by one step, so that tests can check that the
+    blocks do not depend on gamma.
+    """
+    s = mat3(s)
+    if N % d or gcd(d, N // d) != 1:
+        raise ValueError("d must divide N with gcd(d, N/d) = 1")
+    if s[0][1] or s[0][2] or s[1][2]:
+        raise ValueError("representative must be lower triangular")
+    if l is None:
+        l = max(s[0][0], s[1][1], s[2][2])
+    if gcd(det(s), N) != 1:
+        raise ValueError("determinant must be prime to N")
+    a, b, c = s[1][0], s[2][0], s[2][1]
+    l1, l2, l3 = s[0][0], s[1][1], s[2][2]
+    case = _case_of(s, l)
+    m = N // d
+    bump = 1 if policy == "alt" else 0
+
+    if case == 1:
+        gamma = IDENTITY3
+    elif case == 2:
+        # solve Cd = 1 mod l and Cd = 1-l mod N/d, then k from exactness
+        dinv_l = pow(d % l, -1, l)
+        c1 = dinv_l % l
+        if m > 1:
+            c2 = (1 - l) * pow(d % m, -1, m) % m
+            C = crt([c1, c2], [l, m])
+        else:
+            C = c1
+        C += bump * l * m
+        k = (-C * d - l + 1) // (m * l)
+        A, B, D = 1 + k * m, k * N, l + C * d
+        gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
+    else:
+        t = a * d + 1
+        if t % l != 0:
+            case = 3
+            # 1 = k*(t*N/d) + C*(l*d) + t*l
+            g, k0, C0 = xgcd(t * m, l * d)
+            assert g == 1
+            rhs = 1 - t * l
+            k, C = k0 * rhs, C0 * rhs
+            # normalize the free parameter deterministically
+            shift = (k // (l * d)) + bump
+            k -= shift * (l * d)
+            C += shift * (t * m)
+            A, B, D = k * m + l, k * N, t + C * d
+            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
+        else:
+            case = 4
+            u = t // l
+            # 1 = u + k*(N/d)*u + C*d
+            g, k0, C0 = xgcd(m * u, d)
+            assert g == 1
+            rhs = 1 - u
+            k, C = k0 * rhs, C0 * rhs
+            shift = (k // d) + bump
+            k -= shift * d
+            C += shift * (m * u)
+            A, B, D = 1 + k * m, k * N, u + C * d
+            gamma = ((A, B, 0), (C, D, 0), (0, 0, 1))
+
+    if not in_gamma0(gamma, N):
+        raise RuntimeError("internal error: gamma not in the level group")
+    sg = mat_mul3(s, gamma)
+    if not in_parabolic(sg, d):
+        raise RuntimeError("internal error: s*gamma not in the parabolic")
+    x = mat_mul3(mat_mul3(g_elem(d), sg), g_elem_inv(d))
+    if x[0][1] or x[0][2]:
+        raise RuntimeError("internal error: x not in the standard parabolic")
+    return TranslationResult(s=s, gamma=gamma, x=x, d=d, N=N, case=case)
+
+
+def psi_blocks(s, d):
+    """(psi^1, psi^2) of an element of P_d, read off after conjugation."""
+    s = mat3(s)
+    if not in_parabolic(s, d):
+        raise ValueError("matrix does not stabilize (1:d:0)")
+    x = mat_mul3(mat_mul3(g_elem(d), s), g_elem_inv(d))
+    if x[0][1] or x[0][2]:
+        raise ValueError("conjugate not in the standard parabolic")
+    return x[0][0], ((x[1][1], x[1][2]), (x[2][1], x[2][2]))
+
+
 def theorem_psi_blocks(s, d, l):
     """Closed-form (psi1, psi2, case) for the four shapes of a coset
     representative s with diagonal (l1, l2, l3) and entries a, b, c below
-    it; the oracle heckegl3.translate_to_parabolic is tested against."""
+    it, in Python integers, one representative at a time."""
     s = mat3(s)
     a, b, c = s[1][0], s[2][0], s[2][1]
     l1, l2, l3 = s[0][0], s[1][1], s[2][2]

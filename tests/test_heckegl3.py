@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import gcd
 
@@ -9,32 +8,27 @@ from hypothesis import strategies as st
 
 from gl3hecke import heckegl3
 from gl3hecke.arith import det, divisors, is_prime, is_squarefree
-from gl3hecke.heckegl3 import (
+from gl3hecke.heckegl3 import ProjectiveOrbits, coset_reps, hecke_orbit_action, orbit_rep
+
+from _oracles import (
     IDENTITY3,
-    ProjectiveOrbits,
-    coset_reps,
+    BfsProjectiveOrbits,
     g_elem,
     g_elem_inv,
-    hecke_orbit_action,
+    gl2_orbit_example_check,
     in_gamma0,
     in_parabolic,
     in_semigroup,
+    level_group_generators,
     mat3,
     mat_mul3,
     mat_vec3,
-    orbit_rep,
-    psi_blocks,
-    translate_to_parabolic,
-)
-
-from _oracles import (
-    BfsProjectiveOrbits,
-    gl2_orbit_example_check,
-    level_group_generators,
     p1_row_orbit_equivalent,
+    psi_blocks,
     same_right_coset,
     smith_diagonal,
     theorem_psi_blocks,
+    translate_to_parabolic,
 )
 
 
@@ -198,12 +192,8 @@ def test_translate_randomized_validation():
             # block congruences
             assert (tr.psi1 - sg[0][0]) % d == 0 if d > 1 else True
             assert (tr.psi2[0][0] - sg[0][0]) % (N // d) == 0 if N // d > 1 else True
-            # closed-form oracle equality (policy-independent)
-            psi1, psi2, case = theorem_psi_blocks(s, d, l)
-            assert tr.psi1 == psi1
-            if policy == "least":
-                assert tr.psi2 == psi2
-                assert tr.case == case
+            # the blocks are the closed form under either choice of gamma
+            assert (tr.psi1, tr.psi2, tr.case) == theorem_psi_blocks(s, d, l)
 
 
 def test_psi_blocks_basics():
@@ -337,12 +327,14 @@ def test_orbit_rep_rejects_bad_input():
 
 
 def test_hecke_orbit_action_stabilizes():
+    # every coset s has a level-group gamma (solved by the oracle) with
+    # s gamma fixing (1:d:0), and (1:d:0) s stays in the orbit of (1:d:0)
     for (l, N, d) in [(2, 11, 1), (2, 33, 3), (3, 35, 5)]:
         for k in (1, 2):
             out = hecke_orbit_action(l, k, N, d)
             assert len(out) == l * l + l + 1
-            for s, gamma in zip(out.reps.tolist(), out.gamma.tolist()):
-                v = mat_vec3((1, d, 0), mat_mul3(s, gamma))
+            for s in out.reps.tolist():
+                v = mat_vec3((1, d, 0), mat_mul3(s, translate_to_parabolic(s, d, N, l=l).gamma))
                 assert v[2] == 0 and v[1] == d * v[0]
                 # orbit preservation: (1:d:0)s stays in the orbit of (1:d:0)
                 w = mat_vec3((1, d, 0), s)
@@ -379,81 +371,51 @@ PRIMES_UP_TO_47 = [l for l in range(2, 48) if is_prime(l)]
     l=st.sampled_from(PRIMES_UP_TO_47),
     N=st.sampled_from(SQUAREFREE_UP_TO_210),
     k=st.sampled_from([1, 2, 3]),
-    policy=st.sampled_from(["least", "alt"]),
 )
-def test_batched_translation_matches_per_coset(data, l, N, k, policy):
-    # every coset's gamma, x and case are those of its own translation, and
-    # under the least policy (psi1, psi2) is the closed form
+def test_batched_translation_matches_per_coset(data, l, N, k):
+    # the closed-form arrays equal, coset by coset, the table and the blocks
+    # read off a solved gamma under both choices of gamma: the blocks do
+    # not depend on gamma
     assume(N % l)
     d = data.draw(st.sampled_from([x for x in divisors(N) if gcd(x, N // x) == 1]))
-    out = hecke_orbit_action(l, k, N, d, policy=policy)
+    out = hecke_orbit_action(l, k, N, d)
     reps = coset_reps(l, k, N)
     assert len(out) == len(reps) and np.array_equal(out.reps, reps)
     for i, s in enumerate(reps.tolist()):
-        tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
-        assert mat3(out.gamma[i].tolist()) == tr.gamma
-        assert mat3(out.x[i].tolist()) == tr.x
-        assert out.case[i] == tr.case
-        if policy == "least":
-            psi1, psi2, case = theorem_psi_blocks(s, d, l)
-            assert (out.psi1[i], mat3(out.psi2[i].tolist()), out.case[i]) == (psi1, psi2, case)
-
-
-@pytest.mark.parametrize("l", [2, 7, 23, 47])
-def test_one_translation_per_key(monkeypatch, l):
-    # gamma is solved once per (l1, l2, a): l + 2 keys for k = 1, 2 and one for k = 3
-    calls = []
-    solve = heckegl3.translate_to_parabolic
-
-    def counted(s, *args, **kwargs):
-        calls.append(s)
-        return solve(s, *args, **kwargs)
-
-    monkeypatch.setattr(heckegl3, "translate_to_parabolic", counted)
-    for k in (1, 2, 3):
+        got = (out.psi1[i], mat3(out.psi2[i].tolist()), out.case[i])
+        assert got == theorem_psi_blocks(s, d, l)
         for policy in ("least", "alt"):
-            calls.clear()
-            out = hecke_orbit_action(l, k, 33, 3, policy=policy)
-            assert len(out) == (l * l + l + 1 if k < 3 else 1)
-            assert len(calls) == (l + 2 if k < 3 else 1)
-            assert len({(s[0][0], s[1][1], s[1][0]) for s in map(mat3, calls)}) == len(calls)
+            tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
+            assert got == (tr.psi1, tr.psi2, tr.case)
 
 
-def test_corrupted_gamma_of_one_coset_raises(monkeypatch):
-    # the key a = 1 of T(l,1) holds the one coset [[1,0,0],[1,l,0],[0,0,1]];
-    # moving its gamma by a level-group element off the stabilizer of
-    # (1:d:0) must fail the per-coset certificate
-    solve = heckegl3.translate_to_parabolic
-    off = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+def test_corrupted_psi1_of_one_coset_raises(monkeypatch):
+    # setting one coset's psi1 wrong must fail the determinant certificate
+    blocks = heckegl3._levi_blocks
 
-    def corrupted(s, *args, **kwargs):
-        tr = solve(s, *args, **kwargs)
-        if s[1][0] == 1:
-            assert in_gamma0(mat_mul3(tr.gamma, off), 33)
-            return dataclasses.replace(tr, gamma=mat_mul3(tr.gamma, off))
-        return tr
+    def corrupted(*args):
+        case, psi1, psi2 = blocks(*args)
+        psi1[5] += 1
+        return case, psi1, psi2
 
-    assert [s[1][0] for s in coset_reps(7, 1, 33).tolist()].count(1) == 1
     hecke_orbit_action(7, 1, 33, 3)
-    monkeypatch.setattr(heckegl3, "translate_to_parabolic", corrupted)
-    with pytest.raises(RuntimeError, match=r"s\*gamma not in the parabolic"):
+    monkeypatch.setattr(heckegl3, "_levi_blocks", corrupted)
+    with pytest.raises(RuntimeError, match=r"psi1 \* det psi2 differs from det s"):
         hecke_orbit_action(7, 1, 33, 3)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_translation_exact_below_the_int64_bound_and_raises_above(k):
-    # N = 2^55 + 1 leaves 3 l G (1 + d)^2 below 2^63 for the largest gamma
-    # entry G; at N = 2^59 + 1 every gamma entry still fits in int64 but the
-    # bound does not, so the products could wrap
-    l, d = 2, 1
-    for policy in ("least", "alt"):
-        N = 2**55 + 1
-        out = hecke_orbit_action(l, k, N, d, policy=policy)
-        for i, s in enumerate(coset_reps(l, k, N).tolist()):
-            tr = translate_to_parabolic(s, d, N, l=l, policy=policy)
-            assert mat3(out.gamma[i].tolist()) == tr.gamma and mat3(out.x[i].tolist()) == tr.x
-        N = 2**59 + 1
-        G = max(abs(v) for s in coset_reps(l, k, N).tolist() for row in translate_to_parabolic(s, d, N, l=l, policy=policy).gamma for v in row)
-        assert G < 2**63 <= 3 * l * G * (1 + d) ** 2
-        with pytest.raises(OverflowError, match="int64"):
-            hecke_orbit_action(l, k, N, d, policy=policy)
+    # the bound l ((l - 1) d + 1) < 2^63 holds at l = 3 up to d = top, a
+    # multiple of 3; at d = top - 1 the case-3 cosets with a = 2 compute
+    # l t = l (2 d + 1) = 2^63 - 11, and every block still equals the closed
+    # form in Python integers; d = top + 1 raises (N = d both times)
+    l = 3
+    top = ((2**63 - 1) // l - 1) // (l - 1)
+    d = top - 1
+    assert top % l == 0 and d % l == 2 and 2**63 - l * (2 * d + 1) == 11
+    out = hecke_orbit_action(l, k, d, d)
+    for i, s in enumerate(coset_reps(l, k, d).tolist()):
+        assert (out.psi1[i], mat3(out.psi2[i].tolist()), out.case[i]) == theorem_psi_blocks(s, d, l)
+    with pytest.raises(OverflowError, match="int64"):
+        hecke_orbit_action(l, k, top + 1, top + 1)

@@ -7,7 +7,6 @@ from gl3hecke import modrep
 from gl3hecke.arith import adj3, det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
-from gl3hecke.heckegl3 import g_elem, g_elem_inv, mat3, mat_mul3
 from gl3hecke.modrep import (
     CertificateError,
     build_gl2_module,
@@ -23,10 +22,14 @@ from _oracles import (
     TwistedAction,
     composition_factor_dims,
     dict_sub_matrix,
+    g_elem,
+    g_elem_inv,
     kron_carrier,
     kron_carrier_act,
     kron_twist_gl3,
     levi_act,
+    mat3,
+    mat_mul3,
     twisted_act,
 )
 

@@ -41,7 +41,7 @@ SPACES = [
     (11, 7, 4, 0, 3),
 ]
 
-PINNED = "fe81a9a0cb7f7d7261cc69cbe9a310f3eddc0febbbf1b54310d72ae6e81102b4"
+PINNED = "9581550c51f34b5de64d5545b9cc682833281a5992f05f1a388e691b773b0e02"
 
 
 def _record(N, p, a, b, r):

@@ -31,9 +31,9 @@ for name in (
     "modrep.build_gl3.s", "modrep.build_gl3.carrier_dim", "modrep.u_invariants.s", "modrep.build_gl2.s",
 ):
     assert metrics[name] > 0, name
-# T(2,1) and T(2,2) under both policies, 7 cosets each, and T(2,3): the
-# count reads len() of each result of the name transfer calls
-assert metrics["heckegl3.cosets"] == 29, metrics["heckegl3.cosets"]
+# T(2,1) and T(2,2), 7 cosets each, and T(2,3): the count reads len() of
+# each result of the name transfer calls
+assert metrics["heckegl3.cosets"] == 15, metrics["heckegl3.cosets"]
 assert metrics["heckegl3.hecke_orbit_action.s"] > 0
 # the action matrices of a Hecke operator, or of a boundary operator, come
 # from at most one batched symbol pass, not one pass per matrix

@@ -6,7 +6,7 @@ import pytest
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
-from gl3hecke.heckegl3 import coset_reps, hecke_orbit_action, translate_to_parabolic
+from gl3hecke.heckegl3 import coset_reps, hecke_orbit_action
 from gl3hecke.linalg import identity
 from gl3hecke.modsym2 import find_eigensystems
 from gl3hecke.transfer import (
@@ -20,7 +20,7 @@ from gl3hecke.transfer import (
     verify_attachment,
 )
 
-from _oracles import a_l3, elliptic_ap
+from _oracles import a_l3, elliptic_ap, translate_to_parabolic
 
 F5 = make_field(5)
 WINDOW = (2, 7, 13)
@@ -69,7 +69,6 @@ def test_full_checks_d3_quadratic():
     for entry in report:
         assert entry["t1_matches"], entry
         assert entry["t2_matches"], entry
-        assert entry["gamma_independent"], entry
         assert entry["attachment"], entry
 
 
@@ -112,14 +111,14 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     build = transfer.gl3_hecke_on_boundary
     one = identity(datum.space.dim, datum.space.field)
 
-    def shifted(datum, l, k, policy="least"):
-        mat = build(datum, l, k, policy=policy)
+    def shifted(datum, l, k):
+        mat = build(datum, l, k)
         if k != bumped_k:
             return mat
         return (mat + one) % datum.p
 
     monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
-    report = run_transfer_checks(datum, WINDOW, recheck_gamma=False)
+    report = run_transfer_checks(datum, WINDOW)
     assert report
     assert all(entry["attachment"] is False for entry in report)
 
@@ -146,7 +145,7 @@ def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
 
     def corrupted(*args, **kwargs):
         out = translate(*args, **kwargs)
-        out.x[5, 1, 2] += 1
+        out.psi2[5, 0, 1] += 1
         return out
 
     monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
@@ -269,20 +268,9 @@ def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d
         if l == p:
             continue
         for k in (1, 2, 3):
-            # the reference translates each coset on its own
-            data = {
-                policy: [
-                    (tr.psi1, tr.psi2)
-                    for tr in (translate_to_parabolic(s, d, datum.N, l=l, policy=policy) for s in coset_reps(l, k, datum.N))
-                ]
-                for policy in ("least", "alt")
-            }
-            # the alternative translation gives the same per-coset data,
-            # so one reference serves both policies
-            assert data["alt"] == data["least"]
-            ref = _per_coset_reference(datum, data["least"])
-            for policy in ("least", "alt"):
-                assert np.array_equal(gl3_hecke_on_boundary(datum, l, k, policy=policy), ref), (l, k, policy)
+            # the reference solves gamma for each coset on its own
+            data = [(tr.psi1, tr.psi2) for tr in (translate_to_parabolic(s, d, datum.N, l=l) for s in coset_reps(l, k, datum.N))]
+            assert np.array_equal(gl3_hecke_on_boundary(datum, l, k), _per_coset_reference(datum, data)), (l, k)
 
 
 # (p, a, b, N1): the boundary benchmark's spaces, whose eigenvalues need F_{p^2}
