@@ -90,13 +90,14 @@ def apply_matrix(A, v, field):
     return matmul_mod(A.reshape(n, m * r), W, field.p).reshape((n,) + v.shape[1:])
 
 
-def eigenvalue(A, v, field):
-    """The scalar lam of field with A v = lam v, for a nonzero vector v of
-    shape (n, r), or None when v is not an eigenvector."""
+def eigenvalue(img, v, field):
+    """The scalar lam of field with img = lam v, for the image img = A v of
+    a nonzero vector v of shape (n, r) under some operator A, or None when v
+    is not an eigenvector of A."""
     support = np.flatnonzero(np.any(v, axis=1))
     if not support.size:
         raise ValueError("zero eigenvector")
-    img, i = apply_matrix(A, v, field), support[0]
+    i = support[0]
     lam = field.element(img[i].tolist()) / field.element(v[i].tolist())
     return lam if np.array_equal(img, matmul_mod(v, field.mul_matrices(lam.coords).T, field.p)) else None
 

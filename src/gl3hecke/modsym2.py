@@ -19,15 +19,16 @@ product and scattered into full coordinates (_scatter).  The relations of
 the presentation are built by that pass for every representative and
 coefficient unit vector at once and reduced in one block, and the semigroup
 action of a whole stack of matrices on a block of classes is one pass
-followed by one reduction, so a Hecke operator's cosets, or all new psi2 of
-a boundary operator, cost one pass.  Eigenvalues are the
-roots of the minimal polynomials of the Hecke matrices, factored over the
-piece's field on coordinate arrays (see ffield).  A root of an irreducible
-factor f of degree d > 1 lives in the extension of degree d: one root is
-found per Galois orbit, the others are its Frobenius conjugates, and its
-eigenspace is cut out of ker f(T), found over the piece's field.  Only the
-eigen-piece that needs the extension is embedded there, so each
-eigensystem lives over the field its own eigenvalues generate.
+followed by one reduction: T_l is its l + 1 cosets on the identity, and a
+boundary operator (see transfer) its live psi2 on the few columns of one
+eigenclass.  Eigenvalues are the roots of the minimal polynomials of the
+Hecke matrices, factored over the piece's field on coordinate arrays (see
+ffield).  A root of an irreducible factor f of degree d > 1 lives in the
+extension of degree d: one root is found per Galois orbit, the others are
+its Frobenius conjugates, and its eigenspace is cut out of ker f(T), found
+over the piece's field.  Only the eigen-piece that needs the extension is
+embedded there, so each eigensystem lives over the field its own eigenvalues
+generate.
 """
 
 from __future__ import annotations
@@ -207,7 +208,6 @@ class SymbolSpace:
         zero = np.zeros((field.r, field.r), dtype=np.int64)
         self._chi_mul = np.array([field.mul_matrix(chi1(u)) if gcd(u, N) == 1 else zero for u in range(N)])
         self._coeff_cache = {}
-        self._action_cache = {}
         self._hecke_cache = {}
         self._build_quotient()
 
@@ -329,9 +329,8 @@ class SymbolSpace:
 
         Individual matrices are Hecke summands: only full coset sums over a
         double coset are well defined on the quotient, so always combine the
-        results over a complete coset list.  Operator builders should use
-        action_matrices, which caches the whole matrix of this action per
-        integer matrix."""
+        results over a complete coset list; two matrices congruent mod N can
+        act differently."""
         ms = np.asarray(m, dtype=np.int64)
         if ms.ndim not in (2, 3) or ms.shape[-2:] != (2, 2):
             raise ValueError("expected a 2 x 2 integer matrix or a stack of them, got shape %s" % (ms.shape,))
@@ -358,38 +357,16 @@ class SymbolSpace:
         classes = (w[:, self._free_fp] - matmul_mod(w[:, self._pivots_fp], self._pivot_rows, p)) % p
         return classes.reshape(n, k, self.dim, r).swapaxes(1, 2).reshape(ms.shape[:-2] + V.shape)
 
-    def action_matrices(self, ms):
-        """The matrices of semigroup_act (columns = images of the unit
-        vectors) of the integer matrices of the stack ms (n, 2, 2), as an
-        (n, dim, dim, r) array.  Each is cached per space, keyed on the
-        integer matrix itself, not its class mod N: single summands do not
-        descend to the quotient, so two matrices congruent mod N can act
-        differently.  The ones not cached yet are computed together, by one
-        call of semigroup_act."""
-        ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2, 2)
-        keys = [tuple(m) for m in ms.reshape(-1, 4).tolist()]
-        missing = list(dict.fromkeys(key for key in keys if key not in self._action_cache))
-        if missing:
-            A = self.semigroup_act(identity(self.dim, self.field), np.array(missing).reshape(-1, 2, 2))
-            A.flags.writeable = False
-            self._action_cache.update(zip(missing, A))
-        return np.stack([self._action_cache[key] for key in keys])
-
-    def action_matrix(self, m):
-        """The matrix of semigroup_act by the one integer matrix m: see
-        action_matrices."""
-        return self.action_matrices(m)[0]
-
     def hecke_matrix(self, l):
         """T_l as a matrix over the scalar field (columns = images): the
-        sum of the action matrices of the l + 1 cosets of diag(1, l), taken
-        by one action_matrices call.  Read-only and cached."""
+        images of the identity under the l + 1 cosets of diag(1, l), from
+        one semigroup_act call, summed.  Read-only and cached."""
         if l in self._hecke_cache:
             return self._hecke_cache[l]
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        T = self.action_matrices(cosets).sum(axis=0) % self.p
+        T = self.semigroup_act(identity(self.dim, self.field), cosets).sum(axis=0) % self.p
         T.flags.writeable = False
         self._hecke_cache[l] = T
         return T
@@ -592,7 +569,7 @@ def find_eigensystems(space, window):
     systems = []
     for lams, E, vecs in pieces:
         v = vecs[0]
-        if any(eigenvalue(hecke(l, E), v, E) != lams[l] for l in window):
+        if any(eigenvalue(apply_matrix(hecke(l, E), v, E), v, E) != lams[l] for l in window):
             raise RuntimeError("eigensystem verification failed")
         systems.append(EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=v, lambdas=lams, field=E, space=space))
     return systems

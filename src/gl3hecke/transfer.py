@@ -6,28 +6,22 @@ blocks psi1, psi2 of its right cosets, which heckegl3.hecke_orbit_action
 returns as arrays: each representative contributes the scalar
 chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
-grouped exactly: np.unique counts the distinct (psi2, psi1) rows, the
-counted scalars of a psi2 are added, and the block's action matrix is
-accumulated once.  The action matrices of all live psi2 come from one
-SymbolSpace.action_matrices call, whose cache misses share one array pass of
-the continued-fraction symbol decomposition, with the coefficient matrices
-read from a table keyed on the residues of each gamma^-1.  Action matrices
-are cached on the symbol space keyed on the integer matrix psi2, never on
-its class mod N1, because a single summand does not descend to the
-quotient.  Nothing is hand-simplified: the operators never use the
-closed-form eigenvalues.  Those are written once, in expected_eigenvalues
-(FrobeniusData.from_boundary builds on it), and run_transfer_checks
-compares the measured eigenvalues with them.  T(l,3) has the single coset
-diag(l,l,l), and its measured eigenvalue enters the attachment identity
-together with those of T(l,1) and T(l,2).
+grouped exactly: np.unique counts the distinct (psi2, psi1) rows and the
+counted scalars of a psi2 are added.  The operator is applied to classes:
+one SymbolSpace.semigroup_act call moves them by every live psi2, and each
+image is multiplied by its group's scalar.  Nothing is hand-simplified: the
+operators never use the closed-form eigenvalues.  Those are written once, in
+expected_eigenvalues (FrobeniusData.from_boundary builds on it), and
+run_transfer_checks compares the measured eigenvalues with them.  T(l,3) has
+the single coset diag(l,l,l), and its measured eigenvalue enters the
+attachment identity together with those of T(l,1) and T(l,2).
 
-Every operator is a coordinate array over the scalar field of the symbol
-space (see linalg): a group's scalar multiplies its action matrix through
-the scalar's multiplication matrix.  The eigenclass lives over the possibly
-larger field its eigenvalues generate, so an operator is embedded there,
-through the embedding matrix, only to be applied to the eigenvector, and
-the closed forms and Frobenius data are evaluated there with chi0(l) and
-chi1(l) embedded.
+The operators act over the scalar field F of the symbol space (see
+linalg).  The eigenclass lives over the possibly larger field E its
+eigenvalues generate; its r_E F_p coordinate columns are classes over F, so
+eigenvalue_of applies the operator to them as one block and recombines the
+images in E.  The closed forms and Frobenius data are evaluated in E, with
+chi0(l) and chi1(l) embedded.
 """
 
 from __future__ import annotations
@@ -104,19 +98,18 @@ def _match_field(chi, field):
     return DirichletCharacter(field, chi.modulus, values)
 
 
-def gl3_hecke_on_boundary(datum, l, k):
-    """The rank-3 operator T(l,k) on the boundary symbol space, as a matrix
-    over the scalar field, built from the per-coset Levi blocks.
+def gl3_hecke_on_boundary(datum, l, k, V):
+    """T(l,k) V for V one class (dim, r) or a block of classes as columns
+    (dim, n, r) over the space's field, from the per-coset Levi blocks; the
+    image has the shape of V.
 
     Every coset's psi2 is checked, as one array test, to lie in the level-N1
     semigroup.  Cosets are then grouped by psi2, which is exact because the
     operator is linear in the coset sum: the distinct (psi2, psi1) rows are
     counted with np.unique, each group's scalars chi0(psi1) * psi1^c are
     added as coordinate arrays with np.add.at, and a zero sum is skipped.
-    The action matrices of the live psi2 are taken by one
-    space.action_matrices call, which computes the ones not cached in one
-    batched symbol pass; each is accumulated once.  The cache is keyed on
-    the integer matrix psi2, not on its class mod N1."""
+    One space.semigroup_act call moves V by every live psi2, and each image
+    is multiplied by its own group's scalar."""
     space = datum.space
     p = datum.p
     N, d = datum.N, datum.d
@@ -124,6 +117,8 @@ def gl3_hecke_on_boundary(datum, l, k):
         raise ValueError("l must be prime to p and the level")
     field = space.field
     cosets = hecke_orbit_action(l, k, N, d)
+    # an internal invariant check on every coset: semigroup_act sees only the
+    # live blocks, not those whose scalars cancel
     if (cosets.psi2[:, 0, 1] % datum.N1).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
     rows = np.column_stack([cosets.psi2.reshape(-1, 4), cosets.psi1])
@@ -144,13 +139,13 @@ def gl3_hecke_on_boundary(datum, l, k):
     np.add.at(sums, group, scalars)
     sums %= p
     live = np.flatnonzero(sums.any(axis=1))
+    V = np.asarray(V, dtype=np.int64)
     if not live.size:
-        return np.zeros((space.dim, space.dim, field.r), dtype=np.int64)
-    # every action matrix, from one batched symbol pass over the ones not
-    # cached, times its group's scalar, in one batched product
-    A = space.action_matrices(blocks[live].view(np.int64).reshape(-1, 2, 2))
+        return np.zeros_like(V)
+    # the images of V under every live psi2, each times its group's scalar
+    images = space.semigroup_act(V, blocks[live].view(np.int64).reshape(-1, 2, 2))
     S = field.mul_matrices(sums[live]).swapaxes(1, 2)
-    return matmul_mod(A, S[:, None], p).sum(axis=0) % p
+    return (matmul_mod(images.reshape(len(live), -1, field.r), S, p).sum(axis=0) % p).reshape(V.shape)
 
 
 def _opaque(rows):
@@ -159,11 +154,22 @@ def _opaque(rows):
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def eigenvalue_of(datum, mat):
-    """The scalar by which mat, a matrix over the space's field, acts on the
-    eigenclass: exact, in the field of the eigenclass, or None."""
-    field = datum.eigen.field
-    return eigenvalue(embed_matrix(mat, datum.space.field, field), datum.eigen.vector, field)
+def eigenvalue_of(datum, l, k):
+    """The scalar by which T(l,k) acts on the eigenclass: exact, in the
+    field E of the eigenclass, or None.
+
+    The class v over E is the sum over u < r_E of g_E^u v_u, v_u its u-th
+    F_p coordinate column, and T(l,k) is linear over the space's field F, a
+    subfield of E.  So T v is the sum of g_E^u T(v_u): the r_E columns v_u
+    are moved as one block over F, and their images are embedded in E and
+    recombined through the multiplication matrices of the powers of g_E."""
+    F, E, v = datum.space.field, datum.eigen.field, datum.eigen.vector
+    block = np.zeros(v.shape + (F.r,), dtype=np.int64)
+    block[..., 0] = v
+    images = embed_matrix(gl3_hecke_on_boundary(datum, l, k, block), F, E)
+    # (T v)[i, s] = sum_{u, t} G_u[s, t] images[i, u, t], G_u = mul_matrix(g_E^u)
+    powers = E.power_matrices().swapaxes(1, 2).reshape(E.r * E.r, E.r)
+    return eigenvalue(matmul_mod(images.reshape(len(v), -1), powers, E.p), v, E)
 
 
 def _character_values(datum, l):
@@ -255,7 +261,7 @@ def run_transfer_checks(datum, window):
         _lambda(datum, l)
     report = []
     for l in primes:
-        ev1, ev2, ev3 = (eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, k)) for k in (1, 2, 3))
+        ev1, ev2, ev3 = (eigenvalue_of(datum, l, k) for k in (1, 2, 3))
         e1, e2 = expected_eigenvalues(datum, l)
         frob = FrobeniusData.from_boundary(datum, l)
         report.append(

@@ -45,7 +45,10 @@ the free parameter (policy "least" or "alt"), and returns x = g_d s gamma
 g_d^{-1} with psi^1, psi^2 read off it; psi_blocks reads them off any
 element of P_d.  theorem_psi_blocks is the table of the heckegl3 module
 docstring, one representative at a time.  Together they are the reference
-for heckegl3.hecke_orbit_action.
+for heckegl3.hecke_orbit_action.  per_coset_reference builds the whole
+matrix of a boundary operator T(l,k) from translate_to_parabolic, one coset
+and one basis vector at a time; it is the reference for
+transfer.gl3_hecke_on_boundary and transfer.eigenvalue_of.
 p1_row_orbit_equivalent decides equivalence of rational points of P^1 under
 the rank-2 level-N group by linear-diophantine reduction, and
 gl2_orbit_example_check uses it for the paper's example that semigroup
@@ -62,8 +65,9 @@ import numpy as np
 
 from gl3hecke.arith import adj3, det, divisors, is_squarefree
 from gl3hecke.characters import DirichletCharacter, crt, xgcd
+from gl3hecke.heckegl3 import coset_reps
 from gl3hecke.linalg import RowReducer as LinalgRowReducer
-from gl3hecke.linalg import SpinBasis, matmul_mod, np_nullspace
+from gl3hecke.linalg import SpinBasis, identity, matmul_mod, np_nullspace
 from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
 from gl3hecke.transfer import _character_values
 
@@ -1062,6 +1066,23 @@ def a_l3(datum, l):
     p = datum.p
     chi0l, chi1l = _character_values(datum, l)
     return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
+
+
+def per_coset_reference(datum, l, k):
+    """The whole matrix of T(l,k) on the datum's space, summed coset by
+    coset and basis vector by basis vector with semigroup_act: gamma is
+    solved for each coset on its own by translate_to_parabolic, and nothing
+    is grouped (the scalars multiply as Fq)."""
+    space = datum.space
+    F, p, dim = space.field, datum.p, space.dim
+    mat = np.zeros((dim, dim, F.r), dtype=np.int64)
+    for s in coset_reps(l, k, datum.N):
+        tr = translate_to_parabolic(s, datum.d, datum.N, l=l)
+        scalar = datum.chi0(tr.psi1) * F.from_int(pow(tr.psi1 % p, datum.c % (p - 1), p))
+        for j, e in enumerate(identity(dim, F)):
+            img = F.from_array(space.semigroup_act(e, tr.psi2))
+            mat[:, j] += F.to_array([scalar * x for x in img])
+    return mat % p
 
 
 # -- the explicit Kronecker carrier: the reference for modrep._carrier_act ---------

@@ -137,17 +137,20 @@ def test_hecke_from_coset_sum_matches():
 
 
 def test_action_matrix_columns_and_hecke_coset_sum():
+    # a stack acting on the identity gives one whole matrix per element,
+    # column j the image of unit vector j
     space = SymbolSpace(11, 5, 2, 0)
+    units = identity(space.dim, space.field)
     for l in (2, 3):
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        mats = [space.action_matrix(m) for m in cosets]
+        mats = space.semigroup_act(units, cosets)
         for m, A in zip(cosets, mats):
-            for j, e in enumerate(identity(space.dim, space.field)):
+            for j, e in enumerate(units):
                 assert np.array_equal(A[:, j], space.semigroup_act(e, m))
-        assert np.array_equal(space.hecke_matrix(l), sum(mats) % 5)
+        assert np.array_equal(space.hecke_matrix(l), mats.sum(axis=0) % 5)
     # single summands do not descend to the quotient: matrices congruent
-    # mod N act differently, so the cache key is the integer matrix
-    assert not np.array_equal(space.action_matrix(((1, 0), (1, 2))), space.action_matrix(((1, 0), (12, 2))))
+    # mod N act differently
+    assert not np.array_equal(space.semigroup_act(units, ((1, 0), (1, 2))), space.semigroup_act(units, ((1, 0), (12, 2))))
 
 
 def _act_symbols(space, pairs, m):
@@ -206,8 +209,7 @@ def test_semigroup_rejects_bad_matrices():
     with pytest.raises(ValueError, match=r"matrix 2 of the batch, \[\[1, 11\], \[0, 5\]\]: determinant"):
         space.semigroup_act(identity(space.dim, space.field), stack)
     with pytest.raises(ValueError, match=r"matrix 2 of the batch, .*: first row"):
-        space.action_matrices(stack[[0, 1, 3]])
-    assert not space._action_cache
+        space.semigroup_act(identity(space.dim, space.field), stack[[0, 1, 3]])
 
 
 def _random_semigroup_matrix(rng, N, p):
@@ -260,9 +262,9 @@ def test_action_matrices_match_the_scalar_oracle(p, N, dimV, b, r, quadratic, se
     rng = random.Random(seed)
     ms = [_random_semigroup_matrix(rng, N, p) for _ in range(3)]
     ms.append(ms[0])  # a batch that repeats a matrix
-    A = space.action_matrices(np.array(ms))
-    assert A.shape == (4, space.dim, space.dim, r)
     units = identity(space.dim, F)
+    A = space.semigroup_act(units, np.array(ms))
+    assert A.shape == (4, space.dim, space.dim, r)
     for m, Am in zip(ms, A):
         assert np.array_equal(Am, scalar_semigroup_act(space, units, m))
     # the pass on a block of classes that are not unit vectors
@@ -277,7 +279,7 @@ def test_action_matrices_of_a_zero_space():
     space = SymbolSpace(11, 5, 0, 0, chi1=DirichletCharacter.quadratic(F, 11), field=F)
     assert space.dim == 0
     ms = np.array([((1, 0), (0, 2)), ((1, 0), (1, 2)), ((2, 0), (0, 1))])
-    assert space.action_matrices(ms).shape == (3, 0, 0, 2)
+    assert space.semigroup_act(identity(0, F), ms).shape == (3, 0, 0, 2)
     assert space.hecke_matrix(2).shape == (0, 0, 2)
 
 
@@ -295,12 +297,12 @@ def test_large_entries_are_exact_or_raise_overflow(huge):
     space = SymbolSpace(11, 5, 2, 0)
     near = 2**40 + 1  # 2^40 = 1 mod 5 and mod 11
     ms = [((near, 0), (7, 1)), ((3, 0), (5 - 2**40, 2)), ((1, 11 * 2**36), (-5, 2**40 + 3))]
-    A = space.action_matrices(np.array(ms))
     units = identity(space.dim, space.field)
+    A = space.semigroup_act(units, np.array(ms))
     for m, Am in zip(ms, A):
         assert np.array_equal(Am, scalar_semigroup_act(space, units, m))
     with pytest.raises(OverflowError):
-        space.action_matrices(np.array([huge]))
+        space.semigroup_act(units, np.array([huge]))
 
 
 def test_irrational_system_triggers_extension():

@@ -22,7 +22,7 @@ from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.modrep import build_gl3_module, gl_generators, u_invariants
 from gl3hecke.modsym2 import SymbolSpace, find_eigensystems
-from gl3hecke.transfer import BoundaryDatum, eigenvalue_of, gl3_hecke_on_boundary, run_transfer_checks
+from gl3hecke.transfer import BoundaryDatum, eigenvalue_of, run_transfer_checks
 
 WINDOW = (2, 3)
 
@@ -50,7 +50,7 @@ def _record(N, p, a, b, r):
     space = SymbolSpace(N, p, a, b, chi1=chi1, field=F)
     systems = find_eigensystems(space, WINDOW)
     datum = BoundaryDatum.build(p, a, b, 1, 1, N, chi1=chi1, window=WINDOW, field=F)
-    measured = [eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, k)) for l in WINDOW for k in (1, 2, 3)]
+    measured = [eigenvalue_of(datum, l, k) for l in WINDOW for k in (1, 2, 3)]
     return {
         "key": [N, p, a, b, r],
         "free": list(space.free),

@@ -1,14 +1,18 @@
 import dataclasses
+from functools import lru_cache
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
-from gl3hecke.heckegl3 import coset_reps, hecke_orbit_action
-from gl3hecke.linalg import identity
-from gl3hecke.modsym2 import find_eigensystems
+from gl3hecke.heckegl3 import hecke_orbit_action
+from gl3hecke.linalg import apply_matrix, embed_matrix, identity
+from gl3hecke.modsym2 import SymbolSpace, find_eigensystems
 from gl3hecke.transfer import (
     BoundaryDatum,
     FrobeniusData,
@@ -20,7 +24,7 @@ from gl3hecke.transfer import (
     verify_attachment,
 )
 
-from _oracles import a_l3, elliptic_ap, translate_to_parabolic
+from _oracles import a_l3, elliptic_ap, per_coset_reference
 
 F5 = make_field(5)
 WINDOW = (2, 7, 13)
@@ -37,8 +41,7 @@ def _datum(c, d=1, chi0=None):
 def test_t1_eigenvalue_identity_d1():
     datum = _datum(0)
     for l in WINDOW:
-        t1 = gl3_hecke_on_boundary(datum, l, 1)
-        ev = eigenvalue_of(datum, t1)
+        ev = eigenvalue_of(datum, l, 1)
         e1, _ = expected_eigenvalues(datum, l)
         assert ev is not None and ev == e1
 
@@ -47,16 +50,14 @@ def test_t1_pinned_value_l2():
     # (a,b,c) = (0,0,0), trivial characters, l=2, lambda_2 = -2:
     # T(2,1) eigenvalue = 2*(-2) + 1 = -3 = 2 mod 5
     datum = _datum(0)
-    t1 = gl3_hecke_on_boundary(datum, 2, 1)
-    ev = eigenvalue_of(datum, t1)
+    ev = eigenvalue_of(datum, 2, 1)
     assert ev == datum.space.field.from_int(2)
 
 
 def test_t2_eigenvalue_identity_d1():
     datum = _datum(1)
     for l in WINDOW:
-        t2 = gl3_hecke_on_boundary(datum, l, 2)
-        ev = eigenvalue_of(datum, t2)
+        ev = eigenvalue_of(datum, l, 2)
         _, e2 = expected_eigenvalues(datum, l)
         assert ev is not None and ev == e2
 
@@ -75,7 +76,7 @@ def test_full_checks_d3_quadratic():
 def test_gl3_operators_commute_with_gl2_hecke():
     datum = _datum(0)
     # over F_5 the coordinate arrays are integer matrices with one trailing coordinate
-    t1 = gl3_hecke_on_boundary(datum, 2, 1)[..., 0]
+    t1 = gl3_hecke_on_boundary(datum, 2, 1, identity(datum.space.dim, datum.space.field))[..., 0]
     T7 = datum.space.hecke_matrix(7)[..., 0]
     assert np.array_equal(t1 @ T7 % 5, T7 @ t1 % 5)
 
@@ -94,7 +95,7 @@ def test_attachment_identity_and_perturbation():
     one = datum.space.field.one()
     for l in WINDOW:
         frob = FrobeniusData.from_boundary(datum, l)
-        measured = [eigenvalue_of(datum, gl3_hecke_on_boundary(datum, l, k)) for k in (1, 2, 3)]
+        measured = [eigenvalue_of(datum, l, k) for k in (1, 2, 3)]
         assert measured[2] == a_l3(datum, l)
         assert verify_attachment(frob, *measured)
         for i in range(3):
@@ -109,13 +110,12 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     # by one, which the report's attachment flag must catch
     datum = _datum(2, d=3, chi0=DirichletCharacter.quadratic(F5, 3))
     build = transfer.gl3_hecke_on_boundary
-    one = identity(datum.space.dim, datum.space.field)
 
-    def shifted(datum, l, k):
-        mat = build(datum, l, k)
+    def shifted(datum, l, k, V):
+        image = build(datum, l, k, V)
         if k != bumped_k:
-            return mat
-        return (mat + one) % datum.p
+            return image
+        return (image + V) % datum.p
 
     monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
     report = run_transfer_checks(datum, WINDOW)
@@ -150,7 +150,7 @@ def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
 
     monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
     with pytest.raises(RuntimeError, match="level-N1 semigroup"):
-        gl3_hecke_on_boundary(datum, 7, 1)
+        gl3_hecke_on_boundary(datum, 7, 1, identity(datum.space.dim, datum.space.field))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -227,28 +227,12 @@ def test_c_varies_only_scalar():
     d0 = _datum(0)
     d2 = _datum(2)
     l = 7
-    ev0 = eigenvalue_of(d0, gl3_hecke_on_boundary(d0, l, 1))
-    ev2 = eigenvalue_of(d2, gl3_hecke_on_boundary(d2, l, 1))
+    ev0 = eigenvalue_of(d0, l, 1)
+    ev2 = eigenvalue_of(d2, l, 1)
     F = d0.space.field
     lam = d0.eigen.lambdas[l]
     assert ev0 == F.from_int(l) * lam + F.one()
     assert ev2 == F.from_int(l) * lam + F.from_int(pow(l, 2, 5))
-
-
-def _per_coset_reference(datum, data):
-    """T(l,k) summed coset by coset and basis vector by basis vector with
-    semigroup_act, from the per-coset (psi1, psi2) data: the assembly
-    without grouping, cached action matrices or multiplication matrices
-    (the scalars multiply as Fq)."""
-    space = datum.space
-    F, p, dim = space.field, datum.p, space.dim
-    mat = np.zeros((dim, dim, F.r), dtype=np.int64)
-    for psi1, psi2 in data:
-        scalar = datum.chi0(psi1) * F.from_int(pow(psi1 % p, datum.c % (p - 1), p))
-        for j, e in enumerate(identity(dim, F)):
-            img = F.from_array(space.semigroup_act(e, psi2))
-            mat[:, j] += F.to_array([scalar * x for x in img])
-    return mat % p
 
 
 @pytest.mark.parametrize(
@@ -264,13 +248,12 @@ def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d
     chi0 = DirichletCharacter.quadratic(make_field(p), 3) if d == 3 else None
     datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, window=window, field=make_field(p, degree))
     assert datum.space.field.r == degree and datum.chi0.field == datum.space.field
+    units = identity(datum.space.dim, datum.space.field)
     for l in (2, 7, 13):
         if l == p:
             continue
         for k in (1, 2, 3):
-            # the reference solves gamma for each coset on its own
-            data = [(tr.psi1, tr.psi2) for tr in (translate_to_parabolic(s, d, datum.N, l=l) for s in coset_reps(l, k, datum.N))]
-            assert np.array_equal(gl3_hecke_on_boundary(datum, l, k), _per_coset_reference(datum, data)), (l, k)
+            assert np.array_equal(gl3_hecke_on_boundary(datum, l, k, units), per_coset_reference(datum, l, k)), (l, k)
 
 
 # (p, a, b, N1): the boundary benchmark's spaces, whose eigenvalues need F_{p^2}
@@ -288,19 +271,84 @@ EXT_SPACES = [
 
 
 @pytest.mark.parametrize("key", EXT_SPACES, ids=["p%d-w%d,%d-N%d" % key for key in EXT_SPACES])
-def test_extended_eigenclass_keeps_operators_over_the_base_field(key):
+def test_extended_eigenclass_keeps_operators_over_the_base_field(monkeypatch, key):
     # the datum's eigenclass is moved to a system over the largest field of
-    # the space: every check holds there, and every operator, Hecke matrix
-    # and cached action matrix stays over F_p
+    # the space: every check holds there, every boundary operator is applied
+    # over F_p to at most r_E columns, the F_p coordinates of the class, and
+    # every Hecke matrix stays over F_p
     p, a, b, N1 = key
     window = (2, 3)
     datum = BoundaryDatum.build(p, a, b, 1, 1, N1, window=window)
     system = max(find_eigensystems(datum.space, window), key=lambda s: s.field.r)
     datum = dataclasses.replace(datum, eigen=system)
+    space = datum.space
     Fp = make_field(p)
+    assert space.field == Fp and system.space is space
+    act = SymbolSpace.semigroup_act
+    blocks = []
+
+    def spy(self, V, m):
+        blocks.append(np.shape(V))
+        return act(self, V, m)
+
+    monkeypatch.setattr(SymbolSpace, "semigroup_act", spy)
     for entry in run_transfer_checks(datum, window):
         assert all(entry.values()), entry
-    space = datum.space
-    assert space.field == Fp and system.space is space
-    cached = list(space._action_cache.values()) + list(space._hecke_cache.values())
-    assert cached and all(A.shape == (space.dim, space.dim, Fp.r) for A in cached)
+    assert blocks and all(shape[0] == space.dim and shape[-1] == Fp.r for shape in blocks), blocks
+    assert all(len(shape) == 2 or shape[1] <= system.field.r for shape in blocks), (blocks, system.field.r)
+    cached = list(space._hecke_cache.values())
+    assert cached and all(T.shape == (space.dim, space.dim, Fp.r) for T in cached)
+
+
+# (p, a, b, N1) with squarefree N1, whose eigenclasses over F_p lie in F_p,
+# F_{p^2} or F_{p^3}.  The last three also have classes with F_p < F < E, of
+# degree 6: the first two built over F = F_{p^2}, the last over F_{p^3}.
+PROPERTY_SPACES = [
+    (5, 0, 0, 11),
+    (5, 0, 0, 14),
+    (7, 0, 0, 15),
+    (5, 0, 0, 26),
+    (7, 2, 0, 10),
+    (11, 2, 0, 14),
+    (13, 4, 0, 11),
+    (7, 4, 0, 11),
+    (5, 4, 0, 11),
+]
+
+
+@lru_cache(maxsize=None)
+def _searched_space(p, a, b, N1, r):
+    """The space over F_{p^r} and its eigensystems over every prime below 8
+    prime to p N1."""
+    space = SymbolSpace(N1, p, a, b, field=make_field(p, r))
+    return space, find_eigensystems(space, [l for l in (2, 3, 5, 7) if gcd(l, p * N1) == 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.sampled_from(PROPERTY_SPACES),
+    r=st.sampled_from([1, 2, 3]),
+    pick=st.integers(0, 7),
+    d=st.sampled_from([1, 2, 3]),
+    quadratic=st.booleans(),
+    c=st.integers(0, 11),
+    l=st.sampled_from([2, 3, 5, 7]),
+    k=st.sampled_from([1, 2, 3]),
+)
+@example(key=(13, 4, 0, 11), r=2, pick=2, d=1, quadratic=False, c=1, l=2, k=1)
+@example(key=(5, 4, 0, 11), r=3, pick=2, d=3, quadratic=True, c=2, l=7, k=2)
+def test_operator_on_the_class_matches_the_per_coset_oracle(key, r, pick, d, quadratic, c, l, k):
+    # eigenvalue_of's T(l,k) v, from the class's F_p columns recombined in E,
+    # against the oracle's whole matrix embedded in E and applied to v
+    p, a, b, N1 = key
+    assume(gcd(d, p * N1) == 1 and gcd(l, p * N1 * d) == 1)
+    space, systems = _searched_space(p, a, b, N1, r)
+    F = space.field
+    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
+    eigen = systems[pick % len(systems)]
+    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    E, v = eigen.field, eigen.vector
+    ev = eigenvalue_of(datum, l, k)
+    image = apply_matrix(embed_matrix(per_coset_reference(datum, l, k), F, E), v, E)
+    assert ev is not None
+    assert E.from_array(image) == [ev * x for x in E.from_array(v)]
