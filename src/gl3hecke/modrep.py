@@ -41,6 +41,7 @@ rho(u) for u in the first-column unipotent group.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -255,11 +256,11 @@ def _build_gl3_base(p, i, j):
 
     # adjointness of the contravariant form on the carrier (spot check)
     wt = _form_weights(ybasis, zbasis, p)
-    rng = np.random.default_rng(12345)
+    rng = random.Random(12345)
     for _ in range(3):
         g = _random_invertible(p, rng)
-        u = rng.integers(0, p, D)
-        w = rng.integers(0, p, D)
+        u = np.array(rng.choices(range(p), k=D), dtype=np.int64)
+        w = np.array(rng.choices(range(p), k=D), dtype=np.int64)
         lhs = int(matmul_mod(act(g)(u) * wt % p, w, p))
         rhs = int(matmul_mod(u * wt % p, act(g.T % p)(w), p))
         if lhs != rhs:
@@ -340,10 +341,12 @@ def _form_weights(ybasis, zbasis, p):
 
 
 def _random_invertible(p, rng):
+    """A uniformly random element of GL_3(F_p), drawn from the
+    random.Random rng."""
     while True:
-        g = rng.integers(0, p, (3, 3))
+        g = np.array(rng.choices(range(p), k=9), dtype=np.int64).reshape(3, 3)
         if det(g) % p:
-            return np.asarray(g, dtype=np.int64)
+            return g
 
 
 def _upper_unipotents(n):

@@ -7,14 +7,23 @@ returns as arrays: each representative contributes the scalar
 chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
 grouped exactly: np.unique counts the distinct (psi2, psi1) rows and the
-counted scalars of a psi2 are added.  The operator is applied to classes:
-one SymbolSpace.semigroup_act call moves them by every live psi2, and each
-image is multiplied by its group's scalar.  Nothing is hand-simplified: the
-operators never use the closed-form eigenvalues.  Those are written once, in
-expected_eigenvalues (FrobeniusData.from_boundary builds on it), and
-run_transfer_checks compares the measured eigenvalues with them.  T(l,3) has
-the single coset diag(l,l,l), and its measured eigenvalue enters the
-attachment identity together with those of T(l,1) and T(l,2).
+counted scalars of a psi2 are added.  The operator is applied to classes,
+and several ks of one prime are applied in one pass: the cosets of all of
+them are grouped at once by (k, psi2), one SymbolSpace.semigroup_act call
+moves the classes by the distinct live psi2 of all the ks, and each image,
+times its group's scalar, is added into the slice of its k.
+run_transfer_checks makes one such pass per prime, for T(l,1), T(l,2) and
+T(l,3) together, and not one for the whole window: a pass holds all its
+images at once.  On (p,a,b,c,d,N1) = (11,4,0,1,5,133), window up to 47, the
+per-prime passes stay under the 154 MB peak of building the datum, while
+one pass over the 2,227 distinct psi2 of the whole window peaks at 301 MB.
+
+Nothing is hand-simplified: the operators never use the closed-form
+eigenvalues.  Those are written once, in expected_eigenvalues
+(FrobeniusData.from_boundary builds on it), and run_transfer_checks
+compares the measured eigenvalues with them.  T(l,3) has the single coset
+diag(l,l,l), and its measured eigenvalue enters the attachment identity
+together with those of T(l,1) and T(l,2).
 
 The operators act over the scalar field F of the symbol space (see
 linalg).  The eigenclass lives over the possibly larger field E its
@@ -100,52 +109,73 @@ def _match_field(chi, field):
 
 def gl3_hecke_on_boundary(datum, l, k, V):
     """T(l,k) V for V one class (dim, r) or a block of classes as columns
-    (dim, n, r) over the space's field, from the per-coset Levi blocks; the
-    image has the shape of V.
+    (dim, n, r) over the space's field, from the per-coset Levi blocks.  k
+    is one k, and the image has the shape of V, or a sequence of ks, and
+    the images are stacked along a first axis, one per k, as semigroup_act
+    stacks its matrices; one k is the one-element case of the same pass.
 
-    Every coset's psi2 is checked, as one array test, to lie in the level-N1
-    semigroup.  Cosets are then grouped by psi2, which is exact because the
-    operator is linear in the coset sum: the distinct (psi2, psi1) rows are
-    counted with np.unique, each group's scalars chi0(psi1) * psi1^c are
-    added as coordinate arrays with np.add.at, and a zero sum is skipped.
-    One space.semigroup_act call moves V by every live psi2, and each image
-    is multiplied by its own group's scalar."""
+    Every coset's psi2, of every k, is checked as one array test to lie in
+    the level-N1 semigroup.  The cosets of all the ks are then grouped at
+    once, which is exact because each operator is linear in its coset sum:
+    the distinct (k, psi2, psi1) rows are counted with np.unique, each
+    group's scalars chi0(psi1) * psi1^c are added per (k, psi2) as
+    coordinate arrays with np.add.at, and a zero sum is skipped.  One
+    space.semigroup_act call moves V by the distinct live psi2 of all the
+    ks, and one product adds each image, times its scalar, into the slice
+    of its k.
+
+    All the images of the call are held at once, which is why
+    run_transfer_checks stacks the ks of one prime and not the primes of its
+    window (module docstring)."""
     space = datum.space
     p = datum.p
     N, d = datum.N, datum.d
     if gcd(l, p * N) != 1:
         raise ValueError("l must be prime to p and the level")
     field = space.field
-    cosets = hecke_orbit_action(l, k, N, d)
+    ks = (k,) if np.ndim(k) == 0 else tuple(k)
+    cosets = [hecke_orbit_action(l, j, N, d) for j in ks]
+    psi2 = np.concatenate([c.psi2 for c in cosets])
     # an internal invariant check on every coset: semigroup_act sees only the
     # live blocks, not those whose scalars cancel
-    if (cosets.psi2[:, 0, 1] % datum.N1).any():
+    if (psi2[:, 0, 1] % datum.N1).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
-    rows = np.column_stack([cosets.psi2.reshape(-1, 4), cosets.psi1])
+    slot = np.repeat(np.arange(len(ks)), [len(c.psi1) for c in cosets])
+    rows = np.column_stack([slot, psi2.reshape(-1, 4), np.concatenate([c.psi1 for c in cosets])])
     # each row viewed as one opaque item: np.unique on the flat array groups
     # equal rows several times faster than np.unique(rows, axis=0)
     items, counts = np.unique(_opaque(rows), return_counts=True)
-    rows = items.view(np.int64).reshape(-1, 5)
-    psi1 = rows[:, 4]
+    rows = items.view(np.int64).reshape(-1, 6)
+    psi1 = rows[:, 5]
     # the coordinates of each distinct row's scalar chi0(psi1) * n * psi1^c:
     # chi0 read from its values at the residues present, the rest in F_p
     residues, at = np.unique(psi1 % datum.chi0.modulus, return_inverse=True)
     chi = field.to_array([datum.chi0(u) for u in residues.tolist()])[at]
     power = np.array([pow(u, datum.c % (p - 1), p) for u in range(p)], dtype=np.int64)
     scalars = chi * (counts * power[psi1 % p] % p)[:, None] % p
-    # added up per psi2; a zero sum is skipped
-    blocks, group = np.unique(_opaque(rows[:, :4]), return_inverse=True)
-    sums = np.zeros((len(blocks), field.r), dtype=np.int64)
+    # added up per (k, psi2); a zero sum is skipped
+    groups, group = np.unique(_opaque(rows[:, :5]), return_inverse=True)
+    sums = np.zeros((len(groups), field.r), dtype=np.int64)
     np.add.at(sums, group, scalars)
     sums %= p
     live = np.flatnonzero(sums.any(axis=1))
     V = np.asarray(V, dtype=np.int64)
-    if not live.size:
-        return np.zeros_like(V)
-    # the images of V under every live psi2, each times its group's scalar
-    images = space.semigroup_act(V, blocks[live].view(np.int64).reshape(-1, 2, 2))
-    S = field.mul_matrices(sums[live]).swapaxes(1, 2)
-    return (matmul_mod(images.reshape(len(live), -1, field.r), S, p).sum(axis=0) % p).reshape(V.shape)
+    out = np.zeros((len(ks),) + V.shape, dtype=np.int64)
+    if live.size:
+        groups = groups[live].view(np.int64).reshape(-1, 5)
+        # the images of V under every distinct live psi2 of all the ks
+        blocks, block = np.unique(_opaque(groups[:, 1:]), return_inverse=True)
+        images = space.semigroup_act(V, blocks.view(np.int64).reshape(-1, 2, 2))
+        n, r = len(blocks), field.r
+        # the scalar of each (psi2, k), zero where that k has no live group
+        coef = np.zeros((n, len(ks), r), dtype=np.int64)
+        coef[block, groups[:, 0]] = sums[live]
+        # out[i][x, s] = sum over psi2 g and t of images[g][x, t] M[g, i][s, t],
+        # M[g, i] the multiplication matrix of coef[g, i]: one product over (g, t)
+        M = field.mul_matrices(coef).transpose(0, 3, 1, 2).reshape(n * r, len(ks) * r)
+        X = images.reshape(n, -1, r).swapaxes(0, 1).reshape(-1, n * r)
+        out = matmul_mod(X, M, p).reshape(-1, len(ks), r).swapaxes(0, 1).reshape(out.shape)
+    return out if np.ndim(k) else out[0]
 
 
 def _opaque(rows):
@@ -156,7 +186,8 @@ def _opaque(rows):
 
 def eigenvalue_of(datum, l, k):
     """The scalar by which T(l,k) acts on the eigenclass: exact, in the
-    field E of the eigenclass, or None.
+    field E of the eigenclass, or None.  For a sequence of ks, the tuple of
+    those scalars, from one gl3_hecke_on_boundary pass over all of them.
 
     The class v over E is the sum over u < r_E of g_E^u v_u, v_u its u-th
     F_p coordinate column, and T(l,k) is linear over the space's field F, a
@@ -164,12 +195,14 @@ def eigenvalue_of(datum, l, k):
     are moved as one block over F, and their images are embedded in E and
     recombined through the multiplication matrices of the powers of g_E."""
     F, E, v = datum.space.field, datum.eigen.field, datum.eigen.vector
+    ks = (k,) if np.ndim(k) == 0 else tuple(k)
     block = np.zeros(v.shape + (F.r,), dtype=np.int64)
     block[..., 0] = v
-    images = embed_matrix(gl3_hecke_on_boundary(datum, l, k, block), F, E)
+    images = embed_matrix(gl3_hecke_on_boundary(datum, l, ks, block), F, E)
     # (T v)[i, s] = sum_{u, t} G_u[s, t] images[i, u, t], G_u = mul_matrix(g_E^u)
     powers = E.power_matrices().swapaxes(1, 2).reshape(E.r * E.r, E.r)
-    return eigenvalue(matmul_mod(images.reshape(len(v), -1), powers, E.p), v, E)
+    values = tuple(eigenvalue(Tv, v, E) for Tv in matmul_mod(images.reshape(len(ks), len(v), -1), powers, E.p))
+    return values if np.ndim(k) else values[0]
 
 
 def _character_values(datum, l):
@@ -253,15 +286,16 @@ def twisted_contragredient(frob):
 
 def run_transfer_checks(datum, window):
     """Per-prime report: operator eigenvalues vs the closed forms, and the
-    attachment identity on the measured T(l,1), T(l,2), T(l,3) eigenvalues.
-    Raises ValueError, before any operator is built, when a prime of the
-    window was not searched."""
+    attachment identity on the measured T(l,1), T(l,2), T(l,3) eigenvalues,
+    all three from one eigenvalue_of pass per prime.  Raises ValueError,
+    before any operator is built, when a prime of the window was not
+    searched."""
     primes = [l for l in window if gcd(l, datum.p * datum.N) == 1]
     for l in primes:
         _lambda(datum, l)
     report = []
     for l in primes:
-        ev1, ev2, ev3 = (eigenvalue_of(datum, l, k) for k in (1, 2, 3))
+        ev1, ev2, ev3 = eigenvalue_of(datum, l, (1, 2, 3))
         e1, e2 = expected_eigenvalues(datum, l)
         frob = FrobeniusData.from_boundary(datum, l)
         report.append(

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 from functools import lru_cache
 from math import gcd
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gl3hecke
 from gl3hecke import transfer
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
@@ -111,11 +116,12 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     datum = _datum(2, d=3, chi0=DirichletCharacter.quadratic(F5, 3))
     build = transfer.gl3_hecke_on_boundary
 
-    def shifted(datum, l, k, V):
-        image = build(datum, l, k, V)
-        if k != bumped_k:
-            return image
-        return (image + V) % datum.p
+    def shifted(datum, l, ks, V):
+        # the checks stack T(l,1), T(l,2), T(l,3) in one call; bump one slice
+        image = build(datum, l, ks, V)
+        i = ks.index(bumped_k)
+        image[i] = (image[i] + V) % datum.p
+        return image
 
     monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
     report = run_transfer_checks(datum, WINDOW)
@@ -138,19 +144,26 @@ def test_unsearched_prime_raises_before_any_operator(monkeypatch):
 
 
 def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
-    # moving one coset's psi2 out of the level-N1 semigroup must fail the
-    # array check in the operator assembly
+    # moving one coset's psi2 of T(l,k) out of the level-N1 semigroup must
+    # fail the array check in the operator assembly, for each k, whether k
+    # is applied alone or stacked with the others
     datum = _datum(0)
+    units = identity(datum.space.dim, datum.space.field)
     translate = transfer.hecke_orbit_action
+    for k in (1, 2, 3):
 
-    def corrupted(*args, **kwargs):
-        out = translate(*args, **kwargs)
-        out.psi2[5, 0, 1] += 1
-        return out
+        def corrupted(l, j, N, d, k=k):
+            out = translate(l, j, N, d)
+            if j == k:
+                out.psi2[min(5, len(out.psi2) - 1), 0, 1] += 1
+            return out
 
-    monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
-    with pytest.raises(RuntimeError, match="level-N1 semigroup"):
-        gl3_hecke_on_boundary(datum, 7, 1, identity(datum.space.dim, datum.space.field))
+        monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
+        for ks in (k, (1, 2, 3)):
+            with pytest.raises(RuntimeError, match="level-N1 semigroup"):
+                gl3_hecke_on_boundary(datum, 7, ks, units)
+        with pytest.raises(RuntimeError, match="level-N1 semigroup"):
+            run_transfer_checks(datum, (7,))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -274,8 +287,9 @@ EXT_SPACES = [
 def test_extended_eigenclass_keeps_operators_over_the_base_field(monkeypatch, key):
     # the datum's eigenclass is moved to a system over the largest field of
     # the space: every check holds there, every boundary operator is applied
-    # over F_p to at most r_E columns, the F_p coordinates of the class, and
-    # every Hecke matrix stays over F_p
+    # over F_p to at most r_E columns, the F_p coordinates of the class, in
+    # one semigroup_act call per window prime, and every Hecke matrix stays
+    # over F_p
     p, a, b, N1 = key
     window = (2, 3)
     datum = BoundaryDatum.build(p, a, b, 1, 1, N1, window=window)
@@ -292,9 +306,12 @@ def test_extended_eigenclass_keeps_operators_over_the_base_field(monkeypatch, ke
         return act(self, V, m)
 
     monkeypatch.setattr(SymbolSpace, "semigroup_act", spy)
-    for entry in run_transfer_checks(datum, window):
+    report = run_transfer_checks(datum, window)
+    for entry in report:
         assert all(entry.values()), entry
-    assert blocks and all(shape[0] == space.dim and shape[-1] == Fp.r for shape in blocks), blocks
+    # one pass per window prime, for T(l,1), T(l,2) and T(l,3) together
+    assert report and len(blocks) == len(report), blocks
+    assert all(shape[0] == space.dim and shape[-1] == Fp.r for shape in blocks), blocks
     assert all(len(shape) == 2 or shape[1] <= system.field.r for shape in blocks), (blocks, system.field.r)
     cached = list(space._hecke_cache.values())
     assert cached and all(T.shape == (space.dim, space.dim, Fp.r) for T in cached)
@@ -352,3 +369,62 @@ def test_operator_on_the_class_matches_the_per_coset_oracle(key, r, pick, d, qua
     image = apply_matrix(embed_matrix(per_coset_reference(datum, l, k), F, E), v, E)
     assert ev is not None
     assert E.from_array(image) == [ev * x for x in E.from_array(v)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    key=st.sampled_from(PROPERTY_SPACES),
+    r=st.sampled_from([1, 2, 3]),
+    pick=st.integers(0, 7),
+    d=st.sampled_from([1, 2, 3]),
+    quadratic=st.booleans(),
+    c=st.integers(0, 11),
+    l=st.sampled_from([2, 3, 5, 7]),
+    ks=st.permutations([1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+@example(key=(5, 4, 0, 11), r=3, pick=2, d=3, quadratic=True, c=2, l=7, ks=[1, 2, 3], seed=0)
+@example(key=(13, 4, 0, 11), r=2, pick=2, d=1, quadratic=False, c=1, l=2, ks=[3, 1, 2], seed=1)
+def test_stacked_operator_matches_single_k_and_the_per_coset_oracle(key, r, pick, d, quadratic, c, l, ks, seed):
+    # a block of classes over the space's field F: the F_p coordinate columns
+    # of an eigenclass over E, as eigenvalue_of moves them, and two random
+    # classes over F.  Each slice of the stacked image is the single-k image
+    # and the per-coset oracle's matrix applied to the block.
+    p, a, b, N1 = key
+    assume(gcd(d, p * N1) == 1 and gcd(l, p * N1 * d) == 1)
+    space, systems = _searched_space(p, a, b, N1, r)
+    F = space.field
+    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
+    eigen = systems[pick % len(systems)]
+    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    rE = eigen.field.r
+    block = np.zeros((space.dim, rE + 2, F.r), dtype=np.int64)
+    block[:, :rE, 0] = eigen.vector
+    block[:, rE:] = np.random.default_rng(seed).integers(0, p, (space.dim, 2, F.r))
+    stacked = gl3_hecke_on_boundary(datum, l, tuple(ks), block)
+    assert stacked.shape == (3,) + block.shape
+    for image, k in zip(stacked, ks):
+        assert np.array_equal(image, gl3_hecke_on_boundary(datum, l, k, block)), k
+        assert np.array_equal(image, apply_matrix(per_coset_reference(datum, l, k), block, F)), k
+
+
+def test_checks_leave_numpy_random_unimported():
+    # the library draws its spot checks from random.Random: the first use of
+    # numpy.random costs import time and peak memory in every fresh process
+    script = textwrap.dedent(
+        """
+        import sys
+        import gl3hecke
+        from gl3hecke.modrep import build_gl3_module
+        from gl3hecke.transfer import BoundaryDatum, run_transfer_checks
+        build_gl3_module(5, 2, 1, 0)
+        datum = BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2, 7))
+        assert all(all(entry.values()) for entry in run_transfer_checks(datum, (2, 7)))
+        print("numpy.random" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(gl3hecke.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
