@@ -108,12 +108,15 @@ def _coset_table(l, k):
 @dataclass(frozen=True, eq=False)
 class CosetTranslations:
     """The Levi blocks of a whole coset set, one row per coset: reps of
-    shape (n, 3, 3), case and psi1 of shape (n,), psi2 of shape (n, 2, 2)."""
+    shape (n, 3, 3), case, psi1 and slot of shape (n,), psi2 of shape
+    (n, 2, 2).  slot is the index, among the ks of the call, of the k whose
+    coset the row is."""
 
     reps: np.ndarray
     case: np.ndarray
     psi1: np.ndarray
     psi2: np.ndarray
+    slot: np.ndarray
 
     def __len__(self):
         return len(self.reps)
@@ -122,18 +125,23 @@ class CosetTranslations:
 def hecke_orbit_action(l, k, N, d):
     """psi^1, psi^2 and the case of every right coset of T(l, k) for the
     orbit of (1:d:0), read off the closed form of the module docstring;
-    psi^1 det psi^2 = det s is verified on every coset."""
-    reps = coset_reps(l, k, N)
+    psi^1 det psi^2 = det s is verified on every coset.  k is one k or a
+    sequence of ks: the cosets of all of them are concatenated in the order
+    of the ks, and one pass computes and checks their blocks."""
+    ks = (k,) if np.ndim(k) == 0 else tuple(k)
+    tables = [coset_reps(l, j, N) for j in ks]
     if d < 1 or N % d or gcd(d, N // d) != 1:
         raise ValueError("d must divide N with gcd(d, N/d) = 1")
     if l * max(l * l, (l - 1) * d + 1) >= 2**63:
         raise OverflowError("coset blocks at l = %d, d = %d overflow int64" % (l, d))
+    reps = np.concatenate(tables)
     case, psi1, psi2 = _levi_blocks(reps, l, d)
     det_s = reps[:, 0, 0] * reps[:, 1, 1] * reps[:, 2, 2]
     det_psi2 = psi2[:, 0, 0] * psi2[:, 1, 1] - psi2[:, 0, 1] * psi2[:, 1, 0]
     if (psi1 * det_psi2 != det_s).any():
         raise RuntimeError("internal error: psi1 * det psi2 differs from det s")
-    return CosetTranslations(reps=reps, case=case, psi1=psi1, psi2=psi2)
+    slot = np.repeat(np.arange(len(ks)), [len(t) for t in tables])
+    return CosetTranslations(reps=reps, case=case, psi1=psi1, psi2=psi2, slot=slot)
 
 
 def _levi_blocks(reps, l, d):

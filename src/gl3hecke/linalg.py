@@ -188,7 +188,9 @@ def matmul_mod(A, B, p):
 
 
 def np_rref(A, p):
-    """Reduced row echelon form of an int array mod p: (R, pivots)."""
+    """Reduced row echelon form of an int array mod p: (R, pivots).  The
+    pivot row is zero left of its pivot, so each step updates only the
+    columns from the pivot on."""
     _check_int64(p)
     A = np.array(A, dtype=np.int64) % p
     m, n = A.shape
@@ -204,11 +206,11 @@ def np_rref(A, p):
         i = r + nz[0]
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
         rows = np.nonzero(A[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            A[rows] = (A[rows] - np.outer(A[rows, c], A[r])) % p
+            A[rows, c:] = (A[rows, c:] - np.outer(A[rows, c], A[r, c:])) % p
         pivots.append(c)
         r += 1
     return A[:r], pivots

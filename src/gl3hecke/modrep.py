@@ -16,13 +16,25 @@ U+-fixed vector; that vector lies on the line K, so every nonzero submodule
 holds K and hence everything K spins to.  Every matrix product mod p goes
 through linalg.matmul_mod, which is exact or raises.
 
+Both spins stop at a proven dimension (_spin).  The certificate's spin
+lies in the module, so it stops at mod.dim.  The spin of W stops at the
+Weyl dimension (i+1)(j+1)(i+j+2)/2 of lambda = (i+j, j, 0), for the base
+label (i+j, j, 0): every weight of the carrier is at most lambda, so the
+submodule that v+ generates under the algebraic group is a quotient of the
+Weyl module V(lambda), by its universal property (Jantzen, Representations
+of Algebraic Groups, part II ch. 2), and W, the span of v+ under GL_3(F_p),
+lies in that submodule.  The quotient by the radical then runs in
+W-coordinates (_radical_quotient), with no second spin over the carrier.
+
 The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
 carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
 two products with inner dimensions dy and dz in place of one with inner
-dimension D.  A twist by det^c has the base module's basis and
-coordinates, and coordinates are linear, so its rho(g) is det(g)^c times
-the base rho(g) mod p; twists read the base module's cache.
+dimension D.  The factors of each g are computed once per base.  A twist
+by det^c has the base module's basis and coordinates, and coordinates are
+linear, so its rho(g) is det(g)^c times the base rho(g) mod p; twists read
+the base module's cache, and take its parabolic invariants and their
+intertwiner unchanged (u_invariants).
 
 The substitution matrices Sym^k(M) behind every carrier action are built by
 degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
@@ -158,6 +170,7 @@ class IrreducibleModule:
 
     def __post_init__(self):
         self._rho_cache = {}
+        self._levi = None  # the LeviModule of u_invariants, once computed
 
     def rho(self, g):
         """Left homomorphism matrix of g (n x n integers, reduced mod p)."""
@@ -183,13 +196,14 @@ class _Gl2Module(IrreducibleModule):
 
 class _Gl3Module(IrreducibleModule):
     # installed by _build_gl3_base: g -> the carrier factors (Sy, Sz), and
-    # carrier rows in the span of [radical; basis] -> their coordinates
+    # carrier rows of the highest-weight submodule -> their coordinates in
+    # the basis modulo the radical
     _carrier_rho = None
     _coords = None
 
     def _compute_rho(self, g):
         imgs = _carrier_act(self._carrier_rho(g), self.basis, self.p)
-        return self._coords(imgs)[:, -self.dim :].T.copy()
+        return self._coords(imgs).T.copy()
 
 
 class _TwistedGl3Module(IrreducibleModule):
@@ -237,9 +251,15 @@ def _build_gl3_base(p, i, j):
     zbasis = sym_basis(3, j)
     dy, dz = len(ybasis), len(zbasis)
     D = dy * dz
+    factor_cache = {}
 
     def carrier_rho(g):
-        return sub_matrix(np.asarray(g).T % p, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
+        """The carrier factors (Sy, Sz) of g, computed once per g."""
+        g = np.asarray(g, dtype=np.int64) % p
+        key = g.tobytes()
+        if key not in factor_cache:
+            factor_cache[key] = sub_matrix(g.T, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
+        return factor_cache[key]
 
     def act(g):
         factors = carrier_rho(g)
@@ -266,22 +286,15 @@ def _build_gl3_base(p, i, j):
         if lhs != rhs:
             raise CertificateError("contravariant pairing is not adjoint")
 
-    # spin the highest-weight submodule W
-    W = _spin(vplus, [act(g) for g in gl_generators(3, p)], p)
+    # spin the highest-weight submodule W, which is at most Weyl-dimensional
+    weyl = (i + 1) * (j + 1) * (i + j + 2) // 2
+    W = _spin(vplus, [act(g) for g in gl_generators(3, p)], p, weyl)
 
     if int(matmul_mod(vplus, vplus * wt, p)) == 0:
         raise CertificateError("form degenerates on the highest-weight vector")
 
-    # radical of the contravariant form on W
-    gram = matmul_mod(W * wt % p, W.T, p)
-    rad = matmul_mod(np_nullspace(gram, p), W, p)
-
-    # complement basis of W modulo the radical
-    comp = SpinBasis(p, D)
-    comp.add_rows(rad)
-    L = W[comp.add_rows(W)]
-    stacked = np.vstack([rad, L])
-    coords = _coord_solver(stacked, p)
+    # W modulo the radical of the contravariant form on it
+    L, coords = _radical_quotient(W, matmul_mod(W * wt % p, W.T, p), p)
 
     mod = _Gl3Module(
         p=p,
@@ -296,6 +309,36 @@ def _build_gl3_base(p, i, j):
     mod._coords = coords
     _certify_module(mod)
     return mod
+
+
+def _radical_quotient(W, gram, p):
+    """(L, coords): the rows L of W that span W modulo the radical of the
+    form with Gram matrix gram on W, and the map taking carrier rows in the
+    span of W to their coordinates in L modulo the radical.
+
+    All of it runs in W-coordinates: W is fully reduced, so a row x of its
+    span is x[pivots] in the basis W, and the radical is the kernel N of
+    gram, already in W-coordinates.  Row k of W is independent of the
+    radical and the rows before it iff no vector of span(N) has its last
+    nonzero entry at k; those last entries are the trailing pivots T of
+    span(N), the pivots of the rref of N with its columns reversed.  So L is
+    W without the rows T.  Reversed back, that rref is a basis N_T of
+    span(N) with a 1 at its own place of T and 0 at the others, so the
+    W-coordinates y of a row, less y[T] N_T, lie in the span of the rows L,
+    and read at their places give the coordinates in L."""
+    n = len(W)
+    R, rev = np_rref(np_nullspace(gram, p)[:, ::-1], p)
+    trailing = n - 1 - np.array(rev, dtype=np.intp)
+    keep = np.ones(n, dtype=bool)
+    keep[trailing] = False
+    radical = R[:, ::-1][:, keep]
+    pivots = (W != 0).argmax(axis=1)
+
+    def coords(rows):
+        y = np.asarray(rows, dtype=np.int64)[:, pivots]
+        return (y[:, keep] - matmul_mod(y[:, trailing], radical, p)) % p
+
+    return W[keep], coords
 
 
 def _twist_gl3(base, p, a, b, c):
@@ -400,7 +443,7 @@ def _certify_module(mod):
         return lambda X: matmul_mod(X, Gt, p)
 
     _check_highest_weight(act, K[0], n, mod.label, p)
-    if len(_spin(K, [act(g) for g in gl_generators(n, p)], p)) != mod.dim:
+    if len(_spin(K, [act(g) for g in gl_generators(n, p)], p, mod.dim)) != mod.dim:
         raise CertificateError("the U+-fixed line spans a proper submodule")
 
 
@@ -426,12 +469,29 @@ def u_invariants(mod):
     Returns the invariants of F(a,b,c) as a LeviModule: the rank-1 torus
     factor acts by the c-power, the rank-2 block acts as F(a,b), and an
     explicit equivariant isomorphism onto build_gl2_module(p,a,b) is part of
-    the certificate.
+    the certificate.  A base module computes and certifies its LeviModule
+    once and keeps it, with read-only arrays.
+
+    A twist by det^c takes its base's basis and isomorphism, because
+    rho(g) = det(g)^c rho_base(g) in the base's coordinates.  The unipotents
+    have determinant 1, so the fixed space K is the base's.  For g =
+    diag(1, h) both sides of the intertwiner equation Phi A(h) = rho2(h) Phi
+    gain the factor det(h)^c, since F(a,b) = F(a-c, b-c) (x) det^c, so its
+    solution line, and the normalized solution np_nullspace returns on it,
+    is the base's as well.  The twist therefore rests on that identity of
+    rho, which the tests check, and on the base's certificates.
     """
     if mod.n != 3:
         raise ValueError("parabolic invariants implemented for the rank-3 modules")
     p = mod.p
     a, b, c = mod.label
+    if isinstance(mod, _TwistedGl3Module):
+        levi = u_invariants(mod.base)
+        return LeviModule(
+            base=mod, basis=levi.basis, gl1_exponent=c % (p - 1), gl2_module=build_gl2_module(p, a, b), iso=levi.iso
+        )
+    if mod._levi is not None:
+        return mod._levi
     u1 = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
     u2 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     stack = np.vstack([mod.rho(u) - np.eye(mod.dim, dtype=np.int64) for u in (u1, u2)])
@@ -457,7 +517,10 @@ def u_invariants(mod):
         return solver(matmul_mod(K, mod.rho(g).T, p)).T
 
     iso = _intertwiner(restricted, gl2, p)
-    return LeviModule(base=mod, basis=K, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=iso)
+    for x in (K, iso):
+        x.setflags(write=False)
+    mod._levi = LeviModule(base=mod, basis=K, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=iso)
+    return mod._levi
 
 
 def _coord_solver(B, p):
@@ -504,20 +567,27 @@ def _intertwiner(restricted, gl2, p):
 # -- spin ------------------------------------------------------------------------
 
 
-def _spin(rows, actions, p):
+def _spin(rows, actions, p, dim=None):
     """Reduced basis of the smallest subspace containing the given rows and
     stable under the actions, callables taking a block of rows to the block
     of their images.  Breadth first: each round images the rows that grew
-    the span in the previous round under every action."""
+    the span in the previous round under every action.
+
+    dim, when given, is an upper bound on the dimension of that subspace:
+    the spin stops as soon as the rank reaches it, checked after each
+    action's block.  The images it skips then lie in the span, so they would
+    add no row, and the basis is the one the full spin returns."""
     rows = np.asarray(rows, dtype=np.int64)
     D = rows.shape[-1]
     spin = SpinBasis(p, D)
     queue = rows.reshape(-1, D) % p
     queue = queue[spin.add_rows(queue)]
-    while len(queue):
+    while len(queue) and spin.rank != dim:
         grown = []
         for act in actions:
             imgs = act(queue)
             grown.append(imgs[spin.add_rows(imgs)])
+            if spin.rank == dim:
+                break
         queue = np.vstack(grown)
     return spin.basis()

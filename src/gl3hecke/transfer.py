@@ -114,15 +114,16 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     the images are stacked along a first axis, one per k, as semigroup_act
     stacks its matrices; one k is the one-element case of the same pass.
 
-    Every coset's psi2, of every k, is checked as one array test to lie in
-    the level-N1 semigroup.  The cosets of all the ks are then grouped at
-    once, which is exact because each operator is linear in its coset sum:
-    the distinct (k, psi2, psi1) rows are counted with np.unique, each
-    group's scalars chi0(psi1) * psi1^c are added per (k, psi2) as
-    coordinate arrays with np.add.at, and a zero sum is skipped.  One
-    space.semigroup_act call moves V by the distinct live psi2 of all the
-    ks, and one product adds each image, times its scalar, into the slice
-    of its k.
+    One hecke_orbit_action call gives the cosets of all the ks, each
+    tagged with its k's slot, and every coset's psi2 is checked as one
+    array test to lie in the level-N1 semigroup.  The cosets of all the ks
+    are then grouped at once, which is exact because each operator is
+    linear in its coset sum: the distinct (k, psi2, psi1) rows are counted
+    with np.unique, each group's scalars chi0(psi1) * psi1^c are added per
+    (k, psi2) as coordinate arrays with np.add.at, and a zero sum is
+    skipped.  One space.semigroup_act call moves V by the distinct live
+    psi2 of all the ks, and one product adds each image, times its scalar,
+    into the slice of its k.
 
     All the images of the call are held at once, which is why
     run_transfer_checks stacks the ks of one prime and not the primes of its
@@ -134,14 +135,12 @@ def gl3_hecke_on_boundary(datum, l, k, V):
         raise ValueError("l must be prime to p and the level")
     field = space.field
     ks = (k,) if np.ndim(k) == 0 else tuple(k)
-    cosets = [hecke_orbit_action(l, j, N, d) for j in ks]
-    psi2 = np.concatenate([c.psi2 for c in cosets])
+    cosets = hecke_orbit_action(l, ks, N, d)
     # an internal invariant check on every coset: semigroup_act sees only the
     # live blocks, not those whose scalars cancel
-    if (psi2[:, 0, 1] % datum.N1).any():
+    if (cosets.psi2[:, 0, 1] % datum.N1).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
-    slot = np.repeat(np.arange(len(ks)), [len(c.psi1) for c in cosets])
-    rows = np.column_stack([slot, psi2.reshape(-1, 4), np.concatenate([c.psi1 for c in cosets])])
+    rows = np.column_stack([cosets.slot, cosets.psi2.reshape(-1, 4), cosets.psi1])
     # each row viewed as one opaque item: np.unique on the flat array groups
     # equal rows several times faster than np.unique(rows, axis=0)
     items, counts = np.unique(_opaque(rows), return_counts=True)

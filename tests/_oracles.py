@@ -30,7 +30,14 @@ kron_carrier is the explicit D x D Kronecker product of the two
 substitution matrices, and KronTwist the determinant twist that multiplies
 it by det^c and reads coordinates off it; kron_carrier_act and
 kron_twist_gl3 put them in place of the factored carrier action and the
-twist by the base rho of modrep.  composition_factor_dims is a meataxe that
+twist by the base rho of modrep.  spin_radical_quotient is the quotient of
+the highest-weight submodule by its radical as modrep built it before it
+worked in W-coordinates: a second spin over the carrier for the complement
+rows and a coordinate solve in the basis [radical; complement]; it is the
+reference for modrep._radical_quotient.  direct_u_invariants computes and
+certifies the parabolic invariants of any rank-3 module from its own rho,
+the reference for the twists, which modrep.u_invariants reads off their
+base.  composition_factor_dims is a meataxe that
 splits a module given by generator matrices into composition factors, an
 independent check of the module dimensions; TwistedAction and twisted_act
 are the off-parabolic twisted semigroup action on a module, and levi_act
@@ -63,12 +70,21 @@ from math import gcd
 
 import numpy as np
 
-from gl3hecke.arith import adj3, det, divisors, is_squarefree
+from gl3hecke.arith import adj3, det, divisors, is_squarefree, primitive_root
 from gl3hecke.characters import DirichletCharacter, crt, xgcd
 from gl3hecke.heckegl3 import coset_reps
 from gl3hecke.linalg import RowReducer as LinalgRowReducer
 from gl3hecke.linalg import SpinBasis, identity, matmul_mod, np_nullspace
-from gl3hecke.modrep import IrreducibleModule, _coord_solver, sub_matrix, sym_basis
+from gl3hecke.modrep import (
+    CertificateError,
+    IrreducibleModule,
+    LeviModule,
+    _coord_solver,
+    _intertwiner,
+    build_gl2_module,
+    sub_matrix,
+    sym_basis,
+)
 from gl3hecke.transfer import _character_values
 
 
@@ -1112,8 +1128,7 @@ class KronTwist(IrreducibleModule):
         p = self.p
         a, b, c = self.label
         C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
-        coords = self.base._coords(matmul_mod(self.basis, C.T, p))
-        return coords[:, -self.dim :].T.copy()
+        return self.base._coords(matmul_mod(self.basis, C.T, p)).T.copy()
 
 
 def kron_twist_gl3(base, p, a, b, c):
@@ -1125,6 +1140,49 @@ def kron_twist_gl3(base, p, a, b, c):
     )
     twisted.base = base
     return twisted
+
+
+# -- the radical quotient and the parabolic invariants, computed directly ----------
+
+
+def spin_radical_quotient(W, gram, p):
+    """Drop-in for modrep._radical_quotient: the radical as carrier rows,
+    the complement rows of W by a second spin over the carrier, and the
+    coordinates of a row of W's span solved in the basis [radical; L]."""
+    rad = matmul_mod(np_nullspace(gram, p), W, p)
+    comp = SpinBasis(p, W.shape[1])
+    comp.add_rows(rad)
+    L = W[comp.add_rows(W)]
+    solver = _coord_solver(np.vstack([rad, L]), p)
+    return L, lambda rows: solver(rows)[:, len(rad) :]
+
+
+def direct_u_invariants(mod):
+    """The invariants of the first-column unipotent group of any rank-3
+    module, from its own rho, with every certificate of modrep.u_invariants:
+    the invariant dimension, the torus scalar and the intertwiner."""
+    p = mod.p
+    a, b, c = mod.label
+    u1 = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    u2 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    stack = np.vstack([mod.rho(u) - np.eye(mod.dim, dtype=np.int64) for u in (u1, u2)])
+    K = np_nullspace(stack, p)
+    if len(K) != a - b + 1:
+        raise CertificateError("invariant dimension %d != %d for label %s" % (len(K), a - b + 1, mod.label))
+    g0 = primitive_root(p)
+    imgs = matmul_mod(K, mod.rho(np.diag([g0, 1, 1])).T, p)
+    if not np.array_equal(imgs, pow(g0, c % (p - 1), p) * K % p):
+        raise CertificateError("rank-1 factor does not act by the expected power")
+    gl2 = build_gl2_module(p, a, b)
+    solver = _coord_solver(K, p)
+
+    def restricted(h):
+        g = np.eye(3, dtype=np.int64)
+        g[1:, 1:] = np.asarray(h) % p
+        return solver(matmul_mod(K, mod.rho(g).T, p)).T
+
+    iso = _intertwiner(restricted, gl2, p)
+    return LeviModule(base=mod, basis=K, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=iso)
 
 
 # -- meataxe-style dimension oracle --------------------------------------------

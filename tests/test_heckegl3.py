@@ -389,6 +389,20 @@ def test_batched_translation_matches_per_coset(data, l, N, k):
             assert got == (tr.psi1, tr.psi2, tr.case)
 
 
+@pytest.mark.parametrize("ks", [(1, 2, 3), (3, 1), (2, 2, 1)])
+@pytest.mark.parametrize("l,N,d", [(2, 11, 1), (7, 33, 3), (5, 42, 6)])
+def test_orbit_action_over_a_sequence_of_ks_concatenates_the_single_ks(l, N, d, ks):
+    # one call over several ks gives the single-k results in the order of
+    # the ks, each coset tagged with the slot of its k
+    out = hecke_orbit_action(l, ks, N, d)
+    singles = [hecke_orbit_action(l, k, N, d) for k in ks]
+    assert len(out) == sum(len(s) for s in singles)
+    for name in ("reps", "case", "psi1", "psi2"):
+        assert np.array_equal(getattr(out, name), np.concatenate([getattr(s, name) for s in singles]))
+    assert np.array_equal(out.slot, np.repeat(np.arange(len(ks)), [len(s) for s in singles]))
+    assert not any(s.slot.any() for s in singles)
+
+
 def test_corrupted_psi1_of_one_coset_raises(monkeypatch):
     # setting one coset's psi1 wrong must fail the determinant certificate
     blocks = heckegl3._levi_blocks

@@ -129,6 +129,41 @@ def test_a_long_block_is_added_in_chunks_like_sequential_adds():
     assert np.array_equal(spin.basis(), oracle.basis())
 
 
+@st.composite
+def prime_field_matrices(draw):
+    """A prime and a matrix of at most 10 rows and 24 columns over F_p
+    that mixes random, zero, repeated and combined rows.  The primes start
+    at 5, the least characteristic of ffield's fields, which the oracle
+    computes in."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    n = draw(st.integers(1, 24))
+    entry = st.integers(0, p - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([0] * n)
+        elif kind == "random":
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(n)])
+    return p, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_field_matrices())
+def test_np_rref_matches_the_list_oracle(case):
+    p, A = case
+    F = make_field(p)
+    R, pivots = np_rref(A, p)
+    R0, pivots0 = _oracles.rref([[F.from_int(int(x)) for x in row] for row in A], F)
+    assert pivots == pivots0
+    assert R.dtype == np.int64 and R.tolist() == [F.to_array(row)[:, 0].tolist() for row in R0]
+
+
 # -- matrices over F_q as coordinate arrays, against the list-of-Fq oracles ------
 
 

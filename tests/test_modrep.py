@@ -24,6 +24,7 @@ from _oracles import (
     TwistedAction,
     composition_factor_dims,
     dict_sub_matrix,
+    direct_u_invariants,
     g_elem,
     g_elem_inv,
     kron_carrier,
@@ -32,6 +33,7 @@ from _oracles import (
     levi_act,
     mat3,
     mat_mul3,
+    spin_radical_quotient,
     twisted_act,
 )
 
@@ -450,9 +452,86 @@ def test_twist_with_a_built_key_computes_no_carrier_action(monkeypatch):
     first = u_invariants(build_gl3_module(11, 12, 6, 1))
     assert calls and first.base.carrier_dim == 588
     calls.clear()
+    kernels, nullspace = [], modrep.np_nullspace
+
+    def recorded(A, p):
+        kernels.append(np.shape(A))
+        return nullspace(A, p)
+
+    monkeypatch.setattr(modrep, "np_nullspace", recorded)
     second = u_invariants(build_gl3_module(11, 16, 10, 5))
     assert calls == []
+    # the twist solves no kernel for its invariants or its intertwiner: the
+    # one kernel is the certificate of its rank-2 model F(16, 10), of
+    # dimension 7, under the one upper unipotent
+    assert kernels == [(7, 7)]
     assert second.dim == first.dim == 7 and second.gl1_exponent == 5
+    assert second.basis is first.basis and second.iso is first.iso
+
+
+# twists whose base intertwiner is not symmetric, so that a transposed
+# intertwiner shows
+ASYMMETRIC_TWISTS = [(5, 7, 3, 2), (7, 11, 5, 3)]
+
+
+@pytest.mark.parametrize("label", TWIST_LABELS + ASYMMETRIC_TWISTS, ids=lambda lab: "%d-%d-%d-%d" % lab)
+def test_twist_invariants_match_the_direct_computation(label, monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    mod = build_gl3_module(*label)
+    got, want = u_invariants(mod), direct_u_invariants(mod)
+    _assert_byte_identical([got.basis, got.iso], [want.basis, want.iso])
+    assert (got.gl1_exponent, got.gl2_module.label) == (want.gl1_exponent, want.gl2_module.label)
+    # read off the base's invariants, which are computed once and read-only
+    levi = u_invariants(mod.base)
+    assert u_invariants(mod.base) is levi and got.basis is levi.basis and got.iso is levi.iso
+    assert not (levi.basis.flags.writeable or levi.iso.flags.writeable)
+
+
+def _keys(p):
+    """Every module key (p, i, j) at p <= 7; at p = 11 the four keys of the
+    local-weights benchmark."""
+    if p == 11:
+        return [(11, 2, 3), (11, 3, 2), (11, 5, 6), (11, 6, 5)]
+    return [(p, i, j) for i in range(p) for j in range(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_bounded_spins_return_the_full_spin(p, monkeypatch):
+    # a spin stopped at its proven dimension returns the bytes of the full
+    # spin; the highest-weight submodule W is at most Weyl-dimensional, and
+    # the certificate's spin is bounded by the module's dimension
+    spin, seen = modrep._spin, []
+
+    def both(rows, actions, p, dim=None):
+        got = spin(rows, actions, p, dim)
+        _assert_byte_identical([got], [spin(rows, actions, p)])
+        seen.append((len(got), dim))
+        return got
+
+    monkeypatch.setattr(modrep, "_spin", both)
+    for _, i, j in _keys(p):
+        monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+        seen.clear()
+        mod = build_gl3_module(p, i + j, j, 0)
+        (w, weyl), certificate = seen
+        assert w <= weyl == _weyl_dim(i, j)
+        assert certificate == (mod.dim, mod.dim)
+
+
+def _basis_and_generators(p, i, j):
+    mod = build_gl3_module(p, i + j, j, 0)
+    return [mod.basis] + [mod.rho(g) for g in gl_generators(3, p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
+    for key in _keys(p):
+        monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+        got = _basis_and_generators(*key)
+        monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+        with monkeypatch.context() as m:
+            m.setattr(modrep, "_radical_quotient", spin_radical_quotient)
+            _assert_byte_identical(got, _basis_and_generators(*key))
 
 
 class _IdentityBlock:

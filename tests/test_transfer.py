@@ -152,10 +152,12 @@ def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
     translate = transfer.hecke_orbit_action
     for k in (1, 2, 3):
 
-        def corrupted(l, j, N, d, k=k):
-            out = translate(l, j, N, d)
-            if j == k:
-                out.psi2[min(5, len(out.psi2) - 1), 0, 1] += 1
+        def corrupted(l, ks, N, d, k=k):
+            out = translate(l, ks, N, d)
+            ks = (ks,) if np.ndim(ks) == 0 else tuple(ks)
+            if k in ks:
+                rows = np.flatnonzero(out.slot == ks.index(k))
+                out.psi2[rows[min(5, len(rows) - 1)], 0, 1] += 1
             return out
 
         monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
@@ -409,22 +411,25 @@ def test_stacked_operator_matches_single_k_and_the_per_coset_oracle(key, r, pick
 
 
 def test_checks_leave_numpy_random_unimported():
-    # the library draws its spot checks from random.Random: the first use of
-    # numpy.random costs import time and peak memory in every fresh process
+    # the library draws its spot checks from random.Random, and its set
+    # operations are boolean masks: the first use of numpy.random, or of the
+    # np.unique, np.isin and np.setdiff1d calls that import numpy.ma, costs
+    # import time and peak memory in every fresh process
     script = textwrap.dedent(
         """
         import sys
         import gl3hecke
-        from gl3hecke.modrep import build_gl3_module
+        from gl3hecke.modrep import build_gl3_module, u_invariants
         from gl3hecke.transfer import BoundaryDatum, run_transfer_checks
         build_gl3_module(5, 2, 1, 0)
+        assert u_invariants(build_gl3_module(5, 3, 2, 1)).dim == 2
         datum = BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2, 7))
         assert all(all(entry.values()) for entry in run_transfer_checks(datum, (2, 7)))
-        print("numpy.random" in sys.modules)
+        print("numpy.random" in sys.modules, "numpy.ma" in sys.modules)
         """
     )
     src = os.path.dirname(os.path.dirname(gl3hecke.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["False", "False"]
