@@ -1,5 +1,6 @@
 """Elementary number theory on small integers: primality, squarefreeness,
-divisors and primitive roots, and determinants and adjugates of small
+divisors, multiplicative orders and primitive roots, the extended gcd and
+the Chinese remainder theorem, and determinants and adjugates of small
 integer matrices.  Trial division throughout; every input here is a level,
 a prime p or a Hecke prime l, all desk-scale.
 """
@@ -53,19 +54,50 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def multiplicative_order(g, n, group_order):
+    """The order of g mod n, for g with g^group_order = 1 mod n: each prime
+    of group_order is divided out while g to the quotient is still 1."""
+    order = group_order
+    for f in set(prime_factors(group_order)):
+        while order % f == 0 and pow(g, order // f, n) == 1:
+            order //= f
+    return order
+
+
 def primitive_root(p):
     """The least generator of (Z/p)^* for a prime p; 1 for p = 2, where the
     group is trivial."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
-    for g in range(1, p):
-        order = 1
-        acc = g
-        while acc != 1:
-            acc = acc * g % p
-            order += 1
-        if order == p - 1:
-            return g
+    return next(g for g in range(1, p) if multiplicative_order(g, p, p - 1) == p - 1)
+
+
+def xgcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _crt_pair(r1, m1, r2, m2):
+    g, x, _ = xgcd(m1, m2)
+    if (r2 - r1) % g:
+        raise ValueError("inconsistent congruences")
+    l = m1 // g * m2
+    t = (r2 - r1) // g * x % (m2 // g)
+    return (r1 + m1 * t) % l, l
+
+
+def crt(residues, moduli):
+    r, m = 0, 1
+    for ri, mi in zip(residues, moduli):
+        r, m = _crt_pair(r, m, ri, mi)
+    return r
 
 
 def det(A):

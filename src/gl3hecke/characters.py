@@ -12,41 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import divisors, prime_factors
+from .arith import crt, divisors, multiplicative_order, prime_factors
 from .ffield import Fq, FiniteField
 
 
 def _prime_power_split(N):
     """[(q, p0)] with q the prime-power factors of N and p0 the prime."""
     return [(p0**e, p0) for p0, e in Counter(prime_factors(N)).items()]
-
-
-def xgcd(a, b):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def _crt_pair(r1, m1, r2, m2):
-    g, x, _ = xgcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ValueError("inconsistent congruences")
-    l = m1 // g * m2
-    t = (r2 - r1) // g * x % (m2 // g)
-    return (r1 + m1 * t) % l, l
-
-
-def crt(residues, moduli):
-    r, m = 0, 1
-    for ri, mi in zip(residues, moduli):
-        r, m = _crt_pair(r, m, ri, mi)
-    return r
 
 
 def unit_group_structure(N):
@@ -71,24 +43,11 @@ def unit_group_structure(N):
                 local = [(q - 1, 2), (5, q // 4)]
         else:
             phi = q - q // p0
-            for g in range(2, q):
-                if g % p0 == 0:
-                    continue
-                if _order_mod(g, q, phi) == phi:
-                    local = [(g, phi)]
-                    break
+            local = [(next(g for g in range(2, q) if g % p0 and multiplicative_order(g, q, phi) == phi), phi)]
         for g, order in local:
             lifted = crt([g, 1], [q, rest]) if rest > 1 else g
             gens.append((lifted % N, order))
     return gens
-
-
-def _order_mod(g, q, phi):
-    order = phi
-    for f in set(prime_factors(phi)):
-        while order % f == 0 and pow(g, order // f, q) == 1:
-            order //= f
-    return order
 
 
 class DirichletCharacter:

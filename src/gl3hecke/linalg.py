@@ -17,6 +17,11 @@ reduced echelon form, in the order (j, t).  The F_q pivots are therefore
 the F_p pivots at (j, 0), and F_q rows, kernels and residues are read off
 there: they are the ones row reduction over F_q itself gives.
 
+Operators stay over the field they were built over.  A vector over an
+extension is moved by one rule, extend_scalars: its F_p coordinate columns
+go through the operator, and only their images are embedded and
+recombined, so no operator is ever embedded.
+
 Exactness: every product mod p goes through matmul_mod, which is exact
 only while n * (p - 1)**2 < 2**53 for inner dimension n (the float64
 mantissa; small products run in int64, which is exact there too); over F_q
@@ -107,6 +112,23 @@ def embed_matrix(A, field, big):
     if big is field:
         return A
     return matmul_mod(A, field.embedding_matrix(big).T, field.p)
+
+
+def extend_scalars(op, V, field, big):
+    """op(V) over big, for op linear over field on column blocks, (n, m, r)
+    -> (..., n', m, r), and V a vector (n, R) or a block (n, k, R) over big.
+    op(V) is the sum of g^u op(V_u) over the F_p coordinate columns V_u of
+    V, u < R = big.r, g big's generator: the columns V_u go through op as
+    one block over field, and only their images are embedded in big."""
+    if big is field:
+        return op(V)
+    n, R = V.shape[0], big.r
+    block = np.zeros((n, V[0].size, field.r), dtype=np.int64)
+    block[..., 0] = V.reshape(n, -1)
+    images = embed_matrix(op(block), field, big)
+    # (op V)[..., s] = sum_{u, t} G_u[s, t] images[..., u, t], G_u = mul_matrix(g^u)
+    powers = big.power_matrices().swapaxes(1, 2).reshape(R * R, R)
+    return matmul_mod(images.reshape(images.shape[:-2] + V.shape[1:-1] + (R * R,)), powers, field.p)
 
 
 class RowReducer:

@@ -26,9 +26,9 @@ Hecke matrices, factored over the piece's field on coordinate arrays (see
 ffield).  A root of an irreducible factor f of degree d > 1 lives in the
 extension of degree d: one root is found per Galois orbit, the others are
 its Frobenius conjugates, and its eigenspace is cut out of ker f(T), found
-over the piece's field.  Only the eigen-piece that needs the extension is
-embedded there, so each eigensystem lives over the field its own eigenvalues
-generate.
+over the piece's field.  Only the eigen-piece that needs the extension
+moves there, by its F_p columns (linalg.extend_scalars), so each eigensystem
+lives over the field its own eigenvalues generate.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .characters import DirichletCharacter, xgcd
+from .arith import xgcd
+from .characters import DirichletCharacter
 from .ffield import FiniteField, _distinct_degrees, _equal_degree, _monomial, _one_root, _poly_divide_exact, _poly_gcd, _poly_mul, _sort_elements
-from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, identity, matmul_mod
+from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, extend_scalars, identity, matmul_mod
 from .modrep import build_gl2_module, gl2_rho
 
 SIGMA = np.array([[0, -1], [1, 0]])
@@ -375,9 +376,9 @@ class SymbolSpace:
 # -- eigensystem extraction -----------------------------------------------------
 
 
-def _restrict(field, T, basis):
-    """Matrix over field of the square matrix T on the span of basis, the
-    rows of a (k, n, r) array; raises unless the span is T-invariant.
+def _restrict(field, act, basis):
+    """Matrix over field of act, which moves column blocks over field, on the
+    span of basis (rows of a (k, n, r) array); raises unless it is invariant.
 
     rref([basis | I]) is [B | S] with B the reduced echelon form of basis
     and B = S basis, so a vector w of the span is w[pivots] S in the basis."""
@@ -386,7 +387,7 @@ def _restrict(field, T, basis):
     if len(pivots) != k or pivots[-1] >= n:
         raise RuntimeError("basis vectors are dependent")
     columns = basis.swapaxes(0, 1)
-    img = apply_matrix(T, columns, field)
+    img = act(columns)
     A = apply_matrix(R[:, n:].swapaxes(0, 1), img[pivots], field)
     if not np.array_equal(apply_matrix(columns, A, field), img):
         raise RuntimeError("subspace is not invariant")
@@ -413,9 +414,7 @@ def _eigen_split(field, A, basis):
     nullspace(A - lambda) over E gives on the whole piece: the pieces, their
     vectors and their order are those of a root-by-root search."""
     p = field.p
-    if len(A) == 1:
-        # a line is the eigenspace of the one entry of A
-        return [(field.element(A[0, 0].tolist()), field, basis)]
+    columns = basis.swapaxes(0, 1)
     pieces = []
     for d, g in _distinct_degrees(_minimal_polynomial(A, field), field):
         E = field.extension(d)
@@ -426,10 +425,9 @@ def _eigen_split(field, A, basis):
             for _ in range(d):
                 kernels[tuple(lam.tolist())] = ker
                 lam, ker = matmul_mod(lam, frobenius, p), matmul_mod(ker, frobenius, p)
-        basis_E = embed_matrix(basis, field, E).swapaxes(0, 1)
         for lam in _sort_elements(list(kernels), E).tolist():
-            combos = kernels[tuple(lam)].swapaxes(0, 1)
-            pieces.append((E.element(lam), E, apply_matrix(basis_E, combos, E).swapaxes(0, 1)))
+            vecs = extend_scalars(lambda C: apply_matrix(columns, C, field), kernels[tuple(lam)].swapaxes(0, 1), field, E)
+            pieces.append((E.element(lam), E, vecs.swapaxes(0, 1)))
     return pieces
 
 
@@ -536,31 +534,34 @@ def find_eigensystems(space, window):
     """Simultaneous eigensystems of the Hecke operators T_l, l in window.
 
     The search refines the whole space one prime at a time: each piece is
-    cut into the eigenspaces of T_l restricted to it (_eigen_split).  A
-    piece lives over the field its eigenvalues so far generate, and only the
-    piece is extended when a new eigenvalue needs more; T_l is computed once
-    over the space's field and embedded once per piece field.  The space is
-    never rebuilt or copied.  A piece extended a second time is moved by
-    _frobenius_shift, so every piece agrees with the space's field embedded
-    in its own directly.  Each system's field is generated by its
-    eigenvalues over the space's field, so its degree is the lcm of theirs,
-    and every system is checked against T_l v = lambda_l v in that field
-    before it is returned.
+    cut into the eigenspaces of T_l restricted to it (_eigen_split), and a
+    line reads its eigenvalue off T_l v.  A piece lives over the field its
+    eigenvalues so far generate, and only the piece is extended when a new
+    eigenvalue needs more; T_l stays over the space's field and moves the
+    piece's F_p columns (linalg.extend_scalars).  The space is never rebuilt
+    or copied.  A piece extended a second time is moved by _frobenius_shift,
+    so every piece agrees with the space's field embedded in its own
+    directly.  Each system's field is generated by its eigenvalues over the
+    space's field, so its degree is the lcm of theirs, and every system is
+    checked against T_l v = lambda_l v in that field before it is returned.
     """
     field, p = space.field, space.p
     window = sorted(set(window))
-    embedded = {}
 
-    def hecke(l, E):
-        if (l, E) not in embedded:
-            embedded[l, E] = embed_matrix(space.hecke_matrix(l), field, E)
-        return embedded[l, E]
+    def hecke(l, V, E):
+        return extend_scalars(lambda C: apply_matrix(space.hecke_matrix(l), C, field), V, field, E)
 
     pieces = [({}, field, identity(space.dim, field))] if space.dim else []
     for l in window:
         refined = []
         for lams, F, basis in pieces:
-            for lam, E, vecs in _eigen_split(F, _restrict(F, hecke(l, F), basis), basis):
+            if len(basis) == 1:
+                lam = eigenvalue(hecke(l, basis[0], F), basis[0], F)
+                if lam is None:
+                    raise RuntimeError("subspace is not invariant")
+                refined.append(({**lams, l: lam}, F, basis))
+                continue
+            for lam, E, vecs in _eigen_split(F, _restrict(F, lambda C: hecke(l, C, F), basis), basis):
                 j = _frobenius_shift(field, F, E)
                 lams_E = {m: F.embed(x, E) ** p**j for m, x in lams.items()}
                 lams_E[l] = lam ** p**j
@@ -569,7 +570,7 @@ def find_eigensystems(space, window):
     systems = []
     for lams, E, vecs in pieces:
         v = vecs[0]
-        if any(eigenvalue(apply_matrix(hecke(l, E), v, E), v, E) != lams[l] for l in window):
+        if any(eigenvalue(hecke(l, v, E), v, E) != lams[l] for l in window):
             raise RuntimeError("eigensystem verification failed")
         systems.append(EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=v, lambdas=lams, field=E, space=space))
     return systems

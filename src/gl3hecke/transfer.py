@@ -6,11 +6,10 @@ blocks psi1, psi2 of its right cosets, which heckegl3.hecke_orbit_action
 returns as arrays: each representative contributes the scalar
 chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
-grouped exactly: np.unique counts the distinct (psi2, psi1) rows and the
-counted scalars of a psi2 are added.  The operator is applied to classes,
-and several ks of one prime are applied in one pass: the cosets of all of
-them are grouped at once by (k, psi2), one SymbolSpace.semigroup_act call
-moves the classes by the distinct live psi2 of all the ks, and each image,
+grouped exactly: their scalars are added.  The operator is applied to
+classes, and several ks of one prime are applied in one pass: the cosets of
+all of them are grouped at once by (k, psi2), one SymbolSpace.semigroup_act
+call moves the classes by the distinct live psi2 of all the ks, and each image,
 times its group's scalar, is added into the slice of its k.
 run_transfer_checks makes one such pass per prime, for T(l,1), T(l,2) and
 T(l,3) together, and not one for the whole window: a pass holds all its
@@ -27,10 +26,10 @@ together with those of T(l,1) and T(l,2).
 
 The operators act over the scalar field F of the symbol space (see
 linalg).  The eigenclass lives over the possibly larger field E its
-eigenvalues generate; its r_E F_p coordinate columns are classes over F, so
-eigenvalue_of applies the operator to them as one block and recombines the
-images in E.  The closed forms and Frobenius data are evaluated in E, with
-chi0(l) and chi1(l) embedded.
+eigenvalues generate, and eigenvalue_of moves it by linalg.extend_scalars:
+its r_E F_p coordinate columns are classes over F, moved as one block, and
+only their images are embedded in E.  The closed forms and Frobenius data
+are evaluated in E, with chi0(l) and chi1(l) embedded.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from math import gcd
 import numpy as np
 
 from .characters import DirichletCharacter
-from .ffield import FiniteField
 from .heckegl3 import hecke_orbit_action
-from .linalg import eigenvalue, embed_matrix, matmul_mod
+from .linalg import eigenvalue, extend_scalars, matmul_mod
 from .modsym2 import EigenSystem, SymbolSpace, find_eigensystems
 
 
@@ -75,13 +73,8 @@ class BoundaryDatum:
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
-        if field is None:
-            field = FiniteField(p, 1)
-        if chi0 is None:
-            chi0 = DirichletCharacter.trivial(field, d)
-        if chi1 is None:
-            chi1 = DirichletCharacter.trivial(field, N1)
         space = SymbolSpace(N1, p, a, b, chi1=chi1, field=field)
+        chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else _match_field(chi0, space.field)
         systems = find_eigensystems(space, list(window))
         if not systems:
             raise ValueError("no eigensystem found in the window")
@@ -96,7 +89,6 @@ class BoundaryDatum:
             sys = matches[0]
         else:
             sys = systems[0]
-        chi0 = _match_field(chi0, space.field)
         return cls(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=sys)
 
 
@@ -118,12 +110,12 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     tagged with its k's slot, and every coset's psi2 is checked as one
     array test to lie in the level-N1 semigroup.  The cosets of all the ks
     are then grouped at once, which is exact because each operator is
-    linear in its coset sum: the distinct (k, psi2, psi1) rows are counted
-    with np.unique, each group's scalars chi0(psi1) * psi1^c are added per
-    (k, psi2) as coordinate arrays with np.add.at, and a zero sum is
-    skipped.  One space.semigroup_act call moves V by the distinct live
-    psi2 of all the ks, and one product adds each image, times its scalar,
-    into the slice of its k.
+    linear in its coset sum: each coset's scalar chi0(psi1) * psi1^c is
+    read from tables of chi0 at the residues present and of the c-th powers
+    mod p, the scalars are added per (k, psi2) as coordinate arrays with
+    np.add.at, and a zero sum is skipped.  One space.semigroup_act call
+    moves V by the distinct live psi2 of all the ks, and one product adds
+    each image, times its scalar, into the slice of its k.
 
     All the images of the call are held at once, which is why
     run_transfer_checks stacks the ks of one prime and not the primes of its
@@ -140,20 +132,15 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     # live blocks, not those whose scalars cancel
     if (cosets.psi2[:, 0, 1] % datum.N1).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
-    rows = np.column_stack([cosets.slot, cosets.psi2.reshape(-1, 4), cosets.psi1])
-    # each row viewed as one opaque item: np.unique on the flat array groups
-    # equal rows several times faster than np.unique(rows, axis=0)
-    items, counts = np.unique(_opaque(rows), return_counts=True)
-    rows = items.view(np.int64).reshape(-1, 6)
-    psi1 = rows[:, 5]
-    # the coordinates of each distinct row's scalar chi0(psi1) * n * psi1^c:
-    # chi0 read from its values at the residues present, the rest in F_p
-    residues, at = np.unique(psi1 % datum.chi0.modulus, return_inverse=True)
+    # the coordinates of each coset's scalar chi0(psi1) * psi1^c: chi0 read
+    # from its values at the residues present, the power from a table mod p
+    residues, at = np.unique(cosets.psi1 % datum.chi0.modulus, return_inverse=True)
     chi = field.to_array([datum.chi0(u) for u in residues.tolist()])[at]
     power = np.array([pow(u, datum.c % (p - 1), p) for u in range(p)], dtype=np.int64)
-    scalars = chi * (counts * power[psi1 % p] % p)[:, None] % p
-    # added up per (k, psi2); a zero sum is skipped
-    groups, group = np.unique(_opaque(rows[:, :5]), return_inverse=True)
+    scalars = chi * power[cosets.psi1 % p][:, None] % p
+    # added up per (k, psi2), rows grouped as opaque items (several times
+    # faster than np.unique(rows, axis=0)); a zero sum is skipped
+    groups, group = np.unique(_opaque(np.column_stack([cosets.slot, cosets.psi2.reshape(-1, 4)])), return_inverse=True)
     sums = np.zeros((len(groups), field.r), dtype=np.int64)
     np.add.at(sums, group, scalars)
     sums %= p
@@ -187,20 +174,12 @@ def eigenvalue_of(datum, l, k):
     """The scalar by which T(l,k) acts on the eigenclass: exact, in the
     field E of the eigenclass, or None.  For a sequence of ks, the tuple of
     those scalars, from one gl3_hecke_on_boundary pass over all of them.
-
-    The class v over E is the sum over u < r_E of g_E^u v_u, v_u its u-th
-    F_p coordinate column, and T(l,k) is linear over the space's field F, a
-    subfield of E.  So T v is the sum of g_E^u T(v_u): the r_E columns v_u
-    are moved as one block over F, and their images are embedded in E and
-    recombined through the multiplication matrices of the powers of g_E."""
+    T(l,k) stays over the space's field and moves the class by its F_p
+    coordinate columns (linalg.extend_scalars)."""
     F, E, v = datum.space.field, datum.eigen.field, datum.eigen.vector
     ks = (k,) if np.ndim(k) == 0 else tuple(k)
-    block = np.zeros(v.shape + (F.r,), dtype=np.int64)
-    block[..., 0] = v
-    images = embed_matrix(gl3_hecke_on_boundary(datum, l, ks, block), F, E)
-    # (T v)[i, s] = sum_{u, t} G_u[s, t] images[i, u, t], G_u = mul_matrix(g_E^u)
-    powers = E.power_matrices().swapaxes(1, 2).reshape(E.r * E.r, E.r)
-    values = tuple(eigenvalue(Tv, v, E) for Tv in matmul_mod(images.reshape(len(ks), len(v), -1), powers, E.p))
+    images = extend_scalars(lambda B: gl3_hecke_on_boundary(datum, l, ks, B), v, F, E)
+    values = tuple(eigenvalue(Tv, v, E) for Tv in images)
     return values if np.ndim(k) else values[0]
 
 

@@ -70,8 +70,8 @@ from math import gcd
 
 import numpy as np
 
-from gl3hecke.arith import adj3, det, divisors, is_squarefree, primitive_root
-from gl3hecke.characters import DirichletCharacter, crt, xgcd
+from gl3hecke.arith import adj3, crt, det, divisors, is_squarefree, primitive_root, xgcd
+from gl3hecke.characters import DirichletCharacter
 from gl3hecke.heckegl3 import coset_reps
 from gl3hecke.linalg import RowReducer as LinalgRowReducer
 from gl3hecke.linalg import SpinBasis, identity, matmul_mod, np_nullspace

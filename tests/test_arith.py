@@ -1,8 +1,9 @@
 import random
+from math import gcd
 
 import pytest
 
-from gl3hecke.arith import adj3, det, divisors, is_prime, is_squarefree, primitive_root
+from gl3hecke.arith import adj3, det, divisors, is_prime, is_squarefree, multiplicative_order, primitive_root
 
 
 def test_is_prime_small_range():
@@ -30,6 +31,15 @@ def test_primitive_root_is_least_generator():
         assert all(len({pow(h, k, p) for k in range(p - 1)}) < p - 1 for h in range(1, g))
     with pytest.raises(ValueError):
         primitive_root(4)
+
+
+def test_multiplicative_order_matches_brute_force():
+    # every unit mod every n <= 200, given the order phi(n) of the whole group
+    for n in range(2, 201):
+        units = [g for g in range(1, n) if gcd(g, n) == 1]
+        for g in units:
+            order = next(e for e in range(1, n) if pow(g, e, n) == 1)
+            assert multiplicative_order(g, n, len(units)) == order, (g, n)
 
 
 def test_det_and_adjugate_against_cofactor_expansion():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gl3hecke.characters import (
     CyclotomicExponent,
     DirichletCharacter,
-    crt,
     niveau2_normal_form,
     unit_group_structure,
 )

@@ -241,6 +241,36 @@ def test_products_embeddings_and_frobenius_match_fq_arithmetic(case):
     assert np.array_equal(matmul_mod(A, frobenius.T, F.p), _arr(F, [[a**F.p for a in row] for row in rows]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 13]),
+    a=st.integers(1, 3),
+    b=st.integers(1, 3),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    k=st.sampled_from([None, 1, 3]),
+    stacked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extend_scalars_matches_the_embedded_operator(p, a, b, n, m, k, stacked, seed):
+    # F_p <= F = F_{p^a} <= E = F_{p^(ab)}: an operator over F, one matrix or
+    # a stack of two as gl3_hecke_on_boundary returns for a sequence of ks,
+    # moves a vector or a block over E exactly as the operator embedded in E
+    F, E = make_field(p, a), make_field(p, a * b)
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, (2 if stacked else 1, m, n, F.r))
+    V = rng.integers(0, p, (n, E.r) if k is None else (n, k, E.r))
+
+    def op(C):
+        images = np.stack([linalg.apply_matrix(A, C, F) for A in mats])
+        return images if stacked else images[0]
+
+    want = np.stack([linalg.apply_matrix(linalg.embed_matrix(A, F, E), V, E) for A in mats])
+    got = linalg.extend_scalars(op, V, F, E)
+    assert got.shape == (want if stacked else want[0]).shape
+    assert np.array_equal(got, want if stacked else want[0])
+
+
 def test_int64_kernels_raise_past_the_int64_bound():
     # (p - 1)**2 >= 2**63: the elementwise updates would wrap around
     p = 2**32 + 15  # prime

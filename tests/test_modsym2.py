@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gl3hecke import linalg, modsym2
 from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import _distinct_degrees, _poly_mul, make_field
@@ -599,3 +600,61 @@ def test_a_piece_extended_twice_meets_the_directly_embedded_operators():
     h12 = [F25.embed(c, F12) for c in h]
     assert all(sum((c * s.lambdas[3] ** i for i, c in enumerate(h12)), F12.zero()).is_zero() for s in systems)
     assert len({s.lambdas[3] for s in systems}) == 6 and len({s.lambdas[2] for s in systems}) == 2
+
+
+def _ints(field, M):
+    return [[field.from_int(x) for x in row] for row in M]
+
+
+def test_a_line_that_the_next_operator_moves_raises():
+    # T_2 = diag(1, 2) cuts F_5^2 into the lines e0 and e1; T_3 fixes e0 and
+    # sends e1 to e0 + e1, so the line step at l = 3 finds no eigenvalue on e1
+    F = make_field(5)
+    space = _MatrixSpace(F, {2: _ints(F, [[1, 0], [0, 2]]), 3: _ints(F, [[1, 1], [0, 1]])})
+    with pytest.raises(RuntimeError, match="subspace is not invariant"):
+        find_eigensystems(space, [2, 3])
+
+
+def test_an_eigenspace_that_the_next_operator_moves_raises():
+    # the T_2-eigenspace span(e0, e1) of diag(1, 1, 2) is not T_3-invariant:
+    # T_3 sends e0 to e0 + e2, and restricting T_3 to the piece raises
+    F = make_field(5)
+    T3 = [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
+    space = _MatrixSpace(F, {2: _ints(F, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]), 3: _ints(F, T3)})
+    with pytest.raises(RuntimeError, match="subspace is not invariant"):
+        find_eigensystems(space, [2, 3])
+
+
+def test_a_wrong_eigenvalue_fails_the_final_check(monkeypatch):
+    # the split's eigenvalues moved by one: the later primes see only lines,
+    # so only the final T_l v = lambda_l v check can catch it
+    F = make_field(5)
+    space = _MatrixSpace(F, {2: _ints(F, [[1, 0], [0, 2]]), 3: _ints(F, [[3, 0], [0, 4]])})
+    assert [[int(x.coords[0]) for x in (s.lambdas[2], s.lambdas[3])] for s in find_eigensystems(space, [2, 3])] == [[1, 3], [2, 4]]
+    split = modsym2._eigen_split
+    monkeypatch.setattr(modsym2, "_eigen_split", lambda *args: [(lam + E.one(), E, vecs) for lam, E, vecs in split(*args)])
+    with pytest.raises(RuntimeError, match="eigensystem verification failed"):
+        find_eigensystems(space, [2, 3])
+
+
+@pytest.mark.parametrize("key", [(101, 5, 0, 0, 1), (11, 7, 4, 0, 3)], ids=["N101-p5-F5", "N11-p7-F343"])
+def test_no_operator_or_identity_basis_is_embedded(monkeypatch, key):
+    # the search moves classes over an extension by their F_p columns: no
+    # input to embed_matrix is a cached Hecke matrix, shares its memory, or
+    # has the (dim, dim) shape of an operator or of the first piece's basis
+    N, p, a, b, r = key
+    F = make_field(p, r)
+    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N), field=F)
+    embed, seen = linalg.embed_matrix, []
+
+    def spy(A, field, big):
+        seen.append(np.shape(A))
+        assert not any(np.shares_memory(A, T) for T in space._hecke_cache.values())
+        assert np.shape(A)[:2] != (space.dim, space.dim)
+        return embed(A, field, big)
+
+    for module in (linalg, modsym2):
+        monkeypatch.setattr(module, "embed_matrix", spy)
+    systems = find_eigensystems(space, [2, 3])
+    assert {s.field.r for s in systems} == ({1, 6} if r == 1 else {3})
+    assert seen or r == 3

@@ -78,12 +78,35 @@ def test_full_checks_d3_quadratic():
         assert entry["attachment"], entry
 
 
-def test_gl3_operators_commute_with_gl2_hecke():
-    datum = _datum(0)
-    # over F_5 the coordinate arrays are integer matrices with one trailing coordinate
-    t1 = gl3_hecke_on_boundary(datum, 2, 1, identity(datum.space.dim, datum.space.field))[..., 0]
-    T7 = datum.space.hecke_matrix(7)[..., 0]
-    assert np.array_equal(t1 @ T7 % 5, T7 @ t1 % 5)
+@lru_cache(maxsize=None)
+def _space(p, a, b, N1):
+    return SymbolSpace(N1, p, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from([(5, 0, 0, 11), (5, 0, 0, 14), (7, 0, 0, 15), (7, 2, 0, 10), (13, 4, 0, 11), (5, 2, 0, 21), (13, 2, 0, 15)]),
+    d=st.sampled_from([1, 2, 3]),
+    quadratic=st.booleans(),
+    c=st.integers(0, 11),
+    l=st.sampled_from([2, 3, 5, 7, 11]),
+)
+@example(key=(5, 0, 0, 11), d=1, quadratic=False, c=0, l=2)
+def test_gl3_operators_commute_with_gl2_hecke(key, d, quadratic, c, l):
+    # the dense T(l,1), T(l,2), T(l,3) commute with each other and with the
+    # rank-2 T_2 and T_3 of the level-N1 space
+    p, a, b, N1 = key
+    assume(gcd(d, p * N1) == 1 and gcd(l, p * N1 * d) == 1)
+    space = _space(p, a, b, N1)
+    F = space.field
+    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
+    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=None)
+    # over F_p the coordinate arrays are integer matrices with one trailing coordinate
+    ops = list(gl3_hecke_on_boundary(datum, l, (1, 2, 3), identity(space.dim, F))[..., 0])
+    ops += [space.hecke_matrix(m)[..., 0] for m in (2, 3) if gcd(m, p * N1) == 1]
+    for i, A in enumerate(ops):
+        for B in ops[:i]:
+            assert np.array_equal(A @ B % p, B @ A % p)
 
 
 def test_case_weighted_contribution_count():
