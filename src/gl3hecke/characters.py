@@ -9,7 +9,6 @@ only their exponents (mod p-1, respectively mod p^2-1) are tracked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .arith import crt, divisors, multiplicative_order, prime_factors
@@ -246,24 +245,6 @@ class DirichletCharacter:
         field = FiniteField.from_json(data["field"])
         values = {int(u): field.element(c) for u, c in data["values"].items()}
         return cls(field, data["modulus"], values)
-
-
-@dataclass(frozen=True)
-class CyclotomicExponent:
-    """Exponent data for a power of the niveau-1 or niveau-2 cyclotomic
-    character: an integer mod p-1 or mod p^2-1.  Never a map on anything."""
-
-    p: int
-    kind: str  # "niveau1" | "niveau2"
-    exponent: int
-
-    def __post_init__(self):
-        if self.kind not in ("niveau1", "niveau2"):
-            raise ValueError("kind must be niveau1 or niveau2")
-        mod = self.p - 1 if self.kind == "niveau1" else self.p**2 - 1
-        object.__setattr__(self, "exponent", self.exponent % mod)
-        if self.kind == "niveau2" and self.exponent % (self.p + 1) == 0:
-            raise ValueError("exponent %d is a multiple of p+1: niveau-1 in disguise" % self.exponent)
 
 
 def niveau2_normal_form(p, m):

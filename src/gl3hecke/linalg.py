@@ -20,7 +20,12 @@ there: they are the ones row reduction over F_q itself gives.
 Operators stay over the field they were built over.  A vector over an
 extension is moved by one rule, extend_scalars: its F_p coordinate columns
 go through the operator, and only their images are embedded and
-recombined, so no operator is ever embedded.
+recombined, so no operator is ever embedded.  Bases that are read are in
+trailing-pivot normal form (trailing_pivots): each row's last nonzero entry
+is 1, the other rows are 0 in that column, and those columns increase.
+Coordinates in such a basis and eigenvalues are read at the pivots, not
+solved for; the only solves left are those that make the form: nullspace,
+np_nullspace and rref of reversed columns.
 
 Exactness: every product mod p goes through matmul_mod, which is exact
 only while n * (p - 1)**2 < 2**53 for inner dimension n (the float64
@@ -95,16 +100,28 @@ def apply_matrix(A, v, field):
     return matmul_mod(A.reshape(n, m * r), W, field.p).reshape((n,) + v.shape[1:])
 
 
+def trailing_pivots(B):
+    """The trailing pivots T of B, a (k, n, r) array over F_q or (k, n) over
+    F_p: the column of each row's last nonzero entry.  Raises ValueError
+    unless T increases and B[:, T] is the identity, so that B[::-1, ::-1] is
+    reduced echelon; a vector w of the span is then w[T] in the basis B."""
+    C = B if B.ndim == 3 else B[..., None]
+    k, n, r = C.shape
+    T = n - 1 - C.any(axis=2)[:, ::-1].argmax(axis=1)
+    eye = np.eye(k, dtype=np.int64)[..., None] * (np.arange(r) == 0)
+    if np.any(np.diff(T) <= 0) or not np.array_equal(C[:, T], eye):
+        raise ValueError("basis is not in trailing-pivot normal form")
+    return T
+
+
 def eigenvalue(img, v, field):
-    """The scalar lam of field with img = lam v, for the image img = A v of
-    a nonzero vector v of shape (n, r) under some operator A, or None when v
-    is not an eigenvector of A."""
-    support = np.flatnonzero(np.any(v, axis=1))
-    if not support.size:
-        raise ValueError("zero eigenvector")
-    i = support[0]
-    lam = field.element(img[i].tolist()) / field.element(v[i].tolist())
-    return lam if np.array_equal(img, matmul_mod(v, field.mul_matrices(lam.coords).T, field.p)) else None
+    """The scalar lam of field with img = lam v, or None, for img = A v under
+    some operator A.  v (n, r) is in trailing-pivot normal form, 1 at its
+    last nonzero entry t, so lam is img[t], and img = lam v is checked in
+    full.  Raises ValueError for any other v, 0 included."""
+    (t,) = trailing_pivots(v[None])
+    lam = img[t]
+    return field.element(lam.tolist()) if np.array_equal(img, matmul_mod(v, field.mul_matrices(lam).T, field.p)) else None
 
 
 def embed_matrix(A, field, big):

@@ -62,7 +62,7 @@ from math import factorial
 import numpy as np
 
 from .arith import adj3, det, primitive_root
-from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref
+from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref, trailing_pivots
 
 
 class CertificateError(RuntimeError):
@@ -326,12 +326,11 @@ def _radical_quotient(W, gram, p):
     span(N) with a 1 at its own place of T and 0 at the others, so the
     W-coordinates y of a row, less y[T] N_T, lie in the span of the rows L,
     and read at their places give the coordinates in L."""
-    n = len(W)
-    R, rev = np_rref(np_nullspace(gram, p)[:, ::-1], p)
-    trailing = n - 1 - np.array(rev, dtype=np.intp)
-    keep = np.ones(n, dtype=bool)
+    N_T = np_rref(np_nullspace(gram, p)[:, ::-1], p)[0][::-1, ::-1]
+    trailing = trailing_pivots(N_T)
+    keep = np.ones(len(W), dtype=bool)
     keep[trailing] = False
-    radical = R[:, ::-1][:, keep]
+    radical = N_T[:, keep]
     pivots = (W != 0).argmax(axis=1)
 
     def coords(rows):
@@ -470,7 +469,8 @@ def u_invariants(mod):
     factor acts by the c-power, the rank-2 block acts as F(a,b), and an
     explicit equivariant isomorphism onto build_gl2_module(p,a,b) is part of
     the certificate.  A base module computes and certifies its LeviModule
-    once and keeps it, with read-only arrays.
+    once and keeps it, with read-only arrays.  The rank-2 block's matrix is
+    read at the trailing pivots of K, np_nullspace's basis (see linalg).
 
     A twist by det^c takes its base's basis and isomorphism, because
     rho(g) = det(g)^c rho_base(g) in the base's coordinates.  The unipotents
@@ -509,32 +509,18 @@ def u_invariants(mod):
         raise CertificateError("rank-1 factor does not act by the expected power")
     # the rank-2 block action, restricted to the invariants
     gl2 = build_gl2_module(p, a, b)
-    solver = _coord_solver(K, p)
+    T = trailing_pivots(K)
 
     def restricted(h):
         g = np.eye(3, dtype=np.int64)
         g[1:, 1:] = np.asarray(h) % p
-        return solver(matmul_mod(K, mod.rho(g).T, p)).T
+        return matmul_mod(K, mod.rho(g).T, p)[:, T].T
 
     iso = _intertwiner(restricted, gl2, p)
     for x in (K, iso):
         x.setflags(write=False)
     mod._levi = LeviModule(base=mod, basis=K, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=iso)
     return mod._levi
-
-
-def _coord_solver(B, p):
-    """Coordinates of rows in the span of the independent rows of B: with
-    rref([B | I]) = [R | S], S B = R is the identity at the pivot columns,
-    so a row w of the span is w[pivots] S in the basis B."""
-    k, n = B.shape
-    R, pivots = np_rref(np.hstack([B, np.eye(k, dtype=np.int64)]), p)
-    S = R[:, n:]
-
-    def coords(rows):
-        return matmul_mod(np.asarray(rows, dtype=np.int64)[:, pivots], S, p)
-
-    return coords
 
 
 def _intertwiner(restricted, gl2, p):

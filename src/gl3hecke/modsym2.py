@@ -28,7 +28,8 @@ extension of degree d: one root is found per Galois orbit, the others are
 its Frobenius conjugates, and its eigenspace is cut out of ker f(T), found
 over the piece's field.  Only the eigen-piece that needs the extension
 moves there, by its F_p columns (linalg.extend_scalars), so each eigensystem
-lives over the field its own eigenvalues generate.
+lives over the field its own eigenvalues generate.  Bases stay in
+trailing-pivot normal form, so matrices and eigenvalues are read, not solved.
 """
 
 from __future__ import annotations
@@ -378,17 +379,12 @@ class SymbolSpace:
 
 def _restrict(field, act, basis):
     """Matrix over field of act, which moves column blocks over field, on the
-    span of basis (rows of a (k, n, r) array); raises unless it is invariant.
-
-    rref([basis | I]) is [B | S] with B the reduced echelon form of basis
-    and B = S basis, so a vector w of the span is w[pivots] S in the basis."""
-    k, n, _ = basis.shape
-    R, pivots = linalg.rref(np.concatenate([basis, identity(k, field)], axis=1), field)
-    if len(pivots) != k or pivots[-1] >= n:
-        raise RuntimeError("basis vectors are dependent")
+    span of basis, rows of a (k, n, r) array in trailing-pivot normal form
+    (see linalg): read off the images at the trailing pivots, then checked
+    against all of them, so it raises unless the span is invariant."""
     columns = basis.swapaxes(0, 1)
     img = act(columns)
-    A = apply_matrix(R[:, n:].swapaxes(0, 1), img[pivots], field)
+    A = img[linalg.trailing_pivots(basis)]
     if not np.array_equal(apply_matrix(columns, A, field), img):
         raise RuntimeError("subspace is not invariant")
     return A
@@ -533,17 +529,20 @@ def _frobenius_shift(base, F, E):
 def find_eigensystems(space, window):
     """Simultaneous eigensystems of the Hecke operators T_l, l in window.
 
-    The search refines the whole space one prime at a time: each piece is
-    cut into the eigenspaces of T_l restricted to it (_eigen_split), and a
-    line reads its eigenvalue off T_l v.  A piece lives over the field its
-    eigenvalues so far generate, and only the piece is extended when a new
-    eigenvalue needs more; T_l stays over the space's field and moves the
-    piece's F_p columns (linalg.extend_scalars).  The space is never rebuilt
-    or copied.  A piece extended a second time is moved by _frobenius_shift,
-    so every piece agrees with the space's field embedded in its own
-    directly.  Each system's field is generated by its eigenvalues over the
-    space's field, so its degree is the lcm of theirs, and every system is
-    checked against T_l v = lambda_l v in that field before it is returned.
+    The search refines the whole space one prime at a time: each piece of
+    dimension above 1 is cut into the eigenspaces of T_l restricted to it
+    (_eigen_split), and a line is left as it is.  A piece lives over the
+    field its eigenvalues so far generate, and only the piece is extended
+    when a new eigenvalue needs more; T_l stays over the space's field and
+    moves the piece's F_p columns (linalg.extend_scalars).  The space is
+    never rebuilt or copied.  A piece extended a second time is moved by
+    _frobenius_shift, so every piece agrees with the space's field embedded
+    in its own directly.  Each system's field is generated by its
+    eigenvalues over the space's field, so its degree is the lcm of theirs.
+    Bases stay in trailing-pivot normal form (see linalg): the search starts
+    from the identity, and K B keeps the form of B and of the split's kernel
+    basis K.  A final pass applies each T_l once to each system's vector v,
+    reads lambda_l off T_l v where no split gave it, and checks it elsewhere.
     """
     field, p = space.field, space.p
     window = sorted(set(window))
@@ -556,10 +555,7 @@ def find_eigensystems(space, window):
         refined = []
         for lams, F, basis in pieces:
             if len(basis) == 1:
-                lam = eigenvalue(hecke(l, basis[0], F), basis[0], F)
-                if lam is None:
-                    raise RuntimeError("subspace is not invariant")
-                refined.append(({**lams, l: lam}, F, basis))
+                refined.append((lams, F, basis))
                 continue
             for lam, E, vecs in _eigen_split(F, _restrict(F, lambda C: hecke(l, C, F), basis), basis):
                 j = _frobenius_shift(field, F, E)
@@ -570,7 +566,12 @@ def find_eigensystems(space, window):
     systems = []
     for lams, E, vecs in pieces:
         v = vecs[0]
-        if any(eigenvalue(hecke(l, v, E), v, E) != lams[l] for l in window):
-            raise RuntimeError("eigensystem verification failed")
+        for l in window:
+            lam = eigenvalue(hecke(l, v, E), v, E)
+            if l in lams and lam != lams[l]:
+                raise RuntimeError("eigensystem verification failed")
+            if lam is None:
+                raise RuntimeError("subspace is not invariant")
+            lams[l] = lam
         systems.append(EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=v, lambdas=lams, field=E, space=space))
     return systems

@@ -37,7 +37,9 @@ rows and a coordinate solve in the basis [radical; complement]; it is the
 reference for modrep._radical_quotient.  direct_u_invariants computes and
 certifies the parabolic invariants of any rank-3 module from its own rho,
 the reference for the twists, which modrep.u_invariants reads off their
-base.  composition_factor_dims is a meataxe that
+base.  coord_solver solves for the coordinates of rows in any basis
+through rref([B | I]), the solve that modrep.u_invariants made before it
+read them at the trailing pivots.  composition_factor_dims is a meataxe that
 splits a module given by generator matrices into composition factors, an
 independent check of the module dimensions; TwistedAction and twisted_act
 are the off-parabolic twisted semigroup action on a module, and levi_act
@@ -74,12 +76,11 @@ from gl3hecke.arith import adj3, crt, det, divisors, is_squarefree, primitive_ro
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.heckegl3 import coset_reps
 from gl3hecke.linalg import RowReducer as LinalgRowReducer
-from gl3hecke.linalg import SpinBasis, identity, matmul_mod, np_nullspace
+from gl3hecke.linalg import SpinBasis, identity, matmul_mod, np_nullspace, np_rref
 from gl3hecke.modrep import (
     CertificateError,
     IrreducibleModule,
     LeviModule,
-    _coord_solver,
     _intertwiner,
     build_gl2_module,
     sub_matrix,
@@ -1145,6 +1146,20 @@ def kron_twist_gl3(base, p, a, b, c):
 # -- the radical quotient and the parabolic invariants, computed directly ----------
 
 
+def coord_solver(B, p):
+    """Coordinates of rows in the span of the independent rows of B: with
+    rref([B | I]) = [R | S], S B = R is the identity at the pivot columns,
+    so a row w of the span is w[pivots] S in the basis B."""
+    k, n = B.shape
+    R, pivots = np_rref(np.hstack([B, np.eye(k, dtype=np.int64)]), p)
+    S = R[:, n:]
+
+    def coords(rows):
+        return matmul_mod(np.asarray(rows, dtype=np.int64)[:, pivots], S, p)
+
+    return coords
+
+
 def spin_radical_quotient(W, gram, p):
     """Drop-in for modrep._radical_quotient: the radical as carrier rows,
     the complement rows of W by a second spin over the carrier, and the
@@ -1153,7 +1168,7 @@ def spin_radical_quotient(W, gram, p):
     comp = SpinBasis(p, W.shape[1])
     comp.add_rows(rad)
     L = W[comp.add_rows(W)]
-    solver = _coord_solver(np.vstack([rad, L]), p)
+    solver = coord_solver(np.vstack([rad, L]), p)
     return L, lambda rows: solver(rows)[:, len(rad) :]
 
 
@@ -1174,7 +1189,7 @@ def direct_u_invariants(mod):
     if not np.array_equal(imgs, pow(g0, c % (p - 1), p) * K % p):
         raise CertificateError("rank-1 factor does not act by the expected power")
     gl2 = build_gl2_module(p, a, b)
-    solver = _coord_solver(K, p)
+    solver = coord_solver(K, p)
 
     def restricted(h):
         g = np.eye(3, dtype=np.int64)
@@ -1259,14 +1274,14 @@ def _restrict_and_quotient(gens, U, p):
     """Matrices of the action on the invariant row space U and its quotient."""
     D = gens[0].shape[0]
     k = U.shape[0]
-    solver = _coord_solver(U, p)
+    solver = coord_solver(U, p)
     sub = [solver(matmul_mod(U, g.T, p)).T for g in gens]
     comp = SpinBasis(p, D)
     comp.add_rows(U)
     eye = np.eye(D, dtype=np.int64)
     C = eye[comp.add_rows(eye)]
     full = np.vstack([U, C])
-    solver_full = _coord_solver(full, p)
+    solver_full = coord_solver(full, p)
     quo = []
     for g in gens:
         co = solver_full(matmul_mod(C, g.T, p))  # rows: coords in [U; C]

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.characters import (
-    CyclotomicExponent,
     DirichletCharacter,
     niveau2_normal_form,
     unit_group_structure,
@@ -133,8 +132,6 @@ def test_niveau2_rejects_niveau1():
         niveau2_normal_form(5, 6)
     with pytest.raises(ValueError):
         niveau2_normal_form(5, 0)
-    with pytest.raises(ValueError):
-        CyclotomicExponent(5, "niveau2", 12)
 
 
 @pytest.mark.parametrize("p", [5, 7])

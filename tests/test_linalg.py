@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import linalg
@@ -269,6 +269,95 @@ def test_extend_scalars_matches_the_embedded_operator(p, a, b, n, m, k, stacked,
     got = linalg.extend_scalars(op, V, F, E)
     assert got.shape == (want if stacked else want[0]).shape
     assert np.array_equal(got, want if stacked else want[0])
+
+
+# -- trailing-pivot normal form ---------------------------------------------------
+
+
+@st.composite
+def normal_forms(draw):
+    """A field F_{p^r} and a basis in trailing-pivot normal form over it: the
+    kernel basis of nullspace, of np_nullspace (over F_p, a (k, n) array),
+    or rref of a column-reversed block flipped back; and a generator for the
+    scalars of the checks."""
+    p, kind = draw(st.sampled_from([5, 7, 13])), draw(st.sampled_from(["nullspace", "np_nullspace", "reversed rref"]))
+    F = make_field(p, 1 if kind == "np_nullspace" else draw(st.integers(1, 3)))
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, (draw(st.integers(1, n)), n, F.r))
+    # zero columns put free columns, and so trailing pivots, in the middle
+    A[:, rng.random(n) < 0.3] = 0
+    if kind == "nullspace":
+        B = np.array(linalg.nullspace(A, F)).reshape(-1, n, F.r)
+    elif kind == "np_nullspace":
+        B = linalg.np_nullspace(A[..., 0], p)
+    else:
+        B = linalg.rref(A[:, ::-1], F)[0][::-1, ::-1]
+    assume(len(B))
+    return F, B, rng
+
+
+def _units(F, rng, count):
+    """count random coordinate vectors of field elements other than 0 and 1."""
+    out = []
+    while len(out) < count:
+        x = rng.integers(0, F.p, F.r)
+        if x.any() and x.tolist() != [1] + [0] * (F.r - 1):
+            out.append(x)
+    return out
+
+
+def _scaled(F, x, V):
+    """x V for the coordinates x of one element and the coordinate array V."""
+    return matmul_mod(V, F.mul_matrices(x).T, F.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_forms())
+def test_trailing_pivots_read_coordinates_and_reject_corruptions(case):
+    F, B, rng = case
+    p, k = F.p, len(B)
+    # over F_p the checks run on the (k, n, 1) array and hand back (k, n)
+    B3, back = (B, lambda X: X) if B.ndim == 3 else (B[..., None], lambda X: X[..., 0])
+    T = linalg.trailing_pivots(B)
+    c = rng.integers(0, p, (k, F.r))
+    w = linalg.apply_matrix(B3.swapaxes(0, 1), c, F)
+    assert np.array_equal(w[T], c)
+    i, j = rng.choice(k, 2) if k > 1 else (0, 0)
+    u, x = _units(F, rng, 2)
+    corrupt = [B3.copy(), B3.copy()]
+    corrupt[0][i] = _scaled(F, u, B3[i])
+    corrupt[1][i] = 0
+    if k > 1:
+        j = j if j != i else (i + 1) % k
+        swapped, added = B3.copy(), B3.copy()
+        swapped[[i, j]] = B3[[j, i]]
+        added[i] = (B3[i] + _scaled(F, x, B3[j])) % p
+        corrupt += [swapped, added]
+    for X in corrupt:
+        with pytest.raises(ValueError):
+            linalg.trailing_pivots(back(X))
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal_forms())
+def test_eigenvalue_is_read_at_the_trailing_pivot(case):
+    F, B, rng = case
+    p = F.p
+    B3 = B if B.ndim == 3 else B[..., None]
+    i = rng.integers(len(B))
+    v, t = B3[i], linalg.trailing_pivots(B)[i]
+    lam = rng.integers(0, p, F.r)
+    img = _scaled(F, lam, v)
+    assert linalg.eigenvalue(img, v, F) == F.element(lam.tolist())
+    # off the pivot an image that is not a multiple of v
+    s = (t + 1 + rng.integers(len(v) - 1)) % len(v)
+    img[s] = (img[s] + _units(F, rng, 1)[0]) % p
+    assert linalg.eigenvalue(img, v, F) is None
+    with pytest.raises(ValueError):
+        linalg.eigenvalue(img, np.zeros_like(v), F)
+    with pytest.raises(ValueError):
+        linalg.eigenvalue(img, _scaled(F, _units(F, rng, 1)[0], v), F)
 
 
 def test_int64_kernels_raise_past_the_int64_bound():

@@ -22,6 +22,7 @@ from gl3hecke.modrep import (
 from _oracles import (
     SequentialSpinBasis,
     TwistedAction,
+    coord_solver,
     composition_factor_dims,
     dict_sub_matrix,
     direct_u_invariants,
@@ -171,7 +172,7 @@ def test_conjugated_module_same_dim_and_weight():
 def _highest_weight_submodule(p, i, j):
     """W, the span of the carrier highest-weight vector y1^i z3^j under the
     group, as _build_gl3_base spins it but without quotienting out the
-    radical of the contravariant form; rho is read through _coord_solver."""
+    radical of the contravariant form; rho is read through coord_solver."""
     ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
     dz = len(zbasis)
 
@@ -186,7 +187,7 @@ def _highest_weight_submodule(p, i, j):
         p=p, n=3, label=(i + j, j, 0), dim=len(W), basis=W, carrier_dim=len(vplus), monomials=()
     )
     mod._carrier_rho = carrier_rho
-    mod._coords = modrep._coord_solver(W, p)
+    mod._coords = coord_solver(W, p)
     return mod
 
 

@@ -608,7 +608,7 @@ def _ints(field, M):
 
 def test_a_line_that_the_next_operator_moves_raises():
     # T_2 = diag(1, 2) cuts F_5^2 into the lines e0 and e1; T_3 fixes e0 and
-    # sends e1 to e0 + e1, so the line step at l = 3 finds no eigenvalue on e1
+    # sends e1 to e0 + e1, so the final pass finds no T_3-eigenvalue on e1
     F = make_field(5)
     space = _MatrixSpace(F, {2: _ints(F, [[1, 0], [0, 2]]), 3: _ints(F, [[1, 1], [0, 1]])})
     with pytest.raises(RuntimeError, match="subspace is not invariant"):
@@ -658,3 +658,39 @@ def test_no_operator_or_identity_basis_is_embedded(monkeypatch, key):
     systems = find_eigensystems(space, [2, 3])
     assert {s.field.r for s in systems} == ({1, 6} if r == 1 else {3})
     assert seen or r == 3
+
+
+@pytest.mark.parametrize("key,window", [((101, 5, 0, 0, 1), (2, 3, 7)), ((11, 7, 4, 0, 3), (2, 3))], ids=["N101-p5-F5", "N11-p7-F343"])
+def test_each_system_meets_each_operator_once_and_nothing_is_solved(monkeypatch, key, window):
+    # every basis the search keeps is in trailing-pivot normal form, so
+    # _restrict reads its matrix off the images with no row reduction, and
+    # each system meets each T_l in one eigenvalue call
+    N, p, a, b, r = key
+    F = make_field(p, r)
+    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N), field=F)
+    eigenvalue, rref, restrict = linalg.eigenvalue, linalg.rref, modsym2._restrict
+    calls, restricting = [], []
+
+    def count(img, v, field):
+        calls.append(v)
+        return eigenvalue(img, v, field)
+
+    def no_rref_in_restrict(A, field):
+        assert not restricting
+        return rref(A, field)
+
+    def flagged(*args):
+        restricting.append(True)
+        try:
+            return restrict(*args)
+        finally:
+            restricting.pop()
+
+    for module in (linalg, modsym2):
+        monkeypatch.setattr(module, "eigenvalue", count)
+    monkeypatch.setattr(linalg, "rref", no_rref_in_restrict)
+    monkeypatch.setattr(modsym2, "_restrict", flagged)
+    systems = find_eigensystems(space, window)
+    assert systems and len(calls) == len(systems) * len(window)
+    for s in systems:
+        assert list(linalg.trailing_pivots(s.vector[None])) == [np.flatnonzero(s.vector.any(axis=1))[-1]]

@@ -116,22 +116,6 @@ def test_case_weighted_contribution_count():
     assert sorted(cases) == sorted([1] * (l * l) + [3] * (l - 1) + [4] + [2])
 
 
-def test_attachment_identity_and_perturbation():
-    # the measured T(l,1), T(l,2), T(l,3) eigenvalues close the identity, the
-    # third equals its closed form, and bumping any one of them breaks it
-    datum = _datum(0)
-    one = datum.space.field.one()
-    for l in WINDOW:
-        frob = FrobeniusData.from_boundary(datum, l)
-        measured = [eigenvalue_of(datum, l, k) for k in (1, 2, 3)]
-        assert measured[2] == a_l3(datum, l)
-        assert verify_attachment(frob, *measured)
-        for i in range(3):
-            bumped = list(measured)
-            bumped[i] = bumped[i] + one
-            assert not verify_attachment(frob, *bumped)
-
-
 @pytest.mark.parametrize("bumped_k", [1, 2, 3])
 def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
     # shifting T(l, bumped_k) by the identity shifts its measured eigenvalue
@@ -394,6 +378,42 @@ def test_operator_on_the_class_matches_the_per_coset_oracle(key, r, pick, d, qua
     image = apply_matrix(embed_matrix(per_coset_reference(datum, l, k), F, E), v, E)
     assert ev is not None
     assert E.from_array(image) == [ev * x for x in E.from_array(v)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.sampled_from(PROPERTY_SPACES),
+    r=st.sampled_from([1, 2, 3]),
+    pick=st.integers(0, 7),
+    d=st.sampled_from([1, 2, 3]),
+    quadratic=st.booleans(),
+    c=st.integers(0, 11),
+    l=st.sampled_from([2, 3, 5, 7]),
+    data=st.data(),
+)
+@example(key=(5, 0, 0, 11), r=1, pick=0, d=1, quadratic=False, c=0, l=2, data=None)
+def test_attachment_identity_and_perturbation(key, r, pick, d, quadratic, c, l, data):
+    # the measured T(l,1), T(l,2), T(l,3) eigenvalues of a searched class
+    # close the identity, the third equals its closed form, and adding a
+    # nonzero delta of the class's field to any one of them breaks it
+    p, a, b, N1 = key
+    assume(gcd(d, p * N1) == 1 and gcd(l, p * N1 * d) == 1)
+    space, systems = _searched_space(p, a, b, N1, r)
+    F = space.field
+    chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
+    eigen = systems[pick % len(systems)]
+    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    E = eigen.field
+    coords = st.lists(st.integers(0, p - 1), min_size=E.r, max_size=E.r).filter(any)
+    delta = E.one() if data is None else E.element(data.draw(coords))
+    measured = eigenvalue_of(datum, l, (1, 2, 3))
+    assert measured[2] == a_l3(datum, l)
+    frob = FrobeniusData.from_boundary(datum, l)
+    assert verify_attachment(frob, *measured)
+    for i in range(3):
+        bumped = list(measured)
+        bumped[i] = bumped[i] + delta
+        assert not verify_attachment(frob, *bumped)
 
 
 @settings(max_examples=20, deadline=None)
