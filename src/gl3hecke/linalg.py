@@ -19,13 +19,13 @@ there: they are the ones row reduction over F_q itself gives.
 
 Operators stay over the field they were built over.  A vector over an
 extension is moved by one rule, extend_scalars: its F_p coordinate columns
-go through the operator, and only their images are embedded and
-recombined, so no operator is ever embedded.  Bases that are read are in
-trailing-pivot normal form (trailing_pivots): each row's last nonzero entry
-is 1, the other rows are 0 in that column, and those columns increase.
-Coordinates in such a basis and eigenvalues are read at the pivots, not
-solved for; the only solves left are those that make the form: nullspace,
-np_nullspace and rref of reversed columns.
+go through the operator, and their images are embedded and recombined by
+one product with a fixed F_p matrix, so no operator is ever embedded.
+Bases that are read are in trailing-pivot normal form (trailing_pivots):
+each row's last nonzero entry is 1, the other rows are 0 in that column,
+and those columns increase.  Coordinates in such a basis and eigenvalues
+are read at the pivots, not solved for; the only solves left are those that
+make the form: nullspace, np_nullspace and rref of reversed columns.
 
 Exactness: every product mod p goes through matmul_mod, which is exact
 only while n * (p - 1)**2 < 2**53 for inner dimension n (the float64
@@ -136,16 +136,19 @@ def extend_scalars(op, V, field, big):
     -> (..., n', m, r), and V a vector (n, R) or a block (n, k, R) over big.
     op(V) is the sum of g^u op(V_u) over the F_p coordinate columns V_u of
     V, u < R = big.r, g big's generator: the columns V_u go through op as
-    one block over field, and only their images are embedded in big."""
+    one block over field.  Each image entry, with coordinates x_t in the
+    powers h^t of field's generator, t < r, adds x_t g^u emb(h^t) to the
+    result, so one product by the F_p matrix M[(u, t), s] = coords(g^u
+    emb(h^t))[s] embeds and recombines the images at once, with inner
+    dimension R r; over F_p, M is the identity."""
     if big is field:
         return op(V)
-    n, R = V.shape[0], big.r
+    n, R, p = V.shape[0], big.r, field.p
     block = np.zeros((n, V[0].size, field.r), dtype=np.int64)
     block[..., 0] = V.reshape(n, -1)
-    images = embed_matrix(op(block), field, big)
-    # (op V)[..., s] = sum_{u, t} G_u[s, t] images[..., u, t], G_u = mul_matrix(g^u)
-    powers = big.power_matrices().swapaxes(1, 2).reshape(R * R, R)
-    return matmul_mod(images.reshape(images.shape[:-2] + V.shape[1:-1] + (R * R,)), powers, field.p)
+    images = op(block)
+    M = matmul_mod(big.power_matrices(), field.embedding_matrix(big), p).transpose(0, 2, 1).reshape(R * field.r, R)
+    return matmul_mod(images.reshape(images.shape[:-2] + V.shape[1:-1] + (R * field.r,)), M, p)
 
 
 class RowReducer:

@@ -30,11 +30,15 @@ The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
 carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
 two products with inner dimensions dy and dz in place of one with inner
-dimension D.  The factors of each g are computed once per base.  A twist
-by det^c has the base module's basis and coordinates, and coordinates are
-linear, so its rho(g) is det(g)^c times the base rho(g) mod p; twists read
-the base module's cache, and take its parabolic invariants and their
-intertwiner unchanged (u_invariants).
+dimension D.  The factors of each g are computed once per base.
+
+Every module, of either rank and twisted or not, is one IrreducibleModule
+whose rho is data: compute_rho takes g, reduced mod p, to the matrix
+rho(g), and rho caches it per g.  A twist by det^c points to its base, the
+untwisted module, and shares its basis and coordinates.  Coordinates are
+linear, so the twist's compute_rho is det(g)^c times base.rho(g) mod p, and
+u_invariants takes the base's parabolic invariants and their intertwiner
+unchanged.
 
 The substitution matrices Sym^k(M) behind every carrier action are built by
 degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
@@ -54,6 +58,7 @@ rho(u) for u in the first-column unipotent group.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -158,7 +163,7 @@ def gl_generators(n, p):
 # -- module objects ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class IrreducibleModule:
     p: int
     n: int
@@ -166,9 +171,12 @@ class IrreducibleModule:
     dim: int
     basis: np.ndarray  # rows: module basis inside the carrier (identity for n=2)
     carrier_dim: int
-    monomials: tuple  # basis tags of the ambient carrier
+    compute_rho: Callable  # g, reduced mod p -> the F_p matrix rho(g), columns as images
+    base: IrreducibleModule = None  # the untwisted module of a det^c twist; self otherwise
 
     def __post_init__(self):
+        if self.base is None:
+            self.base = self
         self._rho_cache = {}
         self._levi = None  # the LeviModule of u_invariants, once computed
 
@@ -177,11 +185,8 @@ class IrreducibleModule:
         g = np.asarray(g, dtype=np.int64) % self.p
         key = g.tobytes()
         if key not in self._rho_cache:
-            self._rho_cache[key] = self._compute_rho(g)
+            self._rho_cache[key] = self.compute_rho(g)
         return self._rho_cache[key]
-
-    def _compute_rho(self, g):
-        raise NotImplementedError
 
     def act_right(self, v, m):
         """Right semigroup action v|m = rho(transpose(m mod p)) v."""
@@ -189,42 +194,20 @@ class IrreducibleModule:
         return matmul_mod(self.rho(m.T), np.asarray(v, dtype=np.int64) % self.p, self.p)
 
 
-class _Gl2Module(IrreducibleModule):
-    def _compute_rho(self, g):
-        return gl2_rho(g, *self.label, self.p)
-
-
-class _Gl3Module(IrreducibleModule):
-    # installed by _build_gl3_base: g -> the carrier factors (Sy, Sz), and
-    # carrier rows of the highest-weight submodule -> their coordinates in
-    # the basis modulo the radical
-    _carrier_rho = None
-    _coords = None
-
-    def _compute_rho(self, g):
-        imgs = _carrier_act(self._carrier_rho(g), self.basis, self.p)
-        return self._coords(imgs).T.copy()
-
-
-class _TwistedGl3Module(IrreducibleModule):
-    base = None  # the (a-c, b-c, 0) module, installed by _twist_gl3
-
-    def _compute_rho(self, g):
-        p = self.p
-        d = pow(int(det(g)) % p, self.label[2] % (p - 1), p)
-        return self.base.rho(g) * d % p
-
-
 def build_gl2_module(p, a, b):
     """Symmetric-power model of F(a,b): monomials of degree a-b in two
     variables twisted by the b-th power of the determinant."""
     if not 0 <= a - b <= p - 1:
         raise ValueError("label (%d, %d) is not p-restricted" % (a, b))
-    deg = a - b
-    monos = tuple(sym_basis(2, deg))
-    dim = deg + 1
-    mod = _Gl2Module(
-        p=p, n=2, label=(a, b), dim=dim, basis=np.eye(dim, dtype=np.int64), carrier_dim=dim, monomials=monos
+    dim = a - b + 1
+    mod = IrreducibleModule(
+        p=p,
+        n=2,
+        label=(a, b),
+        dim=dim,
+        basis=np.eye(dim, dtype=np.int64),
+        carrier_dim=dim,
+        compute_rho=lambda g: gl2_rho(g, a, b, p),
     )
     _certify_module(mod)
     return mod
@@ -296,17 +279,15 @@ def _build_gl3_base(p, i, j):
     # W modulo the radical of the contravariant form on it
     L, coords = _radical_quotient(W, matmul_mod(W * wt % p, W.T, p), p)
 
-    mod = _Gl3Module(
+    mod = IrreducibleModule(
         p=p,
         n=3,
         label=(a, b, c),
         dim=len(L),
         basis=L,
         carrier_dim=D,
-        monomials=tuple((ym, zm) for ym in ybasis for zm in zbasis),
+        compute_rho=lambda g: coords(_carrier_act(carrier_rho(g), L, p)).T.copy(),
     )
-    mod._carrier_rho = carrier_rho
-    mod._coords = coords
     _certify_module(mod)
     return mod
 
@@ -344,17 +325,16 @@ def _twist_gl3(base, p, a, b, c):
     """Tensor the cached (a-c, b-c, 0) module by det^c."""
     if c % (p - 1) == 0 and (a, b, c) == base.label:
         return base
-    twisted = _TwistedGl3Module(
+    return IrreducibleModule(
         p=p,
         n=3,
         label=(a, b, c),
         dim=base.dim,
         basis=base.basis,
         carrier_dim=base.carrier_dim,
-        monomials=base.monomials,
+        compute_rho=lambda g: base.rho(g) * pow(int(det(g)) % p, c % (p - 1), p) % p,
+        base=base,
     )
-    twisted.base = base
-    return twisted
 
 
 def _carrier_act(factors, X, p):
@@ -485,7 +465,7 @@ def u_invariants(mod):
         raise ValueError("parabolic invariants implemented for the rank-3 modules")
     p = mod.p
     a, b, c = mod.label
-    if isinstance(mod, _TwistedGl3Module):
+    if mod.base is not mod:
         levi = u_invariants(mod.base)
         return LeviModule(
             base=mod, basis=levi.basis, gl1_exponent=c % (p - 1), gl2_module=build_gl2_module(p, a, b), iso=levi.iso

@@ -157,11 +157,9 @@ class EigenSystem:
     field the eigenvalues generate over the space's scalar field; vector (an
     eigenvector in the space's coordinates, a coordinate array (dim, r))
     and lambdas (l -> eigenvalue of T_l, an Fq) live in it.  space is the
-    symbol space itself, over its own field."""
+    symbol space itself, over its own field; it holds the level, p and the
+    weight."""
 
-    level: int
-    p: int
-    weight: tuple
     vector: np.ndarray
     lambdas: dict
     field: FiniteField
@@ -573,5 +571,5 @@ def find_eigensystems(space, window):
             if lam is None:
                 raise RuntimeError("subspace is not invariant")
             lams[l] = lam
-        systems.append(EigenSystem(level=space.N, p=space.p, weight=space.weight, vector=v, lambdas=lams, field=E, space=space))
+        systems.append(EigenSystem(vector=v, lambdas=lams, field=E, space=space))
     return systems

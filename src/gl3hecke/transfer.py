@@ -49,22 +49,18 @@ from .modsym2 import EigenSystem, SymbolSpace, find_eigensystems
 class BoundaryDatum:
     """Everything needed to run the eigenvalue transfer at one boundary
     stratum: the symbol space at level N1 = N/d with its eigenclass, the
-    weight exponents, and the character factorization."""
+    exponent c, and chi0, the factor of the character that the space's chi1
+    does not carry.  p, the weight (a, b), N1 and chi1 are the space's."""
 
-    p: int
-    a: int
-    b: int
     c: int
     d: int
-    N1: int
     chi0: DirichletCharacter
-    chi1: DirichletCharacter
     space: SymbolSpace
     eigen: EigenSystem
 
     @property
     def N(self):
-        return self.N1 * self.d
+        return self.space.N * self.d
 
     @classmethod
     def build(cls, p, a, b, c, d, N1, chi0=None, chi1=None, window=(2,), field=None, lambdas=None):
@@ -89,7 +85,7 @@ class BoundaryDatum:
             sys = matches[0]
         else:
             sys = systems[0]
-        return cls(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=sys)
+        return cls(c=c, d=d, chi0=chi0, space=space, eigen=sys)
 
 
 def _match_field(chi, field):
@@ -121,7 +117,7 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     run_transfer_checks stacks the ks of one prime and not the primes of its
     window (module docstring)."""
     space = datum.space
-    p = datum.p
+    p = space.p
     N, d = datum.N, datum.d
     if gcd(l, p * N) != 1:
         raise ValueError("l must be prime to p and the level")
@@ -130,7 +126,7 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     cosets = hecke_orbit_action(l, ks, N, d)
     # an internal invariant check on every coset: semigroup_act sees only the
     # live blocks, not those whose scalars cancel
-    if (cosets.psi2[:, 0, 1] % datum.N1).any():
+    if (cosets.psi2[:, 0, 1] % space.N).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
     # the coordinates of each coset's scalar chi0(psi1) * psi1^c: chi0 read
     # from its values at the residues present, the power from a table mod p
@@ -186,7 +182,7 @@ def eigenvalue_of(datum, l, k):
 def _character_values(datum, l):
     """chi0(l) and chi1(l), embedded in the field of the eigenclass."""
     field = datum.eigen.field
-    return tuple(x.field.embed(x, field) for x in (datum.chi0(l), datum.chi1(l)))
+    return tuple(x.field.embed(x, field) for x in (datum.chi0(l), datum.space.chi1(l)))
 
 
 def _lambda(datum, l):
@@ -201,11 +197,11 @@ def _lambda(datum, l):
 def expected_eigenvalues(datum, l):
     """The closed-form oracle values for T(l,1) and T(l,2) on the class."""
     field = datum.eigen.field
-    p = datum.p
+    p = datum.space.p
     lam = _lambda(datum, l)
     lmod = field.from_int(l % p)
     chi0l, chi1l = _character_values(datum, l)
-    a, b, c = datum.a, datum.b, datum.c
+    (a, b), c = datum.space.weight, datum.c
     e1 = lmod * lam + chi0l * field.from_int(pow(l, c % (p - 1), p))
     e2 = chi1l * field.from_int(pow(l, (a + b + 2) % (p - 1), p)) + chi0l * field.from_int(
         pow(l, c % (p - 1), p)
@@ -229,9 +225,9 @@ class FrobeniusData:
         """c1 and c2 / l are the expected eigenvalues of T(l,1) and T(l,2)."""
         e1, e2 = expected_eigenvalues(datum, l)
         field = datum.eigen.field
-        p = datum.p
+        p = datum.space.p
         chi0l, chi1l = _character_values(datum, l)
-        det = chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + 3 + datum.c) % (p - 1), p))
+        det = chi0l * chi1l * field.from_int(pow(l, (sum(datum.space.weight) + 3 + datum.c) % (p - 1), p))
         return cls(l=l, c1=e1, c2=field.from_int(l % p) * e2, c3=det)
 
 
@@ -268,7 +264,7 @@ def run_transfer_checks(datum, window):
     all three from one eigenvalue_of pass per prime.  Raises ValueError,
     before any operator is built, when a prime of the window was not
     searched."""
-    primes = [l for l in window if gcd(l, datum.p * datum.N) == 1]
+    primes = [l for l in window if gcd(l, datum.space.p * datum.N) == 1]
     for l in primes:
         _lambda(datum, l)
     report = []

@@ -27,14 +27,16 @@ distinct_degrees_fq and roots_fq are the polynomial arithmetic over lists of
 Fq that ffield ran before its polynomials became coordinate arrays; they are
 the reference for the array polynomial layer.
 kron_carrier is the explicit D x D Kronecker product of the two
-substitution matrices, and KronTwist the determinant twist that multiplies
-it by det^c and reads coordinates off it; kron_carrier_act and
-kron_twist_gl3 put them in place of the factored carrier action and the
-twist by the base rho of modrep.  spin_radical_quotient is the quotient of
-the highest-weight submodule by its radical as modrep built it before it
-worked in W-coordinates: a second spin over the carrier for the complement
-rows and a coordinate solve in the basis [radical; complement]; it is the
-reference for modrep._radical_quotient.  direct_u_invariants computes and
+substitution matrices; kron_carrier_act puts it in place of the factored
+carrier action of modrep, and kron_twist_gl3 in place of the twist by the
+base rho: its module multiplies the carrier matrix by det^c and reads
+coordinates off it with the base's coordinate map, which
+recording_radical_quotient keeps as the base is built.
+spin_radical_quotient is the quotient of the highest-weight submodule by
+its radical as modrep built it before it worked in W-coordinates: a second
+spin over the carrier for the complement rows and a coordinate solve in the
+basis [radical; complement]; it is the reference for
+modrep._radical_quotient.  direct_u_invariants computes and
 certifies the parabolic invariants of any rank-3 module from its own rho,
 the reference for the twists, which modrep.u_invariants reads off their
 base.  coord_solver solves for the coordinates of rows in any basis
@@ -82,6 +84,7 @@ from gl3hecke.modrep import (
     IrreducibleModule,
     LeviModule,
     _intertwiner,
+    _radical_quotient,
     build_gl2_module,
     sub_matrix,
     sym_basis,
@@ -1080,9 +1083,9 @@ def a_l3(datum, l):
     determinant-type scalar chi0(l) chi1(l) l^(a+b+c).  The attachment
     check uses the measured eigenvalue."""
     field = datum.eigen.field
-    p = datum.p
+    p = datum.space.p
     chi0l, chi1l = _character_values(datum, l)
-    return chi0l * chi1l * field.from_int(pow(l, (datum.a + datum.b + datum.c) % (p - 1), p))
+    return chi0l * chi1l * field.from_int(pow(l, (sum(datum.space.weight) + datum.c) % (p - 1), p))
 
 
 def per_coset_reference(datum, l, k):
@@ -1091,7 +1094,7 @@ def per_coset_reference(datum, l, k):
     solved for each coset on its own by translate_to_parabolic, and nothing
     is grouped (the scalars multiply as Fq)."""
     space = datum.space
-    F, p, dim = space.field, datum.p, space.dim
+    F, p, dim = space.field, space.p, space.dim
     mat = np.zeros((dim, dim, F.r), dtype=np.int64)
     for s in coset_reps(l, k, datum.N):
         tr = translate_to_parabolic(s, datum.d, datum.N, l=l)
@@ -1119,28 +1122,39 @@ def kron_carrier_act(factors, X, p):
     return matmul_mod(X.reshape(-1, X.shape[-1]), (np.kron(Sy, Sz) % p).T, p).reshape(X.shape)
 
 
-class KronTwist(IrreducibleModule):
-    """The twist of a GL(3) module by det^c, with rho(g) read off the
+def recording_radical_quotient(record):
+    """Drop-in for modrep._radical_quotient that also keeps, in the dict
+    record, each coordinate map it returns under the id of its basis L."""
+
+    def quotient(W, gram, p):
+        L, coords = _radical_quotient(W, gram, p)
+        record[id(L)] = coords
+        return L, coords
+
+    return quotient
+
+
+def kron_twist_gl3(base, p, a, b, c, coords):
+    """Drop-in for modrep._twist_gl3, given coords, the coordinate map of
+    the base's quotient: the twist by det^c, with rho(g) read off the
     explicit carrier matrix of g times det(g)^c in the base coordinates."""
-
-    base = None
-
-    def _compute_rho(self, g):
-        p = self.p
-        a, b, c = self.label
-        C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
-        return self.base._coords(matmul_mod(self.basis, C.T, p)).T.copy()
-
-
-def kron_twist_gl3(base, p, a, b, c):
-    """Drop-in for modrep._twist_gl3 that builds KronTwist modules."""
     if c % (p - 1) == 0 and (a, b, c) == base.label:
         return base
-    twisted = KronTwist(
-        p=p, n=3, label=(a, b, c), dim=base.dim, basis=base.basis, carrier_dim=base.carrier_dim, monomials=base.monomials
+
+    def compute_rho(g):
+        C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
+        return coords(matmul_mod(base.basis, C.T, p)).T.copy()
+
+    return IrreducibleModule(
+        p=p,
+        n=3,
+        label=(a, b, c),
+        dim=base.dim,
+        basis=base.basis,
+        carrier_dim=base.carrier_dim,
+        compute_rho=compute_rho,
+        base=base,
     )
-    twisted.base = base
-    return twisted
 
 
 # -- the radical quotient and the parabolic invariants, computed directly ----------

@@ -271,6 +271,23 @@ def test_extend_scalars_matches_the_embedded_operator(p, a, b, n, m, k, stacked,
     assert np.array_equal(got, want if stacked else want[0])
 
 
+@pytest.mark.parametrize("a", [1, 2])
+def test_extend_scalars_embeds_no_matrix(a, monkeypatch):
+    # the images are embedded and recombined by one product with a fixed F_p
+    # matrix, over F = F_p and over F = F_{p^2} alike
+    F, E = make_field(7, a), make_field(7, 3 * a)
+    rng = np.random.default_rng(a)
+    A, V = rng.integers(0, 7, (4, 5, F.r)), rng.integers(0, 7, (5, 2, E.r))
+    embed = linalg.embed_matrix
+
+    def refuse(*args):
+        raise AssertionError("extend_scalars called embed_matrix")
+
+    monkeypatch.setattr(linalg, "embed_matrix", refuse)
+    got = linalg.extend_scalars(lambda C: linalg.apply_matrix(A, C, F), V, F, E)
+    assert np.array_equal(got, linalg.apply_matrix(embed(A, F, E), V, E))
+
+
 # -- trailing-pivot normal form ---------------------------------------------------
 
 

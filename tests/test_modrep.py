@@ -34,6 +34,7 @@ from _oracles import (
     levi_act,
     mat3,
     mat_mul3,
+    recording_radical_quotient,
     spin_radical_quotient,
     twisted_act,
 )
@@ -183,12 +184,16 @@ def _highest_weight_submodule(p, i, j):
     vplus[ybasis.index((i, 0, 0)) * dz + zbasis.index((0, 0, j))] = 1
     actions = [lambda X, g=g: modrep._carrier_act(carrier_rho(g), X, p) for g in gl_generators(3, p)]
     W = modrep._spin(vplus, actions, p)
-    mod = modrep._Gl3Module(
-        p=p, n=3, label=(i + j, j, 0), dim=len(W), basis=W, carrier_dim=len(vplus), monomials=()
+    coords = coord_solver(W, p)
+    return modrep.IrreducibleModule(
+        p=p,
+        n=3,
+        label=(i + j, j, 0),
+        dim=len(W),
+        basis=W,
+        carrier_dim=len(vplus),
+        compute_rho=lambda g: coords(modrep._carrier_act(carrier_rho(g), W, p)).T.copy(),
     )
-    mod._carrier_rho = carrier_rho
-    mod._coords = coord_solver(W, p)
-    return mod
 
 
 @pytest.mark.parametrize("p,i,j,w_dim,irr_dim", [(7, 3, 3, 64, 37), (5, 1, 3, 24, 18)])
@@ -425,7 +430,10 @@ def test_module_matches_explicit_kronecker_carrier_oracle(label, monkeypatch):
     got = _module_arrays(label)
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
     monkeypatch.setattr(modrep, "_carrier_act", kron_carrier_act)
-    monkeypatch.setattr(modrep, "_twist_gl3", kron_twist_gl3)
+    # the twist reads the base's coordinate map as the base's quotient made it
+    quotients = {}
+    monkeypatch.setattr(modrep, "_radical_quotient", recording_radical_quotient(quotients))
+    monkeypatch.setattr(modrep, "_twist_gl3", lambda base, *label: kron_twist_gl3(base, *label, quotients[id(base.basis)]))
     _assert_byte_identical(got, _module_arrays(label))
 
 
@@ -439,6 +447,22 @@ def test_twist_rho_is_det_power_times_base_rho(label):
     for g in gl_generators(3, p) + [modrep._random_invertible(p, rng) for _ in range(4)]:
         d = pow(int(det(g)) % p, c, p)
         assert np.array_equal(mod.rho(g), base.rho(g) * d % p)
+
+
+@pytest.mark.parametrize("c", [1, 3, 6])
+def test_every_module_is_one_type_and_a_twist_points_to_its_base(c, monkeypatch):
+    # rho is data, not a subclass hook; c = p - 1 twists by the trivial
+    # character but is still a module of its own label
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    gl2 = build_gl2_module(7, 3, 1)
+    base = build_gl3_module(7, 4, 2, 0)
+    twist = build_gl3_module(7, 4 + c, 2 + c, c)
+    for m in (gl2, base, twist):
+        assert type(m) is modrep.IrreducibleModule
+    assert gl2.base is gl2 and base.base is base
+    assert twist.base is base is modrep._GL3_CACHE[(7, 2, 2)] and twist is not base
+    # identity, not the generated field-wise __eq__, which compares numpy bases
+    assert (build_gl2_module(5, 3, 1) == build_gl2_module(5, 3, 1)) is False
 
 
 def test_twist_with_a_built_key_computes_no_carrier_action(monkeypatch):

@@ -43,6 +43,30 @@ def _datum(c, d=1, chi0=None):
     )
 
 
+def test_build_makes_one_full_search_and_keeps_its_first_match(monkeypatch):
+    # the benchmark records transfer.find_eigensystems inside build and checks
+    # every system of the one list it returns: build searches once, with its
+    # own space, over the whole window, and picks the class from that list.
+    # On (13, 5, 2, 0) two F_5-rational systems share lambda_3 = 3.
+    search, calls = transfer.find_eigensystems, []
+
+    def record(*args, **kwargs):
+        out = search(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    full = [s.lambdas for s in search(SymbolSpace(13, 5, 2, 0), [2, 3])]
+    assert len(full) == 4
+    monkeypatch.setattr(transfer, "find_eigensystems", record)
+    for lambdas, pick in ((None, 0), ({2: 4, 3: 3}, 1), ({3: 3}, 0)):
+        calls.clear()
+        datum = BoundaryDatum.build(5, 2, 0, 1, 1, 13, window=(2, 3), lambdas=lambdas)
+        [(args, kwargs, systems)] = calls
+        assert args[0] is datum.space and list(args[1:]) + list(kwargs.values()) == [[2, 3]]
+        assert [s.lambdas for s in systems] == full
+        assert datum.eigen is systems[pick]
+
+
 def test_t1_eigenvalue_identity_d1():
     datum = _datum(0)
     for l in WINDOW:
@@ -100,7 +124,7 @@ def test_gl3_operators_commute_with_gl2_hecke(key, d, quadratic, c, l):
     space = _space(p, a, b, N1)
     F = space.field
     chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
-    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=None)
+    datum = BoundaryDatum(c=c, d=d, chi0=chi0, space=space, eigen=None)
     # over F_p the coordinate arrays are integer matrices with one trailing coordinate
     ops = list(gl3_hecke_on_boundary(datum, l, (1, 2, 3), identity(space.dim, F))[..., 0])
     ops += [space.hecke_matrix(m)[..., 0] for m in (2, 3) if gcd(m, p * N1) == 1]
@@ -127,7 +151,7 @@ def test_attachment_flag_uses_measured_eigenvalues(monkeypatch, bumped_k):
         # the checks stack T(l,1), T(l,2), T(l,3) in one call; bump one slice
         image = build(datum, l, ks, V)
         i = ks.index(bumped_k)
-        image[i] = (image[i] + V) % datum.p
+        image[i] = (image[i] + V) % datum.space.p
         return image
 
     monkeypatch.setattr(transfer, "gl3_hecke_on_boundary", shifted)
@@ -372,7 +396,7 @@ def test_operator_on_the_class_matches_the_per_coset_oracle(key, r, pick, d, qua
     F = space.field
     chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
     eigen = systems[pick % len(systems)]
-    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    datum = BoundaryDatum(c=c, d=d, chi0=chi0, space=space, eigen=eigen)
     E, v = eigen.field, eigen.vector
     ev = eigenvalue_of(datum, l, k)
     image = apply_matrix(embed_matrix(per_coset_reference(datum, l, k), F, E), v, E)
@@ -402,7 +426,7 @@ def test_attachment_identity_and_perturbation(key, r, pick, d, quadratic, c, l, 
     F = space.field
     chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
     eigen = systems[pick % len(systems)]
-    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    datum = BoundaryDatum(c=c, d=d, chi0=chi0, space=space, eigen=eigen)
     E = eigen.field
     coords = st.lists(st.integers(0, p - 1), min_size=E.r, max_size=E.r).filter(any)
     delta = E.one() if data is None else E.element(data.draw(coords))
@@ -441,7 +465,7 @@ def test_stacked_operator_matches_single_k_and_the_per_coset_oracle(key, r, pick
     F = space.field
     chi0 = DirichletCharacter.quadratic(F, 3) if d == 3 and quadratic else DirichletCharacter.trivial(F, d)
     eigen = systems[pick % len(systems)]
-    datum = BoundaryDatum(p=p, a=a, b=b, c=c, d=d, N1=N1, chi0=chi0, chi1=space.chi1, space=space, eigen=eigen)
+    datum = BoundaryDatum(c=c, d=d, chi0=chi0, space=space, eigen=eigen)
     rE = eigen.field.r
     block = np.zeros((space.dim, rE + 2, F.r), dtype=np.int64)
     block[:, :rE, 0] = eigen.vector
