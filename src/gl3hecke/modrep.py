@@ -34,8 +34,9 @@ dimension D.  The factors of each g are computed once per base.
 
 Every module, of either rank and twisted or not, is one IrreducibleModule
 whose rho is data: compute_rho takes g, reduced mod p, to the matrix
-rho(g), and rho caches it per g.  A twist by det^c points to its base, the
-untwisted module, and shares its basis and coordinates.  Coordinates are
+rho(g), and rho caches it per g.  A twist by det^c points to its base
+module through its untwisted field, and shares the base's basis and
+coordinates; any other module is its own untwisted module.  Coordinates are
 linear, so the twist's compute_rho is det(g)^c times base.rho(g) mod p, and
 u_invariants takes the base's parabolic invariants and their intertwiner
 unchanged.
@@ -172,11 +173,11 @@ class IrreducibleModule:
     basis: np.ndarray  # rows: module basis inside the carrier (identity for n=2)
     carrier_dim: int
     compute_rho: Callable  # g, reduced mod p -> the F_p matrix rho(g), columns as images
-    base: IrreducibleModule = None  # the untwisted module of a det^c twist; self otherwise
+    untwisted: IrreducibleModule = None  # the base module of a det^c twist; self otherwise
 
     def __post_init__(self):
-        if self.base is None:
-            self.base = self
+        if self.untwisted is None:
+            self.untwisted = self
         self._rho_cache = {}
         self._levi = None  # the LeviModule of u_invariants, once computed
 
@@ -333,7 +334,7 @@ def _twist_gl3(base, p, a, b, c):
         basis=base.basis,
         carrier_dim=base.carrier_dim,
         compute_rho=lambda g: base.rho(g) * pow(int(det(g)) % p, c % (p - 1), p) % p,
-        base=base,
+        untwisted=base,
     )
 
 
@@ -465,8 +466,8 @@ def u_invariants(mod):
         raise ValueError("parabolic invariants implemented for the rank-3 modules")
     p = mod.p
     a, b, c = mod.label
-    if mod.base is not mod:
-        levi = u_invariants(mod.base)
+    if mod.untwisted is not mod:
+        levi = u_invariants(mod.untwisted)
         return LeviModule(
             base=mod, basis=levi.basis, gl1_exponent=c % (p - 1), gl2_module=build_gl2_module(p, a, b), iso=levi.iso
         )

@@ -31,7 +31,8 @@ substitution matrices; kron_carrier_act puts it in place of the factored
 carrier action of modrep, and kron_twist_gl3 in place of the twist by the
 base rho: its module multiplies the carrier matrix by det^c and reads
 coordinates off it with the base's coordinate map, which
-recording_radical_quotient keeps as the base is built.
+recording_radical_quotient keeps as the base is built.  It is its own
+untwisted module, so its parabolic invariants are computed from that rho.
 spin_radical_quotient is the quotient of the highest-weight submodule by
 its radical as modrep built it before it worked in W-coordinates: a second
 spin over the carrier for the complement rows and a coordinate solve in the
@@ -1137,7 +1138,9 @@ def recording_radical_quotient(record):
 def kron_twist_gl3(base, p, a, b, c, coords):
     """Drop-in for modrep._twist_gl3, given coords, the coordinate map of
     the base's quotient: the twist by det^c, with rho(g) read off the
-    explicit carrier matrix of g times det(g)^c in the base coordinates."""
+    explicit carrier matrix of g times det(g)^c in the base coordinates.
+    The module is its own untwisted module, so u_invariants computes and
+    certifies its invariants from this rho instead of reading the base's."""
     if c % (p - 1) == 0 and (a, b, c) == base.label:
         return base
 
@@ -1153,7 +1156,6 @@ def kron_twist_gl3(base, p, a, b, c, coords):
         basis=base.basis,
         carrier_dim=base.carrier_dim,
         compute_rho=compute_rho,
-        base=base,
     )
 
 

@@ -442,7 +442,7 @@ def test_twist_rho_is_det_power_times_base_rho(label):
     p, a, b, c = label
     mod = build_gl3_module(*label)
     base = build_gl3_module(p, a - c, b - c, 0)
-    assert mod.base is base and mod.basis is base.basis
+    assert mod.untwisted is base and mod.basis is base.basis
     rng = random.Random(c)
     for g in gl_generators(3, p) + [modrep._random_invertible(p, rng) for _ in range(4)]:
         d = pow(int(det(g)) % p, c, p)
@@ -459,8 +459,8 @@ def test_every_module_is_one_type_and_a_twist_points_to_its_base(c, monkeypatch)
     twist = build_gl3_module(7, 4 + c, 2 + c, c)
     for m in (gl2, base, twist):
         assert type(m) is modrep.IrreducibleModule
-    assert gl2.base is gl2 and base.base is base
-    assert twist.base is base is modrep._GL3_CACHE[(7, 2, 2)] and twist is not base
+    assert gl2.untwisted is gl2 and base.untwisted is base
+    assert twist.untwisted is base is modrep._GL3_CACHE[(7, 2, 2)] and twist is not base
     # identity, not the generated field-wise __eq__, which compares numpy bases
     assert (build_gl2_module(5, 3, 1) == build_gl2_module(5, 3, 1)) is False
 
@@ -507,8 +507,8 @@ def test_twist_invariants_match_the_direct_computation(label, monkeypatch):
     _assert_byte_identical([got.basis, got.iso], [want.basis, want.iso])
     assert (got.gl1_exponent, got.gl2_module.label) == (want.gl1_exponent, want.gl2_module.label)
     # read off the base's invariants, which are computed once and read-only
-    levi = u_invariants(mod.base)
-    assert u_invariants(mod.base) is levi and got.basis is levi.basis and got.iso is levi.iso
+    levi = u_invariants(mod.untwisted)
+    assert u_invariants(mod.untwisted) is levi and got.basis is levi.basis and got.iso is levi.iso
     assert not (levi.basis.flags.writeable or levi.iso.flags.writeable)
 
 
