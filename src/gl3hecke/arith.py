@@ -64,12 +64,15 @@ def multiplicative_order(g, n, group_order):
     return order
 
 
-def primitive_root(p):
-    """The least generator of (Z/p)^* for a prime p; 1 for p = 2, where the
-    group is trivial."""
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
-    return next(g for g in range(1, p) if multiplicative_order(g, p, p - 1) == p - 1)
+def primitive_root(q):
+    """The least generator of the cyclic group (Z/q)^* for q a prime or an
+    odd prime power; 1 for q = 2, where the group is trivial."""
+    primes = set(prime_factors(q))
+    if len(primes) != 1 or q % 4 == 0:
+        raise ValueError("q = %d is not a prime or an odd prime power" % q)
+    (p,) = primes
+    phi = q - q // p
+    return next(g for g in range(1, q) if g % p and multiplicative_order(g, q, phi) == phi)
 
 
 def xgcd(a, b):

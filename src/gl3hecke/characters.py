@@ -1,9 +1,14 @@
 """Dirichlet characters with values in a fixed F_{p^r}, and exponent
 bookkeeping for the mod-p cyclotomic characters of niveau one and two.
 
-Characters are stored as full value tables on (Z/N)^*; evaluation at a
-non-unit is an error, never zero.  Cyclotomic characters are never evaluated:
-only their exponents (mod p-1, respectively mod p^2-1) are tracked.
+A character mod N is one read-only int64 table `values` of shape (N, r),
+like the coordinate arrays of linalg: row u holds the F_p coordinates of
+chi(u) at a unit u and is zero at every other residue, so the nonzero rows
+are exactly the units.  Modulus 1 is the one-row table of the residue 0.
+Lifting, products, conductors and the CRT split index or multiply that
+table; evaluation reads one row, and is an error at a non-unit, never zero.
+Cyclotomic characters are never evaluated: only their exponents (mod p-1,
+respectively mod p^2-1) are tracked.
 """
 
 from __future__ import annotations
@@ -11,13 +16,21 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 
-from .arith import crt, divisors, multiplicative_order, prime_factors
+import numpy as np
+
+from .arith import crt, divisors, prime_factors, primitive_root
 from .ffield import Fq, FiniteField
+from .linalg import embed_matrix
 
 
 def _prime_power_split(N):
     """[(q, p0)] with q the prime-power factors of N and p0 the prime."""
     return [(p0**e, p0) for p0, e in Counter(prime_factors(N)).items()]
+
+
+def _units(N):
+    """The boolean mask of the units among the residues 0, ..., N - 1."""
+    return np.gcd(np.arange(N), N) == 1
 
 
 def unit_group_structure(N):
@@ -28,55 +41,46 @@ def unit_group_structure(N):
     """
     if N <= 0:
         raise ValueError("modulus must be positive")
-    if N <= 2:
-        return []
     gens = []
-    parts = _prime_power_split(N)
-    for q, p0 in parts:
-        rest = N // q
-        local = []
-        if p0 == 2:
-            if q == 4:
-                local = [(3, 2)]
-            elif q >= 8:
-                local = [(q - 1, 2), (5, q // 4)]
+    for q, p0 in _prime_power_split(N):
+        if p0 != 2:
+            local = [(primitive_root(q), q - q // p0)]
+        elif q == 2:
+            local = []
+        elif q == 4:
+            local = [(3, 2)]
         else:
-            phi = q - q // p0
-            local = [(next(g for g in range(2, q) if g % p0 and multiplicative_order(g, q, phi) == phi), phi)]
-        for g, order in local:
-            lifted = crt([g, 1], [q, rest]) if rest > 1 else g
-            gens.append((lifted % N, order))
+            local = [(q - 1, 2), (5, q // 4)]
+        gens += [(crt([g, 1], [q, N // q]), order) for g, order in local]
     return gens
 
 
 class DirichletCharacter:
-    """Multiplicative map (Z/N)^* -> F_{p^r}^*, stored as a value table."""
+    """Multiplicative map (Z/N)^* -> F_{p^r}^*, stored as the coordinate
+    table `values` (N, r) of the module docstring."""
 
     def __init__(self, field, modulus, values):
+        values = np.asarray(values, dtype=np.int64) % field.p
+        if modulus < 1 or values.shape != (modulus, field.r):
+            raise ValueError("expected a table of shape (%d, %d)" % (modulus, field.r))
+        if not np.array_equal(values.any(axis=1), _units(modulus)):
+            raise ValueError("the nonzero rows of the table must be the units mod %d" % modulus)
+        values.flags.writeable = False
         self.field = field
         self.modulus = modulus
-        self._values = dict(values)
-        units = [u for u in range(1, max(modulus, 2)) if gcd(u, modulus) == 1]
-        if modulus == 1:
-            units = [0]  # every integer is a unit mod 1; table keyed by 0
-        for u in units:
-            if u not in self._values:
-                raise ValueError("value table incomplete at %d" % u)
+        self.values = values
 
     # -- construction --
 
     @classmethod
     def trivial(cls, field, modulus=1):
-        if modulus == 1:
-            return cls(field, 1, {0: field.one()})
-        values = {u: field.one() for u in range(1, modulus) if gcd(u, modulus) == 1}
+        values = np.zeros((modulus, field.r), dtype=np.int64)
+        values[:, 0] = _units(modulus)
         return cls(field, modulus, values)
 
     @classmethod
     def from_generators(cls, field, modulus, images):
         """Character with the given images on unit_group_structure(modulus)."""
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
         gens = unit_group_structure(modulus)
         if len(images) != len(gens):
             raise ValueError("expected %d generator images" % len(gens))
@@ -85,21 +89,14 @@ class DirichletCharacter:
                 raise ValueError("images must lie in the given field")
             if img**order != field.one():
                 raise ValueError("image of %d must have order dividing %d" % (g, order))
-        if modulus == 1:
-            return cls.trivial(field, 1)
-        values = {}
-        stack = [(1, field.one())]
+        # every unit is a product of generator powers, each met once
+        units, vals = [1 % modulus], [field.one()]
         for (g, order), img in zip(gens, images):
-            new = []
-            for u, v in stack:
-                acc_u, acc_v = u, v
-                for _ in range(order):
-                    new.append((acc_u, acc_v))
-                    acc_u = (acc_u * g) % modulus
-                    acc_v = acc_v * img
-            stack = new
-        for u, v in stack:
-            values[u] = v
+            powers = [img**j for j in range(order)]
+            units = [u * pow(g, j, modulus) % modulus for u in units for j in range(order)]
+            vals = [v * w for v in vals for w in powers]
+        values = np.zeros((modulus, field.r), dtype=np.int64)
+        values[units] = field.to_array(vals)
         return cls(field, modulus, values)
 
     @classmethod
@@ -117,46 +114,45 @@ class DirichletCharacter:
     def __call__(self, n):
         if isinstance(n, Fq):
             raise TypeError("characters are evaluated at integers")
-        if self.modulus == 1:
-            return self.field.one()
-        u = n % self.modulus
-        if gcd(u, self.modulus) != 1:
+        row = self.values[n % self.modulus]
+        if not row.any():
             raise ValueError("%d is not a unit mod %d" % (n, self.modulus))
-        return self._values[u]
+        return Fq(self.field, row.tolist())
 
     @property
     def order(self):
-        n = 1
-        for v in self._values.values():
-            if v != self.field.one():
-                n = lcm(n, v.multiplicative_order())
-        return n
+        rows = np.unique(self.values[self.values.any(axis=1)], axis=0)
+        return lcm(*(v.multiplicative_order() for v in self.field.from_array(rows)))
 
     def is_trivial(self):
-        return all(v == self.field.one() for v in self._values.values())
+        return self == DirichletCharacter.trivial(self.field, self.modulus)
 
     def __mul__(self, other):
         if other.field != self.field:
             raise ValueError("characters over different fields")
         M = lcm(self.modulus, other.modulus)
-        a, b = self.lift(M), other.lift(M)
-        values = {u: a._values[u] * b._values[u] for u in a._values}
-        return DirichletCharacter(self.field, M, values)
+        a, b = self.lift(M).values, other.lift(M).values
+        # zero rows off the units give zero matrices, so the product stays zero there
+        return DirichletCharacter(self.field, M, (self.field.mul_matrices(a) @ b[:, :, None])[:, :, 0] % self.field.p)
 
     def inverse(self):
-        values = {u: v.inverse() for u, v in self._values.items()}
-        return DirichletCharacter(self.field, self.modulus, values)
+        """u -> chi(u^-1), read at the inverse of each unit."""
+        N = self.modulus
+        at = np.arange(N)
+        units = at[self.values.any(axis=1)].tolist()
+        at[units] = [pow(u, -1, N) for u in units]
+        return DirichletCharacter(self.field, N, self.values[at])
 
     def __eq__(self, other):
         return (
             isinstance(other, DirichletCharacter)
             and self.field == other.field
             and self.modulus == other.modulus
-            and self._values == other._values
+            and np.array_equal(self.values, other.values)
         )
 
     def __hash__(self):
-        return hash((self.field, self.modulus, tuple(sorted((u, v.coords) for u, v in self._values.items()))))
+        return hash((self.field, self.modulus, self.values.tobytes()))
 
     def __repr__(self):
         return "DirichletCharacter(mod %d, order %d)" % (self.modulus, self.order)
@@ -167,52 +163,38 @@ class DirichletCharacter:
         """The character mod M induced by this one (M a multiple of the modulus)."""
         if M % self.modulus:
             raise ValueError("can only lift to a multiple of the modulus")
-        if M == self.modulus:
-            return self
-        values = {}
-        for u in range(1, M) if M > 1 else [0]:
-            if M > 1 and gcd(u, M) != 1:
-                continue
-            values[u] = self(u)
-        return DirichletCharacter(self.field, M, values)
+        return DirichletCharacter(self.field, M, self.values[np.arange(M) % self.modulus] * _units(M)[:, None])
+
+    def over(self, big):
+        """This character with its values embedded in the extension big."""
+        return DirichletCharacter(big, self.modulus, embed_matrix(self.values, self.field, big))
 
     def conductor(self):
-        """Least modulus through which the character factors."""
-        for d in divisors(self.modulus):
-            if self._factors_through(d):
-                return d
-        return self.modulus
-
-    def _factors_through(self, d):
-        if self.modulus == 1:
-            return d == 1
-        for u in self._values:
-            for v in self._values:
-                if (u - v) % d == 0 and self._values[u] != self._values[v]:
-                    return False
-        return True
+        """Least modulus through which the character factors: the least
+        d | N with chi = 1 on the units = 1 mod d, the kernel of the
+        reduction (Z/N)^* -> (Z/d)^*."""
+        N = self.modulus
+        # true where chi is 1, and off the units
+        fixed = (self.values == DirichletCharacter.trivial(self.field, N).values).all(axis=1)
+        residues = np.arange(N)
+        return next(d for d in divisors(N) if fixed[residues % d == 1 % d].all())
 
     def primitive_part(self):
-        """The primitive character of modulus conductor() inducing this one."""
+        """The primitive character of modulus conductor() inducing this one:
+        its value at a unit mod c is read at the least unit mod N above it."""
         c = self.conductor()
-        if c == self.modulus:
-            return self
-        values = {}
-        for u in range(1, c) if c > 1 else [0]:
-            if c > 1 and gcd(u, c) != 1:
-                continue
-            # pick any unit mod modulus congruent to u mod c
-            w = u
-            while gcd(w, self.modulus) != 1:
-                w += c
-            values[u] = self._values[w % self.modulus]
+        units = np.flatnonzero(self.values.any(axis=1))
+        residues, least = np.unique(units % c, return_index=True)
+        values = np.zeros((c, self.field.r), dtype=np.int64)
+        values[residues] = self.values[units[least]]
         return DirichletCharacter(self.field, c, values)
 
     def factor(self, d):
         """Split into (chi0 mod d, chi1 mod N/d) for coprime d, N/d.
 
         chi0(u) depends only on u mod d, chi1 only on u mod N/d, and
-        chi = chi0 * chi1 pointwise on units.
+        chi = chi0 * chi1 pointwise on units.  chi0(u) is the table's row at
+        the residue that is u mod d and 1 mod N/d, and chi1 likewise.
         """
         N = self.modulus
         if d <= 0 or N % d:
@@ -220,31 +202,30 @@ class DirichletCharacter:
         m = N // d
         if gcd(d, m) != 1:
             raise ValueError("d and N/d must be coprime")
-        if d == 1:
-            return DirichletCharacter.trivial(self.field, 1), self
-        if m == 1:
-            return self, DirichletCharacter.trivial(self.field, 1)
-        chi0 = {u: self(crt([u, 1], [d, m])) for u in range(1, d) if gcd(u, d) == 1}
-        chi1 = {u: self(crt([1, u], [d, m])) for u in range(1, m) if gcd(u, m) == 1}
-        return (
-            DirichletCharacter(self.field, d, chi0),
-            DirichletCharacter(self.field, m, chi1),
-        )
+        chi0 = self.values[[crt([u, 1], [d, m]) for u in range(d)]]
+        chi1 = self.values[[crt([1, u], [d, m]) for u in range(m)]]
+        return DirichletCharacter(self.field, d, chi0), DirichletCharacter(self.field, m, chi1)
 
     # -- serialization --
 
     def to_json(self):
+        units = np.flatnonzero(self.values.any(axis=1)).tolist()
         return {
             "modulus": self.modulus,
             "field": self.field.to_json(),
-            "values": {str(u): list(v.coords) for u, v in sorted(self._values.items())},
+            "values": {str(u): self.values[u].tolist() for u in units},
         }
 
     @classmethod
     def from_json(cls, data):
         field = FiniteField.from_json(data["field"])
-        values = {int(u): field.element(c) for u, c in data["values"].items()}
-        return cls(field, data["modulus"], values)
+        N = data["modulus"]
+        values = np.zeros((N, field.r), dtype=np.int64)
+        for u, coords in data["values"].items():
+            if not 0 <= int(u) < N:
+                raise ValueError("residue %s is not in [0, %d)" % (u, N))
+            values[int(u)] = field.element(coords).coords
+        return cls(field, N, values)
 
 
 def niveau2_normal_form(p, m):

@@ -7,12 +7,16 @@ generator to the least root of its modulus there, found by the same
 equal-degree splitting that reads off Hecke eigenvalues.  All arithmetic is
 exact; nothing here floats.
 
-Fq objects are scalars: eigenvalues and character values.  Vectors and
-matrices over F_{p^r} are int64 arrays of F_p coordinates whose trailing
-axis has length r (see linalg); to_array and from_array convert between the
-two, and every field keeps, cached, the F_p matrices of multiplication by a
-scalar, of its embeddings and of its Frobenius powers, each acting on
-coordinate columns.
+Fq objects are single scalars: eigenvalues, and a Dirichlet character's
+value where it is evaluated.  Vectors, matrices and tables of values over
+F_{p^r}, a character's among them (see characters), are int64 arrays of F_p
+coordinates whose trailing axis has length r (see linalg); to_array and
+from_array convert between the two.  Every field keeps, cached in one
+dictionary, the F_p matrices of multiplication by a scalar, of its
+embeddings and of its Frobenius powers, each acting on coordinate columns,
+and the roots that define its embeddings.  A product of two scalars is one
+np.convolve of their coordinates, rewritten by the modulus like a
+polynomial product's coefficients.
 
 A polynomial of degree n over F_{p^r} is an int64 array (n + 1, r) of F_p
 coordinates in [0, p), constant term first, with a nonzero last row; the
@@ -78,20 +82,10 @@ class Fq:
         if isinstance(other, int):
             return Fq(fld, [a * other for a in self.coords])
         other = self._check(other)
-        # the schoolbook product, then each x^k with k >= r rewritten by the
-        # monic modulus; Fq() reduces the coefficients mod p once, at the end
-        r, mod = fld.r, fld.modulus
-        prod = [0] * (2 * r - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    prod[i + j] += a * b
-        for k in range(2 * r - 2, r - 1, -1):
-            c = prod[k]
-            if c:
-                for i in range(r):
-                    prod[k - r + i] -= c * mod[i]
-        return Fq(fld, prod[:r])
+        # the product of the coordinate vectors, its coefficient of g^s,
+        # s < 2r - 1, rewritten by the field modulus as _poly_mul does
+        prod = np.convolve(self.coords, other.coords) % fld.p
+        return Fq(fld, (prod @ fld.generator_powers()).tolist())
 
     __rmul__ = __mul__
 
@@ -249,19 +243,17 @@ class FiniteField:
         """Embed x in this field into the extension field `big`."""
         if not isinstance(x, Fq) or x.field != self:
             raise ValueError("element not in this field")
-        if big.p != self.p or big.r % self.r != 0:
-            raise ValueError("not an extension of this field")
         return x if big is self else Fq(big, (self.embedding_matrix(big) @ x.coords).tolist())
 
     def _embedding_root(self, big):
         """The least root of this field's modulus in big, in big.elements()
         order: the image of the generator under embed."""
-        cached = self.__dict__.setdefault("_embedding_roots", {})
-        if big.r not in cached:
+        key = ("root", big.r)
+        if key not in self._maps:
             m = np.zeros((self.r + 1, big.r), dtype=np.int64)
             m[:, 0] = self.modulus
-            cached[big.r] = big.element(_roots(m, big)[0].tolist())
-        return cached[big.r]
+            self._maps[key] = big.element(_roots(m, big)[0].tolist())
+        return self._maps[key]
 
     def to_array(self, xs):
         """The coordinate array, shape (len(xs), r), of a sequence of elements."""
@@ -327,6 +319,8 @@ class FiniteField:
     def embedding_matrix(self, big):
         """The big.r x r F_p matrix of embed(., big): its column t holds the
         coordinates of root^t, root = _embedding_root(big)."""
+        if big.p != self.p or big.r % self.r != 0:
+            raise ValueError("not an extension of this field")
         return self._map(("embed", big.r), lambda t: (self._embedding_root(big) ** t).coords)
 
     def frobenius_matrix(self, k=1):

@@ -203,10 +203,9 @@ class SymbolSpace:
         self._rep_max = int(np.abs(self.reps).max())
         self.dimV = self.module.dim
         self.full_dim = len(self.labels) * self.dimV
-        # the multiplication matrix of chi1(u) for each residue u mod N, zero
-        # off the units
-        zero = np.zeros((field.r, field.r), dtype=np.int64)
-        self._chi_mul = np.array([field.mul_matrix(chi1(u)) if gcd(u, N) == 1 else zero for u in range(N)])
+        # the multiplication matrix of chi1(u) for each residue u mod N: zero
+        # off the units, where the character's table is zero
+        self._chi_mul = field.mul_matrices(chi1.values)
         self._coeff_cache = {}
         self._hecke_cache = {}
         self._build_quotient()

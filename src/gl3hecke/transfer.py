@@ -70,7 +70,7 @@ class BoundaryDatum:
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
         space = SymbolSpace(N1, p, a, b, chi1=chi1, field=field)
-        chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else _match_field(chi0, space.field)
+        chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)
         systems = find_eigensystems(space, list(window))
         if not systems:
             raise ValueError("no eigensystem found in the window")
@@ -88,13 +88,6 @@ class BoundaryDatum:
         return cls(c=c, d=d, chi0=chi0, space=space, eigen=sys)
 
 
-def _match_field(chi, field):
-    if chi.field == field:
-        return chi
-    values = {u: chi.field.embed(v, field) for u, v in chi._values.items()}
-    return DirichletCharacter(field, chi.modulus, values)
-
-
 def gl3_hecke_on_boundary(datum, l, k, V):
     """T(l,k) V for V one class (dim, r) or a block of classes as columns
     (dim, n, r) over the space's field, from the per-coset Levi blocks.  k
@@ -107,8 +100,8 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     array test to lie in the level-N1 semigroup.  The cosets of all the ks
     are then grouped at once, which is exact because each operator is
     linear in its coset sum: each coset's scalar chi0(psi1) * psi1^c is
-    read from tables of chi0 at the residues present and of the c-th powers
-    mod p, the scalars are added per (k, psi2) as coordinate arrays with
+    read from the table of chi0 and from a table of the c-th powers mod p,
+    the scalars are added per (k, psi2) as coordinate arrays with
     np.add.at, and a zero sum is skipped.  One space.semigroup_act call
     moves V by the distinct live psi2 of all the ks, and one product adds
     each image, times its scalar, into the slice of its k.
@@ -129,9 +122,8 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     if (cosets.psi2[:, 0, 1] % space.N).any():
         raise RuntimeError("psi2 is not in the level-N1 semigroup")
     # the coordinates of each coset's scalar chi0(psi1) * psi1^c: chi0 read
-    # from its values at the residues present, the power from a table mod p
-    residues, at = np.unique(cosets.psi1 % datum.chi0.modulus, return_inverse=True)
-    chi = field.to_array([datum.chi0(u) for u in residues.tolist()])[at]
+    # from its table, the power from a table mod p
+    chi = datum.chi0.values[cosets.psi1 % datum.chi0.modulus]
     power = np.array([pow(u, datum.c % (p - 1), p) for u in range(p)], dtype=np.int64)
     scalars = chi * power[cosets.psi1 % p][:, None] % p
     # added up per (k, psi2), rows grouped as opaque items (several times

@@ -68,6 +68,13 @@ elements need not preserve rational orbits.  a_l3 is the closed-form
 eigenvalue of the central operator T(l,3).  smith_diagonal reads the
 elementary divisors of an integer matrix off gcds of its minors, and
 same_right_coset decides g Gamma = h Gamma for the level-N group.
+mulmod_schoolbook is the product of two field elements given as integer
+coordinate lists, multiplied term by term and reduced by the modulus one
+power at a time; it is the reference for ffield.Fq.__mul__.
+conductor_pairwise is the least d | N such that chi takes one value on
+every pair of units congruent mod d, the definition that
+DirichletCharacter.conductor checked before it read the kernel of the
+reduction mod d.
 """
 
 from dataclasses import dataclass
@@ -1397,3 +1404,29 @@ def same_right_coset(g, h, N):
         return False
     q = mat3([[x // D for x in row] for row in prod])
     return in_gamma0(q, N)
+
+
+# -- field scalars and Dirichlet characters --------------------------------------------
+
+
+def mulmod_schoolbook(a, b, f, p):
+    """The coordinates of a * b in F_p[x] / (f), for coordinate lists a and
+    b of length r and the monic modulus f, constant term first."""
+    r = len(f) - 1
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(len(prod) - 1, r - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(r + 1):
+                prod[k - r + i] -= c * f[i]
+    return [v % p for v in prod[:r]]
+
+
+def conductor_pairwise(chi):
+    """The least d | N with chi(u) = chi(v) for all units u = v mod d."""
+    N = chi.modulus
+    values = {u: chi(u) for u in range(N) if gcd(u, N) == 1}
+    return next(d for d in divisors(N) if all(values[u] == values[v] for u in values for v in values if (u - v) % d == 0))

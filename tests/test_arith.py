@@ -33,6 +33,27 @@ def test_primitive_root_is_least_generator():
         primitive_root(4)
 
 
+def test_primitive_root_of_every_odd_prime_power_below_2000():
+    # the least g whose powers fill the units mod q, by listing them
+    for q in range(3, 2000, 2):
+        primes = {f for f in range(3, q + 1) if q % f == 0 and is_prime(f)}
+        if len(primes) != 1:
+            continue
+        units = {u for u in range(1, q) if gcd(u, q) == 1}
+
+        def generates(g):
+            x, seen = g, {1}
+            while x != 1:
+                seen.add(x)
+                x = x * g % q
+            return seen == units
+
+        assert primitive_root(q) == next(g for g in sorted(units) if generates(g)), q
+    for q in [0, 1, 4, 8, 12, 15, 16, 36]:
+        with pytest.raises(ValueError):
+            primitive_root(q)
+
+
 def test_multiplicative_order_matches_brute_force():
     # every unit mod every n <= 200, given the order phi(n) of the whole group
     for n in range(2, 201):

@@ -16,7 +16,7 @@ from gl3hecke.ffield import (
     make_field,
 )
 
-from _oracles import _poly_gcd_fq, _poly_mul_fq, _poly_powmod_fq, _poly_trim_fq, distinct_degrees_fq, roots_fq
+from _oracles import _poly_gcd_fq, _poly_mul_fq, _poly_powmod_fq, _poly_trim_fq, distinct_degrees_fq, mulmod_schoolbook, roots_fq
 
 
 def test_rejects_bad_p():
@@ -127,6 +127,20 @@ def test_embedding_root_is_the_least_root_a_scan_finds(p, r, e):
     g = small.primitive_element()
     assert small.embed(g, big) ** (small.order - 1) == big.one()
     assert small.embed(g * g + g, big) == small.embed(g, big) ** 2 + small.embed(g, big)
+    # the root is cached with the field's other maps, in its one dictionary
+    assert small._maps[("root", big.r)] == scan
+    assert set(vars(small)) == {"p", "r", "order", "modulus", "_maps", "_ready"}
+
+
+@given(p=st.sampled_from([5, 7, 13]), r=st.integers(1, 6), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_product_matches_the_schoolbook_product(p, r, data):
+    F = make_field(p, r)
+    coords = st.lists(st.integers(0, p - 1), min_size=r, max_size=r)
+    a, b = data.draw(coords), data.draw(coords)
+    expected = mulmod_schoolbook(a, b, list(F.modulus), p)
+    assert list((F.element(a) * F.element(b)).coords) == expected
+    assert list((F.element(b) * F.element(a)).coords) == expected
 
 
 def test_json_roundtrip():

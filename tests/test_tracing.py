@@ -1,7 +1,8 @@
 """The traced benchmark pass (bench/tracing.py) wraps library names at the
 places their callers look them up, and reads the results of some of them.
-This runs it on the chain's smallest datum and on one GL(3) module build
-with its parabolic invariants, in a fresh interpreter, so that a renamed,
+This runs it on the chain's smallest datum, on one GL(3) module build
+with its parabolic invariants and on a datum with d = 3 and the quadratic
+chi0 mod 3, whose character evaluations are counted, in a fresh interpreter, so that a renamed,
 moved or reshaped name fails here and not in a benchmark run.
 Nothing under bench/ is changed."""
 
@@ -15,7 +16,8 @@ SCRIPT = """
 import sys
 sys.path[:0] = [{bench!r}, {src!r}]
 import tracing
-from gl3hecke import modrep, transfer
+from gl3hecke import ffield, modrep, transfer
+from gl3hecke.characters import DirichletCharacter
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -40,6 +42,11 @@ assert metrics["heckegl3.hecke_orbit_action.s"] > 0
 spans = tracer.summary()
 batches = spans["modsym2.hecke_matrix"][0] + spans["transfer.gl3_hecke_on_boundary"][0]
 assert 0 < spans["modsym2.semigroup_act"][0] <= batches, (spans["modsym2.semigroup_act"][0], batches)
+chi0 = DirichletCharacter.quadratic(ffield.FiniteField(5), 3)
+datum = transfer.BoundaryDatum.build(5, 0, 0, 0, 3, 11, chi0=chi0, window=(2,))
+report = transfer.run_transfer_checks(datum, (2,))
+assert all(v is True for e in report for k, v in e.items() if k != "l"), report
+assert tracing.layer_metrics(tracer)["characters.call.calls"] > 0
 print("traced chain ok")
 """
 
