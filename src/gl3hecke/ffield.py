@@ -3,9 +3,10 @@
 Elements are coordinate vectors with respect to a deterministically chosen
 monic irreducible modulus polynomial, so serialized values are reproducible
 across runs.  A field embeds in each of its extensions by sending the
-generator to the least root of its modulus there, found by the same
-equal-degree splitting that reads off Hecke eigenvalues.  All arithmetic is
-exact; nothing here floats.
+generator to the least root of its modulus there.  That root is found the
+way the eigen search reads a Galois orbit of Hecke eigenvalues: _one_root
+splits off one root, and the others are its Frobenius conjugates, of which
+the least is kept.  All arithmetic is exact; nothing here floats.
 
 Fq objects are single scalars: eigenvalues, and a Dirichlet character's
 value where it is evaluated.  Vectors, matrices and tables of values over
@@ -216,13 +217,8 @@ class FiniteField:
         return Fq(self, coords)
 
     def elements(self):
-        for k in range(self.order):
-            coords = []
-            kk = k
-            for _ in range(self.r):
-                coords.append(kk % self.p)
-                kk //= self.p
-            yield Fq(self, coords)
+        for c in _element_coords(self):
+            yield Fq(self, c.tolist())
 
     def units(self):
         for x in self.elements():
@@ -247,12 +243,17 @@ class FiniteField:
 
     def _embedding_root(self, big):
         """The least root of this field's modulus in big, in big.elements()
-        order: the image of the generator under embed."""
+        order: the image of the generator under embed.  The modulus is
+        irreducible over F_p, so its roots in big are the images of any one
+        of them under x -> x^p."""
         key = ("root", big.r)
         if key not in self._maps:
             m = np.zeros((self.r + 1, big.r), dtype=np.int64)
             m[:, 0] = self.modulus
-            self._maps[key] = big.element(_roots(m, big)[0].tolist())
+            roots = [_one_root(m, big, FiniteField(self.p))]
+            for _ in range(self.r - 1):
+                roots.append(matmul_mod(big.frobenius_matrix(1), roots[-1], self.p))
+            self._maps[key] = big.element(_sort_elements(roots, big)[0].tolist())
         return self._maps[key]
 
     def to_array(self, xs):
@@ -277,12 +278,6 @@ class FiniteField:
     def _power(self, t):
         """g^t for g the class of x, t < r: the t-th coordinate vector."""
         return Fq(self, [int(s == t) for s in range(self.r)])
-
-    def mul_matrix(self, x):
-        """The r x r F_p matrix of y -> x * y: coords(x * y) = M @ coords(y)."""
-        if not isinstance(x, Fq) or x.field != self:
-            raise ValueError("element not in this field")
-        return self.mul_matrices(x.coords)
 
     def mul_matrices(self, X):
         """The F_p matrices of multiplication by the elements whose
@@ -309,7 +304,7 @@ class FiniteField:
         return self._maps["generator_powers"]
 
     def power_matrices(self):
-        """The (r, r, r) array of mul_matrix(g^t), t < r: column s of the
+        """The (r, r, r) array of mul_matrices(g^t), t < r: column s of the
         t-th holds the coordinates of g^(t + s)."""
         if "powers" not in self._maps:
             t = np.arange(self.r)
@@ -517,11 +512,6 @@ class _Modulus:
         return out
 
 
-def _poly_powmod(base, e, m, field):
-    """base^e mod the monic m, of degree at least 1."""
-    return _Modulus(m, field).powmod(base, e)
-
-
 def _distinct_degrees(m, field):
     """The distinct-degree parts of the monic polynomial m, yielded as they
     are found: the pairs (d, g_d), d increasing, where g_d is the product
@@ -584,9 +574,11 @@ def _split(f, d, field, splitters, first=False):
 def _equal_degree(g, d, field):
     """The monic irreducible factors of g, a product of distinct monic
     irreducibles of degree d over field.  For d = 1 the splitters are x + a,
-    a in field.elements(), which always finish (see _roots); for d > 1 they
-    are _SPLITTERS pseudo-random polynomials of degree below deg g, from a
-    fixed seed."""
+    a in field.elements(), which always finish: g is the product of the x -
+    root, and for two roots r != s, (q - 1)/2 values of a give r + a and s
+    + a different quadratic characters (q is odd).  For d > 1 they are
+    _SPLITTERS pseudo-random polynomials of degree below deg g, from a fixed
+    seed."""
     if d == 1:
         return _split(g, 1, field, (_linear(a, field) for a in _element_coords(field)))
 
@@ -598,27 +590,15 @@ def _equal_degree(g, d, field):
     return _split(g, d, field, splitters())
 
 
-def _roots(m, field):
-    """The distinct roots in the field of the monic polynomial m, as a
-    coordinate array (k, r) in field.elements() order.  g = gcd(x^q - x, m)
-    is the product of the x - root; it is split by x + a for a in
-    field.elements() (q is odd).  For two roots r != s, (q - 1)/2 values of
-    a give r + a and s + a different quadratic characters, so the splitting
-    always finishes."""
-    x = _monomial(1, field)
-    g = _poly_gcd(_poly_sub(_poly_powmod(x, field.order, m, field), x, field), m, field)
-    if len(g) < 2:
-        return np.zeros((0, field.r), dtype=np.int64)
-    return _sort_elements([-f[0] % field.p for f in _equal_degree(g, 1, field)], field)
-
-
 def _one_root(f, field, sub):
     """One root in field of the monic f, whose roots are distinct, lie in
     field and are conjugate over its subfield sub.  A shift a in sub gives
     every root of f the quadratic character of one of them, since x ->
     x^|sub| fixes a and permutes the roots, so f is split by x + a for the
     a of field.elements() outside sub; for two roots, (q - 1)/2 of all a
-    separate them, and none of those lies in sub."""
+    separate them, and none of those lies in sub.  Its callers are
+    modsym2._orbit_kernel, for one eigenvalue of a Galois orbit, and
+    FiniteField._embedding_root, for one root of a field's modulus."""
     frobenius = field.frobenius_matrix(sub.r)
     shifts = (a for a in _element_coords(field) if not np.array_equal(matmul_mod(frobenius, a, field.p), a))
     (linear,) = _split(f, 1, field, (_linear(a, field) for a in shifts), first=True)

@@ -68,6 +68,7 @@ from math import factorial
 import numpy as np
 
 from .arith import adj3, det, primitive_root
+# np_rref is not called here; the traced benchmark pass wraps modrep.np_rref
 from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref, trailing_pivots
 
 
@@ -303,16 +304,16 @@ def _radical_quotient(W, gram, p):
     gram, already in W-coordinates.  Row k of W is independent of the
     radical and the rows before it iff no vector of span(N) has its last
     nonzero entry at k; those last entries are the trailing pivots T of
-    span(N), the pivots of the rref of N with its columns reversed.  So L is
-    W without the rows T.  Reversed back, that rref is a basis N_T of
-    span(N) with a 1 at its own place of T and 0 at the others, so the
-    W-coordinates y of a row, less y[T] N_T, lie in the span of the rows L,
-    and read at their places give the coordinates in L."""
-    N_T = np_rref(np_nullspace(gram, p)[:, ::-1], p)[0][::-1, ::-1]
-    trailing = trailing_pivots(N_T)
+    span(N), so L is W without the rows T.  A row of N from np_nullspace is
+    1 at its free column, 0 at the other free columns and elsewhere nonzero
+    only at pivots left of it, so T are the free columns.  The W-coordinates
+    y of a row, less y[T] N, lie in the span of the rows L, and read at
+    their places give the coordinates in L."""
+    N = np_nullspace(gram, p)
+    trailing = trailing_pivots(N)
     keep = np.ones(len(W), dtype=bool)
     keep[trailing] = False
-    radical = N_T[:, keep]
+    radical = N[:, keep]
     pivots = (W != 0).argmax(axis=1)
 
     def coords(rows):

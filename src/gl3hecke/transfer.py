@@ -8,9 +8,10 @@ chi0(psi1) * psi1^c times the chi1-twisted symbol action of psi2.  The
 operator is linear in that coset sum, so cosets sharing a psi2 block are
 grouped exactly: their scalars are added.  The operator is applied to
 classes, and several ks of one prime are applied in one pass: the cosets of
-all of them are grouped at once by (k, psi2), one SymbolSpace.semigroup_act
-call moves the classes by the distinct live psi2 of all the ks, and each image,
-times its group's scalar, is added into the slice of its k.
+all of them are grouped at once by psi2, their scalars added per k, one
+SymbolSpace.semigroup_act call moves the classes by the distinct live psi2 of
+all the ks, and each image, times its scalar for each k, is added into the
+slice of that k.
 run_transfer_checks makes one such pass per prime, for T(l,1), T(l,2) and
 T(l,3) together, and not one for the whole window: a pass holds all its
 images at once.  On (p,a,b,c,d,N1) = (11,4,0,1,5,133), window up to 47, the
@@ -69,6 +70,8 @@ class BoundaryDatum:
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
+        if chi0 is not None and chi0.modulus != d:
+            raise ValueError("chi0 must have modulus d")
         space = SymbolSpace(N1, p, a, b, chi1=chi1, field=field)
         chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)
         systems = find_eigensystems(space, list(window))
@@ -98,13 +101,13 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     One hecke_orbit_action call gives the cosets of all the ks, each
     tagged with its k's slot, and every coset's psi2 is checked as one
     array test to lie in the level-N1 semigroup.  The cosets of all the ks
-    are then grouped at once, which is exact because each operator is
-    linear in its coset sum: each coset's scalar chi0(psi1) * psi1^c is
+    are then grouped at once by psi2, which is exact because each operator
+    is linear in its coset sum: each coset's scalar chi0(psi1) * psi1^c is
     read from the table of chi0 and from a table of the c-th powers mod p,
-    the scalars are added per (k, psi2) as coordinate arrays with
-    np.add.at, and a zero sum is skipped.  One space.semigroup_act call
-    moves V by the distinct live psi2 of all the ks, and one product adds
-    each image, times its scalar, into the slice of its k.
+    and added as a coordinate array into a (psi2, k) table with np.add.at.
+    A psi2 is live when any of its sums is nonzero.  One
+    space.semigroup_act call moves V by the live psi2, and one product adds
+    each image, times its scalar for each k, into the slice of that k.
 
     All the images of the call are held at once, which is why
     run_transfer_checks stacks the ks of one prime and not the primes of its
@@ -126,24 +129,20 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     chi = datum.chi0.values[cosets.psi1 % datum.chi0.modulus]
     power = np.array([pow(u, datum.c % (p - 1), p) for u in range(p)], dtype=np.int64)
     scalars = chi * power[cosets.psi1 % p][:, None] % p
-    # added up per (k, psi2), rows grouped as opaque items (several times
-    # faster than np.unique(rows, axis=0)); a zero sum is skipped
-    groups, group = np.unique(_opaque(np.column_stack([cosets.slot, cosets.psi2.reshape(-1, 4)])), return_inverse=True)
-    sums = np.zeros((len(groups), field.r), dtype=np.int64)
-    np.add.at(sums, group, scalars)
-    sums %= p
-    live = np.flatnonzero(sums.any(axis=1))
+    # added up per (psi2, k), the psi2 rows grouped as opaque items (several
+    # times faster than np.unique(rows, axis=0))
+    blocks, block = np.unique(_opaque(cosets.psi2.reshape(-1, 4)), return_inverse=True)
+    coef = np.zeros((len(blocks), len(ks), field.r), dtype=np.int64)
+    np.add.at(coef, (block, cosets.slot), scalars)
+    coef %= p
+    live = coef.any(axis=(1, 2))
     V = np.asarray(V, dtype=np.int64)
     out = np.zeros((len(ks),) + V.shape, dtype=np.int64)
-    if live.size:
-        groups = groups[live].view(np.int64).reshape(-1, 5)
-        # the images of V under every distinct live psi2 of all the ks
-        blocks, block = np.unique(_opaque(groups[:, 1:]), return_inverse=True)
-        images = space.semigroup_act(V, blocks.view(np.int64).reshape(-1, 2, 2))
-        n, r = len(blocks), field.r
-        # the scalar of each (psi2, k), zero where that k has no live group
-        coef = np.zeros((n, len(ks), r), dtype=np.int64)
-        coef[block, groups[:, 0]] = sums[live]
+    if live.any():
+        coef = coef[live]
+        # the images of V under every live psi2
+        images = space.semigroup_act(V, blocks[live].view(np.int64).reshape(-1, 2, 2))
+        n, r = len(coef), field.r
         # out[i][x, s] = sum over psi2 g and t of images[g][x, t] M[g, i][s, t],
         # M[g, i] the multiplication matrix of coef[g, i]: one product over (g, t)
         M = field.mul_matrices(coef).transpose(0, 3, 1, 2).reshape(n * r, len(ks) * r)

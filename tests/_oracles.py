@@ -560,7 +560,7 @@ def coeff_act(space, V, m):
     the module right action."""
     p, r = space.p, space.field.r
     R = space.module.rho(np.array([[m[0][0] % p, m[1][0] % p], [m[0][1] % p, m[1][1] % p]], dtype=np.int64))
-    S = space.field.mul_matrix(space.chi1(m[0][0]))
+    S = space.field.mul_matrices(space.chi1(m[0][0]).coords)
     A = (R[:, None, :, None] * S[:, None, :] % p).reshape(len(R) * len(S), -1)
     k = V.shape[1]
     W = matmul_mod(A, V.swapaxes(1, 2).reshape(space.dimV * r, k), p)

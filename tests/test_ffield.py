@@ -2,17 +2,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke.ffield import (
     FiniteField,
     _distinct_degrees,
     _equal_degree,
+    _Modulus,
     _poly_gcd,
     _poly_mul,
-    _poly_powmod,
-    _roots,
     make_field,
 )
 
@@ -132,6 +131,19 @@ def test_embedding_root_is_the_least_root_a_scan_finds(p, r, e):
     assert set(vars(small)) == {"p", "r", "order", "modulus", "_maps", "_ready"}
 
 
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from([5, 7, 11, 13]), r=st.integers(1, 4), e=st.integers(1, 3))
+@example(p=7, r=3, e=2)
+@example(p=13, r=4, e=3)
+def test_embedding_root_is_the_first_root_the_oracle_finds(p, r, e):
+    # one root from _one_root and its Frobenius conjugates give the same
+    # root as the oracle's complete split of the modulus over the extension
+    K = make_field(p, r)
+    E = K.extension(e)
+    modulus = [E.from_int(c) for c in K.modulus]
+    assert K._embedding_root(E) == roots_fq(modulus, E)[0]
+
+
 @given(p=st.sampled_from([5, 7, 13]), r=st.integers(1, 6), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_scalar_product_matches_the_schoolbook_product(p, r, data):
@@ -193,14 +205,13 @@ def test_array_polynomials_match_the_fq_oracle(p, r, factors, p_fold, seed):
     arr = F.to_array
     assert np.array_equal(_poly_mul(arr(a), arr(m), F), arr(_poly_mul_fq(a, m, F)))
     e = rng.randrange(F.order**2)
-    assert np.array_equal(_poly_powmod(arr(a), e, arr(m), F), arr(_poly_powmod_fq(a, e, m, F)))
+    assert np.array_equal(_Modulus(arr(m), F).powmod(arr(a), e), arr(_poly_powmod_fq(a, e, m, F)))
     assert np.array_equal(_poly_gcd(arr(a), arr(m), F), arr(_poly_gcd_fq(a, m)))
     assert np.array_equal(_poly_gcd(arr(b), arr(m), F), arr(_poly_gcd_fq(b, m)))
     parts = list(_distinct_degrees(arr(m), F))
     expected = distinct_degrees_fq(m, F)
     assert [d for d, _ in parts] == [d for d, _ in expected]
     assert all(np.array_equal(g, arr(h)) for (_, g), (_, h) in zip(parts, expected))
-    assert np.array_equal(_roots(arr(m), F), arr(roots_fq(m, F)))
     # the irreducible factors of each part, multiplied back, give the part
     for d, g in parts:
         factors_d = _equal_degree(g, d, F)

@@ -224,7 +224,7 @@ def test_products_embeddings_and_frobenius_match_fq_arithmetic(case):
     want = [sum((a * x for a, x in zip(row, v)), F.zero()) for row in rows]
     assert np.array_equal(linalg.apply_matrix(A, F.to_array(v), F), F.to_array(want))
     x = rows[0][0]
-    assert np.array_equal(matmul_mod(A, F.mul_matrix(x).T, F.p), _arr(F, [[x * a for a in row] for row in rows]))
+    assert np.array_equal(matmul_mod(A, F.mul_matrices(x.coords).T, F.p), _arr(F, [[x * a for a in row] for row in rows]))
     # the embedding as the old Horner evaluation at the least root, and x -> x^p
     big = F.extension(2)
     root = F._embedding_root(big)
@@ -375,6 +375,21 @@ def test_eigenvalue_is_read_at_the_trailing_pivot(case):
         linalg.eigenvalue(img, np.zeros_like(v), F)
     with pytest.raises(ValueError):
         linalg.eigenvalue(img, _scaled(F, _units(F, rng, 1)[0], v), F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([5, 7, 13]), n=st.integers(1, 8), data=st.data())
+def test_np_nullspace_is_its_own_reversed_rref(p, n, data):
+    # each kernel row is 1 at its free column and 0 at the other free
+    # columns, with its other entries at pivots left of it: the basis is
+    # already the rref of the kernel taken from the right
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, (data.draw(st.integers(1, n)), n))
+    A[:, rng.random(n) < 0.3] = 0
+    N = linalg.np_nullspace(A, p)
+    assume(len(N))
+    linalg.trailing_pivots(N)
+    assert np.array_equal(np_rref(N[:, ::-1], p)[0][::-1, ::-1], N)
 
 
 def test_int64_kernels_raise_past_the_int64_bound():

@@ -174,6 +174,16 @@ def test_unsearched_prime_raises_before_any_operator(monkeypatch):
         BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,), lambdas={2: 3, 31: 7})
 
 
+def test_build_rejects_a_chi0_whose_modulus_is_not_d(monkeypatch):
+    # chi0 is read at psi1 mod its modulus, so one of modulus 3 at d = 1
+    # would build a datum whose checks all pass at the wrong character
+    built = []
+    monkeypatch.setattr(transfer, "SymbolSpace", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="chi0 must have modulus d"):
+        BoundaryDatum.build(5, 0, 0, 0, 1, 11, chi0=DirichletCharacter.quadratic(F5, 3), window=(2,))
+    assert built == []
+
+
 def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
     # moving one coset's psi2 of T(l,k) out of the level-N1 semigroup must
     # fail the array check in the operator assembly, for each k, whether k
