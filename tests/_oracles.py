@@ -33,16 +33,21 @@ base rho: its module multiplies the carrier matrix by det^c and reads
 coordinates off it with the base's coordinate map, which
 recording_radical_quotient keeps as the base is built.  It is its own
 untwisted module, so its parabolic invariants are computed from that rho.
-spin_radical_quotient is the quotient of the highest-weight submodule by
-its radical as modrep built it before it worked in W-coordinates: a second
-spin over the carrier for the complement rows and a coordinate solve in the
+gfp_highest_weight_span is the highest-weight submodule W as modrep spun it
+under the generators of GL_3(F_p) before it built W one weight space at a
+time; its reduced echelon form is the reference for
+modrep._highest_weight_span.  spin_radical_quotient is the quotient of W by
+its radical as modrep built it before it worked in W-coordinates and one
+weight block at a time: the kernel of the whole Gram matrix, a second spin
+over the carrier for the complement rows and a coordinate solve in the
 basis [radical; complement]; it is the reference for
 modrep._radical_quotient.  direct_u_invariants computes and
 certifies the parabolic invariants of any rank-3 module from its own rho,
-the reference for the twists, which modrep.u_invariants reads off their
-base.  coord_solver solves for the coordinates of rows in any basis
-through rref([B | I]), the solve that modrep.u_invariants made before it
-read them at the trailing pivots.  composition_factor_dims is a meataxe that
+as the kernel of rho(u) - 1 for the two unipotent generators; it is the
+reference for modrep.u_invariants, which reads them off the weights of a
+base module and off the base for a twist.  coord_solver solves for the
+coordinates of rows in any basis through rref([B | I]), the solve that
+modrep.u_invariants made before it read them at the trailing pivots.  composition_factor_dims is a meataxe that
 splits a module given by generator matrices into composition factors, an
 independent check of the module dimensions; TwistedAction and twisted_act
 are the off-parabolic twisted semigroup action on a module, and levi_act
@@ -91,9 +96,12 @@ from gl3hecke.modrep import (
     CertificateError,
     IrreducibleModule,
     LeviModule,
+    _carrier_action,
     _intertwiner,
     _radical_quotient,
+    _spin,
     build_gl2_module,
+    gl_generators,
     sub_matrix,
     sym_basis,
 )
@@ -1134,8 +1142,8 @@ def recording_radical_quotient(record):
     """Drop-in for modrep._radical_quotient that also keeps, in the dict
     record, each coordinate map it returns under the id of its basis L."""
 
-    def quotient(W, gram, p):
-        L, coords = _radical_quotient(W, gram, p)
+    def quotient(*args):
+        L, coords = _radical_quotient(*args)
         record[id(L)] = coords
         return L, coords
 
@@ -1163,10 +1171,11 @@ def kron_twist_gl3(base, p, a, b, c, coords):
         basis=base.basis,
         carrier_dim=base.carrier_dim,
         compute_rho=compute_rho,
+        weights=base.weights + c,
     )
 
 
-# -- the radical quotient and the parabolic invariants, computed directly ----------
+# -- W, its radical quotient and the parabolic invariants, computed directly -------
 
 
 def coord_solver(B, p):
@@ -1183,11 +1192,24 @@ def coord_solver(B, p):
     return coords
 
 
-def spin_radical_quotient(W, gram, p):
-    """Drop-in for modrep._radical_quotient: the radical as carrier rows,
-    the complement rows of W by a second spin over the carrier, and the
-    coordinates of a row of W's span solved in the basis [radical; L]."""
-    rad = matmul_mod(np_nullspace(gram, p), W, p)
+def gfp_highest_weight_span(p, i, j):
+    """W, the span of the carrier highest-weight vector y1^i z3^j under the
+    generators of GL_3(F_p), spun breadth first as modrep built it before it
+    built W one weight space at a time: the rows of the reduced echelon form
+    of W, in the order the spin found them."""
+    ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
+    vplus = np.zeros(len(ybasis) * len(zbasis), dtype=np.int64)
+    vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
+    act = _carrier_action(p, i, j)
+    return _spin(vplus, [act(g) for g in gl_generators(3, p)], p)
+
+
+def spin_radical_quotient(W, weights, wt, p):
+    """Drop-in for modrep._radical_quotient, which ignores the weights: the
+    radical from the whole Gram matrix, as carrier rows, the complement rows
+    of W by a second spin over the carrier, and the coordinates of a row of
+    W's span solved in the basis [radical; L]."""
+    rad = matmul_mod(np_nullspace(matmul_mod(W * wt % p, W.T, p), p), W, p)
     comp = SpinBasis(p, W.shape[1])
     comp.add_rows(rad)
     L = W[comp.add_rows(W)]

@@ -9,13 +9,13 @@ from gl3hecke import modrep
 from gl3hecke.arith import adj3, det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
+from gl3hecke.linalg import np_rref
 from gl3hecke.modrep import (
     CertificateError,
     build_gl2_module,
     build_gl3_module,
     gl_generators,
     sub_matrix,
-    sym_basis,
     u_invariants,
 )
 
@@ -28,6 +28,7 @@ from _oracles import (
     direct_u_invariants,
     g_elem,
     g_elem_inv,
+    gfp_highest_weight_span,
     kron_carrier,
     kron_carrier_act,
     kron_twist_gl3,
@@ -172,18 +173,10 @@ def test_conjugated_module_same_dim_and_weight():
 
 def _highest_weight_submodule(p, i, j):
     """W, the span of the carrier highest-weight vector y1^i z3^j under the
-    group, as _build_gl3_base spins it but without quotienting out the
-    radical of the contravariant form; rho is read through coord_solver."""
-    ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
-    dz = len(zbasis)
-
-    def carrier_rho(g):
-        return sub_matrix(np.asarray(g).T % p, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
-
-    vplus = np.zeros(len(ybasis) * dz, dtype=np.int64)
-    vplus[ybasis.index((i, 0, 0)) * dz + zbasis.index((0, 0, j))] = 1
-    actions = [lambda X, g=g: modrep._carrier_act(carrier_rho(g), X, p) for g in gl_generators(3, p)]
-    W = modrep._spin(vplus, actions, p)
+    group, without quotienting out the radical of the contravariant form;
+    rho is read through coord_solver."""
+    W = gfp_highest_weight_span(p, i, j)
+    act = modrep._carrier_action(p, i, j)
     coords = coord_solver(W, p)
     return modrep.IrreducibleModule(
         p=p,
@@ -191,8 +184,8 @@ def _highest_weight_submodule(p, i, j):
         label=(i + j, j, 0),
         dim=len(W),
         basis=W,
-        carrier_dim=len(vplus),
-        compute_rho=lambda g: coords(modrep._carrier_act(carrier_rho(g), W, p)).T.copy(),
+        carrier_dim=W.shape[1],
+        compute_rho=lambda g: coords(act(g)(W)).T.copy(),
     )
 
 
@@ -512,6 +505,51 @@ def test_twist_invariants_match_the_direct_computation(label, monkeypatch):
     assert not (levi.basis.flags.writeable or levi.iso.flags.writeable)
 
 
+@st.composite
+def _restricted_label(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    i, j = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    c = draw(st.sampled_from([0, 1, p - 2]))
+    return p, i + j + c, j + c, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(_restricted_label())
+def test_u_invariants_match_the_direct_fixed_space(label):
+    # the invariants read off the weights with mu_1 = c are the fixed space
+    # that np_nullspace finds, byte for byte, with the same intertwiner
+    mod = build_gl3_module(*label)
+    got, want = u_invariants(mod), direct_u_invariants(mod)
+    _assert_byte_identical([got.basis, got.iso], [want.basis, want.iso])
+    assert (got.gl1_exponent, got.gl2_module.label) == (want.gl1_exponent, want.gl2_module.label)
+
+
+def test_u_invariants_reject_a_moved_lowest_weight_row():
+    # rho(u2) no longer fixes one basis row of weight mu_1 = 0
+    base = build_gl3_module(7, 5, 2, 0)
+    k = int(np.flatnonzero(base.weights[:, 0] == 0)[1])
+    u2 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+
+    def compute_rho(g):
+        rho = base.rho(g).copy()
+        if np.array_equal(g, u2):
+            rho[(k + 1) % base.dim, k] = (rho[(k + 1) % base.dim, k] + 1) % 7
+        return rho
+
+    broken = modrep.IrreducibleModule(
+        p=7,
+        n=3,
+        label=base.label,
+        dim=base.dim,
+        basis=base.basis,
+        carrier_dim=base.carrier_dim,
+        compute_rho=compute_rho,
+        weights=base.weights,
+    )
+    with pytest.raises(CertificateError, match="not fixed by the unipotent radical"):
+        u_invariants(broken)
+
+
 def _keys(p):
     """Every module key (p, i, j) at p <= 7; at p = 11 the four keys of the
     local-weights benchmark."""
@@ -522,9 +560,8 @@ def _keys(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_bounded_spins_return_the_full_spin(p, monkeypatch):
-    # a spin stopped at its proven dimension returns the bytes of the full
-    # spin; the highest-weight submodule W is at most Weyl-dimensional, and
-    # the certificate's spin is bounded by the module's dimension
+    # the certificate's spin stops at the module's dimension and returns the
+    # bytes of the full spin
     spin, seen = modrep._spin, []
 
     def both(rows, actions, p, dim=None):
@@ -538,9 +575,19 @@ def test_bounded_spins_return_the_full_spin(p, monkeypatch):
         monkeypatch.setattr(modrep, "_GL3_CACHE", {})
         seen.clear()
         mod = build_gl3_module(p, i + j, j, 0)
-        (w, weyl), certificate = seen
-        assert w <= weyl == _weyl_dim(i, j)
-        assert certificate == (mod.dim, mod.dim)
+        assert seen == [(mod.dim, mod.dim)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_graded_span_is_the_reduced_gfp_spin(p):
+    # W built one weight space at a time from the divided powers of the
+    # simple roots is the span of v+ under the generators of GL_3(F_p), in
+    # reduced echelon form, and at most Weyl-dimensional
+    for _, i, j in _keys(p):
+        got = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
+        want = gfp_highest_weight_span(p, i, j)
+        _assert_byte_identical([got], [np_rref(want, p)[0]])
+        assert len(got) <= _weyl_dim(i, j)
 
 
 def _basis_and_generators(p, i, j):

@@ -9,20 +9,29 @@ every eigensystem over [2, 3] its field degree, its eigenvalues and its
 vector; then, on the datum built with c = 1, d = 1, the transfer report and
 the measured eigenvalues of T(l, k), l in [2, 3], k in {1, 2, 3}.
 
-A second sha256 pins the GL(3) modules as the float64 remainder, the D x D
-Kronecker carrier and the per-twist carrier action computed them (commit
-0e89602): for each module key of the local-weights benchmark, at its base
-label and twisted by det, the basis, rho of the generators, and the
-parabolic invariants with their isomorphism onto the rank-2 model."""
+A second sha256 pins the GL(3) modules: for each module key of the
+local-weights benchmark, at its base label and twisted by det, the basis,
+rho of the generators, and the parabolic invariants with their isomorphism
+onto the rank-2 model.  MODULE_PINNED is the build from the weight-graded
+W, whose rows are in pivot order.  SPUN_MODULE_PINNED is the same record as
+the float64 remainder, the D x D Kronecker carrier and the per-twist
+carrier action computed it (commit 0e89602), from the G(F_p) spin of W,
+whose rows are those of the same reduced echelon form in the order the
+spin found them; with that spin put back in place of the graded W, the
+radical and the invariants still give those bytes, so the order of W's
+rows is the only change between the two digests."""
 
 import hashlib
 import json
 
+from gl3hecke import modrep
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.modrep import build_gl3_module, gl_generators, u_invariants
 from gl3hecke.modsym2 import SymbolSpace, find_eigensystems
 from gl3hecke.transfer import BoundaryDatum, eigenvalue_of, run_transfer_checks
+
+from _oracles import gfp_highest_weight_span
 
 WINDOW = (2, 3)
 
@@ -76,7 +85,8 @@ MODULE_KEYS = [
     (11, 2, 3), (11, 3, 2), (11, 5, 6), (11, 6, 5), (13, 0, 3), (13, 6, 0),
 ]
 
-MODULE_PINNED = "08043861bbaf9dca7358357e0bdb95a37d8e212ab723d2ee3a81600fdde201af"
+MODULE_PINNED = "cf16655fc1882ba2905e049810c8033391affedd017a277876d97c20921cd875"
+SPUN_MODULE_PINNED = "08043861bbaf9dca7358357e0bdb95a37d8e212ab723d2ee3a81600fdde201af"
 
 
 def _module_record(p, a, b, c):
@@ -86,7 +96,17 @@ def _module_record(p, a, b, c):
     return [[p, a, b, c], [x.tolist() for x in arrays]]
 
 
-def test_modules_match_the_pinned_digest():
+def _module_digest():
     labels = [(p, i + j + c, j + c, c) for p, i, j in MODULE_KEYS for c in (0, 1)]
     blob = json.dumps([_module_record(*label) for label in labels])
-    assert hashlib.sha256(blob.encode()).hexdigest() == MODULE_PINNED
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_modules_match_the_pinned_digest():
+    assert _module_digest() == MODULE_PINNED
+
+
+def test_modules_from_the_spun_w_match_the_spun_digest(monkeypatch):
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_highest_weight_span", lambda p, i, j, act: gfp_highest_weight_span(p, i, j))
+    assert _module_digest() == SPUN_MODULE_PINNED
