@@ -405,7 +405,8 @@ def _radical_quotient(W, weights, wt, p):
     for k, mu in enumerate(map(tuple, weights[pivots].tolist())):
         blocks.setdefault(mu, []).append(k)
     single = np.array([ks[0] for ks in blocks.values() if len(ks) == 1], dtype=np.intp)
-    value = (W[single] ** 2 % p * wt).sum(axis=1) % p
+    rows = W[single]
+    value = (rows * rows % p * wt).sum(axis=1) % p
     kernel = {k: ([k], [1]) for k in single[value == 0].tolist()}
     for ks in blocks.values():
         if len(ks) > 1:
