@@ -3,18 +3,18 @@ rank-2 group and F(a,b,c) for the rank-3 group, with parabolic invariants.
 
 Construction of F(a,b,c): the carrier is Sym^{a-b}(std) (x) Sym^{b-c}(wedge^2
 std) (x) det^c, realized on monomials in two sets of three variables.  The
-highest-weight vector generates a highest-weight submodule W; the radical
-of the contravariant (apolarity) form on W is cut out exactly, and W/rad is
-the irreducible module.  Certificates run at build time: the carrier
-highest-weight vector, form adjointness, and the irreducibility certificate
-of _certify_module, which serves both ranks.  It takes K, the joint fixed
-space of the upper unipotent generators E_{i,i+1}(1), requires dim K = 1
-with the labelled torus weight, and spins that line to the whole module.
-This proves irreducibility: the upper unitriangular group U+ is a p-group,
-so every nonzero submodule has a nonzero U+-fixed vector; that vector lies
-on the line K, so every nonzero submodule holds K and hence everything K
-spins to.  Every matrix product mod p goes through linalg.matmul_mod, which
-is exact or raises.
+highest-weight vector generates, under the group, a highest-weight
+submodule W; the radical of the contravariant (apolarity) form on W is cut
+out exactly, and W/rad is the irreducible module.  Certificates run at
+build time: the carrier highest-weight vector, form adjointness, and the
+irreducibility certificate of _certify_module, which serves both ranks.  It
+takes K, the joint fixed space of the upper unipotent generators
+E_{i,i+1}(1), requires dim K = 1 with the labelled torus weight, and spins
+that line to the whole module.  This proves irreducibility: the upper
+unitriangular group U+ is a p-group, so every nonzero submodule has a nonzero
+U+-fixed vector; that vector lies on the line K, so every nonzero submodule
+holds K and hence everything K spins to.  Every matrix product mod p goes
+through linalg.matmul_mod, which is exact or raises.
 
 W, the radical and the parabolic invariants are read one weight space at
 a time; the carrier monomials y^e z^f are a weight basis, of weight
