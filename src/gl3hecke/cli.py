@@ -4,11 +4,9 @@
 
 builds the irreducible module F(A,B,C) of GL_3 over F_P and its parabolic
 invariants, and prints one JSON object with sorted keys: the label, the
-module and carrier dimensions, the number of weight spaces of the
-highest-weight submodule W, the dimension and GL(2) label of the
-invariants, and under "timings" the wall time of each stage, the only part
-that changes from run to run.  W is built a second time on its own, so that
-its weight spaces can be counted and its time shown as a stage.
+module and carrier dimensions, the number of weight spaces of the module,
+the dimension and GL(2) label of the invariants, and under "timings" the
+wall time of each stage, the only part that changes from run to run.
 """
 
 from __future__ import annotations
@@ -29,16 +27,11 @@ def module_summary(p, a, b, c):
     start = time.perf_counter()
     levi = modrep.u_invariants(mod)
     timings["u_invariants_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    i, j = a - b, b - c
-    W = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
-    timings["span_s"] = time.perf_counter() - start
-    weights = modrep._carrier_weights(i, j)[(W != 0).argmax(axis=1)]
     return {
         "label": list(mod.label),
         "dim": mod.dim,
         "carrier_dim": mod.carrier_dim,
-        "weight_spaces": len(set(map(tuple, weights.tolist()))),
+        "weight_spaces": len(set(map(tuple, mod.weights.tolist()))),
         "levi_dim": levi.dim,
         "gl2_label": list(levi.gl2_module.label),
         "timings": timings,

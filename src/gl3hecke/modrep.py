@@ -40,14 +40,16 @@ carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
 two products with inner dimensions dy and dz in place of one with inner
 dimension D.  The factors of each g are computed once per base.
 
-Every module, of either rank and twisted or not, is one IrreducibleModule
-whose rho is data: compute_rho takes g, reduced mod p, to the matrix
-rho(g), and rho caches it per g.  A twist by det^c points to its base
-module through its untwisted field, and shares the base's basis and
-coordinates; any other module is its own untwisted module.  Coordinates are
-linear, so the twist's compute_rho is det(g)^c times base.rho(g) mod p, and
-u_invariants takes the base's parabolic invariants and their intertwiner
-unchanged.
+Every module, of either rank and twisted or not, is one IrreducibleModule:
+a basis, its weights and an image map.  image(g, rows) takes rows of module
+coordinates to their images under g mod p, and rows None to the images of
+every basis row, which is rho(g) transposed.  Nothing is cached, and each
+check images only the rows it reads (_certify_module, u_invariants).  A
+twist by det^c points to its base module through its untwisted field, and
+shares the base's basis and coordinates; any other module is its own
+untwisted module.  Coordinates are linear, so the twist's image is det(g)^c
+times the base's image mod p, and u_invariants takes the base's parabolic
+invariants and their intertwiner unchanged.
 
 The substitution matrices Sym^k(M) behind every carrier action are built by
 degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
@@ -158,7 +160,8 @@ def gl2_rho(g, a, b, p):
 
 
 def gl_generators(n, p):
-    """Adjacent transvections plus torus generators of the rank-n group."""
+    """Adjacent transvections E_{i,i+1}(1), E_{i+1,i}(1) for i < n - 1, in
+    that order, plus torus generators of the rank-n group."""
     gens = []
     for i in range(n - 1):
         for (a, b) in ((i, i + 1), (i + 1, i)):
@@ -181,26 +184,27 @@ class IrreducibleModule:
     p: int
     n: int
     label: tuple
-    dim: int
     basis: np.ndarray  # rows: module basis inside the carrier (identity for n=2)
-    carrier_dim: int
-    compute_rho: Callable  # g, reduced mod p -> the F_p matrix rho(g), columns as images
+    image: Callable  # (g, rows (k, dim) or None) -> the images of rows under g mod p; None: every basis row
     untwisted: IrreducibleModule = None  # the base module of a det^c twist; self otherwise
     weights: np.ndarray = None  # rank 3: (dim, 3), the torus weight of each basis row
 
     def __post_init__(self):
         if self.untwisted is None:
             self.untwisted = self
-        self._rho_cache = {}
         self._levi = None  # the LeviModule of u_invariants, once computed
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def carrier_dim(self):
+        return self.basis.shape[1]
 
     def rho(self, g):
         """Left homomorphism matrix of g (n x n integers, reduced mod p)."""
-        g = np.asarray(g, dtype=np.int64) % self.p
-        key = g.tobytes()
-        if key not in self._rho_cache:
-            self._rho_cache[key] = self.compute_rho(g)
-        return self._rho_cache[key]
+        return self.image(g, None).T
 
     def act_right(self, v, m):
         """Right semigroup action v|m = rho(transpose(m mod p)) v."""
@@ -213,16 +217,12 @@ def build_gl2_module(p, a, b):
     variables twisted by the b-th power of the determinant."""
     if not 0 <= a - b <= p - 1:
         raise ValueError("label (%d, %d) is not p-restricted" % (a, b))
-    dim = a - b + 1
-    mod = IrreducibleModule(
-        p=p,
-        n=2,
-        label=(a, b),
-        dim=dim,
-        basis=np.eye(dim, dtype=np.int64),
-        carrier_dim=dim,
-        compute_rho=lambda g: gl2_rho(g, a, b, p),
-    )
+
+    def image(g, rows):
+        G = gl2_rho(g, a, b, p).T
+        return G if rows is None else matmul_mod(rows, G, p)
+
+    mod = IrreducibleModule(p=p, n=2, label=(a, b), basis=np.eye(a - b + 1, dtype=np.int64), image=image)
     _certify_module(mod)
     return mod
 
@@ -273,8 +273,8 @@ def _build_gl3_base(p, i, j):
 
     # W modulo the radical of the contravariant form on it; each row of L,
     # as of W, lies in the weight space of its pivot column.  W is passed
-    # straight through, so it is freed before the certificate's spin, the
-    # peak of the build.
+    # straight through, so no copy of it outlives the quotient, and L is W
+    # itself when the radical is 0.
     weights = _carrier_weights(i, j)
     L, coords = _radical_quotient(_highest_weight_span(p, i, j, act), weights, wt, p)
 
@@ -282,10 +282,8 @@ def _build_gl3_base(p, i, j):
         p=p,
         n=3,
         label=(a, b, c),
-        dim=len(L),
         basis=L,
-        carrier_dim=D,
-        compute_rho=lambda g: coords(act(g)(L)).T.copy(),
+        image=_carrier_image(act, L, coords, p),
         weights=weights[(L != 0).argmax(axis=1)],
     )
     _certify_module(mod)
@@ -307,6 +305,21 @@ def _carrier_action(p, i, j):
         return lambda X: _carrier_act(factors, X, p)
 
     return act
+
+
+def _carrier_image(act, L, coords, p):
+    """The image map of the module with carrier basis L and coordinate map
+    coords: rows go to rows L, through act(g), and back to coordinates.
+    rows L reads only the rows of L that rows uses, not a float64 copy."""
+
+    def image(g, rows):
+        if rows is None:
+            return coords(act(g)(L))
+        rows = np.asarray(rows, dtype=np.int64)
+        used = rows.any(axis=0)
+        return coords(act(g)(matmul_mod(rows[:, used], L[used], p)))
+
+    return image
 
 
 def _carrier_weights(i, j):
@@ -397,9 +410,9 @@ def _radical_quotient(W, weights, wt, p):
     matrix returns.  Row k of W is independent of the radical and the rows
     before it iff no vector of span(N) has its last nonzero entry at k;
     those last entries are the trailing pivots T of span(N), the free
-    columns, so L is W without the rows T.  The W-coordinates y of a row,
-    less y[T] N, lie in the span of the rows L, and read at their places
-    give the coordinates in L."""
+    columns, so L is W without the rows T, and W itself when T is empty.
+    The W-coordinates y of a row, less y[T] N, lie in the span of the rows
+    L, and read at their places give the coordinates in L."""
     pivots = (W != 0).argmax(axis=1)
     blocks = {}
     for k, mu in enumerate(map(tuple, weights[pivots].tolist())):
@@ -426,7 +439,7 @@ def _radical_quotient(W, weights, wt, p):
         y = np.asarray(rows, dtype=np.int64)[:, pivots]
         return (y[:, keep] - matmul_mod(y[:, trailing], radical, p)) % p
 
-    return W[keep], coords
+    return (W if keep.all() else W[keep]), coords
 
 
 def _twist_gl3(base, p, a, b, c):
@@ -437,10 +450,8 @@ def _twist_gl3(base, p, a, b, c):
         p=p,
         n=3,
         label=(a, b, c),
-        dim=base.dim,
         basis=base.basis,
-        carrier_dim=base.carrier_dim,
-        compute_rho=lambda g: base.rho(g) * pow(int(det(g)) % p, c % (p - 1), p) % p,
+        image=lambda g, rows: base.image(g, rows) * pow(int(det(g)) % p, c % (p - 1), p) % p,
         untwisted=base,
         weights=base.weights + c,
     )
@@ -480,22 +491,11 @@ def _random_invertible(p, rng):
             return g
 
 
-def _upper_unipotents(n):
-    """E_{i,i+1}(1) for i < n - 1, which generate the upper unitriangular
-    group U+ of the rank-n group over F_p."""
-    gens = []
-    for i in range(n - 1):
-        E = np.eye(n, dtype=np.int64)
-        E[i, i + 1] = 1
-        gens.append(E)
-    return gens
-
-
 def _check_highest_weight(act, v, n, label, p):
     """Raise unless v is a highest-weight vector of weight label: fixed by
     U+, and scaled by g0^label[i] under diag(1, .., g0, .., 1) with the
     primitive root g0 in place i.  act(g) takes rows to their images."""
-    for u in _upper_unipotents(n):
+    for u in gl_generators(n, p)[: 2 * (n - 1) : 2]:
         if not np.array_equal(act(u)(v), v):
             raise CertificateError("highest-weight vector is not unipotent-invariant")
     g0 = primitive_root(p)
@@ -511,6 +511,9 @@ def _certify_module(mod):
     the module is one line, of the labelled highest weight, and that line
     spins to the whole module.
 
+    The full images of gl_generators, for K and the spin, are formed once
+    and dropped on return; the highest-weight check images the row K[0].
+
     Why this proves irreducibility: U+ is a p-group, and a p-group acting on
     a nonzero F_p-space fixes a nonzero vector (its orbits off the fixed
     points have p-power sizes).  So a nonzero submodule M' has a nonzero
@@ -521,17 +524,15 @@ def _certify_module(mod):
     irreducible.
     """
     p, n = mod.p, mod.n
-    eye = np.eye(mod.dim, dtype=np.int64)
-    K = np_nullspace(np.vstack([mod.rho(u) - eye for u in _upper_unipotents(n)]), p)
+    # float64, so that the spin's products take them without a copy
+    images = [mod.image(g, None).astype(np.float64) for g in gl_generators(n, p)]
+    eye = np.eye(mod.dim)
+    K = np_nullspace(np.vstack([G.T - eye for G in images[: 2 * (n - 1) : 2]]), p)
     if len(K) != 1:
         raise CertificateError("U+-fixed space has dimension %d, not 1, for label %s" % (len(K), mod.label))
-
-    def act(g):
-        Gt = mod.rho(g).T.astype(np.float64)
-        return lambda X: matmul_mod(X, Gt, p)
-
-    _check_highest_weight(act, K[0], n, mod.label, p)
-    if len(_spin(K, [act(g) for g in gl_generators(n, p)], p, mod.dim)) != mod.dim:
+    _check_highest_weight(lambda g: lambda v: mod.image(g, v[None])[0], K[0], n, mod.label, p)
+    actions = [lambda X, G=G: matmul_mod(X, G, p) for G in images]
+    if len(_spin(K, actions, p, mod.dim)) != mod.dim:
         raise CertificateError("the U+-fixed line spans a proper submodule")
 
 
@@ -570,8 +571,10 @@ def u_invariants(mod):
     the Levi factor: the weights mu with mu_1 = c.  So K is the unit rows at
     the basis rows of those weights, which is also the basis np_nullspace
     returns on that span.  The certificates check that there are a - b + 1
-    of them, that rho(u1) and rho(u2) fix each, the torus scalar and the
-    intertwiner.  The rank-2 block's matrix is rho(g) read at those rows.
+    of them, and image only those rows: u1 and u2 fix each, diag(g0, 1, 1)
+    scales each by g0^c, and each Levi generator diag(1, h) keeps them in
+    their span, as K = L^{U_P} is P-stable, U_P being normal in P.  The
+    rank-2 block's matrix is those images read at the rows of K.
 
     A twist by det^c takes its base's basis and isomorphism, because
     rho(g) = det(g)^c rho_base(g) in the base's coordinates.  The unipotents
@@ -603,11 +606,11 @@ def u_invariants(mod):
     u1 = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
     u2 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     for u in (u1, u2):
-        if not np.array_equal(mod.rho(u)[:, low].T, K):
+        if not np.array_equal(mod.image(u, K), K):
             raise CertificateError("the lowest Levi weight spaces are not fixed by the unipotent radical")
     # scalar action of the rank-1 torus factor
     g0 = primitive_root(p)
-    if not np.array_equal(mod.rho(np.diag([g0, 1, 1]))[:, low].T, pow(g0, c % (p - 1), p) * K % p):
+    if not np.array_equal(mod.image(np.diag([g0, 1, 1]), K), pow(g0, c % (p - 1), p) * K % p):
         raise CertificateError("rank-1 factor does not act by the expected power")
     # the rank-2 block action, restricted to the invariants
     gl2 = build_gl2_module(p, a, b)
@@ -615,7 +618,10 @@ def u_invariants(mod):
     def restricted(h):
         g = np.eye(3, dtype=np.int64)
         g[1:, 1:] = np.asarray(h) % p
-        return mod.rho(g)[low][:, low]
+        images = mod.image(g, K)
+        if np.delete(images, low, axis=1).any():
+            raise CertificateError("the Levi factor moves the invariants off the lowest Levi weight rows")
+        return images[:, low].T
 
     iso = _intertwiner(restricted, gl2, p)
     for x in (K, iso):

@@ -97,6 +97,7 @@ from gl3hecke.modrep import (
     IrreducibleModule,
     LeviModule,
     _carrier_action,
+    _carrier_image,
     _intertwiner,
     _radical_quotient,
     _spin,
@@ -1159,18 +1160,16 @@ def kron_twist_gl3(base, p, a, b, c, coords):
     if c % (p - 1) == 0 and (a, b, c) == base.label:
         return base
 
-    def compute_rho(g):
+    def act(g):
         C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
-        return coords(matmul_mod(base.basis, C.T, p)).T.copy()
+        return lambda X: matmul_mod(X, C.T, p)
 
     return IrreducibleModule(
         p=p,
         n=3,
         label=(a, b, c),
-        dim=base.dim,
         basis=base.basis,
-        carrier_dim=base.carrier_dim,
-        compute_rho=compute_rho,
+        image=_carrier_image(act, base.basis, coords, p),
         weights=base.weights + c,
     )
 

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from gl3hecke import modrep
 from gl3hecke.arith import adj3, det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
-from gl3hecke.linalg import np_rref
+from gl3hecke.linalg import matmul_mod, np_rref
 from gl3hecke.modrep import (
     CertificateError,
     build_gl2_module,
@@ -159,16 +162,10 @@ def test_conjugated_module_same_dim_and_weight():
     gxi = np.eye(3, dtype=np.int64)
     gxi[0, 1] = -3
 
-    class Conj:
-        p = mod.p
-        n = 3
-        dim = mod.dim
-        label = mod.label
-
-        def rho(self, g):
-            return mod.rho(gx @ np.asarray(g) @ gxi % p)
-
-    modrep._certify_module(Conj())  # raises if the weight moved
+    conj = modrep.IrreducibleModule(
+        p=mod.p, n=3, label=mod.label, basis=mod.basis, image=lambda g, rows: mod.image(gx @ np.asarray(g) @ gxi % p, rows)
+    )
+    modrep._certify_module(conj)  # raises if the weight moved
 
 
 def _highest_weight_submodule(p, i, j):
@@ -179,13 +176,7 @@ def _highest_weight_submodule(p, i, j):
     act = modrep._carrier_action(p, i, j)
     coords = coord_solver(W, p)
     return modrep.IrreducibleModule(
-        p=p,
-        n=3,
-        label=(i + j, j, 0),
-        dim=len(W),
-        basis=W,
-        carrier_dim=W.shape[1],
-        compute_rho=lambda g: coords(act(g)(W)).T.copy(),
+        p=p, n=3, label=(i + j, j, 0), basis=W, image=modrep._carrier_image(act, W, coords, p)
     )
 
 
@@ -200,19 +191,18 @@ def test_certificate_rejects_the_unquotiented_highest_weight_submodule(p, i, j, 
         modrep._certify_module(W)
 
 
-class _Dual:
+def _dual(mod):
     """The contragredient g -> rho(g^-1)^T of a module, labelled by the
     highest weight (-c, -b, -a) of the dual of F(a,b,c)."""
+    p = mod.p
+    a, b, c = mod.label
 
-    def __init__(self, mod):
-        self.mod, self.p, self.n, self.dim = mod, mod.p, mod.n, mod.dim
-        a, b, c = mod.label
-        self.label = (-c, -b, -a)
-
-    def rho(self, g):
-        p = self.p
+    def image(g, rows):
         g = np.asarray(g) % p
-        return self.mod.rho(np.array(adj3(g)) * pow(int(det(g)), p - 2, p) % p).T
+        G = mod.rho(np.array(adj3(g)) * pow(int(det(g)), p - 2, p) % p)
+        return G if rows is None else matmul_mod(rows, G, p)
+
+    return modrep.IrreducibleModule(p=p, n=mod.n, label=(-c, -b, -a), basis=mod.basis, image=image)
 
 
 @pytest.mark.parametrize("p,i,j", [(7, 3, 3), (5, 1, 3)])
@@ -220,19 +210,16 @@ def test_certificate_rejects_the_dual_of_the_highest_weight_submodule(p, i, j):
     # the dual of W has one U+-fixed line, of the right weight, but that line
     # spans only the socle, the dual of the irreducible quotient of W
     with pytest.raises(CertificateError, match="spans a proper submodule"):
-        modrep._certify_module(_Dual(_highest_weight_submodule(p, i, j)))
-    modrep._certify_module(_Dual(build_gl3_module(p, i + j, j, 0)))  # the irreducible's dual passes
+        modrep._certify_module(_dual(_highest_weight_submodule(p, i, j)))
+    modrep._certify_module(_dual(build_gl3_module(p, i + j, j, 0)))  # the irreducible's dual passes
 
 
 def test_certificate_rejects_a_wrong_label():
     mod = build_gl2_module(5, 3, 1)
 
-    class Relabelled:
-        p, n, dim, label = 5, 2, mod.dim, (4, 2)
-        rho = staticmethod(mod.rho)
-
+    relabelled = modrep.IrreducibleModule(p=5, n=2, label=(4, 2), basis=mod.basis, image=mod.image)
     with pytest.raises(CertificateError, match="wrong torus weight"):
-        modrep._certify_module(Relabelled())
+        modrep._certify_module(relabelled)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -530,24 +517,87 @@ def test_u_invariants_reject_a_moved_lowest_weight_row():
     k = int(np.flatnonzero(base.weights[:, 0] == 0)[1])
     u2 = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
 
-    def compute_rho(g):
-        rho = base.rho(g).copy()
+    def image(g, rows):
+        G = base.image(g, None)
         if np.array_equal(g, u2):
-            rho[(k + 1) % base.dim, k] = (rho[(k + 1) % base.dim, k] + 1) % 7
-        return rho
+            G[k, (k + 1) % base.dim] = (G[k, (k + 1) % base.dim] + 1) % 7
+        return G if rows is None else matmul_mod(rows, G, 7)
 
-    broken = modrep.IrreducibleModule(
-        p=7,
-        n=3,
-        label=base.label,
-        dim=base.dim,
-        basis=base.basis,
-        carrier_dim=base.carrier_dim,
-        compute_rho=compute_rho,
-        weights=base.weights,
-    )
+    broken = modrep.IrreducibleModule(p=7, n=3, label=base.label, basis=base.basis, image=image, weights=base.weights)
     with pytest.raises(CertificateError, match="not fixed by the unipotent radical"):
         u_invariants(broken)
+
+
+def test_u_invariants_reject_a_levi_image_off_the_lowest_weight_rows():
+    # the image of one invariant row under diag(1, E_01) gains a coordinate
+    # off the rows of weight mu_1 = 0, which the rank-2 block would drop
+    base = build_gl3_module(7, 5, 2, 0)
+    low = np.flatnonzero(base.weights[:, 0] == 0)
+    off = int(np.setdiff1d(np.arange(base.dim), low)[0])
+    e12 = np.array([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+
+    def image(g, rows):
+        G = base.image(g, None)
+        if np.array_equal(g, e12):
+            G[low[0], off] = (G[low[0], off] + 1) % 7
+        return G if rows is None else matmul_mod(rows, G, 7)
+
+    broken = modrep.IrreducibleModule(p=7, n=3, label=base.label, basis=base.basis, image=image, weights=base.weights)
+    with pytest.raises(CertificateError, match="off the lowest Levi weight rows"):
+        u_invariants(broken)
+
+
+def test_a_base_module_forms_one_full_image_per_generator(monkeypatch):
+    # the certificate forms the full images of gl_generators once; the
+    # highest-weight check images one row, u_invariants only the rows of K
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    calls, make = [], modrep._carrier_image
+
+    def spied(*args):
+        image = make(*args)
+
+        def spy(g, rows):
+            calls.append(rows)
+            return image(g, rows)
+
+        return spy
+
+    monkeypatch.setattr(modrep, "_carrier_image", spied)
+    p = 7
+    mod = build_gl3_module(p, 5, 2, 0)
+    assert sum(rows is None for rows in calls) == len(gl_generators(3, p)) == 6
+    assert all(len(rows) == 1 for rows in calls if rows is not None)
+    calls.clear()
+    levi = u_invariants(mod)
+    assert len(calls) == 6 and all(np.array_equal(rows, levi.basis) for rows in calls)
+
+
+def _reachable_arrays(root):
+    """Every numpy array reachable from root through gc referents, without
+    entering modules, their namespaces or classes."""
+    namespaces = {id(vars(m)) for m in list(sys.modules.values())}
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in namespaces or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_a_built_module_keeps_no_dim_by_dim_array(monkeypatch):
+    # rho is formed where it is read and dropped: after the build and
+    # u_invariants, the module holds its basis, not its images
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    mod = build_gl3_module(7, 5, 2, 0)
+    u_invariants(mod)
+    arrays = _reachable_arrays(mod)
+    assert any(x is mod.basis for x in arrays)
+    assert [x.shape for x in arrays if x.shape == (mod.dim, mod.dim)] == []
 
 
 def _keys(p):
@@ -604,6 +654,15 @@ def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(modrep, "_radical_quotient", spin_radical_quotient)
             _assert_byte_identical(got, _basis_and_generators(*key))
+
+
+@pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
+def test_radical_quotient_copies_w_only_when_the_radical_is_nonzero(p, i, j, radical):
+    W = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
+    wt = modrep._form_weights(modrep.sym_basis(3, i), modrep.sym_basis(3, j), p)
+    L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), wt, p)
+    assert len(W) - len(L) == radical
+    assert (L is W) == (radical == 0)
 
 
 class _IdentityBlock:
