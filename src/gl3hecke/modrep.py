@@ -315,7 +315,6 @@ def _carrier_image(act, L, coords, p):
     def image(g, rows):
         if rows is None:
             return coords(act(g)(L))
-        rows = np.asarray(rows, dtype=np.int64)
         used = rows.any(axis=0)
         return coords(act(g)(matmul_mod(rows[:, used], L[used], p)))
 
