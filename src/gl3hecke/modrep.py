@@ -3,18 +3,36 @@ rank-2 group and F(a,b,c) for the rank-3 group, with parabolic invariants.
 
 Construction of F(a,b,c): the carrier is Sym^{a-b}(std) (x) Sym^{b-c}(wedge^2
 std) (x) det^c, realized on monomials in two sets of three variables.  The
-highest-weight vector generates, under the group, a highest-weight
+highest-weight vector v+ generates, under the group, a highest-weight
 submodule W; the radical of the contravariant (apolarity) form on W is cut
-out exactly, and W/rad is the irreducible module.  Certificates run at
-build time: the carrier highest-weight vector, form adjointness, and the
-irreducibility certificate of _certify_module, which serves both ranks.  It
-takes K, the joint fixed space of the upper unipotent generators
-E_{i,i+1}(1), requires dim K = 1 with the labelled torus weight, and spins
-that line to the whole module.  This proves irreducibility: the upper
-unitriangular group U+ is a p-group, so every nonzero submodule has a nonzero
-U+-fixed vector; that vector lies on the line K, so every nonzero submodule
-holds K and hence everything K spins to.  Every matrix product mod p goes
-through linalg.matmul_mod, which is exact or raises.
+out exactly, and W/rad is the irreducible module.  Every matrix product mod
+p goes through linalg.matmul_mod, which is exact or raises.
+
+The certificate, _certify_module for both ranks, forms no full image.  It
+checks on the build's own data each input of a proof that the module is
+L(lambda), lambda = label, and absolutely irreducible on GL_n(F_p):
+- W = Dist(U-) v+: for rank 3 by construction (below).  For rank 2, W is
+  all of Sym^k, k = a - b < p: the f^(n) x^k are the weight components
+  C(k, n) x^(k-n) y^n of E_10(1) x^k = (x + y)^k, which the build checks
+  are nonzero.
+- The form is contravariant, (g u, w) = (u, g^T w).  On Sym^k the
+  apolarity form, pairing y^e with itself to e! = prod e_k! and with other
+  monomials to 0, is induced by the dot product (a sum over permutations of
+  products of dot products), so Sym^k(M)^T diag(e!) = diag(e!) Sym^k(M^T)
+  over Z.  The carrier's factors are Sym^i(g^T) and Sym^j(adj g), with
+  adj(g)^T = adj(g^T), and its form is the product of theirs.  The identity
+  is checked exactly per factor on each element of gl_generators, on the
+  matrices the action uses and the weights the build's form is made of; it
+  is multiplicative, so it holds on GL_n(F_p).
+- (v+, v+) != 0: a proper submodule N misses W_lambda, so (N, Dist(U-) v+)
+  = (Dist(U+) N, v+) = 0, and the radical is the unique maximal submodule:
+  W/rad = L(lambda) (Jantzen, Representations of Algebraic Groups, II.2).
+- L spans a complement of the radical: the weight blocks of the Gram
+  matrix are nonsingular on L, and dim L is dim L(lambda), which Braden's
+  closed form (Bull. AMS 73, 1967) gives apart from the radical.
+- In module coordinates v+ is fixed by U+ and has the weight lambda.
+- lambda is p-restricted, so L(lambda) stays absolutely irreducible on
+  GL_n(F_p) (Steinberg, Nagoya Math. J. 22, 1963).
 
 W, the radical and the parabolic invariants are read one weight space at
 a time; the carrier monomials y^e z^f are a weight basis, of weight
@@ -22,17 +40,15 @@ e + j(1,1,1) - f for the base label (i+j, j, 0).  W is the submodule that
 v+ generates under the algebraic group, Dist(G) v+, which is Dist(U-) v+
 because v+ is a weight vector fixed by U+; and Dist(U-) is generated as
 an algebra by the divided powers f_a^(n) of the two simple roots
-(Kostant's Z-form; Jantzen, Representations of Algebraic Groups, part II
-ch. 1).  So each weight space W_mu is spanned by the f_a^(n) W_(mu + n a),
-and _highest_weight_span builds the weight spaces in order of height below
-lambda = (i+j, j, 0), reading f_a^(n) w as the weight mu - n a component
-of x_-a(1) w.  Every weight of the carrier is at most lambda, so W is a
-quotient of the Weyl module V(lambda), by its universal property (Jantzen,
-part II ch. 2), and a W above the Weyl dimension (i+1)(j+1)(i+j+2)/2
-raises.  The contravariant form pairs distinct weight spaces to 0, so the
-radical is cut one weight block of the Gram matrix at a time, in
-W-coordinates (_radical_quotient).  The certificate's spin (_spin) lies in
-the module, so it stops at mod.dim.
+(Kostant's Z-form; Jantzen, part II ch. 1).  So each weight space W_mu is
+spanned by the f_a^(n) W_(mu + n a), and _highest_weight_span builds the
+weight spaces in order of height below lambda = (i+j, j, 0), reading
+f_a^(n) w as the weight mu - n a component of x_-a(1) w.  Every weight of
+the carrier is at most lambda, so W is a quotient of the Weyl module
+V(lambda), by its universal property (Jantzen, part II ch. 2), and a W
+above the Weyl dimension (i+1)(j+1)(i+j+2)/2 raises.  The contravariant
+form pairs distinct weight spaces to 0, so the radical is cut one weight
+block of the Gram matrix at a time, in W-coordinates (_radical_quotient).
 
 The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
@@ -72,17 +88,16 @@ weight spaces, so u_invariants reads them off the weights of the basis.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .arith import adj3, det, primitive_root
-from .linalg import SpinBasis, matmul_mod, np_nullspace, np_rref, trailing_pivots
+from .linalg import matmul_mod, np_nullspace, np_rref, trailing_pivots
 
 
 class CertificateError(RuntimeError):
@@ -187,7 +202,7 @@ class IrreducibleModule:
     basis: np.ndarray  # rows: module basis inside the carrier (identity for n=2)
     image: Callable  # (g, rows (k, dim) or None) -> the images of rows under g mod p; None: every basis row
     untwisted: IrreducibleModule = None  # the base module of a det^c twist; self otherwise
-    weights: np.ndarray = None  # rank 3: (dim, 3), the torus weight of each basis row
+    weights: np.ndarray = None  # (dim, n): the torus weight of each basis row
 
     def __post_init__(self):
         if self.untwisted is None:
@@ -215,15 +230,21 @@ class IrreducibleModule:
 def build_gl2_module(p, a, b):
     """Symmetric-power model of F(a,b): monomials of degree a-b in two
     variables twisted by the b-th power of the determinant."""
-    if not 0 <= a - b <= p - 1:
+    k = a - b
+    if not 0 <= k <= p - 1:
         raise ValueError("label (%d, %d) is not p-restricted" % (a, b))
 
     def image(g, rows):
         G = gl2_rho(g, a, b, p).T
         return G if rows is None else matmul_mod(rows, G, p)
 
-    mod = IrreducibleModule(p=p, n=2, label=(a, b), basis=np.eye(a - b + 1, dtype=np.int64), image=image)
-    _certify_module(mod)
+    basis = np.eye(k + 1, dtype=np.int64)
+    mod = IrreducibleModule(p=p, n=2, label=(a, b), basis=basis, image=image, weights=np.array(sym_basis(2, k)) + b)
+    # W = Dist(U-) v+ is the whole carrier: the weight components of
+    # E_10(1) x^k are the f^(n) x^k = C(k, n) x^(k-n) y^n
+    if not image(gl_generators(2, p)[1], basis[:1]).all():
+        raise CertificateError("the highest-weight vector does not generate the carrier")
+    _certify_module(mod, [_form_weights(2, k, p)], basis[0])
     return mod
 
 
@@ -231,7 +252,9 @@ _GL3_CACHE = {}
 
 
 def build_gl3_module(p, a, b, c):
-    """Irreducible F(a,b,c) via spin-plus-radical on the tensor carrier."""
+    """Irreducible F(a,b,c): the span W of v+ in the tensor carrier modulo
+    the radical of the contravariant form on it, certified by _certify_module
+    as L(a,b,c)."""
     if not (0 <= a - b <= p - 1 and 0 <= b - c <= p - 1):
         raise ValueError("label (%d, %d, %d) is not p-restricted" % (a, b, c))
     base_key = (p, a - b, b - c)
@@ -256,18 +279,9 @@ def _build_gl3_base(p, i, j):
     # highest-weight certificate on the carrier
     _check_highest_weight(act, vplus, 3, (a, b, c), p)
 
-    # adjointness of the contravariant form on the carrier (spot check)
-    wt = _form_weights(ybasis, zbasis, p)
-    rng = random.Random(12345)
-    for _ in range(3):
-        g = _random_invertible(p, rng)
-        u = np.array(rng.choices(range(p), k=D), dtype=np.int64)
-        w = np.array(rng.choices(range(p), k=D), dtype=np.int64)
-        lhs = int(matmul_mod(act(g)(u) * wt % p, w, p))
-        rhs = int(matmul_mod(u * wt % p, act(g.T % p)(w), p))
-        if lhs != rhs:
-            raise CertificateError("contravariant pairing is not adjoint")
-
+    # the contravariant form on the carrier, the product of its factor forms
+    forms = [_form_weights(3, i, p), _form_weights(3, j, p)]
+    wt = np.kron(*forms)
     if int(matmul_mod(vplus, vplus * wt, p)) == 0:
         raise CertificateError("form degenerates on the highest-weight vector")
 
@@ -286,7 +300,7 @@ def _build_gl3_base(p, i, j):
         image=_carrier_image(act, L, coords, p),
         weights=weights[(L != 0).argmax(axis=1)],
     )
-    _certify_module(mod)
+    _certify_module(mod, forms, coords(vplus[None])[0])
     return mod
 
 
@@ -300,11 +314,19 @@ def _carrier_action(p, i, j):
         g = np.asarray(g, dtype=np.int64) % p
         key = g.tobytes()
         if key not in factor_cache:
-            factor_cache[key] = sub_matrix(g.T, i, p), sub_matrix(np.array(adj3(g)) % p, j, p)
+            factor_cache[key] = _sym_factors(g, (i, j), p)
         factors = factor_cache[key]
         return lambda X: _carrier_act(factors, X, p)
 
     return act
+
+
+def _sym_factors(g, degrees, p):
+    """The factors of the carrier action of g mod p: Sym^i(g^T) for degrees
+    (i,), and also Sym^j(adj g) for degrees (i, j)."""
+    g = np.asarray(g, dtype=np.int64) % p
+    maps = [g.T] if len(degrees) == 1 else [g.T, np.array(adj3(g)) % p]
+    return tuple(sub_matrix(M, d, p) for M, d in zip(maps, degrees))
 
 
 def _carrier_image(act, L, coords, p):
@@ -379,7 +401,7 @@ def _highest_weight_span(p, i, j, act):
                         part = level_rows[:, columns[nu]]
                         if part.any():
                             candidates.setdefault(nu, []).append(part)
-    weyl = (i + 1) * (j + 1) * (i + j + 2) // 2
+    weyl = _weyl_dim(i, j)
     if len(rows) > weyl:
         raise CertificateError("W has dimension %d, above the Weyl dimension %d" % (len(rows), weyl))
     W = np.zeros((len(rows), len(weights)), dtype=np.int64)
@@ -397,34 +419,15 @@ def _radical_quotient(W, weights, wt, p):
     All of it runs in W-coordinates: W is fully reduced, so a row x of its
     span is x[pivots] in the basis W.  W is a sum of weight spaces, so each
     row of its reduced echelon form lies in the weight space of its pivot
-    column.  The form pairs distinct weight spaces to 0, so its Gram matrix
-    on W is block diagonal, one block per weight, and the radical N is the
-    kernel of each block, cut one block at a time.  A one-row block is its row's form value, and all of those are
-    tested at once; np_nullspace runs on the blocks of two or more rows.  A
-    row of np_nullspace's basis is 1 at its free column, 0 at the other
-    free columns and elsewhere nonzero only at pivots left of it: the
-    trailing-pivot normal form, which is unique.  The blocks have disjoint
-    supports, so the block kernels, embedded and sorted by free column, are
-    that form of the whole kernel, the bytes np_nullspace of the whole Gram
-    matrix returns.  Row k of W is independent of the radical and the rows
-    before it iff no vector of span(N) has its last nonzero entry at k;
-    those last entries are the trailing pivots T of span(N), the free
-    columns, so L is W without the rows T, and W itself when T is empty.
-    The W-coordinates y of a row, less y[T] N, lie in the span of the rows
-    L, and read at their places give the coordinates in L."""
+    column, and _gram_kernel cuts the radical N one weight block at a time,
+    in trailing-pivot normal form.  Row k of W is independent of the radical
+    and the rows before it iff no vector of span(N) has its last nonzero
+    entry at k; those last entries are the trailing pivots T of span(N), the
+    free columns, so L is W without the rows T, and W itself when T is
+    empty.  The W-coordinates y of a row, less y[T] N, lie in the span of
+    the rows L, and read at their places give the coordinates in L."""
     pivots = (W != 0).argmax(axis=1)
-    blocks = {}
-    for k, mu in enumerate(map(tuple, weights[pivots].tolist())):
-        blocks.setdefault(mu, []).append(k)
-    single = np.array([ks[0] for ks in blocks.values() if len(ks) == 1], dtype=np.intp)
-    rows = W[single]
-    value = (rows * rows % p * wt).sum(axis=1) % p
-    kernel = {k: ([k], [1]) for k in single[value == 0].tolist()}
-    for ks in blocks.values():
-        if len(ks) > 1:
-            B = W[ks]
-            for row in np_nullspace(matmul_mod(B * wt % p, B.T, p), p):
-                kernel[ks[row.nonzero()[0][-1]]] = ks, row
+    kernel = _gram_kernel(W, weights[pivots], wt, p)
     N = np.zeros((len(kernel), len(W)), dtype=np.int64)
     for n, k in enumerate(sorted(kernel)):
         ks, row = kernel[k]
@@ -439,6 +442,32 @@ def _radical_quotient(W, weights, wt, p):
         return (y[:, keep] - matmul_mod(y[:, trailing], radical, p)) % p
 
     return (W if keep.all() else W[keep]), coords
+
+
+def _gram_kernel(rows, weights, wt, p):
+    """The kernel of the Gram matrix of the form (x, y) = sum x y wt on the
+    carrier rows, of torus weights weights, as {k: (ks, row)}: each kernel
+    vector is row on the rows ks of its weight block, last nonzero at k.
+
+    The form pairs distinct weight spaces to 0, so the kernel is cut one
+    weight block at a time.  The one-row blocks are tested at once, and
+    np_nullspace runs on the others.  Its rows are in trailing-pivot normal
+    form, which is unique, and the blocks have disjoint supports, so the
+    block kernels sorted by k are the bytes np_nullspace of the whole Gram
+    matrix returns."""
+    blocks = {}
+    for k, mu in enumerate(map(tuple, weights.tolist())):
+        blocks.setdefault(mu, []).append(k)
+    single = np.array([ks[0] for ks in blocks.values() if len(ks) == 1], dtype=np.intp)
+    ones = rows[single]
+    value = (ones * ones % p * wt).sum(axis=1) % p
+    kernel = {k: ([k], [1]) for k in single[value == 0].tolist()}
+    for ks in blocks.values():
+        if len(ks) > 1:
+            B = rows[ks]
+            for row in np_nullspace(matmul_mod(B * wt % p, B.T, p), p):
+                kernel[ks[row.nonzero()[0][-1]]] = ks, row
+    return kernel
 
 
 def _twist_gl3(base, p, a, b, c):
@@ -469,25 +498,26 @@ def _carrier_act(factors, X, p):
     return Y.reshape(dy, k, dz).transpose(1, 0, 2).reshape(X.shape)
 
 
-def _form_weights(ybasis, zbasis, p):
-    wt = np.zeros(len(ybasis) * len(zbasis), dtype=np.int64)
-    dz = len(zbasis)
-    for iy, ym in enumerate(ybasis):
-        for iz, zm in enumerate(zbasis):
-            w = 1
-            for e in list(ym) + list(zm):
-                w = w * factorial(e) % p
-            wt[iy * dz + iz] = w
-    return wt
+def _form_weights(nvars, deg, p):
+    """The apolarity form on the degree-deg monomials in nvars variables, as
+    its diagonal: y^e pairs with itself to e! = prod e_k! mod p, and with
+    every other monomial to 0."""
+    return np.array([prod(map(factorial, e)) % p for e in sym_basis(nvars, deg)], dtype=np.int64)
 
 
-def _random_invertible(p, rng):
-    """A uniformly random element of GL_3(F_p), drawn from the
-    random.Random rng."""
-    while True:
-        g = np.array(rng.choices(range(p), k=9), dtype=np.int64).reshape(3, 3)
-        if det(g) % p:
-            return g
+def _weyl_dim(i, j):
+    """dim V(i+j, j, 0), the Weyl module of GL_3; 0 when i or j is -1."""
+    return (i + 1) * (j + 1) * (i + j + 2) // 2
+
+
+def _simple_dim(degrees, p):
+    """dim L(lambda) for the restricted lambda of gaps degrees: k + 1 for
+    rank 2; for rank 3, Braden's V(i, j) less V(p-2-j, p-2-i) above the
+    lowest alcove."""
+    if len(degrees) == 1:
+        return degrees[0] + 1
+    i, j = degrees
+    return _weyl_dim(i, j) - (_weyl_dim(p - 2 - j, p - 2 - i) if i + j + 2 > p else 0)
 
 
 def _check_highest_weight(act, v, n, label, p):
@@ -505,34 +535,23 @@ def _check_highest_weight(act, v, n, label, p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
 
-def _certify_module(mod):
-    """Irreducibility certificate for either rank: the U+-fixed space K of
-    the module is one line, of the labelled highest weight, and that line
-    spins to the whole module.
-
-    The full images of gl_generators, for K and the spin, are formed once
-    and dropped on return; the highest-weight check images the row K[0].
-
-    Why this proves irreducibility: U+ is a p-group, and a p-group acting on
-    a nonzero F_p-space fixes a nonzero vector (its orbits off the fixed
-    points have p-power sizes).  So a nonzero submodule M' has a nonzero
-    U+-fixed vector; it lies in K, a line, so M' holds K, and with it the
-    span of K under the group, which is the whole module.  A p-group fixes
-    a nonzero vector over any field of characteristic p, and neither dim K
-    nor the spin changes under field extension, so the module is absolutely
-    irreducible.
-    """
+def _certify_module(mod, forms, v):
+    """Certify that mod is L(label), absolutely irreducible on GL_n(F_p),
+    by the proof in the module docstring.  forms are the weights of the
+    form on each Sym factor of the carrier, and v is v+ in module
+    coordinates, the one row imaged."""
     p, n = mod.p, mod.n
-    # float64, so that the spin's products take them without a copy
-    images = [mod.image(g, None).astype(np.float64) for g in gl_generators(n, p)]
-    eye = np.eye(mod.dim)
-    K = np_nullspace(np.vstack([G.T - eye for G in images[: 2 * (n - 1) : 2]]), p)
-    if len(K) != 1:
-        raise CertificateError("U+-fixed space has dimension %d, not 1, for label %s" % (len(K), mod.label))
-    _check_highest_weight(lambda g: lambda v: mod.image(g, v[None])[0], K[0], n, mod.label, p)
-    actions = [lambda X, G=G: matmul_mod(X, G, p) for G in images]
-    if len(_spin(K, actions, p, mod.dim)) != mod.dim:
-        raise CertificateError("the U+-fixed line spans a proper submodule")
+    degrees = [x - y for x, y in zip(mod.label, mod.label[1:])]
+    for g in gl_generators(n, p):
+        for S, St, w in zip(_sym_factors(g, degrees, p), _sym_factors(g.T, degrees, p), forms):
+            if not np.array_equal(S.T * w % p, w[:, None] * St % p):
+                raise CertificateError("the form is not contravariant under %s" % g.tolist())
+    if _gram_kernel(mod.basis, mod.weights, reduce(np.kron, forms), p):
+        raise CertificateError("the form is degenerate on the module basis")
+    want = _simple_dim(degrees, p)
+    if mod.dim != want:
+        raise CertificateError("dimension %d, not the %d of L%s" % (mod.dim, want, mod.label))
+    _check_highest_weight(lambda g: lambda x: mod.image(g, x[None])[0], v, n, mod.label, p)
 
 
 # -- parabolic invariants ------------------------------------------------------
@@ -565,7 +584,7 @@ def u_invariants(mod):
     with Levi factor GL_1 x GL_2 that holds the lower triangular matrices.
     By Smith's theorem (Smith, "Irreducible modules and parabolic
     subgroups", J. Algebra 75, 1982), its fixed points on L(lambda), which
-    _certify_module has proved the module to be, are the sum of the weight
+    the build certifies the module to be, are the sum of the weight
     spaces whose weights differ from the lowest weight (c, b, a) by roots of
     the Levi factor: the weights mu with mu_1 = c.  So K is the unit rows at
     the basis rows of those weights, which is also the basis np_nullspace
@@ -654,32 +673,3 @@ def _intertwiner(restricted, gl2, p):
     if len(np_nullspace(phi, p)):
         raise CertificateError("intertwiner is singular")
     return phi
-
-
-# -- spin ------------------------------------------------------------------------
-
-
-def _spin(rows, actions, p, dim=None):
-    """Reduced basis of the smallest subspace containing the given rows and
-    stable under the actions, callables taking a block of rows to the block
-    of their images.  Breadth first: each round images the rows that grew
-    the span in the previous round under every action.
-
-    dim, when given, is an upper bound on the dimension of that subspace:
-    the spin stops as soon as the rank reaches it, checked after each
-    action's block.  The images it skips then lie in the span, so they would
-    add no row, and the basis is the one the full spin returns."""
-    rows = np.asarray(rows, dtype=np.int64)
-    D = rows.shape[-1]
-    spin = SpinBasis(p, D)
-    queue = rows.reshape(-1, D) % p
-    queue = queue[spin.add_rows(queue)]
-    while len(queue) and spin.rank != dim:
-        grown = []
-        for act in actions:
-            imgs = act(queue)
-            grown.append(imgs[spin.add_rows(imgs)])
-            if spin.rank == dim:
-                break
-        queue = np.vstack(grown)
-    return spin.basis()

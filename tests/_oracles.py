@@ -33,6 +33,12 @@ base rho: its module multiplies the carrier matrix by det^c and reads
 coordinates off it with the base's coordinate map, which
 recording_radical_quotient keeps as the base is built.  It is its own
 untwisted module, so its parabolic invariants are computed from that rho.
+spin is the breadth-first G(F_p) spin that modrep ran before it built W
+by weight and certified modules by proof.  spin_certificate is the
+irreducibility certificate modrep ran before: the U+-fixed space of the
+module is one line, of the labelled weight, and that line spins to the
+whole module; it is the reference for modrep._certify_module, and
+random_invertible draws the elements of GL_3(F_p) its spot check used.
 gfp_highest_weight_span is the highest-weight submodule W as modrep spun it
 under the generators of GL_3(F_p) before it built W one weight space at a
 time; its reduced echelon form is the reference for
@@ -99,8 +105,8 @@ from gl3hecke.modrep import (
     _carrier_action,
     _carrier_image,
     _intertwiner,
+    _check_highest_weight,
     _radical_quotient,
-    _spin,
     build_gl2_module,
     gl_generators,
     sub_matrix,
@@ -1177,6 +1183,65 @@ def kron_twist_gl3(base, p, a, b, c, coords):
 # -- W, its radical quotient and the parabolic invariants, computed directly -------
 
 
+def spin(rows, actions, p, dim=None):
+    """Reduced basis of the smallest subspace containing the given rows and
+    stable under the actions, callables taking a block of rows to the block
+    of their images.  Breadth first: each round images the rows that grew
+    the span in the previous round under every action.
+
+    dim, when given, is an upper bound on the dimension of that subspace:
+    the spin stops as soon as the rank reaches it, checked after each
+    action's block.  The images it skips then lie in the span, so they would
+    add no row, and the basis is the one the full spin returns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    D = rows.shape[-1]
+    basis = SpinBasis(p, D)
+    queue = rows.reshape(-1, D) % p
+    queue = queue[basis.add_rows(queue)]
+    while len(queue) and basis.rank != dim:
+        grown = []
+        for act in actions:
+            imgs = act(queue)
+            grown.append(imgs[basis.add_rows(imgs)])
+            if basis.rank == dim:
+                break
+        queue = np.vstack(grown)
+    return basis.basis()
+
+
+def spin_certificate(mod):
+    """Irreducibility certificate for either rank: the U+-fixed space K of
+    the module is one line, of the labelled highest weight, and that line
+    spins to the whole module under the full images of gl_generators.
+
+    U+ is a p-group, and a p-group acting on a nonzero F_p-space fixes a
+    nonzero vector.  So a nonzero submodule has a nonzero U+-fixed vector;
+    it lies in the line K, so the submodule holds K and the span of K under
+    the group, which is the whole module.  Neither dim K nor the spin
+    changes under field extension, so the module is absolutely
+    irreducible."""
+    p, n = mod.p, mod.n
+    images = [mod.image(g, None).astype(np.float64) for g in gl_generators(n, p)]
+    eye = np.eye(mod.dim)
+    K = np_nullspace(np.vstack([G.T - eye for G in images[: 2 * (n - 1) : 2]]), p)
+    if len(K) != 1:
+        raise CertificateError("U+-fixed space has dimension %d, not 1, for label %s" % (len(K), mod.label))
+    _check_highest_weight(lambda g: lambda v: mod.image(g, v[None])[0], K[0], n, mod.label, p)
+    actions = [lambda X, G=G: matmul_mod(X, G, p) for G in images]
+    if len(spin(K, actions, p, mod.dim)) != mod.dim:
+        raise CertificateError("the U+-fixed line spans a proper submodule")
+
+
+def random_invertible(p, rng):
+    """A uniformly random element of GL_3(F_p), drawn from the
+    random.Random rng."""
+    while True:
+        g = np.array(rng.choices(range(p), k=9), dtype=np.int64).reshape(3, 3)
+        if det(g) % p:
+            return g
+
+
+
 def coord_solver(B, p):
     """Coordinates of rows in the span of the independent rows of B: with
     rref([B | I]) = [R | S], S B = R is the identity at the pivot columns,
@@ -1200,7 +1265,7 @@ def gfp_highest_weight_span(p, i, j):
     vplus = np.zeros(len(ybasis) * len(zbasis), dtype=np.int64)
     vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
     act = _carrier_action(p, i, j)
-    return _spin(vplus, [act(g) for g in gl_generators(3, p)], p)
+    return spin(vplus, [act(g) for g in gl_generators(3, p)], p)
 
 
 def spin_radical_quotient(W, weights, wt, p):

@@ -39,9 +39,9 @@ def test_module_command_rejects_an_unrestricted_label(capsys):
     assert "not p-restricted" in capsys.readouterr().err
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, **env):
     path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True, timeout=300)
 
 
@@ -55,3 +55,21 @@ def test_module_command_runs_as_a_script_in_a_fresh_interpreter():
     # benchmark workers import the package and must never compile the CLI
     probe = "import sys, gl3hecke; print('gl3hecke.cli' in sys.modules)"
     assert _fresh_python("-c", probe).stdout.strip() == "False"
+
+
+# the child caps its own address space, then runs the module command as
+# python -m does
+CAPPED_MODULE = """
+import resource, runpy, sys
+cap = 768 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.argv = ["gl3hecke", "module", "13", "24", "12", "0"]
+runpy.run_module("gl3hecke.cli", run_name="__main__")
+"""
+
+
+def test_module_command_builds_p13_under_a_768_mb_address_space_cap():
+    # a build that formed the full images of the generators peaked above
+    # 1 GB of address space on this module
+    record = json.loads(_fresh_python("-c", CAPPED_MODULE, OPENBLAS_NUM_THREADS="1").stdout)
+    assert (record["dim"], record["levi_dim"]) == (2197, 13)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import modrep
-from gl3hecke.arith import adj3, det
+from gl3hecke.arith import adj3, det, primitive_root
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import make_field
 from gl3hecke.linalg import matmul_mod, np_rref
@@ -22,6 +22,7 @@ from gl3hecke.modrep import (
     u_invariants,
 )
 
+import _oracles
 from _oracles import (
     SequentialSpinBasis,
     TwistedAction,
@@ -38,10 +39,13 @@ from _oracles import (
     levi_act,
     mat3,
     mat_mul3,
+    random_invertible,
     recording_radical_quotient,
+    spin_certificate,
     spin_radical_quotient,
     twisted_act,
 )
+from test_pinned_outputs import MODULE_KEYS
 
 F5 = make_field(5)
 
@@ -165,7 +169,7 @@ def test_conjugated_module_same_dim_and_weight():
     conj = modrep.IrreducibleModule(
         p=mod.p, n=3, label=mod.label, basis=mod.basis, image=lambda g, rows: mod.image(gx @ np.asarray(g) @ gxi % p, rows)
     )
-    modrep._certify_module(conj)  # raises if the weight moved
+    spin_certificate(conj)  # raises if the weight moved
 
 
 def _highest_weight_submodule(p, i, j):
@@ -188,7 +192,7 @@ def test_certificate_rejects_the_unquotiented_highest_weight_submodule(p, i, j, 
     assert W.dim == w_dim
     assert build_gl3_module(p, i + j, j, 0).dim == irr_dim
     with pytest.raises(CertificateError, match="dimension 2, not 1"):
-        modrep._certify_module(W)
+        spin_certificate(W)
 
 
 def _dual(mod):
@@ -210,16 +214,21 @@ def test_certificate_rejects_the_dual_of_the_highest_weight_submodule(p, i, j):
     # the dual of W has one U+-fixed line, of the right weight, but that line
     # spans only the socle, the dual of the irreducible quotient of W
     with pytest.raises(CertificateError, match="spans a proper submodule"):
-        modrep._certify_module(_dual(_highest_weight_submodule(p, i, j)))
-    modrep._certify_module(_dual(build_gl3_module(p, i + j, j, 0)))  # the irreducible's dual passes
+        spin_certificate(_dual(_highest_weight_submodule(p, i, j)))
+    spin_certificate(_dual(build_gl3_module(p, i + j, j, 0)))  # the irreducible's dual passes
 
 
 def test_certificate_rejects_a_wrong_label():
+    # F(3, 1) labelled (4, 2): the same Sym^2 carrier and form, and the
+    # weights of (4, 2), but the torus scales v+ by the weight (3, 1)
     mod = build_gl2_module(5, 3, 1)
-
-    relabelled = modrep.IrreducibleModule(p=5, n=2, label=(4, 2), basis=mod.basis, image=mod.image)
+    relabelled = modrep.IrreducibleModule(
+        p=5, n=2, label=(4, 2), basis=mod.basis, image=mod.image, weights=mod.weights + 1
+    )
     with pytest.raises(CertificateError, match="wrong torus weight"):
-        modrep._certify_module(relabelled)
+        modrep._certify_module(relabelled, [modrep._form_weights(2, 2, 5)], mod.basis[0])
+    with pytest.raises(CertificateError, match="wrong torus weight"):
+        spin_certificate(relabelled)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -231,6 +240,56 @@ def test_every_restricted_gl2_label_builds(p):
 
 def _weyl_dim(i, j):
     return (i + 1) * (j + 1) * (i + j + 2) // 2
+
+
+@pytest.mark.parametrize("i,j", [(3, 0), (0, 3)])
+def test_certificate_rejects_a_form_corrupted_at_one_carrier_column(i, j, monkeypatch):
+    # the other factor has degree 0, so place 1 of the degree-3 factor form
+    # is carrier column 1 of the form the radical is cut with
+    forms = modrep._form_weights
+
+    def corrupted(nvars, deg, p):
+        w = forms(nvars, deg, p)
+        if deg == 3:
+            w[1] = (w[1] + 1) % p
+        return w
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_form_weights", corrupted)
+    with pytest.raises(CertificateError, match="not contravariant"):
+        build_gl3_module(7, i + j, j, 0)
+
+
+def test_certificate_rejects_a_corrupted_factor_of_one_generator(monkeypatch):
+    # Sym^2(adj g) of the torus generator g = diag(1, g0, 1) gains an entry
+    # off its diagonal, at row 0 and column 1, which the highest-weight
+    # checks of v+ = y1^2 z3^2 do not read: they read its last column
+    p = 7
+    target = np.array(adj3(np.diag([1, primitive_root(p), 1]))) % p
+    sub = modrep.sub_matrix
+
+    def corrupted(M, deg, p):
+        S = sub(M, deg, p)
+        if deg == 2 and np.array_equal(M, target):
+            S[0, 1] = (S[0, 1] + 1) % p
+        return S
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "sub_matrix", corrupted)
+    with pytest.raises(CertificateError, match="not contravariant"):
+        build_gl3_module(p, 4, 2, 0)
+
+
+@pytest.mark.parametrize("p,i,j,row", [(7, 2, 1, 7), (5, 1, 3, 6)])
+def test_certificate_rejects_w_with_one_row_dropped(p, i, j, row, monkeypatch):
+    # W is then not a submodule, and here the row carries part of the
+    # quotient, so L falls one row short of dim L(lambda); (7, 2, 1) has no
+    # radical, so there every row does
+    span = modrep._highest_weight_span
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_highest_weight_span", lambda *args: np.delete(span(*args), row, axis=0))
+    with pytest.raises(CertificateError, match="dimension"):
+        build_gl3_module(p, i + j, j, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -347,11 +406,17 @@ def _module_arrays(label):
 
 @pytest.mark.parametrize("label", ORACLE_LABELS, ids=lambda lab: "%d-%d-%d-%d" % lab)
 def test_module_matches_sequential_spin_oracle(label, monkeypatch):
-    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-    got = _module_arrays(label)
-    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-    monkeypatch.setattr(modrep, "SpinBasis", SequentialSpinBasis)
-    _assert_byte_identical(got, _module_arrays(label))
+    # the spins of the oracles, of W from v+ and of the built module from its
+    # U+-fixed line, give the same bytes and the same verdict with the
+    # row-at-a-time basis as with the batched one
+    p, a, b, c = label
+    mod = build_gl3_module(*label)
+    spans = []
+    for basis in (_oracles.SpinBasis, SequentialSpinBasis):
+        monkeypatch.setattr(_oracles, "SpinBasis", basis)
+        spans.append(gfp_highest_weight_span(p, a - b, b - c))
+        spin_certificate(mod)
+    _assert_byte_identical(spans[:1], spans[1:])
 
 
 def _assert_byte_identical(got, want):
@@ -424,7 +489,7 @@ def test_twist_rho_is_det_power_times_base_rho(label):
     base = build_gl3_module(p, a - c, b - c, 0)
     assert mod.untwisted is base and mod.basis is base.basis
     rng = random.Random(c)
-    for g in gl_generators(3, p) + [modrep._random_invertible(p, rng) for _ in range(4)]:
+    for g in gl_generators(3, p) + [random_invertible(p, rng) for _ in range(4)]:
         d = pow(int(det(g)) % p, c, p)
         assert np.array_equal(mod.rho(g), base.rho(g) * d % p)
 
@@ -466,10 +531,10 @@ def test_twist_with_a_built_key_computes_no_carrier_action(monkeypatch):
     monkeypatch.setattr(modrep, "np_nullspace", recorded)
     second = u_invariants(build_gl3_module(11, 16, 10, 5))
     assert calls == []
-    # the twist solves no kernel for its invariants or its intertwiner: the
-    # one kernel is the certificate of its rank-2 model F(16, 10), of
-    # dimension 7, under the one upper unipotent
-    assert kernels == [(7, 7)]
+    # the twist solves no kernel for its invariants or its intertwiner, and
+    # the certificate of its rank-2 model F(16, 10) solves none either: its
+    # weight spaces are lines
+    assert kernels == []
     assert second.dim == first.dim == 7 and second.gl1_exponent == 5
     assert second.basis is first.basis and second.iso is first.iso
 
@@ -547,9 +612,9 @@ def test_u_invariants_reject_a_levi_image_off_the_lowest_weight_rows():
         u_invariants(broken)
 
 
-def test_a_base_module_forms_one_full_image_per_generator(monkeypatch):
-    # the certificate forms the full images of gl_generators once; the
-    # highest-weight check images one row, u_invariants only the rows of K
+def test_a_base_module_build_forms_no_full_image(monkeypatch):
+    # the build's only images are the highest-weight check's, of the one row
+    # v+; u_invariants images only the rows of K
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
     calls, make = [], modrep._carrier_image
 
@@ -565,8 +630,7 @@ def test_a_base_module_forms_one_full_image_per_generator(monkeypatch):
     monkeypatch.setattr(modrep, "_carrier_image", spied)
     p = 7
     mod = build_gl3_module(p, 5, 2, 0)
-    assert sum(rows is None for rows in calls) == len(gl_generators(3, p)) == 6
-    assert all(len(rows) == 1 for rows in calls if rows is not None)
+    assert calls and all(rows is not None and len(rows) == 1 for rows in calls)
     calls.clear()
     levi = u_invariants(mod)
     assert len(calls) == 6 and all(np.array_equal(rows, levi.basis) for rows in calls)
@@ -610,22 +674,36 @@ def _keys(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_bounded_spins_return_the_full_spin(p, monkeypatch):
-    # the certificate's spin stops at the module's dimension and returns the
-    # bytes of the full spin
-    spin, seen = modrep._spin, []
+    # the spin certificate's spin stops at the module's dimension and
+    # returns the bytes of the full spin
+    full, seen = _oracles.spin, []
 
     def both(rows, actions, p, dim=None):
-        got = spin(rows, actions, p, dim)
-        _assert_byte_identical([got], [spin(rows, actions, p)])
+        got = full(rows, actions, p, dim)
+        _assert_byte_identical([got], [full(rows, actions, p)])
         seen.append((len(got), dim))
         return got
 
-    monkeypatch.setattr(modrep, "_spin", both)
+    monkeypatch.setattr(_oracles, "spin", both)
     for _, i, j in _keys(p):
-        monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-        seen.clear()
         mod = build_gl3_module(p, i + j, j, 0)
+        seen.clear()
+        spin_certificate(mod)
         assert seen == [(mod.dim, mod.dim)]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        pytest.param([(p, i + j, j, 0) for _, i, j in _keys(p)], id="p%d" % p) for p in (2, 3, 5, 7)
+    ]
+    + [pytest.param([(p, i + j + c, j + c, c) for p, i, j in MODULE_KEYS for c in (0, 1)], id="module-keys")],
+)
+def test_the_spin_certificate_accepts_every_built_module(labels):
+    # the reference certificate, the G(F_p) spin from the U+-fixed line,
+    # accepts every module that the certificate by proof accepted
+    for label in labels:
+        spin_certificate(build_gl3_module(*label))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -659,7 +737,7 @@ def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
 @pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
 def test_radical_quotient_copies_w_only_when_the_radical_is_nonzero(p, i, j, radical):
     W = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
-    wt = modrep._form_weights(modrep.sym_basis(3, i), modrep.sym_basis(3, j), p)
+    wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
     L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), wt, p)
     assert len(W) - len(L) == radical
     assert (L is W) == (radical == 0)
