@@ -37,8 +37,9 @@ spin is the breadth-first G(F_p) spin that modrep ran before it built W
 by weight and certified modules by proof.  spin_certificate is the
 irreducibility certificate modrep ran before: the U+-fixed space of the
 module is one line, of the labelled weight, and that line spins to the
-whole module; it is the reference for modrep._certify_module, and
-random_invertible draws the elements of GL_3(F_p) its spot check used.
+whole module; it is the reference for modrep._certify_module.
+random_invertible is the uniform element of GL_3(F_p) that modrep drew for
+its spot check of the form before that check became exact.
 gfp_highest_weight_span is the highest-weight submodule W as modrep spun it
 under the generators of GL_3(F_p) before it built W one weight space at a
 time; its reduced echelon form is the reference for
@@ -104,8 +105,8 @@ from gl3hecke.modrep import (
     LeviModule,
     _carrier_action,
     _carrier_image,
-    _intertwiner,
     _check_highest_weight,
+    _intertwiner,
     _radical_quotient,
     build_gl2_module,
     gl_generators,

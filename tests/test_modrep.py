@@ -231,6 +231,22 @@ def test_certificate_rejects_a_wrong_label():
         spin_certificate(relabelled)
 
 
+def test_gl2_certificate_rejects_a_carrier_that_v_plus_does_not_generate(monkeypatch):
+    # rho(E_10) loses the x y^2 component of E_10(1) x^3 = (x + y)^3, so the
+    # carrier would not be Dist(U-) v+
+    rho = modrep.gl2_rho
+
+    def lowered(g, a, b, p):
+        R = rho(g, a, b, p)
+        if np.array_equal(g, gl_generators(2, p)[1]):
+            R[2, 0] = 0
+        return R
+
+    monkeypatch.setattr(modrep, "gl2_rho", lowered)
+    with pytest.raises(CertificateError, match="does not generate the carrier"):
+        build_gl2_module(5, 3, 0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_every_restricted_gl2_label_builds(p):
     for b in range(p - 1):
@@ -290,6 +306,22 @@ def test_certificate_rejects_w_with_one_row_dropped(p, i, j, row, monkeypatch):
     monkeypatch.setattr(modrep, "_highest_weight_span", lambda *args: np.delete(span(*args), row, axis=0))
     with pytest.raises(CertificateError, match="dimension"):
         build_gl3_module(p, i + j, j, 0)
+
+
+def test_certificate_rejects_a_basis_that_meets_the_radical(monkeypatch):
+    # the first 18 rows of W at (5, 1, 3) in place of the 18 rows L that
+    # avoid the radical: the dimension of L(4, 3, 0), but five vectors of
+    # their span lie in the radical
+    quotient = modrep._radical_quotient
+
+    def first_rows(W, *args):
+        L, coords = quotient(W, *args)
+        return W[: len(L)], coords
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_radical_quotient", first_rows)
+    with pytest.raises(CertificateError, match="degenerate"):
+        build_gl3_module(5, 4, 3, 0)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
