@@ -21,9 +21,10 @@ L(lambda), lambda = label, and absolutely irreducible on GL_n(F_p):
   products of dot products), so Sym^k(M)^T diag(e!) = diag(e!) Sym^k(M^T)
   over Z.  The carrier's factors are Sym^i(g^T) and Sym^j(adj g), with
   adj(g)^T = adj(g^T), and its form is the product of theirs.  The identity
-  is checked exactly per factor on each element of gl_generators, on the
-  matrices the action uses and the weights the build's form is made of; it
-  is multiplicative, so it holds on GL_n(F_p).
+  is checked exactly per factor on each element g of gl_generators, on the
+  factors of g and g^T that the action reads from the build's table and
+  the weights the build's form is made of; it is multiplicative, so it
+  holds on GL_n(F_p).
 - (v+, v+) != 0: a proper submodule N misses W_lambda, so (N, Dist(U-) v+)
   = (Dist(U+) N, v+) = 0, and the radical is the unique maximal submodule:
   W/rad = L(lambda) (Jantzen, Representations of Algebraic Groups, II.2).
@@ -54,7 +55,15 @@ The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
 carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
 two products with inner dimensions dy and dz in place of one with inner
-dimension D.  The factors of each g are computed once per base.
+dimension D.
+
+Each build, of either rank, computes its Sym factors once, as a table
+(_factor_table): one stacked sub_matrix call per factor degree makes the
+factors of gl_generators, which is closed under transpose, and of the two
+other matrices a build reads, diag(1, .., 1, g0) in the highest-weight
+check and E_20(1) in u_invariants.  The carrier action, the certificate and
+the rank-2 image Sym^k(g^T) det(g)^b read that table; any other g has its
+factors computed once and kept in it.
 
 Every module, of either rank and twisted or not, is one IrreducibleModule:
 a basis, its weights and an image map.  image(g, rows) takes rows of module
@@ -234,8 +243,14 @@ def build_gl2_module(p, a, b):
     if not 0 <= k <= p - 1:
         raise ValueError("label (%d, %d) is not p-restricted" % (a, b))
 
+    table = _factor_table(p, (k,))
+    factors = _factor_lookup(table, (k,), p)
+
     def image(g, rows):
-        G = gl2_rho(g, a, b, p).T
+        # rho(g) = Sym^k(g^T) det(g)^b, as gl2_rho makes it
+        g = np.asarray(g, dtype=np.int64) % p
+        (S,) = factors(g)
+        G = S.T * pow(int(det(g)) % p, b % (p - 1), p) % p
         return G if rows is None else matmul_mod(rows, G, p)
 
     basis = np.eye(k + 1, dtype=np.int64)
@@ -244,7 +259,7 @@ def build_gl2_module(p, a, b):
     # E_10(1) x^k are the f^(n) x^k = C(k, n) x^(k-n) y^n
     if not image(gl_generators(2, p)[1], basis[:1]).all():
         raise CertificateError("the highest-weight vector does not generate the carrier")
-    _certify_module(mod, [_form_weights(2, k, p)], basis[0])
+    _certify_module(mod, [_form_weights(2, k, p)], basis[0], table)
     return mod
 
 
@@ -270,7 +285,8 @@ def _build_gl3_base(p, i, j):
     ybasis = sym_basis(3, i)
     zbasis = sym_basis(3, j)
     D = len(ybasis) * len(zbasis)
-    act = _carrier_action(p, i, j)
+    table = _factor_table(p, (i, j))
+    act = _carrier_action(p, i, j, table)
 
     # highest weight vector: y1^i * z3^j
     vplus = np.zeros(D, dtype=np.int64)
@@ -300,25 +316,56 @@ def _build_gl3_base(p, i, j):
         image=_carrier_image(act, L, coords, p),
         weights=weights[(L != 0).argmax(axis=1)],
     )
-    _certify_module(mod, forms, coords(vplus[None])[0])
+    _certify_module(mod, forms, coords(vplus[None])[0], table)
     return mod
 
 
-def _carrier_action(p, i, j):
+def _carrier_action(p, i, j, table):
     """act(g), for g in GL_3(F_p): the map taking carrier rows of
     Sym^i(std) (x) Sym^j(wedge^2 std) to their images under g.  The factors
-    (Sy, Sz) of each g are computed once."""
-    factor_cache = {}
+    (Sy, Sz) of g are read from table, a _factor_table(p, (i, j)), through
+    _factor_lookup."""
+    factors = _factor_lookup(table, (i, j), p)
 
     def act(g):
-        g = np.asarray(g, dtype=np.int64) % p
-        key = g.tobytes()
-        if key not in factor_cache:
-            factor_cache[key] = _sym_factors(g, (i, j), p)
-        factors = factor_cache[key]
-        return lambda X: _carrier_act(factors, X, p)
+        S = factors(g)
+        return lambda X: _carrier_act(S, X, p)
 
     return act
+
+
+def _factor_table(p, degrees):
+    """The Sym factors of each matrix g that a rank-n build reads, n =
+    len(degrees) + 1, as {bytes of g mod p: _sym_factors(g, degrees, p)}.
+    The matrices are gl_generators(n, p), which is closed under transpose,
+    the torus element diag(1, .., 1, g0) of _check_highest_weight and, for
+    rank 3, E_20(1) of u_invariants.  One stacked sub_matrix call per factor
+    degree makes every entry."""
+    n = len(degrees) + 1
+    mats = gl_generators(n, p) + [np.diag([1] * (n - 1) + [primitive_root(p)])]
+    if n == 3:
+        mats.append(np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
+    G = np.stack(mats).astype(np.int64) % p
+    maps = [G.swapaxes(1, 2)]
+    if n == 3:
+        # adj3 reads entries A[i][j], so on (3, 3, k) it makes all k adjugates
+        maps.append(np.array(adj3(G.transpose(1, 2, 0))).transpose(2, 0, 1) % p)
+    stacks = [sub_matrix(M, d, p) for M, d in zip(maps, degrees)]
+    return {g.tobytes(): tuple(S[k] for S in stacks) for k, g in enumerate(G)}
+
+
+def _factor_lookup(table, degrees, p):
+    """factors(g): the Sym factors of g mod p, read from table; a g outside
+    it has them computed once by _sym_factors, and kept in table."""
+
+    def factors(g):
+        g = np.asarray(g, dtype=np.int64) % p
+        key = g.tobytes()
+        if key not in table:
+            table[key] = _sym_factors(g, degrees, p)
+        return table[key]
+
+    return factors
 
 
 def _sym_factors(g, degrees, p):
@@ -535,15 +582,17 @@ def _check_highest_weight(act, v, n, label, p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
 
-def _certify_module(mod, forms, v):
+def _certify_module(mod, forms, v, table):
     """Certify that mod is L(label), absolutely irreducible on GL_n(F_p),
     by the proof in the module docstring.  forms are the weights of the
-    form on each Sym factor of the carrier, and v is v+ in module
-    coordinates, the one row imaged."""
+    form on each Sym factor of the carrier, v is v+ in module coordinates,
+    the one row imaged, and table is the build's _factor_table: the factors
+    of each g of gl_generators and of g^T are read from it, so they are the
+    matrices the action uses."""
     p, n = mod.p, mod.n
     degrees = [x - y for x, y in zip(mod.label, mod.label[1:])]
     for g in gl_generators(n, p):
-        for S, St, w in zip(_sym_factors(g, degrees, p), _sym_factors(g.T, degrees, p), forms):
+        for S, St, w in zip(table[g.tobytes()], table[g.T.tobytes()], forms):
             if not np.array_equal(S.T * w % p, w[:, None] * St % p):
                 raise CertificateError("the form is not contravariant under %s" % g.tolist())
     if _gram_kernel(mod.basis, mod.weights, reduce(np.kron, forms), p):

@@ -13,7 +13,8 @@ breadth-first search over every point under generators of the level group,
 with points normalised by scanning every unit mod N; it is the reference for
 the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
 dict_sub_matrix expands each substituted monomial as a dictionary
-polynomial; it is the reference for the table-driven modrep.sub_matrix.
+polynomial, one matrix of a stack at a time; it is the reference for the
+table-driven modrep.sub_matrix.
 symbol_terms, coeff_act, to_full, symbol_class and scalar_semigroup_act are
 the symbol class of modsym2 as it was before it moved to arrays: each symbol
 is decomposed on its own by continued fractions in Python integers, its cosets
@@ -106,6 +107,7 @@ from gl3hecke.modrep import (
     _carrier_action,
     _carrier_image,
     _check_highest_weight,
+    _factor_table,
     _intertwiner,
     _radical_quotient,
     build_gl2_module,
@@ -790,12 +792,18 @@ def _poly_pow(base_terms, e, p):
 
 
 def dict_sub_matrix(M, deg, p):
-    """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p.
+    """Matrix of f -> f(M y) on the degree-deg monomial basis, mod p, for
+    one square matrix M or, one matrix at a time, for each matrix of a
+    stack (..., nvars, nvars).
 
     Columns are images of basis monomials; the map is an anti-homomorphism
     in M (substitutions compose contravariantly).
     """
     M = np.asarray(M, dtype=np.int64) % p
+    if M.ndim > 2:
+        out = [dict_sub_matrix(m, deg, p) for m in M.reshape((-1,) + M.shape[-2:])]
+        d = len(sym_basis(M.shape[-1], deg))
+        return np.array(out, dtype=np.int64).reshape(M.shape[:-2] + (d, d))
     nvars = M.shape[0]
     basis = sym_basis(nvars, deg)
     index = {m: i for i, m in enumerate(basis)}
@@ -1265,7 +1273,7 @@ def gfp_highest_weight_span(p, i, j):
     ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
     vplus = np.zeros(len(ybasis) * len(zbasis), dtype=np.int64)
     vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
-    act = _carrier_action(p, i, j)
+    act = _carrier_action(p, i, j, _factor_table(p, (i, j)))
     return spin(vplus, [act(g) for g in gl_generators(3, p)], p)
 
 

@@ -172,12 +172,17 @@ def test_conjugated_module_same_dim_and_weight():
     spin_certificate(conj)  # raises if the weight moved
 
 
+def _carrier_action(p, i, j):
+    """The carrier action on its own factor table, as a build makes it."""
+    return modrep._carrier_action(p, i, j, modrep._factor_table(p, (i, j)))
+
+
 def _highest_weight_submodule(p, i, j):
     """W, the span of the carrier highest-weight vector y1^i z3^j under the
     group, without quotienting out the radical of the contravariant form;
     rho is read through coord_solver."""
     W = gfp_highest_weight_span(p, i, j)
-    act = modrep._carrier_action(p, i, j)
+    act = _carrier_action(p, i, j)
     coords = coord_solver(W, p)
     return modrep.IrreducibleModule(
         p=p, n=3, label=(i + j, j, 0), basis=W, image=modrep._carrier_image(act, W, coords, p)
@@ -226,23 +231,38 @@ def test_certificate_rejects_a_wrong_label():
         p=5, n=2, label=(4, 2), basis=mod.basis, image=mod.image, weights=mod.weights + 1
     )
     with pytest.raises(CertificateError, match="wrong torus weight"):
-        modrep._certify_module(relabelled, [modrep._form_weights(2, 2, 5)], mod.basis[0])
+        modrep._certify_module(relabelled, [modrep._form_weights(2, 2, 5)], mod.basis[0], modrep._factor_table(5, (2,)))
     with pytest.raises(CertificateError, match="wrong torus weight"):
         spin_certificate(relabelled)
+
+
+def _patch_table_entry(monkeypatch, g, factor, edit):
+    """Have modrep._factor_table make tables in which factor number factor
+    of the entry of g is a copy that edit(S, p) has changed in place."""
+    table_of = modrep._factor_table
+
+    def patched(p, degrees):
+        table = table_of(p, degrees)
+        key = (np.asarray(g, dtype=np.int64) % p).tobytes()
+        if key in table:
+            entry = list(table[key])
+            entry[factor] = entry[factor].copy()
+            edit(entry[factor], p)
+            table[key] = tuple(entry)
+        return table
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_factor_table", patched)
 
 
 def test_gl2_certificate_rejects_a_carrier_that_v_plus_does_not_generate(monkeypatch):
     # rho(E_10) loses the x y^2 component of E_10(1) x^3 = (x + y)^3, so the
     # carrier would not be Dist(U-) v+
-    rho = modrep.gl2_rho
 
-    def lowered(g, a, b, p):
-        R = rho(g, a, b, p)
-        if np.array_equal(g, gl_generators(2, p)[1]):
-            R[2, 0] = 0
-        return R
+    def lowered(S, p):
+        S[2, 0] = 0
 
-    monkeypatch.setattr(modrep, "gl2_rho", lowered)
+    _patch_table_entry(monkeypatch, gl_generators(2, 5)[1], 0, lowered)
     with pytest.raises(CertificateError, match="does not generate the carrier"):
         build_gl2_module(5, 3, 0)
 
@@ -252,6 +272,17 @@ def test_every_restricted_gl2_label_builds(p):
     for b in range(p - 1):
         for a in range(b, b + p):
             assert build_gl2_module(p, a, b).dim == a - b + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gl2_module_rho_is_the_stacked_gl2_rho(p):
+    # the module reads its table, or computes the factors of a g outside
+    # it; modsym2 stacks gl2_rho: both give the same bytes
+    gs = np.vstack([np.stack(gl_generators(2, p)), np.random.default_rng(p).integers(-p, 2 * p, (6, 2, 2))])
+    for b in range(p - 1):
+        for a in range(b, b + p):
+            mod = build_gl2_module(p, a, b)
+            _assert_byte_identical([mod.rho(g) for g in gs], list(modrep.gl2_rho(gs, a, b, p)))
 
 
 def _weyl_dim(i, j):
@@ -276,23 +307,31 @@ def test_certificate_rejects_a_form_corrupted_at_one_carrier_column(i, j, monkey
         build_gl3_module(7, i + j, j, 0)
 
 
+def _add_one_at(row, col):
+    def edit(S, p):
+        S[row, col] = (S[row, col] + 1) % p
+
+    return edit
+
+
 def test_certificate_rejects_a_corrupted_factor_of_one_generator(monkeypatch):
     # Sym^2(adj g) of the torus generator g = diag(1, g0, 1) gains an entry
     # off its diagonal, at row 0 and column 1, which the highest-weight
     # checks of v+ = y1^2 z3^2 do not read: they read its last column
     p = 7
-    target = np.array(adj3(np.diag([1, primitive_root(p), 1]))) % p
-    sub = modrep.sub_matrix
-
-    def corrupted(M, deg, p):
-        S = sub(M, deg, p)
-        if deg == 2 and np.array_equal(M, target):
-            S[0, 1] = (S[0, 1] + 1) % p
-        return S
-
-    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-    monkeypatch.setattr(modrep, "sub_matrix", corrupted)
+    _patch_table_entry(monkeypatch, np.diag([1, primitive_root(p), 1]), 1, _add_one_at(0, 1))
     with pytest.raises(CertificateError, match="not contravariant"):
+        build_gl3_module(p, 4, 2, 0)
+
+
+def test_certificate_reads_the_factor_of_the_transpose_from_the_table(monkeypatch):
+    # Sym^2(E_01), the first factor of the entry of E_10, gains an entry
+    # above its diagonal.  E_10 is the transpose of E_01, the first
+    # generator checked, so the check fails first at E_01, where that entry
+    # is read as the factor of g^T
+    p = 7
+    _patch_table_entry(monkeypatch, gl_generators(3, p)[1], 0, _add_one_at(0, 5))
+    with pytest.raises(CertificateError, match=r"not contravariant under \[\[1, 1, 0\], \[0, 1, 0\]"):
         build_gl3_module(p, 4, 2, 0)
 
 
@@ -475,6 +514,71 @@ def test_sub_matrix_matches_dict_oracle_and_is_an_antihomomorphism(case):
     _assert_byte_identical([got], [dict_sub_matrix(A, deg, p)])
     # f -> f(A y) then f -> f(B y) is f -> f(A B y)
     assert np.array_equal(sub_matrix(A @ B, deg, p), sub_matrix(B, deg, p) @ got % p)
+
+
+@st.composite
+def _substitution_stack(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.sampled_from([2, 3]))
+    deg = draw(st.integers(0, p - 1))
+    k = draw(st.integers(1, 8))
+    entries = st.integers(-3 * p, 3 * p)
+    return p, deg, np.array(draw(st.lists(entries, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_substitution_stack())
+def test_stacked_sub_matrix_matches_the_dict_oracle_matrix_by_matrix(case):
+    p, deg, M = case
+    _assert_byte_identical(list(sub_matrix(M, deg, p)), [dict_sub_matrix(m, deg, p) for m in M])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_factor_table_entry_is_the_factors_of_its_key(p):
+    # the table holds each generator and its transpose, as the certificate
+    # reads them, and each entry has the bytes _sym_factors computes
+    for degrees in [(k,) for k in range(p)] + [(i, j) for i in range(p) for j in range(p)]:
+        n = len(degrees) + 1
+        table = modrep._factor_table(p, degrees)
+        assert {h.tobytes() for g in gl_generators(n, p) for h in (g, g.T)} <= set(table)
+        for key, entry in table.items():
+            g = np.frombuffer(key, dtype=np.int64).reshape(n, n)
+            _assert_byte_identical(list(entry), list(modrep._sym_factors(g, degrees, p)))
+
+
+def test_a_build_makes_one_sub_matrix_call_per_factor_degree(monkeypatch):
+    calls = []
+    sub, certify = modrep.sub_matrix, modrep._certify_module
+
+    def spy(M, deg, p):
+        calls.append((np.shape(M), deg))
+        return sub(M, deg, p)
+
+    def certify_without_calls(*args):
+        before = len(calls)
+        certify(*args)
+        assert len(calls) == before
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "sub_matrix", spy)
+    monkeypatch.setattr(modrep, "_certify_module", certify_without_calls)
+    # the rank-3 table stacks the six generators, diag(1, 1, g0) and E_20(1)
+    mod = build_gl3_module(7, 6, 2, 0)
+    assert calls == [((8, 3, 3), 4), ((8, 3, 3), 2)]
+    # u_invariants reads only the table, and its rank-2 build F(6, 2)
+    # stacks the three generators and diag(1, g0)
+    u_invariants(mod)
+    assert calls[2:] == [((4, 2, 2), 4)]
+    calls.clear()
+    gl2 = build_gl2_module(7, 4, 1)
+    assert calls == [((4, 2, 2), 3)]
+    # a g outside the table has its factors computed once, one call each
+    for module, g, want in [(mod, [[1, 2, 0], [0, 1, 3], [4, 0, 1]], 2), (gl2, [[2, 1], [3, 5]], 1)]:
+        calls.clear()
+        first = module.rho(np.array(g))
+        assert len(calls) == want
+        assert np.array_equal(module.rho(np.array(g)), first)
+        assert len(calls) == want
 
 
 def test_sub_matrix_raises_past_the_int64_bound():
@@ -744,7 +848,7 @@ def test_graded_span_is_the_reduced_gfp_spin(p):
     # simple roots is the span of v+ under the generators of GL_3(F_p), in
     # reduced echelon form, and at most Weyl-dimensional
     for _, i, j in _keys(p):
-        got = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
+        got = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
         want = gfp_highest_weight_span(p, i, j)
         _assert_byte_identical([got], [np_rref(want, p)[0]])
         assert len(got) <= _weyl_dim(i, j)
@@ -768,7 +872,7 @@ def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
 
 @pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
 def test_radical_quotient_copies_w_only_when_the_radical_is_nonzero(p, i, j, radical):
-    W = modrep._highest_weight_span(p, i, j, modrep._carrier_action(p, i, j))
+    W = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
     wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
     L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), wt, p)
     assert len(W) - len(L) == radical
