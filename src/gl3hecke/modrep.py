@@ -105,7 +105,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .arith import adj3, det, primitive_root
+from .arith import adj3, det, is_prime, primitive_root
 from .linalg import matmul_mod, np_nullspace, np_rref, trailing_pivots
 
 
@@ -240,6 +240,8 @@ def build_gl2_module(p, a, b):
     """Symmetric-power model of F(a,b): monomials of degree a-b in two
     variables twisted by the b-th power of the determinant."""
     k = a - b
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
     if not 0 <= k <= p - 1:
         raise ValueError("label (%d, %d) is not p-restricted" % (a, b))
 
@@ -270,6 +272,8 @@ def build_gl3_module(p, a, b, c):
     """Irreducible F(a,b,c): the span W of v+ in the tensor carrier modulo
     the radical of the contravariant form on it, certified by _certify_module
     as L(a,b,c)."""
+    if not is_prime(p):
+        raise ValueError("p = %d is not prime" % p)
     if not (0 <= a - b <= p - 1 and 0 <= b - c <= p - 1):
         raise ValueError("label (%d, %d, %d) is not p-restricted" % (a, b, c))
     base_key = (p, a - b, b - c)

@@ -6,8 +6,8 @@ group, subject to the order-4 and order-3 relations and the plus-quotient
 (coinvariants of diag(1,-1)).  The full positive-determinant semigroup acts
 through continued-fraction decomposition of non-unimodular symbols (the
 Manin trick), which is what the Hecke operators are built from.  Exact
-linear algebra over the scalar field F_{p^r} the space was given; the space,
-its caches and its operators never leave it.  Vectors and matrices are F_p
+linear algebra over the field F_{p^r} of the character chi1; the space, its
+caches and its operators never leave it.  Vectors and matrices are F_p
 coordinate arrays with a trailing axis of length r (see linalg).
 
 One array pass computes the class of a batch of symbols: Euclid's algorithm
@@ -167,21 +167,21 @@ class EigenSystem:
 
 
 class SymbolSpace:
-    """Quotient presentation of the twisted modular symbols at level N."""
+    """Quotient presentation of the twisted modular symbols at level N, over
+    the field of chi1 (the trivial character over F_p by default).  It keeps
+    only what semigroup_act reads: the cosets, the coefficient cache and the
+    quotient map of _build_quotient, whose reducer is dropped."""
 
-    def __init__(self, N, p, a, b, chi1=None, field=None):
+    def __init__(self, N, p, a, b, chi1=None):
         if N < 1:
             raise ValueError("level must be positive")
         if gcd(N, p) != 1:
             raise ValueError("level must be prime to p")
-        if not 0 <= a - b <= p - 1:
-            raise ValueError("weight (%d,%d) is not p-restricted" % (a, b))
-        if field is None:
-            field = FiniteField(p, 1)
+        self.dimV = build_gl2_module(p, a, b).dim
         if chi1 is None:
-            chi1 = DirichletCharacter.trivial(field, N)
-        if chi1.field != field:
-            raise ValueError("character values must lie in the scalar field")
+            chi1 = DirichletCharacter.trivial(FiniteField(p, 1), N)
+        if chi1.field.p != p:
+            raise ValueError("chi1 takes values in characteristic %d, not p = %d" % (chi1.field.p, p))
         if chi1.modulus != N:
             if N % chi1.modulus:
                 raise ValueError("character modulus must divide the level")
@@ -189,9 +189,8 @@ class SymbolSpace:
         self.N = N
         self.p = p
         self.weight = (a, b)
-        self.field = field
+        self.field = chi1.field
         self.chi1 = chi1
-        self.module = build_gl2_module(p, a, b)
         label = p1_points(N)
         self.labels = sorted(set(label.values()))
         self.index = {lab: i for i, lab in enumerate(self.labels)}
@@ -201,13 +200,11 @@ class SymbolSpace:
         self.reps = np.array([_coset_rep(lab, N) for lab in self.labels], dtype=np.int64)
         self.reps.flags.writeable = False
         self._rep_max = int(np.abs(self.reps).max())
-        self.dimV = self.module.dim
         self.full_dim = len(self.labels) * self.dimV
         # the multiplication matrix of chi1(u) for each residue u mod N: zero
         # off the units, where the character's table is zero
-        self._chi_mul = field.mul_matrices(chi1.values)
+        self._chi_mul = self.field.mul_matrices(chi1.values)
         self._coeff_cache = {}
-        self._hecke_cache = {}
         self._build_quotient()
 
     # -- the symbol pass ---------------------------------------------------------
@@ -273,15 +270,15 @@ class SymbolSpace:
         self._scatter(M, np.repeat([1, 1, 1, -1], n), C, slot, rels.reshape(3 * n, n, dimV * r, dimV))
         # one relation per (representative, kind, unit vector), as rows
         rows = rels.reshape(n, 3, n, dimV, r, dimV).transpose(0, 1, 5, 2, 3, 4).reshape(-1, self.full_dim, r) % p
-        self._reducer = RowReducer(self.field, self.full_dim)
-        self._reducer.add_rows(rows)
-        pivots = set(self._reducer.pivot_columns())
+        reducer = RowReducer(self.field, self.full_dim)
+        reducer.add_rows(rows)
+        pivots = set(reducer.pivot_columns())
         self.free = [c for c in range(self.full_dim) if c not in pivots]
         self.dim = len(self.free)
         # the residue of a full vector w, as F_p coordinates (c, s), at the
         # free columns alone: w[free] - w[pivots] @ basis[:, free]
         self._free_fp = (np.array(self.free, dtype=np.intp)[:, None] * r + np.arange(r)).ravel()
-        self._pivots_fp, basis = self._reducer.expanded_basis()
+        self._pivots_fp, basis = reducer.expanded_basis()
         self._pivot_rows = basis[:, self._free_fp]
 
     # -- actions ---------------------------------------------------------------
@@ -359,16 +356,11 @@ class SymbolSpace:
     def hecke_matrix(self, l):
         """T_l as a matrix over the scalar field (columns = images): the
         images of the identity under the l + 1 cosets of diag(1, l), from
-        one semigroup_act call, summed.  Read-only and cached."""
-        if l in self._hecke_cache:
-            return self._hecke_cache[l]
+        one semigroup_act call, summed, in a new array on each call."""
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]
-        T = self.semigroup_act(identity(self.dim, self.field), cosets).sum(axis=0) % self.p
-        T.flags.writeable = False
-        self._hecke_cache[l] = T
-        return T
+        return self.semigroup_act(identity(self.dim, self.field), cosets).sum(axis=0) % self.p
 
 
 # -- eigensystem extraction -----------------------------------------------------
@@ -540,21 +532,26 @@ def find_eigensystems(space, window):
     from the identity, and K B keeps the form of B and of the split's kernel
     basis K.  A final pass applies each T_l once to each system's vector v,
     reads lambda_l off T_l v where no split gave it, and checks it elsewhere.
-    """
+    Each T_l is built once, when the refinement reaches l, and dropped on
+    return."""
     field, p = space.field, space.p
     window = sorted(set(window))
+    if not space.dim:
+        return []
+    hecke = {}
 
-    def hecke(l, V, E):
-        return extend_scalars(lambda C: apply_matrix(space.hecke_matrix(l), C, field), V, field, E)
+    def act(l, V, E):
+        return extend_scalars(lambda C: apply_matrix(hecke[l], C, field), V, field, E)
 
-    pieces = [({}, field, identity(space.dim, field))] if space.dim else []
+    pieces = [({}, field, identity(space.dim, field))]
     for l in window:
+        hecke[l] = space.hecke_matrix(l)
         refined = []
         for lams, F, basis in pieces:
             if len(basis) == 1:
                 refined.append((lams, F, basis))
                 continue
-            for lam, E, vecs in _eigen_split(F, _restrict(F, lambda C: hecke(l, C, F), basis), basis):
+            for lam, E, vecs in _eigen_split(F, _restrict(F, lambda C: act(l, C, F), basis), basis):
                 j = _frobenius_shift(field, F, E)
                 lams_E = {m: F.embed(x, E) ** p**j for m, x in lams.items()}
                 lams_E[l] = lam ** p**j
@@ -564,7 +561,7 @@ def find_eigensystems(space, window):
     for lams, E, vecs in pieces:
         v = vecs[0]
         for l in window:
-            lam = eigenvalue(hecke(l, v, E), v, E)
+            lam = eigenvalue(act(l, v, E), v, E)
             if l in lams and lam != lams[l]:
                 raise RuntimeError("eigensystem verification failed")
             if lam is None:

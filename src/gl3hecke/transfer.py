@@ -64,31 +64,27 @@ class BoundaryDatum:
         return self.space.N * self.d
 
     @classmethod
-    def build(cls, p, a, b, c, d, N1, chi0=None, chi1=None, window=(2,), field=None, lambdas=None):
-        """Construct the symbol space, locate the eigensystem with the given
-        lambda fingerprint (or the unique one), and package the datum."""
+    def build(cls, p, a, b, c, d, N1, chi0=None, chi1=None, window=(2,), lambdas=None):
+        """Construct the symbol space at level N1 over chi1's field (F_p by
+        default), locate the eigensystem with the given lambda fingerprint
+        (or the first one), and package the datum.  d must be prime to p N1,
+        as the level N = d N1 and heckegl3.hecke_orbit_action need."""
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
         if chi0 is not None and chi0.modulus != d:
             raise ValueError("chi0 must have modulus d")
-        space = SymbolSpace(N1, p, a, b, chi1=chi1, field=field)
+        if gcd(d, p * N1) != 1:
+            raise ValueError("d = %d must be prime to p * N1 = %d" % (d, p * N1))
+        space = SymbolSpace(N1, p, a, b, chi1=chi1)
         chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)
         systems = find_eigensystems(space, list(window))
         if not systems:
             raise ValueError("no eigensystem found in the window")
-        if lambdas is not None:
-            matches = [
-                s
-                for s in systems
-                if all(s.lambdas[l] == s.field.from_int(lambdas[l]) for l in lambdas)
-            ]
-            if not matches:
-                raise ValueError("no eigensystem matches the requested eigenvalues")
-            sys = matches[0]
-        else:
-            sys = systems[0]
-        return cls(c=c, d=d, chi0=chi0, space=space, eigen=sys)
+        matches = [s for s in systems if all(s.lambdas[l] == s.field.from_int(x) for l, x in (lambdas or {}).items())]
+        if not matches:
+            raise ValueError("no eigensystem matches the requested eigenvalues")
+        return cls(c=c, d=d, chi0=chi0, space=space, eigen=matches[0])
 
 
 def gl3_hecke_on_boundary(datum, l, k, V):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from math import gcd
 
-from .arith import is_squarefree
+from .arith import is_prime, is_squarefree
 from .characters import DirichletCharacter, niveau2_normal_form
 
 ORDINARY = "ordinary"
@@ -91,6 +91,8 @@ class InertialData:
 
     def __post_init__(self):
         p = self.p
+        if not is_prime(p):
+            raise ValueError("p = %d is not prime" % p)
         if self.kind not in (ORDINARY, SUPERSINGULAR):
             raise ValueError("kind must be ordinary or supersingular")
         if not is_squarefree(self.N1 * self.d):

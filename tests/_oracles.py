@@ -18,9 +18,12 @@ table-driven modrep.sub_matrix.
 symbol_terms, coeff_act, to_full, symbol_class and scalar_semigroup_act are
 the symbol class of modsym2 as it was before it moved to arrays: each symbol
 is decomposed on its own by continued fractions in Python integers, its cosets
-found by p1_canonical_scan, and the coefficients applied term by term;
-scalar_free_columns builds the relations of the quotient the same way.  They
-are the reference for SymbolSpace.semigroup_act and _build_quotient.
+found by p1_canonical_scan, and the coefficients applied term by term, with
+the module of coeff_act built by the oracle itself; scalar_relations builds
+the relations of the quotient the same way, and classes and
+scalar_free_columns reduce with them, never with the space's own quotient
+map.  They are the reference for SymbolSpace.semigroup_act and
+_build_quotient.
 rref, nullspace and RowReducer are the row reduction over lists of Fq
 entries that linalg ran before it moved to F_p coordinate arrays; they are
 the reference for the array versions.  The _poly_*_fq helpers,
@@ -90,7 +93,9 @@ DirichletCharacter.conductor checked before it read the kernel of the
 reduction mod d.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -572,12 +577,18 @@ def _path_from_infinity(v):
     return out
 
 
+@lru_cache(maxsize=None)
+def _gl2_module(p, a, b):
+    """build_gl2_module(p, a, b), built once per label."""
+    return build_gl2_module(p, a, b)
+
+
 def coeff_act(space, V, m):
     """V |_chi m for a block V of coefficient columns, shape (dimV, k, r),
     and an integer matrix m of determinant prime to pN: chi1(m_11) times
     the module right action."""
     p, r = space.p, space.field.r
-    R = space.module.rho(np.array([[m[0][0] % p, m[1][0] % p], [m[0][1] % p, m[1][1] % p]], dtype=np.int64))
+    R = _gl2_module(p, *space.weight).rho(np.array([[m[0][0] % p, m[1][0] % p], [m[0][1] % p, m[1][1] % p]], dtype=np.int64))
     S = space.field.mul_matrices(space.chi1(m[0][0]).coords)
     A = (R[:, None, :, None] * S[:, None, :] % p).reshape(len(R) * len(S), -1)
     k = V.shape[1]
@@ -603,8 +614,9 @@ def symbol_class(space, M, V, out, sign=1):
 
 def classes(space, full):
     """Coordinates (dim, k, r) of the classes of the full coordinate
-    columns full, shape (full_dim, k, r)."""
-    rows = space._reducer.reduce(full.swapaxes(0, 1) % space.p)
+    columns full, shape (full_dim, k, r), reduced modulo the relations of
+    scalar_relations."""
+    rows = scalar_relations(space).reduce(full.swapaxes(0, 1) % space.p)
     return rows[:, space.free].swapaxes(0, 1)
 
 
@@ -624,10 +636,16 @@ def scalar_semigroup_act(space, V, m):
     return classes(space, out).reshape(V.shape)
 
 
-def scalar_free_columns(space):
-    """The free columns of the quotient, from the relations built symbol by
+_RELATIONS = weakref.WeakKeyDictionary()
+
+
+def scalar_relations(space):
+    """A RowReducer over the relations of the quotient, built symbol by
     symbol: for each representative the order-4, order-3 and plus-quotient
-    relations, each for every coefficient unit vector."""
+    relations, each for every coefficient unit vector.  Built once per
+    space."""
+    if space in _RELATIONS:
+        return _RELATIONS[space]
     sigma, tau, eta = ((0, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, -1))
     unit = np.zeros((space.dimV, space.dimV, space.field.r), dtype=np.int64)
     unit[range(space.dimV), range(space.dimV), 0] = 1
@@ -642,10 +660,16 @@ def scalar_free_columns(space):
         symbol_class(space, mul2(tau, mul2(tau, rep)), unit, rels[1])
         symbol_class(space, mul2(rep, eta), coeff_act(space, unit, eta), rels[2], sign=-1)
         rows.append(rels.swapaxes(1, 2).reshape(-1, space.full_dim, space.field.r) % space.p)
-    reducer = LinalgRowReducer(space.field, space.full_dim)
+    reducer = _RELATIONS[space] = LinalgRowReducer(space.field, space.full_dim)
     reducer.add_rows(np.concatenate(rows))
-    pivots = set(reducer.pivot_columns())
+    return reducer
+
+
+def scalar_free_columns(space):
+    """The free columns of the quotient of scalar_relations."""
+    pivots = set(scalar_relations(space).pivot_columns())
     return [c for c in range(space.full_dim) if c not in pivots]
+
 
 def prime_field_minpoly(x):
     """Minimal polynomial over F_p of the field element x, as integers,

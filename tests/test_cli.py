@@ -39,6 +39,15 @@ def test_module_command_rejects_an_unrestricted_label(capsys):
     assert "not p-restricted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["9", "1", "0", "0"], ["9", "2", "1", "0"], ["25", "3", "1", "0"]])
+def test_module_command_rejects_a_p_that_is_not_prime(capsys, argv):
+    # these printed a module over Z/9 or ended in a CertificateError traceback
+    with pytest.raises(SystemExit) as exit:
+        main(["module"] + argv)
+    assert exit.value.code == 2
+    assert "p = %s is not prime" % argv[0] in capsys.readouterr().err
+
+
 def _fresh_python(*args, **env):
     path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     env = dict(os.environ, PYTHONPATH=path, **env)

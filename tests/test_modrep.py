@@ -898,3 +898,23 @@ def test_characteristic_two_modules():
     assert build_gl2_module(2, 1, 0).dim == 2
     assert build_gl3_module(2, 1, 0, 0).dim == 3
     assert build_gl3_module(2, 2, 1, 0).dim == 8  # the adjoint of SL_3, irreducible away from 3
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (build_gl2_module, (9, 1, 0)),
+        (build_gl2_module, (1, 0, 0)),
+        (build_gl3_module, (9, 1, 0, 0)),
+        (build_gl3_module, (9, 2, 1, 0)),
+        (build_gl3_module, (25, 3, 1, 0)),
+    ],
+)
+def test_module_builds_reject_a_p_that_is_not_prime(build, args):
+    with pytest.raises(ValueError, match="p = %d is not prime" % args[0]):
+        build(*args)
+
+
+def test_module_builds_keep_p_2_and_3():
+    assert build_gl2_module(2, 1, 0).dim == 2
+    assert build_gl3_module(3, 2, 1, 0).dim == 7

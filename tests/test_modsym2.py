@@ -29,6 +29,7 @@ from _oracles import (
     tau,
     to_full,
 )
+from test_modrep import _reachable_arrays
 
 
 def _arr(field, M):
@@ -258,7 +259,7 @@ def test_action_matrices_match_the_scalar_oracle(p, N, dimV, b, r, quadratic, se
     # odd, which keeps the spaces of odd a - b nonzero there
     assume(N != p)
     F = make_field(p, r)
-    space = SymbolSpace(N, p, b + dimV - 1, b, chi1=DirichletCharacter.quadratic(F, N) if quadratic else None, field=F)
+    space = SymbolSpace(N, p, b + dimV - 1, b, chi1=(DirichletCharacter.quadratic if quadratic else DirichletCharacter.trivial)(F, N))
     assert space.free == scalar_free_columns(space)
     rng = random.Random(seed)
     ms = [_random_semigroup_matrix(rng, N, p) for _ in range(3)]
@@ -277,7 +278,7 @@ def test_action_matrices_match_the_scalar_oracle(p, N, dimV, b, r, quadratic, se
 def test_action_matrices_of_a_zero_space():
     # chi1(-1) (-1)^(a-b) = -1 kills every symbol: the batch still has its shape
     F = make_field(5, 2)
-    space = SymbolSpace(11, 5, 0, 0, chi1=DirichletCharacter.quadratic(F, 11), field=F)
+    space = SymbolSpace(11, 5, 0, 0, chi1=DirichletCharacter.quadratic(F, 11))
     assert space.dim == 0
     ms = np.array([((1, 0), (0, 2)), ((1, 0), (1, 2)), ((2, 0), (0, 1))])
     assert space.semigroup_act(identity(0, F), ms).shape == (3, 0, 0, 2)
@@ -521,7 +522,7 @@ def test_systems_match_the_whole_space_oracle(key):
     for s in systems:
         assert s.field.r == lcm(*(len(prime_field_minpoly(v)) - 1 for v in s.lambdas.values()))
     big = make_field(p, lcm(*(s.field.r for s in systems)))
-    oracle = find_eigensystems(SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(big, N), field=big), window)
+    oracle = find_eigensystems(SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(big, N)), window)
     assert {s.field for s in oracle} == {big}
     assert sorted(map(_minpolys, systems)) == sorted(map(_minpolys, oracle))
 
@@ -640,21 +641,27 @@ def test_a_wrong_eigenvalue_fails_the_final_check(monkeypatch):
 @pytest.mark.parametrize("key", [(101, 5, 0, 0, 1), (11, 7, 4, 0, 3)], ids=["N101-p5-F5", "N11-p7-F343"])
 def test_no_operator_or_identity_basis_is_embedded(monkeypatch, key):
     # the search moves classes over an extension by their F_p columns: no
-    # input to embed_matrix is a cached Hecke matrix, shares its memory, or
-    # has the (dim, dim) shape of an operator or of the first piece's basis
+    # input to embed_matrix is a Hecke matrix of the search, shares its
+    # memory, or has the (dim, dim) shape of an operator or of the first
+    # piece's basis
     N, p, a, b, r = key
     F = make_field(p, r)
-    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N), field=F)
-    embed, seen = linalg.embed_matrix, []
+    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N))
+    embed, hecke_matrix, seen, operators = linalg.embed_matrix, SymbolSpace.hecke_matrix, [], []
 
     def spy(A, field, big):
         seen.append(np.shape(A))
-        assert not any(np.shares_memory(A, T) for T in space._hecke_cache.values())
+        assert not any(np.shares_memory(A, T) for T in operators)
         assert np.shape(A)[:2] != (space.dim, space.dim)
         return embed(A, field, big)
 
+    def kept(self, l):
+        operators.append(hecke_matrix(self, l))
+        return operators[-1]
+
     for module in (linalg, modsym2):
         monkeypatch.setattr(module, "embed_matrix", spy)
+    monkeypatch.setattr(SymbolSpace, "hecke_matrix", kept)
     systems = find_eigensystems(space, [2, 3])
     assert {s.field.r for s in systems} == ({1, 6} if r == 1 else {3})
     assert seen or r == 3
@@ -667,7 +674,7 @@ def test_each_system_meets_each_operator_once_and_nothing_is_solved(monkeypatch,
     # each system meets each T_l in one eigenvalue call
     N, p, a, b, r = key
     F = make_field(p, r)
-    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N), field=F)
+    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(F, N))
     eigenvalue, rref, restrict = linalg.eigenvalue, linalg.rref, modsym2._restrict
     calls, restricting = [], []
 
@@ -694,3 +701,49 @@ def test_each_system_meets_each_operator_once_and_nothing_is_solved(monkeypatch,
     assert systems and len(calls) == len(systems) * len(window)
     for s in systems:
         assert list(linalg.trailing_pivots(s.vector[None])) == [np.flatnonzero(s.vector.any(axis=1))[-1]]
+
+
+@pytest.mark.parametrize("key", [(53, 7, 0, 0, 1), (11, 7, 4, 0, 3)], ids=["N53-p7-F7", "N11-p7-F343"])
+def test_a_built_space_keeps_no_relation_basis(key):
+    # the relation reducer lives only while the quotient is built: no array
+    # reachable from the space has as many rows as the relation rank and
+    # the full_dim columns of a full vector, in Fq or in F_p coordinates
+    N, p, a, b, r = key
+    space = SymbolSpace(N, p, a, b, chi1=DirichletCharacter.trivial(make_field(p, r), N))
+    rank = space.full_dim - space.dim
+    arrays = _reachable_arrays(space)
+    assert any(x is space._pivot_rows for x in arrays)
+    assert [x.shape for x in arrays if x.ndim >= 2 and x.shape[0] >= rank and x.shape[1] in (space.full_dim, space.full_dim * r)] == []
+
+
+def test_the_search_builds_each_window_operator_once(monkeypatch):
+    # the search holds its own T_l: one hecke_matrix call per distinct
+    # window prime, however many pieces and systems meet it
+    space = SymbolSpace(53, 7, 0, 0)
+    hecke_matrix, calls = SymbolSpace.hecke_matrix, []
+
+    def spy(self, l):
+        calls.append(l)
+        return hecke_matrix(self, l)
+
+    monkeypatch.setattr(SymbolSpace, "hecke_matrix", spy)
+    systems = find_eigensystems(space, [5, 2, 3, 2])
+    assert len(systems) > 1
+    assert calls == [2, 3, 5]
+
+
+def test_hecke_matrix_returns_a_new_array_each_call():
+    space = SymbolSpace(53, 7, 0, 0)
+    first, second = space.hecke_matrix(3), space.hecke_matrix(3)
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+
+
+def test_the_scalar_field_is_the_field_of_chi1():
+    with pytest.raises(ValueError, match="characteristic 7, not p = 5"):
+        SymbolSpace(11, 5, 0, 0, chi1=DirichletCharacter.trivial(make_field(7), 11))
+    F343 = make_field(7, 3)
+    space = SymbolSpace(11, 7, 4, 0, chi1=DirichletCharacter.trivial(F343, 11))
+    assert space.field == F343 and space.chi1.field == F343
+    assert space.hecke_matrix(2).shape == (space.dim, space.dim, 3)
+    assert SymbolSpace(11, 7, 4, 0).field == make_field(7)

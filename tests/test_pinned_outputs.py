@@ -56,9 +56,9 @@ PINNED = "9581550c51f34b5de64d5545b9cc682833281a5992f05f1a388e691b773b0e02"
 def _record(N, p, a, b, r):
     F = make_field(p, r)
     chi1 = DirichletCharacter.trivial(F, N)
-    space = SymbolSpace(N, p, a, b, chi1=chi1, field=F)
+    space = SymbolSpace(N, p, a, b, chi1=chi1)
     systems = find_eigensystems(space, WINDOW)
-    datum = BoundaryDatum.build(p, a, b, 1, 1, N, chi1=chi1, window=WINDOW, field=F)
+    datum = BoundaryDatum.build(p, a, b, 1, 1, N, chi1=chi1, window=WINDOW)
     measured = [eigenvalue_of(datum, l, k) for l in WINDOW for k in (1, 2, 3)]
     return {
         "key": [N, p, a, b, r],

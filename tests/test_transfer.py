@@ -30,6 +30,7 @@ from gl3hecke.transfer import (
 )
 
 from _oracles import a_l3, elliptic_ap, per_coset_reference
+from test_modrep import _reachable_arrays
 
 F5 = make_field(5)
 WINDOW = (2, 7, 13)
@@ -184,6 +185,28 @@ def test_build_rejects_a_chi0_whose_modulus_is_not_d(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("d", [5, 11, 55], ids=["p-divides-d", "d-is-N1", "d-is-pN1"])
+def test_build_rejects_a_d_not_prime_to_p_times_N1(monkeypatch, d):
+    # at d = 5 = p the level N = 55 is not prime to p, and at d = N1 the
+    # boundary cosets need gcd(d, N1) = 1: both raise before a space is built
+    built = []
+    monkeypatch.setattr(transfer, "SymbolSpace", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="d = %d must be prime to p \\* N1 = 55" % d):
+        BoundaryDatum.build(5, 0, 0, 0, d, 11, window=(2, 3, 7))
+    assert built == []
+
+
+def test_a_built_datum_keeps_no_hecke_matrix():
+    # the search's T_l are dropped when it returns: nothing reachable from
+    # the datum has the (dim, dim, r) shape of an operator on the space
+    datum = BoundaryDatum.build(5, 0, 0, 0, 1, 53, window=(2, 3, 7))
+    space = datum.space
+    assert space.dim > 1
+    shapes = [x.shape for x in _reachable_arrays(datum)]
+    assert (space.dim, space.field.r) in shapes
+    assert (space.dim, space.dim, space.field.r) not in shapes
+
+
 def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
     # moving one coset's psi2 of T(l,k) out of the level-N1 semigroup must
     # fail the array check in the operator assembly, for each k, whether k
@@ -302,7 +325,7 @@ def test_c_varies_only_scalar():
 @pytest.mark.parametrize("d", [1, 3])
 def test_grouped_assembly_matches_per_coset_reference(p, a, b, window, degree, d):
     chi0 = DirichletCharacter.quadratic(make_field(p), 3) if d == 3 else None
-    datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, window=window, field=make_field(p, degree))
+    datum = BoundaryDatum.build(p, a, b, 2, d, 11, chi0=chi0, chi1=DirichletCharacter.trivial(make_field(p, degree), 11), window=window)
     assert datum.space.field.r == degree and datum.chi0.field == datum.space.field
     units = identity(datum.space.dim, datum.space.field)
     for l in (2, 7, 13):
@@ -331,8 +354,7 @@ def test_extended_eigenclass_keeps_operators_over_the_base_field(monkeypatch, ke
     # the datum's eigenclass is moved to a system over the largest field of
     # the space: every check holds there, every boundary operator is applied
     # over F_p to at most r_E columns, the F_p coordinates of the class, in
-    # one semigroup_act call per window prime, and every Hecke matrix stays
-    # over F_p
+    # one semigroup_act call per window prime
     p, a, b, N1 = key
     window = (2, 3)
     datum = BoundaryDatum.build(p, a, b, 1, 1, N1, window=window)
@@ -356,8 +378,6 @@ def test_extended_eigenclass_keeps_operators_over_the_base_field(monkeypatch, ke
     assert report and len(blocks) == len(report), blocks
     assert all(shape[0] == space.dim and shape[-1] == Fp.r for shape in blocks), blocks
     assert all(len(shape) == 2 or shape[1] <= system.field.r for shape in blocks), (blocks, system.field.r)
-    cached = list(space._hecke_cache.values())
-    assert cached and all(T.shape == (space.dim, space.dim, Fp.r) for T in cached)
 
 
 # (p, a, b, N1) with squarefree N1, whose eigenclasses over F_p lie in F_p,
@@ -380,7 +400,7 @@ PROPERTY_SPACES = [
 def _searched_space(p, a, b, N1, r):
     """The space over F_{p^r} and its eigensystems over every prime below 8
     prime to p N1."""
-    space = SymbolSpace(N1, p, a, b, field=make_field(p, r))
+    space = SymbolSpace(N1, p, a, b, chi1=DirichletCharacter.trivial(make_field(p, r), N1))
     return space, find_eigensystems(space, [l for l in (2, 3, 5, 7) if gcd(l, p * N1) == 1])
 
 

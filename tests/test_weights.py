@@ -190,3 +190,10 @@ def test_every_output_is_p_restricted():
             for t in predict_weights(data):
                 assert 0 <= t.x - t.y <= 4 and 0 <= t.y - t.z <= 4
                 assert 0 <= t.z <= 3
+
+
+@pytest.mark.parametrize("p", [9, 1, 0, 25])
+def test_inertial_data_rejects_a_p_that_is_not_prime(p):
+    # p = 9 predicted 8 weights, and p = 1 raised ZeroDivisionError
+    with pytest.raises(ValueError, match="p = %d is not prime" % p):
+        ordinary(p, 1, 2, 0)
