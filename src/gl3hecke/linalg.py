@@ -34,9 +34,9 @@ that n is the expanded width, columns times r.  Past the bound it raises
 OverflowError rather than round.  Below it the float64 product is an exact
 integer, so it is converted to int64 before the remainder: the conversion
 loses nothing, and the integer remainder is several times cheaper than
-numpy's float64 one.  The elementwise int64 updates of np_rref
-and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise OverflowError
-beyond it."""
+numpy's float64 one.  The elementwise int64 updates of np_rref,
+np_rref_stack and SpinBasis.add_rows need (p - 1)**2 < 2**63 and raise
+OverflowError beyond it."""
 
 from __future__ import annotations
 
@@ -256,6 +256,64 @@ def np_rref(A, p):
         pivots.append(c)
         r += 1
     return A[:r], pivots
+
+
+def np_rref_stack(A, p):
+    """Reduced row echelon forms mod p of a stack of int matrices, shape
+    (b, m, n): (R, is_pivot), with R of shape (b, m, n) and is_pivot a
+    (b, n) bool array.  For each k, with rank = is_pivot[k].sum(),
+    R[k][:rank] and np.flatnonzero(is_pivot[k]) are np_rref(A[k], p) and
+    the rows of R[k] past rank are zero.
+
+    Each column is one array step over the whole stack: every matrix looks
+    for its first nonzero entry at or below its next pivot row, swaps it
+    there, scales it to 1 and clears the column in its other rows.  A matrix
+    without a pivot in the column takes a zero update.  So every matrix
+    goes through np_rref's steps, in its order, and the results agree byte
+    for byte.  Matrices of different shapes may share one stack once padded
+    with zero rows and columns at the end: a zero row stays zero under every
+    update and is never chosen as a pivot row, and a zero column never
+    gives a pivot, so the padded form is the form of the matrix, padded.
+    One matrix takes two to two and a half times as long here as in
+    np_rref, which updates only the rows that need it."""
+    _check_int64(p)
+    A = np.array(A, dtype=np.int64) % p
+    b, m, n = A.shape
+    is_pivot = np.zeros((b, n), dtype=bool)
+    rank = np.zeros(b, dtype=np.intp)
+    stack, row = np.arange(b), np.arange(m)
+    for c in range(n):
+        below = (A[:, :, c] != 0) & (row >= rank[:, None])
+        has = below.any(axis=1)
+        if not has.any():
+            continue
+        top = np.minimum(rank, m - 1)
+        i = np.where(has, below.argmax(axis=1), top)
+        pivot = A[stack, i, c:]
+        A[stack, i, c:] = A[stack, top, c:]
+        pivot = pivot * _inverse_mod(np.where(has, pivot[:, 0], 1), p)[:, None] % p
+        # the factors clearing column c, zero in every matrix without a pivot
+        # here, whose rows therefore stay as they are; the pivot row is then
+        # written over whatever the update left in it
+        factors = A[:, :, c] * has[:, None]
+        A[:, :, c:] = (A[:, :, c:] - factors[:, :, None] * pivot[:, None, :]) % p
+        A[stack, top, c:] = pivot
+        is_pivot[:, c] = has
+        rank += has
+    return A, is_pivot
+
+
+def _inverse_mod(x, p):
+    """The inverses mod p of the units x, by square and multiply on the
+    exponent p - 2; products of residues fit int64 (_check_int64)."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
 
 def np_nullspace(A, p):

@@ -30,7 +30,10 @@ L(lambda), lambda = label, and absolutely irreducible on GL_n(F_p):
   W/rad = L(lambda) (Jantzen, Representations of Algebraic Groups, II.2).
 - L spans a complement of the radical: the weight blocks of the Gram
   matrix are nonsingular on L, and dim L is dim L(lambda), which Braden's
-  closed form (Bull. AMS 73, 1967) gives apart from the radical.
+  closed form (Bull. AMS 73, 1967) gives apart from the radical.  When the
+  radical is 0, L is W itself, and its blocks are the very ones, on the
+  same rows, weights and form, that _radical_quotient has just found
+  nonsingular; they are not reduced a second time.
 - In module coordinates v+ is fixed by U+ and has the weight lambda.
 - lambda is p-restricted, so L(lambda) stays absolutely irreducible on
   GL_n(F_p) (Steinberg, Nagoya Math. J. 22, 1963).
@@ -50,6 +53,9 @@ V(lambda), by its universal property (Jantzen, part II ch. 2), and a W
 above the Weyl dimension (i+1)(j+1)(i+j+2)/2 raises.  The contravariant
 form pairs distinct weight spaces to 0, so the radical is cut one weight
 block of the Gram matrix at a time, in W-coordinates (_radical_quotient).
+A row of weight mu is zero off the carrier columns of weight mu, so each
+block is formed on those columns alone, and the blocks of one size are
+reduced together, by one linalg.np_rref_stack call (_gram_kernel).
 
 The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
@@ -74,7 +80,8 @@ twist by det^c points to its base module through its untwisted field, and
 shares the base's basis and coordinates; any other module is its own
 untwisted module.  Coordinates are linear, so the twist's image is det(g)^c
 times the base's image mod p, and u_invariants takes the base's parabolic
-invariants and their intertwiner unchanged.
+invariants and their intertwiner unchanged, and the base's rank-2 block
+twisted by det^c in the same way (_twist serves both ranks).
 
 The substitution matrices Sym^k(M) behind every carrier action are built by
 degree recursion (sub_matrix): a degree-k monomial is a degree-(k-1) parent
@@ -106,7 +113,7 @@ from math import factorial, prod
 import numpy as np
 
 from .arith import adj3, det, is_prime, primitive_root
-from .linalg import matmul_mod, np_nullspace, np_rref, trailing_pivots
+from .linalg import _kernel, matmul_mod, np_nullspace, np_rref, np_rref_stack, trailing_pivots
 
 
 class CertificateError(RuntimeError):
@@ -279,8 +286,7 @@ def build_gl3_module(p, a, b, c):
     base_key = (p, a - b, b - c)
     if base_key not in _GL3_CACHE:
         _GL3_CACHE[base_key] = _build_gl3_base(p, a - b, b - c)
-    base = _GL3_CACHE[base_key]
-    return _twist_gl3(base, p, a, b, c)
+    return _twist(_GL3_CACHE[base_key], (a, b, c))
 
 
 def _build_gl3_base(p, i, j):
@@ -306,11 +312,15 @@ def _build_gl3_base(p, i, j):
         raise CertificateError("form degenerates on the highest-weight vector")
 
     # W modulo the radical of the contravariant form on it; each row of L,
-    # as of W, lies in the weight space of its pivot column.  W is passed
-    # straight through, so no copy of it outlives the quotient, and L is W
-    # itself when the radical is 0.
+    # as of W, lies in the weight space of its pivot column.  L is W itself
+    # when the radical is 0, and then the Gram kernel of L is the empty one
+    # _radical_quotient has just found; otherwise W is dropped here, so no
+    # copy of it outlives the quotient.
     weights = _carrier_weights(i, j)
-    L, coords = _radical_quotient(_highest_weight_span(p, i, j, act), weights, wt, p)
+    W = _highest_weight_span(p, i, j, act)
+    L, coords = _radical_quotient(W, weights, wt, p)
+    nondegenerate = L is W
+    del W
 
     mod = IrreducibleModule(
         p=p,
@@ -320,7 +330,7 @@ def _build_gl3_base(p, i, j):
         image=_carrier_image(act, L, coords, p),
         weights=weights[(L != 0).argmax(axis=1)],
     )
-    _certify_module(mod, forms, coords(vplus[None])[0], table)
+    _certify_module(mod, forms, coords(vplus[None])[0], table, nondegenerate)
     return mod
 
 
@@ -415,10 +425,8 @@ def _highest_weight_span(p, i, j, act):
     sorted by pivot, are the reduced echelon form of W.  A W above the Weyl
     dimension raises CertificateError."""
     weights = _carrier_weights(i, j)
-    columns = {}  # (mu1, mu2) -> carrier columns of weight mu
-    for col, (m1, m2, _) in enumerate(weights.tolist()):
-        columns.setdefault((m1, m2), []).append(col)
-    columns = {mu: np.array(cols) for mu, cols in columns.items()}
+    # (mu1, mu2) -> carrier columns of weight mu
+    columns = {mu[:2]: np.array(cols) for mu, cols in _weight_blocks(weights).items()}
     gens = gl_generators(3, p)
     # (E_10, -a1) and (E_21, -a2) on (mu1, mu2); mu3 = i + 2j - mu1 - mu2
     lowering = [(act(gens[1]), (-1, 1)), (act(gens[3]), (0, -1))]
@@ -478,7 +486,7 @@ def _radical_quotient(W, weights, wt, p):
     empty.  The W-coordinates y of a row, less y[T] N, lie in the span of
     the rows L, and read at their places give the coordinates in L."""
     pivots = (W != 0).argmax(axis=1)
-    kernel = _gram_kernel(W, weights[pivots], wt, p)
+    kernel = _gram_kernel(W, weights[pivots], wt, p, weights)
     N = np.zeros((len(kernel), len(W)), dtype=np.int64)
     for n, k in enumerate(sorted(kernel)):
         ks, row = kernel[k]
@@ -495,40 +503,71 @@ def _radical_quotient(W, weights, wt, p):
     return (W if keep.all() else W[keep]), coords
 
 
-def _gram_kernel(rows, weights, wt, p):
+def _gram_kernel(rows, weights, wt, p, column_weights):
     """The kernel of the Gram matrix of the form (x, y) = sum x y wt on the
     carrier rows, of torus weights weights, as {k: (ks, row)}: each kernel
     vector is row on the rows ks of its weight block, last nonzero at k.
+    column_weights are the torus weights of the carrier columns.
 
     The form pairs distinct weight spaces to 0, so the kernel is cut one
-    weight block at a time.  The one-row blocks are tested at once, and
-    np_nullspace runs on the others.  Its rows are in trailing-pivot normal
-    form, which is unique, and the blocks have disjoint supports, so the
-    block kernels sorted by k are the bytes np_nullspace of the whole Gram
-    matrix returns."""
-    blocks = {}
-    for k, mu in enumerate(map(tuple, weights.tolist())):
-        blocks.setdefault(mu, []).append(k)
-    single = np.array([ks[0] for ks in blocks.values() if len(ks) == 1], dtype=np.intp)
+    weight block at a time.  The one-row blocks are tested at once.  A row
+    of weight mu is zero off the carrier columns of weight mu, so each
+    multi-row block is gathered on those columns alone, which leaves its
+    Gram matrix as it is.  The blocks of one size go through one
+    np_rref_stack call, their Gram matrices formed by one product of the
+    gathered blocks, each padded to the widest with columns at which the
+    form is set to 0: such a column adds 0 to every Gram entry.
+    np_rref_stack gives each Gram matrix the echelon form np_rref gives it,
+    so the kernel read off it is the one np_nullspace returns, in
+    trailing-pivot normal form, which is unique; the blocks have disjoint
+    supports, so the block kernels sorted by k are the bytes np_nullspace of
+    the whole Gram matrix returns."""
+    columns = _weight_blocks(column_weights)
+    sizes = {}
+    single = []
+    for mu, ks in _weight_blocks(weights).items():
+        if len(ks) == 1:
+            single.append(ks[0])
+        else:
+            sizes.setdefault(len(ks), []).append((ks, columns.get(mu, [])))
     ones = rows[single]
     value = (ones * ones % p * wt).sum(axis=1) % p
-    kernel = {k: ([k], [1]) for k in single[value == 0].tolist()}
-    for ks in blocks.values():
-        if len(ks) > 1:
-            B = rows[ks]
-            for row in np_nullspace(matmul_mod(B * wt % p, B.T, p), p):
+    kernel = {k: ([k], [1]) for k in np.array(single, dtype=np.intp)[value == 0].tolist()}
+    for blocks in sizes.values():
+        width = max(len(cols) for _, cols in blocks)
+        # each block's columns, padded at the end with column 0, where its
+        # form is set to 0
+        cols = np.array([c + [0] * (width - len(c)) for _, c in blocks], dtype=np.intp)
+        form = wt[cols] * (np.arange(width) < np.array([len(c) for _, c in blocks])[:, None])
+        B = rows[np.array([ks for ks, _ in blocks])[:, :, None], cols[:, None, :]]
+        R, is_pivot = np_rref_stack(matmul_mod(B * form[:, None] % p, B.swapaxes(1, 2), p), p)
+        for t in np.flatnonzero(~is_pivot.all(axis=1)).tolist():
+            ks = blocks[t][0]
+            pivots = np.flatnonzero(is_pivot[t])
+            for row in _kernel(R[t, : len(pivots), :, None], pivots, p)[..., 0]:
                 kernel[ks[row.nonzero()[0][-1]]] = ks, row
     return kernel
 
 
-def _twist_gl3(base, p, a, b, c):
-    """Tensor the cached (a-c, b-c, 0) module by det^c."""
-    if c % (p - 1) == 0 and (a, b, c) == base.label:
+def _weight_blocks(weights):
+    """{mu: the indices, increasing, of the rows of weights equal to mu}."""
+    blocks = {}
+    for k, mu in enumerate(map(tuple, weights.tolist())):
+        blocks.setdefault(mu, []).append(k)
+    return blocks
+
+
+def _twist(base, label):
+    """base tensored by det^c, c = label[-1] - base.label[-1], as the module
+    of label, of either rank: base itself when label is its label."""
+    if label == base.label:
         return base
+    p = base.p
+    c = label[-1] - base.label[-1]
     return IrreducibleModule(
         p=p,
-        n=3,
-        label=(a, b, c),
+        n=base.n,
+        label=label,
         basis=base.basis,
         image=lambda g, rows: base.image(g, rows) * pow(int(det(g)) % p, c % (p - 1), p) % p,
         untwisted=base,
@@ -554,6 +593,15 @@ def _form_weights(nvars, deg, p):
     its diagonal: y^e pairs with itself to e! = prod e_k! mod p, and with
     every other monomial to 0."""
     return np.array([prod(map(factorial, e)) % p for e in sym_basis(nvars, deg)], dtype=np.int64)
+
+
+def _column_weights(label):
+    """The torus weights of the carrier columns of the module of label:
+    those of the monomials of Sym^(a-b) for rank 2, of _carrier_weights for
+    rank 3, plus the last entry of label."""
+    degrees = [x - y for x, y in zip(label, label[1:])]
+    weights = np.array(sym_basis(2, degrees[0])) if len(degrees) == 1 else _carrier_weights(*degrees)
+    return weights + label[-1]
 
 
 def _weyl_dim(i, j):
@@ -586,20 +634,24 @@ def _check_highest_weight(act, v, n, label, p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
 
-def _certify_module(mod, forms, v, table):
+def _certify_module(mod, forms, v, table, nondegenerate=False):
     """Certify that mod is L(label), absolutely irreducible on GL_n(F_p),
     by the proof in the module docstring.  forms are the weights of the
     form on each Sym factor of the carrier, v is v+ in module coordinates,
     the one row imaged, and table is the build's _factor_table: the factors
     of each g of gl_generators and of g^T are read from it, so they are the
-    matrices the action uses."""
+    matrices the action uses.  nondegenerate is True only when the basis
+    is the very W whose Gram kernel _radical_quotient has just found empty,
+    on the same rows, weights and form; the Gram kernel is then not
+    computed a second time."""
     p, n = mod.p, mod.n
     degrees = [x - y for x, y in zip(mod.label, mod.label[1:])]
     for g in gl_generators(n, p):
         for S, St, w in zip(table[g.tobytes()], table[g.T.tobytes()], forms):
             if not np.array_equal(S.T * w % p, w[:, None] * St % p):
                 raise CertificateError("the form is not contravariant under %s" % g.tolist())
-    if _gram_kernel(mod.basis, mod.weights, reduce(np.kron, forms), p):
+    wt = reduce(np.kron, forms)
+    if not nondegenerate and _gram_kernel(mod.basis, mod.weights, wt, p, _column_weights(mod.label)):
         raise CertificateError("the form is degenerate on the module basis")
     want = _simple_dim(degrees, p)
     if mod.dim != want:
@@ -628,9 +680,9 @@ def u_invariants(mod):
 
     Returns the invariants of F(a,b,c) as a LeviModule: the rank-1 torus
     factor acts by the c-power, the rank-2 block acts as F(a,b), and an
-    explicit equivariant isomorphism onto build_gl2_module(p,a,b) is part of
-    the certificate.  A base module computes and certifies its LeviModule
-    once and keeps it, with read-only arrays.
+    explicit equivariant isomorphism onto the rank-2 model of F(a,b) is
+    part of the certificate.  A base module computes and certifies its
+    LeviModule once and keeps it, with read-only arrays.
 
     The fixed space K is read off the weights, not solved for.  The
     first-column unipotent group is the unipotent radical of the parabolic
@@ -649,12 +701,15 @@ def u_invariants(mod):
 
     A twist by det^c takes its base's basis and isomorphism, because
     rho(g) = det(g)^c rho_base(g) in the base's coordinates.  The unipotents
-    have determinant 1, so the fixed space K is the base's.  For g =
+    have determinant 1, so the fixed space K is the base's.  Its rank-2
+    model is the base's, F(a-c, b-c), twisted by det^c: Sym^(a-b)(h^T)
+    det(h)^(b-c) det(h)^c, which is the rho of build_gl2_module(p, a, b) on
+    GL_2(F_p), so no rank-2 module is built or certified again.  For g =
     diag(1, h) both sides of the intertwiner equation Phi A(h) = rho2(h) Phi
     gain the factor det(h)^c, since F(a,b) = F(a-c, b-c) (x) det^c, so its
     solution line, and the normalized solution np_nullspace returns on it,
-    is the base's as well.  The twist therefore rests on that identity of
-    rho, which the tests check, and on the base's certificates.
+    is the base's as well.  The twist therefore rests on those identities
+    of rho, which the tests check, and on the base's certificates.
     """
     if mod.n != 3:
         raise ValueError("parabolic invariants implemented for the rank-3 modules")
@@ -662,9 +717,8 @@ def u_invariants(mod):
     a, b, c = mod.label
     if mod.untwisted is not mod:
         levi = u_invariants(mod.untwisted)
-        return LeviModule(
-            base=mod, basis=levi.basis, gl1_exponent=c % (p - 1), gl2_module=build_gl2_module(p, a, b), iso=levi.iso
-        )
+        gl2 = _twist(levi.gl2_module, (a, b))
+        return LeviModule(base=mod, basis=levi.basis, gl1_exponent=c % (p - 1), gl2_module=gl2, iso=levi.iso)
     if mod._levi is not None:
         return mod._levi
     low = np.flatnonzero(mod.weights[:, 0] == c)
@@ -705,21 +759,44 @@ def _intertwiner(restricted, gl2, p):
     """Solve Phi . A(h) = rho2(h) . Phi over the rank-2 generators.  Both
     sides are absolutely irreducible, so by Schur's lemma the solutions form
     a line, and any nonzero solution is invertible; any other dimension
-    raises."""
+    raises.
+
+    The system is solved on the entries of Phi that the torus generator
+    diag(g0, 1) leaves free.  It must act diagonally on both sides, as on
+    weight vectors, or CertificateError is raised; with A = diag(alpha) and
+    rho2 = diag(beta) its equation reads Phi[a, b] (alpha_b - beta_a) = 0,
+    so every solution vanishes off the positions where beta_a = alpha_b.
+    For F(a,b) of dimension k those are k of the k^2 entries, or k + 2 at
+    k = p, where g0^0 = g0^(p-1).  The restriction is exact: the solutions
+    are those of the E_01 and E_10 equations on these columns alone, put
+    back in place, so their line is the same.  Its vector normalized to
+    last nonzero entry 1, which np_nullspace returns, is then the same too,
+    since the columns keep their order."""
     k = gl2.dim
-    gens = gl_generators(2, p)
-    mats = [(restricted(h), gl2.rho(h)) for h in gens]
+    mats = [(restricted(h), gl2.rho(h)) for h in gl_generators(2, p)]
+    *unipotents, (A, R2) = mats
+    alpha, beta = np.diagonal(A), np.diagonal(R2)
+    if not (np.array_equal(A, np.diag(alpha)) and np.array_equal(R2, np.diag(beta))):
+        raise CertificateError("the torus generator does not act diagonally")
+    free = np.flatnonzero(beta[:, None] == alpha[None, :])
+    a, b = np.divmod(free, k)
+    t = np.arange(len(free))
     rows = []
-    for A, R2 in mats:
-        # row-major vec of Phi: vec(Phi A) = (I kron A^T) v, vec(R2 Phi) = (R2 kron I) v
-        op = np.kron(np.eye(k, dtype=np.int64), A.T) - np.kron(R2, np.eye(k, dtype=np.int64))
-        rows.append(op % p)
+    for A, R2 in unipotents:
+        # the column of Phi[a, b] in the row-major vec of Phi A - R2 Phi:
+        # A[b, j] at row (a, j) and -R2[i, a] at row (i, b)
+        op = np.zeros((k, k, len(free)), dtype=np.int64)
+        op[a, :, t] = A[b]
+        op[:, b, t] -= R2[:, a]
+        rows.append(op.reshape(k * k, -1) % p)
     sol = np_nullspace(np.vstack(rows), p)
     if len(sol) != 1:
         raise CertificateError(
             "equivariant maps onto the rank-2 model form a space of dimension %d, not 1" % len(sol)
         )
-    phi = sol[0].reshape(k, k)
+    phi = np.zeros(k * k, dtype=np.int64)
+    phi[free] = sol[0]
+    phi = phi.reshape(k, k)
     for A, R2 in mats:
         if not np.array_equal(matmul_mod(phi, A, p), matmul_mod(R2, phi, p)):
             raise CertificateError("intertwiner fails to intertwine")

@@ -51,13 +51,23 @@ class BoundaryDatum:
     """Everything needed to run the eigenvalue transfer at one boundary
     stratum: the symbol space at level N1 = N/d with its eigenclass, the
     exponent c, and chi0, the factor of the character that the space's chi1
-    does not carry.  p, the weight (a, b), N1 and chi1 are the space's."""
+    does not carry.  p, the weight (a, b), N1 and chi1 are the space's.
+    eigen may be None for a datum that only builds operators.
+
+    A datum checks its own fields when constructed: chi0 has modulus d, d is
+    prime to p N1, as the level N = d N1 and heckegl3.hecke_orbit_action
+    need, and the eigensystem is one of this space's."""
 
     c: int
     d: int
     chi0: DirichletCharacter
     space: SymbolSpace
     eigen: EigenSystem
+
+    def __post_init__(self):
+        _check_level(self.space.p, self.space.N, self.d, self.chi0)
+        if self.eigen is not None and self.eigen.space is not self.space:
+            raise ValueError("the eigensystem is not one of the datum's space")
 
     @property
     def N(self):
@@ -67,15 +77,12 @@ class BoundaryDatum:
     def build(cls, p, a, b, c, d, N1, chi0=None, chi1=None, window=(2,), lambdas=None):
         """Construct the symbol space at level N1 over chi1's field (F_p by
         default), locate the eigensystem with the given lambda fingerprint
-        (or the first one), and package the datum.  d must be prime to p N1,
-        as the level N = d N1 and heckegl3.hecke_orbit_action need."""
+        (or the first one), and package the datum.  The datum's own checks
+        on chi0 and d run first, before any space is built."""
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
-        if chi0 is not None and chi0.modulus != d:
-            raise ValueError("chi0 must have modulus d")
-        if gcd(d, p * N1) != 1:
-            raise ValueError("d = %d must be prime to p * N1 = %d" % (d, p * N1))
+        _check_level(p, N1, d, chi0)
         space = SymbolSpace(N1, p, a, b, chi1=chi1)
         chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)
         systems = find_eigensystems(space, list(window))
@@ -85,6 +92,15 @@ class BoundaryDatum:
         if not matches:
             raise ValueError("no eigensystem matches the requested eigenvalues")
         return cls(c=c, d=d, chi0=chi0, space=space, eigen=matches[0])
+
+
+def _check_level(p, N1, d, chi0):
+    """Raise ValueError unless chi0 (None: not yet chosen) has modulus d and
+    d is prime to p N1."""
+    if chi0 is not None and chi0.modulus != d:
+        raise ValueError("chi0 must have modulus d")
+    if gcd(d, p * N1) != 1:
+        raise ValueError("d = %d must be prime to p * N1 = %d" % (d, p * N1))
 
 
 def gl3_hecke_on_boundary(datum, l, k, V):

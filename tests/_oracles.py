@@ -52,7 +52,10 @@ its radical as modrep built it before it worked in W-coordinates and one
 weight block at a time: the kernel of the whole Gram matrix, a second spin
 over the carrier for the complement rows and a coordinate solve in the
 basis [radical; complement]; it is the reference for
-modrep._radical_quotient.  direct_u_invariants computes and
+modrep._radical_quotient.  gram_kernel_by_nullspace is the Gram kernel as
+modrep cut it before it stacked the weight blocks: one np_nullspace per
+multi-row block, on the whole carrier rows; it is the reference for
+modrep._gram_kernel.  direct_u_invariants computes and
 certifies the parabolic invariants of any rank-3 module from its own rho,
 as the kernel of rho(u) - 1 for the two unipotent generators; it is the
 reference for modrep.u_invariants, which reads them off the weights of a
@@ -1190,14 +1193,17 @@ def recording_radical_quotient(record):
     return quotient
 
 
-def kron_twist_gl3(base, p, a, b, c, coords):
-    """Drop-in for modrep._twist_gl3, given coords, the coordinate map of
-    the base's quotient: the twist by det^c, with rho(g) read off the
-    explicit carrier matrix of g times det(g)^c in the base coordinates.
-    The module is its own untwisted module, so u_invariants computes and
-    certifies its invariants from this rho instead of reading the base's."""
-    if c % (p - 1) == 0 and (a, b, c) == base.label:
+def kron_twist_gl3(base, label, coords):
+    """Drop-in for modrep._twist on a rank-3 base, given coords, the
+    coordinate map of the base's quotient: the twist by det^c, with rho(g)
+    read off the explicit carrier matrix of g times det(g)^c in the base
+    coordinates.  The module is its own untwisted module, so u_invariants
+    computes and certifies its invariants from this rho instead of reading
+    the base's."""
+    if label == base.label:
         return base
+    p = base.p
+    a, b, c = label
 
     def act(g):
         C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
@@ -1312,6 +1318,21 @@ def spin_radical_quotient(W, weights, wt, p):
     L = W[comp.add_rows(W)]
     solver = coord_solver(np.vstack([rad, L]), p)
     return L, lambda rows: solver(rows)[:, len(rad) :]
+
+
+def gram_kernel_by_nullspace(rows, weights, wt, p):
+    """The kernel of the Gram matrix of (x, y) = sum x y wt on rows, in
+    modrep._gram_kernel's form {k: (ks, row)}, one np_nullspace per weight
+    block of the whole rows."""
+    blocks = {}
+    for k, mu in enumerate(map(tuple, weights.tolist())):
+        blocks.setdefault(mu, []).append(k)
+    kernel = {}
+    for ks in blocks.values():
+        B = rows[ks]
+        for row in np_nullspace(matmul_mod(B * wt % p, B.T, p), p):
+            kernel[ks[row.nonzero()[0][-1]]] = ks, row
+    return kernel
 
 
 def direct_u_invariants(mod):

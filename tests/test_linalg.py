@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gl3hecke import linalg
 from gl3hecke.ffield import make_field
-from gl3hecke.linalg import SpinBasis, matmul_mod, np_rref
+from gl3hecke.linalg import SpinBasis, matmul_mod, np_rref, np_rref_stack
 
 import _oracles
 from _oracles import SequentialSpinBasis
@@ -399,3 +399,62 @@ def test_int64_kernels_raise_past_the_int64_bound():
         np_rref(np.array([[2, 3], [5, 7]]), p)
     with pytest.raises(OverflowError):
         SpinBasis(p, 2).add_rows(np.array([[2, 3]]))
+
+
+@st.composite
+def rref_stacks(draw):
+    """A prime, a shape up to 8 x 8 and a stack of 0 to 8 matrices of it:
+    random, zero, rank-deficient, or a smaller matrix padded with zero rows
+    and columns at the end (kept with its unpadded shape)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17]))
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack, inner = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "zero", "deficient", "padded"]))
+        A = np.zeros((m, n), dtype=np.int64)
+        h, w = m, n
+        if kind == "padded":
+            h, w = draw(st.integers(0, m)), draw(st.integers(0, n))
+        if kind == "deficient":
+            # rows from combinations of at most r random rows
+            r = draw(st.integers(0, min(m, n)))
+            A[:] = rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+        elif kind != "zero":
+            A[:h, :w] = rng.integers(0, p, (h, w))
+        stack.append(A)
+        inner.append(A[:h, :w])
+    return p, np.array(stack, dtype=np.int64).reshape(len(stack), m, n), inner
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_stacks())
+def test_np_rref_stack_is_np_rref_matrix_by_matrix(case):
+    p, A, inner = case
+    R, is_pivot = np_rref_stack(A, p)
+    assert R.dtype == np.int64 and R.shape == A.shape and is_pivot.shape == (len(A), A.shape[2])
+    for k in range(len(A)):
+        rank = int(is_pivot[k].sum())
+        want, pivots = np_rref(A[k], p)
+        assert np.array_equal(R[k][:rank], want) and np.flatnonzero(is_pivot[k]).tolist() == pivots
+        assert not R[k][rank:].any()
+        # a matrix padded with zero rows and columns reduces to its own form, padded
+        w = inner[k].shape[1]
+        small, small_pivots = np_rref(inner[k], p)
+        assert small_pivots == pivots and np.array_equal(want[:, :w], small) and not want[:, w:].any()
+
+
+def test_np_rref_stack_raises_at_the_same_p_as_np_rref():
+    # 3037000493 and 3037000507 are the primes either side of (p - 1)**2 = 2**63
+    A = np.array([[[2, 3], [5, 7]], [[0, 0], [4, 1]]])
+    for p in (3037000493, 3037000507):
+        try:
+            want = [np_rref(M, p) for M in A]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                np_rref_stack(A, p)
+            assert p == 3037000507
+            continue
+        R, is_pivot = np_rref_stack(A, p)
+        for k, (Rk, pivots) in enumerate(want):
+            assert np.array_equal(R[k][: len(pivots)], Rk) and np.flatnonzero(is_pivot[k]).tolist() == pivots

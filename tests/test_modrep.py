@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gl3hecke import modrep
@@ -614,7 +614,7 @@ def test_module_matches_explicit_kronecker_carrier_oracle(label, monkeypatch):
     # the twist reads the base's coordinate map as the base's quotient made it
     quotients = {}
     monkeypatch.setattr(modrep, "_radical_quotient", recording_radical_quotient(quotients))
-    monkeypatch.setattr(modrep, "_twist_gl3", lambda base, *label: kron_twist_gl3(base, *label, quotients[id(base.basis)]))
+    monkeypatch.setattr(modrep, "_twist", lambda base, label: kron_twist_gl3(base, label, quotients[id(base.basis)]))
     _assert_byte_identical(got, _module_arrays(label))
 
 
@@ -668,8 +668,7 @@ def test_twist_with_a_built_key_computes_no_carrier_action(monkeypatch):
     second = u_invariants(build_gl3_module(11, 16, 10, 5))
     assert calls == []
     # the twist solves no kernel for its invariants or its intertwiner, and
-    # the certificate of its rank-2 model F(16, 10) solves none either: its
-    # weight spaces are lines
+    # builds no rank-2 model: it twists its base's
     assert kernels == []
     assert second.dim == first.dim == 7 and second.gl1_exponent == 5
     assert second.basis is first.basis and second.iso is first.iso
@@ -891,6 +890,161 @@ def test_intertwiner_raises_unless_the_solution_space_is_a_line():
     # four-dimensional solution space, which Schur's lemma rules out
     with pytest.raises(CertificateError, match="dimension 4, not 1"):
         modrep._intertwiner(lambda h: np.eye(2, dtype=np.int64), _IdentityBlock(), 5)
+
+
+class _TorusBlock(_IdentityBlock):
+    """The identity on every generator but the torus diag(g0, 1), which gets
+    the non-diagonal matrix [[1, 1], [0, 1]]."""
+
+    def rho(self, h):
+        return np.array([[1, 1], [0, 1]]) if h[0, 0] != 1 else np.eye(self.dim, dtype=np.int64)
+
+
+def test_intertwiner_rejects_a_torus_that_does_not_act_diagonally():
+    # the restriction to the torus-fixed unknowns reads the torus generator
+    # as diagonal, on the invariants and on the rank-2 model alike
+    with pytest.raises(CertificateError, match="does not act diagonally"):
+        modrep._intertwiner(lambda h: np.eye(2, dtype=np.int64), _TorusBlock(), 5)
+    with pytest.raises(CertificateError, match="does not act diagonally"):
+        modrep._intertwiner(_TorusBlock().rho, _IdentityBlock(), 5)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_intertwiner_solves_on_the_torus_fixed_unknowns_alone(p, monkeypatch):
+    # Phi[a, b] is free only where the torus scales both sides alike: k + 1
+    # of the (k + 1)^2 entries for F(a, b) of degree k = a - b, and k + 3 at
+    # k = p - 1, where the exponents 0 and p - 1 give the same scalar
+    shapes, nullspace = [], modrep.np_nullspace
+
+    def recorded(A, p):
+        shapes.append(np.shape(A))
+        return nullspace(A, p)
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "np_nullspace", recorded)
+    for i in range(p):
+        for j in range(p):
+            shapes.clear()
+            u_invariants(build_gl3_module(p, i + j, j, 0))
+            # the system, then the singularity check on the (k + 1)^2 Phi
+            assert shapes[-1] == (i + 1, i + 1)
+            assert shapes[-2][1] == i + 1 + 2 * (i == p - 1) <= i + 3
+
+
+@pytest.mark.parametrize("p,i,j", [(5, 1, 3), (7, 3, 3), (11, 5, 6)])
+def test_gram_kernel_makes_one_stacked_call_per_block_size(p, i, j, monkeypatch):
+    # every multi-row weight block of one size goes through one
+    # np_rref_stack call, and no block through np_nullspace
+    calls, stack = [], modrep.np_rref_stack
+
+    def recorded(A, p):
+        calls.append(np.shape(A))
+        return stack(A, p)
+
+    monkeypatch.setattr(modrep, "np_rref_stack", recorded)
+    monkeypatch.setattr(modrep, "np_nullspace", None)
+    weights = modrep._carrier_weights(i, j)
+    W = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
+    wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
+    row_weights = weights[(W != 0).argmax(axis=1)]
+    kernel = modrep._gram_kernel(W, row_weights, wt, p, weights)
+    sizes = np.unique(np.unique(row_weights, axis=0, return_counts=True)[1])
+    assert sorted(s for _, s, _ in calls) == [s for s in sizes.tolist() if s > 1]
+    assert all(m == n for _, m, n in calls) and len(calls) == len({m for _, m, _ in calls})
+    assert len(kernel) == len(W) - build_gl3_module(p, i + j, j, 0).dim
+
+
+@st.composite
+def _weight_graded_rows(draw):
+    """Rows, each supported on the carrier columns of its own weight, with
+    the weights of rows and columns and a diagonal form.  Weight blocks of
+    one size can differ in width, so that some are padded, and dependent
+    rows and form entries 0 give kernels that are not empty."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column_weights = np.array(draw(st.lists(st.integers(0, 3), min_size=1, max_size=12)))[:, None] * [1, -1]
+    labels = np.unique(column_weights, axis=0)
+    rows, weights = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        mu = labels[draw(st.integers(0, len(labels) - 1))]
+        row = np.zeros(len(column_weights), dtype=np.int64)
+        on = (column_weights == mu).all(axis=1)
+        same = [r for r, w in zip(rows, weights) if (w == mu).all()]
+        if same and draw(st.booleans()):
+            row[on] = sum(int(rng.integers(0, p)) * r[on] for r in same) % p
+        else:
+            row[on] = rng.integers(0, p, on.sum())
+        rows.append(row)
+        weights.append(mu)
+    wt = rng.integers(0, p, len(column_weights))
+    shape = (len(rows), len(column_weights))
+    return p, np.array(rows, dtype=np.int64).reshape(shape), np.array(weights).reshape(-1, 2), wt, column_weights
+
+
+# two 2-row blocks, of widths 3 and 4: the first is padded by one column,
+# and its row (1, 2, 0) is isotropic mod 5 only if that column adds 0
+_PADDED_BLOCK = (
+    5,
+    np.array([[1, 2, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]]),
+    np.array([[0, 0]] * 2 + [[1, -1]] * 2),
+    np.ones(7, dtype=np.int64),
+    np.array([[0, 0]] * 3 + [[1, -1]] * 4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_graded_rows())
+@example(_PADDED_BLOCK)
+def test_gram_kernel_matches_one_nullspace_per_block_of_whole_rows(case):
+    p, rows, weights, wt, column_weights = case
+    got = modrep._gram_kernel(rows, weights, wt, p, column_weights)
+    want = _oracles.gram_kernel_by_nullspace(rows, weights, wt, p)
+    assert sorted(got) == sorted(want)
+    for k, (ks, row) in want.items():
+        assert list(got[k][0]) == list(ks) and np.array_equal(got[k][1], row)
+
+
+@pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
+def test_the_certificate_reuses_the_empty_gram_kernel_of_w(p, i, j, radical, monkeypatch):
+    # with radical 0, L is W and its Gram kernel is the empty one the
+    # quotient has just computed; otherwise the certificate computes L's
+    seen, kernel = [], modrep._gram_kernel
+
+    def recorded(*args):
+        seen.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_gram_kernel", recorded)
+    mod = build_gl3_module(p, i + j, j, 0)
+    # the kernel of W, then, only when the radical is not 0, that of L
+    assert seen == ([mod.dim] if radical == 0 else [mod.dim + radical, mod.dim])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twisted_levi_block_is_the_rank_2_model_of_its_label(p, monkeypatch):
+    # the twist's rank-2 block is its base's, tensored by det^c: the bytes
+    # of build_gl2_module(p, a, b).rho, without building that module
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    rng = np.random.default_rng(p)
+    randoms = []
+    while len(randoms) < 4:
+        g = rng.integers(0, p, (2, 2))
+        if det(g) % p:
+            randoms.append(g)
+    for i in range(p):
+        for j in range(p):
+            base = u_invariants(build_gl3_module(p, i + j, j, 0))
+            for c in {1, p - 1, 2 * p - 3}:
+                a, b = i + j + c, j + c
+                builds, build = [], modrep.build_gl2_module
+                monkeypatch.setattr(modrep, "build_gl2_module", lambda *args: builds.append(args) or build(*args))
+                block = u_invariants(build_gl3_module(p, a, b, c)).gl2_module
+                monkeypatch.setattr(modrep, "build_gl2_module", build)
+                assert builds == [] and block.untwisted is base.gl2_module and block.label == (a, b)
+                model = build_gl2_module(p, a, b)
+                for g in gl_generators(2, p) + randoms:
+                    _assert_byte_identical([block.rho(g)], [model.rho(g)])
 
 
 def test_characteristic_two_modules():

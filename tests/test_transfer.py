@@ -196,6 +196,38 @@ def test_build_rejects_a_d_not_prime_to_p_times_N1(monkeypatch, d):
     assert built == []
 
 
+def _fixture_datum():
+    return BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,))
+
+
+def test_a_datum_constructed_directly_rejects_a_chi0_whose_modulus_is_not_d():
+    # chi0 of modulus 7 at d = 3 is read at psi1 mod 7, and every flag of the
+    # checks would pass at the wrong character
+    datum = _fixture_datum()
+    chi0 = DirichletCharacter.trivial(datum.space.field, 7)
+    with pytest.raises(ValueError, match="chi0 must have modulus d"):
+        BoundaryDatum(c=0, d=3, chi0=chi0, space=datum.space, eigen=datum.eigen)
+    chi0 = DirichletCharacter.trivial(datum.space.field, 3)
+    assert BoundaryDatum(c=0, d=3, chi0=chi0, space=datum.space, eigen=datum.eigen).N == 33
+
+
+def test_a_datum_constructed_directly_rejects_a_d_not_prime_to_p_times_N1():
+    # d = N1 would otherwise raise only inside hecke_orbit_action
+    datum = _fixture_datum()
+    chi0 = DirichletCharacter.trivial(datum.space.field, 11)
+    with pytest.raises(ValueError, match="d = 11 must be prime to p \\* N1 = 55"):
+        BoundaryDatum(c=0, d=11, chi0=chi0, space=datum.space, eigen=datum.eigen)
+    with pytest.raises(ValueError, match="d = 11 must be prime to p \\* N1 = 55"):
+        dataclasses.replace(datum, d=11, chi0=chi0)
+
+
+def test_a_datum_rejects_an_eigensystem_of_another_space():
+    # an equal space built twice is still another space
+    datum, other = _fixture_datum(), _fixture_datum()
+    with pytest.raises(ValueError, match="not one of the datum's space"):
+        dataclasses.replace(datum, eigen=other.eigen)
+
+
 def test_a_built_datum_keeps_no_hecke_matrix():
     # the search's T_l are dropped when it returns: nothing reachable from
     # the datum has the (dim, dim, r) shape of an operator on the space
