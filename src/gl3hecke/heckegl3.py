@@ -146,7 +146,14 @@ def hecke_orbit_action(l, k, N, d):
 
 def _levi_blocks(reps, l, d):
     """case, psi^1 and psi^2 of every representative, by the table of the
-    module docstring."""
+    module docstring.
+
+    Every psi^2 lies in the level-N semigroup of the rank-2 group, for
+    every N prime to l: its (0, 1) entry is x_12 = 0, never written into
+    an array that starts from zeros, and its determinant is a power of l.
+    psi^2_11 = l3 is 1 or l, and psi^2_00 = a u + l2 v is l2 in case 1, l in
+    case 2, l (t - a d) = l in case 3 and t - a d = 1 in case 4, so
+    det psi^2 = psi^2_00 l3 is 1, l or l^2."""
     l1, l2, l3 = reps[:, 0, 0], reps[:, 1, 1], reps[:, 2, 2]
     a, b, c = reps[:, 1, 0], reps[:, 2, 0], reps[:, 2, 1]
     t = a * d + 1

@@ -42,20 +42,31 @@ W, the radical and the parabolic invariants are read one weight space at
 a time; the carrier monomials y^e z^f are a weight basis, of weight
 e + j(1,1,1) - f for the base label (i+j, j, 0).  W is the submodule that
 v+ generates under the algebraic group, Dist(G) v+, which is Dist(U-) v+
-because v+ is a weight vector fixed by U+; and Dist(U-) is generated as
-an algebra by the divided powers f_a^(n) of the two simple roots
-(Kostant's Z-form; Jantzen, part II ch. 1).  So each weight space W_mu is
-spanned by the f_a^(n) W_(mu + n a), and _highest_weight_span builds the
-weight spaces in order of height below lambda = (i+j, j, 0), reading
-f_a^(n) w as the weight mu - n a component of x_-a(1) w.  Every weight of
-the carrier is at most lambda, so W is a quotient of the Weyl module
-V(lambda), by its universal property (Jantzen, part II ch. 2), and a W
-above the Weyl dimension (i+1)(j+1)(i+j+2)/2 raises.  The contravariant
-form pairs distinct weight spaces to 0, so the radical is cut one weight
-block of the Gram matrix at a time, in W-coordinates (_radical_quotient).
-A row of weight mu is zero off the carrier columns of weight mu, so each
-block is formed on those columns alone, and the blocks of one size are
-reduced together, by one linalg.np_rref_stack call (_gram_kernel).
+because v+ is a weight vector fixed by U+.  Dist(U-) is generated as an
+algebra by the divided powers f_a^(p^k) of the two simple roots (Kostant's
+Z-form; Jantzen, Representations of Algebraic Groups, part II ch. 1):
+f^(m) f^(n) = C(m+n, m) f^(m+n), and for n = n0 + p n1, 0 <= n0 < p,
+Lucas's theorem gives C(n, n0) = 1 mod p, so f^(n) = f^(n0) f^(p n1), and
+f^(n0) = (f^(1))^n0 / n0!.  A carrier weight mu has 0 <= mu_1, mu_2 <=
+i + j, so f_a^(n) is 0 on the carrier for n > i + j, and i + j <= 2p - 2:
+only n1 <= 1 occurs, and f_a^(1), f_a^(p) generate what acts.  Taking the
+last letter of each word in them, W_mu = sum over a of f_a^(1) W_(mu+a) +
+f_a^(p) W_(mu+pa), and _highest_weight_span builds the weight spaces in
+order of height below lambda = (i+j, j, 0).  x_-a(1) = sum_n f_a^(n), so
+f_a^(n) w is the weight mu - n a component of x_-a(1) w for w of weight
+mu, and from the columns of weight mu to those of weight mu - n a it is a
+block of the carrier matrix kron(Sy, Sz), whose entry at (y, z), (y', z')
+is Sy[y, y'] Sz[z, z']: a gather of the two factors of E_10(1) or E_21(1)
+from the build's table (_block_map), so the span forms no carrier row.
+Every weight of the carrier is at most lambda, so W is a quotient of the
+Weyl module V(lambda), by its universal property (Jantzen, part II ch. 2),
+and a W above the Weyl dimension (i+1)(j+1)(i+j+2)/2 raises.  The
+contravariant form pairs distinct weight spaces to 0, so the radical is
+cut one weight block of the Gram matrix at a time, in W-coordinates
+(_radical_quotient).  A row of weight mu is zero off the carrier columns
+of weight mu, so each block is formed on those columns alone, and the
+blocks of one size are reduced together, by one linalg.np_rref_stack call
+(_gram_kernel).
 
 The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
@@ -317,7 +328,7 @@ def _build_gl3_base(p, i, j):
     # _radical_quotient has just found; otherwise W is dropped here, so no
     # copy of it outlives the quotient.
     weights = _carrier_weights(i, j)
-    W = _highest_weight_span(p, i, j, act)
+    W = _highest_weight_span(p, i, j, table)
     L, coords = _radical_quotient(W, weights, wt, p)
     nondegenerate = L is W
     del W
@@ -413,53 +424,39 @@ def _carrier_weights(i, j):
     return (e[:, None] + j - f[None]).reshape(-1, 3)
 
 
-def _highest_weight_span(p, i, j, act):
+def _highest_weight_span(p, i, j, table):
     """W, the submodule that v+ = y1^i z3^j generates in the carrier, as
     reduced echelon rows in pivot order, built one weight space at a time:
-    W_mu is spanned by the f_a^(n) W_(mu + n a), n >= 1 (see the module
-    docstring), so the weights are taken in order of height below lambda.
-    f_a^(n) w is the weight mu - n a component of x_-a(1) w, for x_-a(1) =
-    E_10 and E_21, the lowering generators of gl_generators.  Each W_mu is
-    reduced on the carrier columns of its own weight alone, where its
-    candidates are kept.  The blocks have disjoint supports, so their rows,
-    sorted by pivot, are the reduced echelon form of W.  A W above the Weyl
-    dimension raises CertificateError."""
+    W_mu = sum over the simple roots a of f_a^(1) W_(mu + a) + f_a^(p)
+    W_(mu + p a) (see the module docstring), so the weights are taken in
+    order of height below lambda.  Each f_a^(n) is the block map
+    (_block_map) of x_-a(1), E_10 or E_21 of gl_generators, whose factors
+    are read from table, the build's _factor_table; no carrier row is
+    formed.  Each W_mu is reduced on the carrier columns of its own weight
+    alone, where its candidates are kept.  The blocks have disjoint
+    supports, so their rows, sorted by pivot, are the reduced echelon form
+    of W.  A W above the Weyl dimension raises CertificateError."""
     weights = _carrier_weights(i, j)
-    # (mu1, mu2) -> carrier columns of weight mu
+    # (mu1, mu2) -> carrier columns of weight mu; mu3 = i + 2j - mu1 - mu2
     columns = {mu[:2]: np.array(cols) for mu, cols in _weight_blocks(weights).items()}
     gens = gl_generators(3, p)
-    # (E_10, -a1) and (E_21, -a2) on (mu1, mu2); mu3 = i + 2j - mu1 - mu2
-    lowering = [(act(gens[1]), (-1, 1)), (act(gens[3]), (0, -1))]
-    levels = {}
-    for mu in columns:
-        levels.setdefault(2 * (i + j) + j - 2 * mu[0] - mu[1], []).append(mu)
+    # the factors of x_-a(1) and the step of -a on (mu1, mu2)
+    lowering = [(table[gens[1].tobytes()], (-1, 1)), (table[gens[3].tobytes()], (0, -1))]
     candidates = {(i + j, j): [np.ones((1, 1), dtype=np.int64)]}
     rows = []  # (pivot column, row on the columns of its weight, those columns)
-    for height in sorted(levels):
-        found = []
-        for mu in sorted(levels[height]):
-            if mu in candidates:
-                R, pivots = np_rref(np.vstack(candidates.pop(mu)), p)
-                rows.extend((c, row, columns[mu]) for c, row in zip(columns[mu][pivots].tolist(), R))
-                block = np.zeros((len(R), len(weights)), dtype=np.int64)
-                block[:, columns[mu]] = R
-                found.append((mu, block))
-        if not found:
+    # each simple root lowers 2 mu1 + mu2 by 1
+    for mu in sorted(columns, key=lambda mu: -2 * mu[0] - mu[1]):
+        if mu not in candidates:
             continue
-        # the whole level goes through each lowering generator at once
-        blocks = np.vstack([block for _, block in found])
-        for lower, (d1, d2) in lowering:
-            images = lower(blocks)
-            start = 0
-            for mu, block in found:
-                level_rows = images[start : start + len(block)]
-                start += len(block)
-                for n in range(1, i + j + 1):
-                    nu = (mu[0] + n * d1, mu[1] + n * d2)
-                    if nu in columns:
-                        part = level_rows[:, columns[nu]]
-                        if part.any():
-                            candidates.setdefault(nu, []).append(part)
+        R, pivots = np_rref(np.vstack(candidates.pop(mu)), p)
+        rows.extend((c, row, columns[mu]) for c, row in zip(columns[mu][pivots].tolist(), R))
+        for factors, (d1, d2) in lowering:
+            for n in (1, p):
+                nu = (mu[0] + n * d1, mu[1] + n * d2)
+                if nu in columns:
+                    part = matmul_mod(R, _block_map(factors, columns[mu], columns[nu], p), p)
+                    if part.any():
+                        candidates.setdefault(nu, []).append(part)
     weyl = _weyl_dim(i, j)
     if len(rows) > weyl:
         raise CertificateError("W has dimension %d, above the Weyl dimension %d" % (len(rows), weyl))
@@ -467,6 +464,21 @@ def _highest_weight_span(p, i, j, act):
     for k, (_, row, cols) in enumerate(sorted(rows, key=lambda r: r[0])):
         W[k, cols] = row
     return W
+
+
+def _block_map(factors, source, target, p):
+    """The block of the carrier matrix of g, of factors (Sy, Sz), from the
+    carrier columns source to the carrier columns target: rows on source
+    times it are the target components of their images under g.  Column
+    y dz + z, dz = len(Sz), is the monomial pair (y, z), and the carrier
+    matrix is kron(Sy, Sz), so the image of the unit row at (y', z') has the
+    entry Sy[y, y'] Sz[z, z'] at (y, z): the block is a gather of the
+    factors."""
+    Sy, Sz = factors
+    dz = len(Sz)
+    ys, zs = np.divmod(source, dz)
+    yt, zt = np.divmod(target, dz)
+    return Sy[yt, ys[:, None]] * Sz[zt, zs[:, None]] % p
 
 
 def _radical_quotient(W, weights, wt, p):

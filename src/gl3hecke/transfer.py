@@ -111,12 +111,13 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     stacks its matrices; one k is the one-element case of the same pass.
 
     One hecke_orbit_action call gives the cosets of all the ks, each
-    tagged with its k's slot, and every coset's psi2 is checked as one
-    array test to lie in the level-N1 semigroup.  The cosets of all the ks
-    are then grouped at once by psi2, which is exact because each operator
-    is linear in its coset sum: each coset's scalar chi0(psi1) * psi1^c is
-    read from the table of chi0 and from a table of the c-th powers mod p,
-    and added as a coordinate array into a (psi2, k) table with np.add.at.
+    tagged with its k's slot.  Every psi2 lies in the level-N1 semigroup by
+    the closed form (heckegl3._levi_blocks), and semigroup_act checks each
+    one it moves V by.  The cosets of all the ks are then grouped at once
+    by psi2, which is exact because each operator is linear in its coset
+    sum: each coset's scalar chi0(psi1) * psi1^c is read from the table of
+    chi0 and from a table of the c-th powers mod p, and added as a
+    coordinate array into a (psi2, k) table with np.add.at.
     A psi2 is live when any of its sums is nonzero.  One
     space.semigroup_act call moves V by the live psi2, and one product adds
     each image, times its scalar for each k, into the slice of that k.
@@ -132,10 +133,6 @@ def gl3_hecke_on_boundary(datum, l, k, V):
     field = space.field
     ks = (k,) if np.ndim(k) == 0 else tuple(k)
     cosets = hecke_orbit_action(l, ks, N, d)
-    # an internal invariant check on every coset: semigroup_act sees only the
-    # live blocks, not those whose scalars cancel
-    if (cosets.psi2[:, 0, 1] % space.N).any():
-        raise RuntimeError("psi2 is not in the level-N1 semigroup")
     # the coordinates of each coset's scalar chi0(psi1) * psi1^c: chi0 read
     # from its table, the power from a table mod p
     chi = datum.chi0.values[cosets.psi1 % datum.chi0.modulus]

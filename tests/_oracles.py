@@ -47,9 +47,13 @@ its spot check of the form before that check became exact.
 gfp_highest_weight_span is the highest-weight submodule W as modrep spun it
 under the generators of GL_3(F_p) before it built W one weight space at a
 time; its reduced echelon form is the reference for
-modrep._highest_weight_span.  spin_radical_quotient is the quotient of W by
-its radical as modrep built it before it worked in W-coordinates and one
-weight block at a time: the kernel of the whole Gram matrix, a second spin
+modrep._highest_weight_span.  carrier_row_highest_weight_span is W as
+modrep built it by weight before it read the divided powers as block maps:
+the weight components of x_-a(1) on whole carrier rows, for every n; it is
+the byte-for-byte reference for the span from f_a^(1) and f_a^(p).
+spin_radical_quotient is the quotient of W by its radical as modrep built
+it before it worked in W-coordinates and one weight block at a time: the
+kernel of the whole Gram matrix, a second spin
 over the carrier for the complement rows and a coordinate solve in the
 basis [radical; complement]; it is the reference for
 modrep._radical_quotient.  gram_kernel_by_nullspace is the Gram kernel as
@@ -114,10 +118,12 @@ from gl3hecke.modrep import (
     LeviModule,
     _carrier_action,
     _carrier_image,
+    _carrier_weights,
     _check_highest_weight,
     _factor_table,
     _intertwiner,
     _radical_quotient,
+    _weight_blocks,
     build_gl2_module,
     gl_generators,
     sub_matrix,
@@ -1305,6 +1311,52 @@ def gfp_highest_weight_span(p, i, j):
     vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
     act = _carrier_action(p, i, j, _factor_table(p, (i, j)))
     return spin(vplus, [act(g) for g in gl_generators(3, p)], p)
+
+
+def carrier_row_highest_weight_span(p, i, j, act):
+    """W as modrep built it one weight space at a time before it read the
+    divided powers as block maps: W_mu spanned by the f_a^(n) W_(mu + n a)
+    for every n >= 1, with f_a^(n) w read as the weight mu - n a component
+    of x_-a(1) w, and each level of weights taken through E_10 and E_21 as
+    whole carrier rows by act, a modrep._carrier_action.  The rows of the
+    reduced echelon form of W, in pivot order."""
+    weights = _carrier_weights(i, j)
+    columns = {mu[:2]: np.array(cols) for mu, cols in _weight_blocks(weights).items()}
+    gens = gl_generators(3, p)
+    lowering = [(act(gens[1]), (-1, 1)), (act(gens[3]), (0, -1))]
+    levels = {}
+    for mu in columns:
+        levels.setdefault(2 * (i + j) + j - 2 * mu[0] - mu[1], []).append(mu)
+    candidates = {(i + j, j): [np.ones((1, 1), dtype=np.int64)]}
+    rows = []
+    for height in sorted(levels):
+        found = []
+        for mu in sorted(levels[height]):
+            if mu in candidates:
+                R, pivots = np_rref(np.vstack(candidates.pop(mu)), p)
+                rows.extend((c, row, columns[mu]) for c, row in zip(columns[mu][pivots].tolist(), R))
+                block = np.zeros((len(R), len(weights)), dtype=np.int64)
+                block[:, columns[mu]] = R
+                found.append((mu, block))
+        if not found:
+            continue
+        blocks = np.vstack([block for _, block in found])
+        for lower, (d1, d2) in lowering:
+            images = lower(blocks)
+            start = 0
+            for mu, block in found:
+                level_rows = images[start : start + len(block)]
+                start += len(block)
+                for n in range(1, i + j + 1):
+                    nu = (mu[0] + n * d1, mu[1] + n * d2)
+                    if nu in columns:
+                        part = level_rows[:, columns[nu]]
+                        if part.any():
+                            candidates.setdefault(nu, []).append(part)
+    W = np.zeros((len(rows), len(weights)), dtype=np.int64)
+    for k, (_, row, cols) in enumerate(sorted(rows, key=lambda r: r[0])):
+        W[k, cols] = row
+    return W
 
 
 def spin_radical_quotient(W, weights, wt, p):

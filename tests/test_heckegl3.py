@@ -389,6 +389,18 @@ def test_batched_translation_matches_per_coset(data, l, N, k):
             assert got == (tr.psi1, tr.psi2, tr.case)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), l=st.sampled_from(PRIMES_UP_TO_47), N=st.sampled_from(SQUAREFREE_UP_TO_210))
+def test_every_psi2_lies_in_the_level_semigroup(data, l, N):
+    # the closed form never writes psi2's (0, 1) entry, and det psi2 is 1, l
+    # or l^2: every psi2 is in the level-N semigroup of the rank-2 group
+    assume(N % l)
+    d = data.draw(st.sampled_from([x for x in divisors(N) if gcd(x, N // x) == 1]))
+    psi2 = hecke_orbit_action(l, (1, 2, 3), N, d).psi2
+    assert not psi2[:, 0, 1].any()
+    assert set((psi2[:, 0, 0] * psi2[:, 1, 1]).tolist()) <= {1, l, l * l}
+
+
 @pytest.mark.parametrize("ks", [(1, 2, 3), (3, 1), (2, 2, 1)])
 @pytest.mark.parametrize("l,N,d", [(2, 11, 1), (7, 33, 3), (5, 42, 6)])
 def test_orbit_action_over_a_sequence_of_ks_concatenates_the_single_ks(l, N, d, ks):

@@ -26,6 +26,7 @@ import _oracles
 from _oracles import (
     SequentialSpinBasis,
     TwistedAction,
+    carrier_row_highest_weight_span,
     coord_solver,
     composition_factor_dims,
     dict_sub_matrix,
@@ -847,10 +848,84 @@ def test_graded_span_is_the_reduced_gfp_spin(p):
     # simple roots is the span of v+ under the generators of GL_3(F_p), in
     # reduced echelon form, and at most Weyl-dimensional
     for _, i, j in _keys(p):
-        got = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
+        got = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
         want = gfp_highest_weight_span(p, i, j)
         _assert_byte_identical([got], [np_rref(want, p)[0]])
         assert len(got) <= _weyl_dim(i, j)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_graded_span_from_block_maps_is_the_carrier_row_span(p):
+    # f_a^(1) and f_a^(p) as block maps give, byte for byte, the W that the
+    # weight components of x_-a(1) on whole carrier rows, for every n, gave
+    for i in range(p):
+        for j in range(p):
+            table = modrep._factor_table(p, (i, j))
+            got = modrep._highest_weight_span(p, i, j, table)
+            want = carrier_row_highest_weight_span(p, i, j, modrep._carrier_action(p, i, j, table))
+            _assert_byte_identical([got], [want])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_graded_span_reads_f_p_above_the_restricted_range(p):
+    # the proof needs only i + j <= 2p - 2, and past i, j < p the divided
+    # power f_a^(p) is not a product of f_a^(1): over F_2 it alone takes y1^2
+    # to y2^2, and W at (2, 0) is the Frobenius twist y1^2, y2^2, y3^2
+    keys = [(i, j) for i in range(2 * p - 1) for j in range(2 * p - 1 - i) if max(i, j) >= p]
+    for i, j in keys:
+        table = modrep._factor_table(p, (i, j))
+        got = modrep._highest_weight_span(p, i, j, table)
+        want = carrier_row_highest_weight_span(p, i, j, modrep._carrier_action(p, i, j, table))
+        _assert_byte_identical([got], [want])
+    assert len(modrep._highest_weight_span(2, 2, 0, modrep._factor_table(2, (2, 0)))) == 3
+
+
+# the root elements of gl_generators and their steps on (mu1, mu2): E_01 and
+# E_12 raise by a1 = (1, -1, 0) and a2 = (0, 1, -1), E_10 and E_21 lower
+_ROOT_STEPS = [(0, (1, -1)), (1, (-1, 1)), (2, (0, 1)), (3, (0, -1))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_block_maps_are_the_weight_components_of_the_root_elements(p):
+    # for x_a(1) and x_-a(1) of either simple root, the block map from the
+    # columns of a weight nu to those of nu +- n a is the weight nu +- n a
+    # component of the image of nu's unit rows, under the explicit Kronecker
+    # carrier matrix; with n = 0, .., i + j those components are the whole
+    # image, as x_+-a(1) is the sum of the e_a^(n), or of the f_a^(n)
+    for i in range(p):
+        for j in range(p):
+            table = modrep._factor_table(p, (i, j))
+            weights = modrep._carrier_weights(i, j)
+            columns = {mu[:2]: np.array(c) for mu, c in modrep._weight_blocks(weights).items()}
+            for g, (d1, d2) in _ROOT_STEPS:
+                factors = table[gl_generators(3, p)[g].tobytes()]
+                images = kron_carrier_act(factors, np.eye(len(weights), dtype=np.int64), p)
+                for nu, source in columns.items():
+                    image = images[source]
+                    seen = np.zeros(len(weights), dtype=bool)
+                    for n in range(i + j + 1):
+                        target = columns.get((nu[0] + n * d1, nu[1] + n * d2))
+                        if target is not None:
+                            block = modrep._block_map(factors, source, target, p)
+                            _assert_byte_identical([block], [image[:, target]])
+                            seen[target] = True
+                    assert not image[:, ~seen].any()
+
+
+def test_graded_span_reduces_few_candidate_rows(monkeypatch):
+    # only f_a^(1) and f_a^(p) feed a weight space: at (11, 5, 6) the span
+    # row-reduces 525 candidate rows to the 273 rows of W, where the weight
+    # components of x_-a(1) for every n gave 2,423
+    counts, rref = [], modrep.np_rref
+
+    def counted(A, p):
+        counts.append(len(A))
+        return rref(A, p)
+
+    monkeypatch.setattr(modrep, "np_rref", counted)
+    W = modrep._highest_weight_span(11, 5, 6, modrep._factor_table(11, (5, 6)))
+    assert len(W) == 273
+    assert sum(counts) < 600
 
 
 def _basis_and_generators(p, i, j):
@@ -871,7 +946,7 @@ def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
 
 @pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
 def test_radical_quotient_copies_w_only_when_the_radical_is_nonzero(p, i, j, radical):
-    W = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
+    W = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
     wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
     L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), wt, p)
     assert len(W) - len(L) == radical
@@ -944,7 +1019,7 @@ def test_gram_kernel_makes_one_stacked_call_per_block_size(p, i, j, monkeypatch)
     monkeypatch.setattr(modrep, "np_rref_stack", recorded)
     monkeypatch.setattr(modrep, "np_nullspace", None)
     weights = modrep._carrier_weights(i, j)
-    W = modrep._highest_weight_span(p, i, j, _carrier_action(p, i, j))
+    W = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
     wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
     row_weights = weights[(W != 0).argmax(axis=1)]
     kernel = modrep._gram_kernel(W, row_weights, wt, p, weights)

@@ -108,5 +108,5 @@ def test_modules_match_the_pinned_digest():
 
 def test_modules_from_the_spun_w_match_the_spun_digest(monkeypatch):
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-    monkeypatch.setattr(modrep, "_highest_weight_span", lambda p, i, j, act: gfp_highest_weight_span(p, i, j))
+    monkeypatch.setattr(modrep, "_highest_weight_span", lambda p, i, j, table: gfp_highest_weight_span(p, i, j))
     assert _module_digest() == SPUN_MODULE_PINNED

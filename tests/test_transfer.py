@@ -241,8 +241,10 @@ def test_a_built_datum_keeps_no_hecke_matrix():
 
 def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
     # moving one coset's psi2 of T(l,k) out of the level-N1 semigroup must
-    # fail the array check in the operator assembly, for each k, whether k
-    # is applied alone or stacked with the others
+    # fail semigroup_act's check of the stack, for each k, whether k is
+    # applied alone or stacked with the others: the corrupted psi2 is the
+    # one with a nonzero (0, 1) entry, so it is a block of its own, and its
+    # scalar chi0(psi1) psi1^c is a unit, so the block is live
     datum = _datum(0)
     units = identity(datum.space.dim, datum.space.field)
     translate = transfer.hecke_orbit_action
@@ -258,9 +260,9 @@ def test_corrupted_psi2_of_one_coset_raises(monkeypatch):
 
         monkeypatch.setattr(transfer, "hecke_orbit_action", corrupted)
         for ks in (k, (1, 2, 3)):
-            with pytest.raises(RuntimeError, match="level-N1 semigroup"):
+            with pytest.raises(ValueError, match=r"congruent to \(\*,0\) mod level"):
                 gl3_hecke_on_boundary(datum, 7, ks, units)
-        with pytest.raises(RuntimeError, match="level-N1 semigroup"):
+        with pytest.raises(ValueError, match=r"congruent to \(\*,0\) mod level"):
             run_transfer_checks(datum, (7,))
 
 
