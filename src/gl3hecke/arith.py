@@ -7,6 +7,8 @@ a prime p or a Hecke prime l, all desk-scale.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def is_prime(n):
     if n < 2:
@@ -56,7 +58,8 @@ def divisors(n):
 
 def multiplicative_order(g, n, group_order):
     """The order of g mod n, for g with g^group_order = 1 mod n: each prime
-    of group_order is divided out while g to the quotient is still 1."""
+    of group_order is divided out while g to the quotient is still 1.  With
+    n None the powers are g ** e, so g may be a unit of a finite field."""
     order = group_order
     for f in set(prime_factors(group_order)):
         while order % f == 0 and pow(g, order // f, n) == 1:
@@ -64,6 +67,7 @@ def multiplicative_order(g, n, group_order):
     return order
 
 
+@lru_cache(maxsize=None)
 def primitive_root(q):
     """The least generator of the cyclic group (Z/q)^* for q a prime or an
     odd prime power; 1 for q = 2, where the group is trivial."""

@@ -38,7 +38,7 @@ import random
 
 import numpy as np
 
-from .arith import is_prime, prime_factors
+from .arith import is_prime, multiplicative_order
 from .linalg import _expand, matmul_mod, np_rref
 
 
@@ -124,12 +124,8 @@ class Fq:
     def multiplicative_order(self):
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
-        n = self.field.order - 1
-        order = n
-        for q in set(prime_factors(n)):
-            while order % q == 0 and (self ** (order // q)) == self.field.one():
-                order //= q
-        return order
+        # pow(x, e, None) is x ** e, and an Fq compares equal to the integer 1
+        return multiplicative_order(self, None, self.field.order - 1)
 
     def lift(self):
         """Integer in [0, p) for prime-field elements."""

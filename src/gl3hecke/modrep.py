@@ -40,7 +40,9 @@ L(lambda), lambda = label, and absolutely irreducible on GL_n(F_p):
 
 W, the radical and the parabolic invariants are read one weight space at
 a time; the carrier monomials y^e z^f are a weight basis, of weight
-e + j(1,1,1) - f for the base label (i+j, j, 0).  W is the submodule that
+e + j(1,1,1) - f for the base label (i+j, j, 0).  A build groups them by
+weight once (_weight_blocks), and v+ = y1^i z3^j, the span, the radical and
+the certificate read those blocks.  W is the submodule that
 v+ generates under the algebraic group, Dist(G) v+, which is Dist(U-) v+
 because v+ is a weight vector fixed by U+.  Dist(U-) is generated as an
 algebra by the divided powers f_a^(p^k) of the two simple roots (Kostant's
@@ -72,7 +74,8 @@ The carrier matrix of g is the Kronecker product of Sy = Sym^{a-b}(g^T)
 and Sz = Sym^{b-c}(adj g), of size D = dy * dz.  It is never formed: a
 carrier row read as a dy x dz matrix Y goes to Sy Y Sz^T (_carrier_act),
 two products with inner dimensions dy and dz in place of one with inner
-dimension D.
+dimension D.  The build's carrier action, carrier(g, rows), has the form
+image(g, rows) of every module below, which the module's image wraps.
 
 Each build, of either rank, computes its Sym factors once, as a table
 (_factor_table): one stacked sub_matrix call per factor degree makes the
@@ -279,7 +282,7 @@ def build_gl2_module(p, a, b):
     # E_10(1) x^k are the f^(n) x^k = C(k, n) x^(k-n) y^n
     if not image(gl_generators(2, p)[1], basis[:1]).all():
         raise CertificateError("the highest-weight vector does not generate the carrier")
-    _certify_module(mod, [_form_weights(2, k, p)], basis[0], table)
+    _certify_module(mod, [_form_weights(2, k, p)], basis[:1], table, _weight_blocks(mod.weights))
     return mod
 
 
@@ -303,23 +306,24 @@ def build_gl3_module(p, a, b, c):
 def _build_gl3_base(p, i, j):
     """The label (i+j, j, 0) module: the determinant twist is added later."""
     a, b, c = i + j, j, 0
-    ybasis = sym_basis(3, i)
-    zbasis = sym_basis(3, j)
-    D = len(ybasis) * len(zbasis)
     table = _factor_table(p, (i, j))
-    act = _carrier_action(p, i, j, table)
+    factors = _factor_lookup(table, (i, j), p)
+    carrier = lambda g, rows: _carrier_act(factors(g), rows, p)
+    # the carrier's weights and column blocks, read by every step below
+    weights = _carrier_weights(i, j)
+    columns = _weight_blocks(weights)
 
-    # highest weight vector: y1^i * z3^j
-    vplus = np.zeros(D, dtype=np.int64)
-    vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
+    # highest weight vector y1^i z3^j, the one column of weight lambda
+    vplus = np.zeros((1, len(weights)), dtype=np.int64)
+    vplus[0, columns[(a, b, c)]] = 1
 
     # highest-weight certificate on the carrier
-    _check_highest_weight(act, vplus, 3, (a, b, c), p)
+    _check_highest_weight(carrier, vplus, 3, (a, b, c), p)
 
     # the contravariant form on the carrier, the product of its factor forms
     forms = [_form_weights(3, i, p), _form_weights(3, j, p)]
     wt = np.kron(*forms)
-    if int(matmul_mod(vplus, vplus * wt, p)) == 0:
+    if (vplus * vplus * wt).sum() % p == 0:
         raise CertificateError("form degenerates on the highest-weight vector")
 
     # W modulo the radical of the contravariant form on it; each row of L,
@@ -327,9 +331,8 @@ def _build_gl3_base(p, i, j):
     # when the radical is 0, and then the Gram kernel of L is the empty one
     # _radical_quotient has just found; otherwise W is dropped here, so no
     # copy of it outlives the quotient.
-    weights = _carrier_weights(i, j)
-    W = _highest_weight_span(p, i, j, table)
-    L, coords = _radical_quotient(W, weights, wt, p)
+    W = _highest_weight_span(p, i, j, table, columns)
+    L, coords = _radical_quotient(W, weights, columns, wt, p)
     nondegenerate = L is W
     del W
 
@@ -338,25 +341,11 @@ def _build_gl3_base(p, i, j):
         n=3,
         label=(a, b, c),
         basis=L,
-        image=_carrier_image(act, L, coords, p),
+        image=_carrier_image(carrier, L, coords, p),
         weights=weights[(L != 0).argmax(axis=1)],
     )
-    _certify_module(mod, forms, coords(vplus[None])[0], table, nondegenerate)
+    _certify_module(mod, forms, coords(vplus), table, columns, nondegenerate)
     return mod
-
-
-def _carrier_action(p, i, j, table):
-    """act(g), for g in GL_3(F_p): the map taking carrier rows of
-    Sym^i(std) (x) Sym^j(wedge^2 std) to their images under g.  The factors
-    (Sy, Sz) of g are read from table, a _factor_table(p, (i, j)), through
-    _factor_lookup."""
-    factors = _factor_lookup(table, (i, j), p)
-
-    def act(g):
-        S = factors(g)
-        return lambda X: _carrier_act(S, X, p)
-
-    return act
 
 
 def _factor_table(p, degrees):
@@ -364,18 +353,14 @@ def _factor_table(p, degrees):
     len(degrees) + 1, as {bytes of g mod p: _sym_factors(g, degrees, p)}.
     The matrices are gl_generators(n, p), which is closed under transpose,
     the torus element diag(1, .., 1, g0) of _check_highest_weight and, for
-    rank 3, E_20(1) of u_invariants.  One stacked sub_matrix call per factor
-    degree makes every entry."""
+    rank 3, E_20(1) of u_invariants.  _sym_factors on their stack makes
+    every entry, one stacked sub_matrix call per factor degree."""
     n = len(degrees) + 1
     mats = gl_generators(n, p) + [np.diag([1] * (n - 1) + [primitive_root(p)])]
     if n == 3:
         mats.append(np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1]]))
     G = np.stack(mats).astype(np.int64) % p
-    maps = [G.swapaxes(1, 2)]
-    if n == 3:
-        # adj3 reads entries A[i][j], so on (3, 3, k) it makes all k adjugates
-        maps.append(np.array(adj3(G.transpose(1, 2, 0))).transpose(2, 0, 1) % p)
-    stacks = [sub_matrix(M, d, p) for M, d in zip(maps, degrees)]
+    stacks = _sym_factors(G, degrees, p)
     return {g.tobytes(): tuple(S[k] for S in stacks) for k, g in enumerate(G)}
 
 
@@ -394,23 +379,28 @@ def _factor_lookup(table, degrees, p):
 
 
 def _sym_factors(g, degrees, p):
-    """The factors of the carrier action of g mod p: Sym^i(g^T) for degrees
-    (i,), and also Sym^j(adj g) for degrees (i, j)."""
+    """The factors of the carrier action of g mod p, or of each g of a stack
+    (..., n, n): Sym^i(g^T) for degrees (i,), and also Sym^j(adj g) for
+    degrees (i, j).  adj3 reads entries A[i][j], so on (3, 3, ...) it makes
+    every adjugate."""
     g = np.asarray(g, dtype=np.int64) % p
-    maps = [g.T] if len(degrees) == 1 else [g.T, np.array(adj3(g)) % p]
+    maps = [g.swapaxes(-1, -2)]
+    if len(degrees) == 2:
+        maps.append(np.moveaxis(np.array(adj3(np.moveaxis(g, (-2, -1), (0, 1)))), (0, 1), (-2, -1)) % p)
     return tuple(sub_matrix(M, d, p) for M, d in zip(maps, degrees))
 
 
-def _carrier_image(act, L, coords, p):
+def _carrier_image(carrier, L, coords, p):
     """The image map of the module with carrier basis L and coordinate map
-    coords: rows go to rows L, through act(g), and back to coordinates.
-    rows L reads only the rows of L that rows uses, not a float64 copy."""
+    coords: rows go to rows L, through carrier(g, rows), and back to
+    coordinates.  rows L reads only the rows of L that rows uses, not a
+    float64 copy."""
 
     def image(g, rows):
         if rows is None:
-            return coords(act(g)(L))
+            return coords(carrier(g, L))
         used = rows.any(axis=0)
-        return coords(act(g)(matmul_mod(rows[:, used], L[used], p)))
+        return coords(carrier(g, matmul_mod(rows[:, used], L[used], p)))
 
     return image
 
@@ -424,43 +414,42 @@ def _carrier_weights(i, j):
     return (e[:, None] + j - f[None]).reshape(-1, 3)
 
 
-def _highest_weight_span(p, i, j, table):
+def _highest_weight_span(p, i, j, table, columns):
     """W, the submodule that v+ = y1^i z3^j generates in the carrier, as
     reduced echelon rows in pivot order, built one weight space at a time:
     W_mu = sum over the simple roots a of f_a^(1) W_(mu + a) + f_a^(p)
     W_(mu + p a) (see the module docstring), so the weights are taken in
-    order of height below lambda.  Each f_a^(n) is the block map
+    order of height below lambda, over columns, the carrier's blocks {mu:
+    the carrier columns of weight mu}.  Each f_a^(n) is the block map
     (_block_map) of x_-a(1), E_10 or E_21 of gl_generators, whose factors
     are read from table, the build's _factor_table; no carrier row is
     formed.  Each W_mu is reduced on the carrier columns of its own weight
     alone, where its candidates are kept.  The blocks have disjoint
     supports, so their rows, sorted by pivot, are the reduced echelon form
     of W.  A W above the Weyl dimension raises CertificateError."""
-    weights = _carrier_weights(i, j)
-    # (mu1, mu2) -> carrier columns of weight mu; mu3 = i + 2j - mu1 - mu2
-    columns = {mu[:2]: np.array(cols) for mu, cols in _weight_blocks(weights).items()}
     gens = gl_generators(3, p)
-    # the factors of x_-a(1) and the step of -a on (mu1, mu2)
-    lowering = [(table[gens[1].tobytes()], (-1, 1)), (table[gens[3].tobytes()], (0, -1))]
-    candidates = {(i + j, j): [np.ones((1, 1), dtype=np.int64)]}
+    # the factors of x_-a(1) and the step of -a on mu
+    lowering = [(table[gens[1].tobytes()], (-1, 1, 0)), (table[gens[3].tobytes()], (0, -1, 1))]
+    candidates = {(i + j, j, 0): [np.ones((1, 1), dtype=np.int64)]}
     rows = []  # (pivot column, row on the columns of its weight, those columns)
     # each simple root lowers 2 mu1 + mu2 by 1
     for mu in sorted(columns, key=lambda mu: -2 * mu[0] - mu[1]):
         if mu not in candidates:
             continue
+        cols = np.array(columns[mu])
         R, pivots = np_rref(np.vstack(candidates.pop(mu)), p)
-        rows.extend((c, row, columns[mu]) for c, row in zip(columns[mu][pivots].tolist(), R))
-        for factors, (d1, d2) in lowering:
+        rows.extend((c, row, cols) for c, row in zip(cols[pivots].tolist(), R))
+        for factors, step in lowering:
             for n in (1, p):
-                nu = (mu[0] + n * d1, mu[1] + n * d2)
+                nu = tuple(m + n * d for m, d in zip(mu, step))
                 if nu in columns:
-                    part = matmul_mod(R, _block_map(factors, columns[mu], columns[nu], p), p)
+                    part = matmul_mod(R, _block_map(factors, cols, columns[nu], p), p)
                     if part.any():
                         candidates.setdefault(nu, []).append(part)
     weyl = _weyl_dim(i, j)
     if len(rows) > weyl:
         raise CertificateError("W has dimension %d, above the Weyl dimension %d" % (len(rows), weyl))
-    W = np.zeros((len(rows), len(weights)), dtype=np.int64)
+    W = np.zeros((len(rows), sum(map(len, columns.values()))), dtype=np.int64)
     for k, (_, row, cols) in enumerate(sorted(rows, key=lambda r: r[0])):
         W[k, cols] = row
     return W
@@ -481,11 +470,11 @@ def _block_map(factors, source, target, p):
     return Sy[yt, ys[:, None]] * Sz[zt, zs[:, None]] % p
 
 
-def _radical_quotient(W, weights, wt, p):
+def _radical_quotient(W, weights, columns, wt, p):
     """(L, coords): the rows L of W that span W modulo the radical of the
     contravariant form (x, y) = sum x y wt on it, and the map taking carrier
     rows in the span of W to their coordinates in L modulo the radical.
-    weights are the torus weights of the carrier columns.
+    weights are the torus weights of the carrier columns, columns their blocks.
 
     All of it runs in W-coordinates: W is fully reduced, so a row x of its
     span is x[pivots] in the basis W.  W is a sum of weight spaces, so each
@@ -498,7 +487,7 @@ def _radical_quotient(W, weights, wt, p):
     empty.  The W-coordinates y of a row, less y[T] N, lie in the span of
     the rows L, and read at their places give the coordinates in L."""
     pivots = (W != 0).argmax(axis=1)
-    kernel = _gram_kernel(W, weights[pivots], wt, p, weights)
+    kernel = _gram_kernel(W, weights[pivots], wt, p, columns)
     N = np.zeros((len(kernel), len(W)), dtype=np.int64)
     for n, k in enumerate(sorted(kernel)):
         ks, row = kernel[k]
@@ -515,11 +504,11 @@ def _radical_quotient(W, weights, wt, p):
     return (W if keep.all() else W[keep]), coords
 
 
-def _gram_kernel(rows, weights, wt, p, column_weights):
+def _gram_kernel(rows, weights, wt, p, columns):
     """The kernel of the Gram matrix of the form (x, y) = sum x y wt on the
     carrier rows, of torus weights weights, as {k: (ks, row)}: each kernel
     vector is row on the rows ks of its weight block, last nonzero at k.
-    column_weights are the torus weights of the carrier columns.
+    columns are the carrier's blocks, {mu: the carrier columns of weight mu}.
 
     The form pairs distinct weight spaces to 0, so the kernel is cut one
     weight block at a time.  The one-row blocks are tested at once.  A row
@@ -534,7 +523,6 @@ def _gram_kernel(rows, weights, wt, p, column_weights):
     trailing-pivot normal form, which is unique; the blocks have disjoint
     supports, so the block kernels sorted by k are the bytes np_nullspace of
     the whole Gram matrix returns."""
-    columns = _weight_blocks(column_weights)
     sizes = {}
     single = []
     for mu, ks in _weight_blocks(weights).items():
@@ -607,15 +595,6 @@ def _form_weights(nvars, deg, p):
     return np.array([prod(map(factorial, e)) % p for e in sym_basis(nvars, deg)], dtype=np.int64)
 
 
-def _column_weights(label):
-    """The torus weights of the carrier columns of the module of label:
-    those of the monomials of Sym^(a-b) for rank 2, of _carrier_weights for
-    rank 3, plus the last entry of label."""
-    degrees = [x - y for x, y in zip(label, label[1:])]
-    weights = np.array(sym_basis(2, degrees[0])) if len(degrees) == 1 else _carrier_weights(*degrees)
-    return weights + label[-1]
-
-
 def _weyl_dim(i, j):
     """dim V(i+j, j, 0), the Weyl module of GL_3; 0 when i or j is -1."""
     return (i + 1) * (j + 1) * (i + j + 2) // 2
@@ -631,31 +610,31 @@ def _simple_dim(degrees, p):
     return _weyl_dim(i, j) - (_weyl_dim(p - 2 - j, p - 2 - i) if i + j + 2 > p else 0)
 
 
-def _check_highest_weight(act, v, n, label, p):
-    """Raise unless v is a highest-weight vector of weight label: fixed by
-    U+, and scaled by g0^label[i] under diag(1, .., g0, .., 1) with the
-    primitive root g0 in place i.  act(g) takes rows to their images."""
+def _check_highest_weight(image, v, n, label, p):
+    """Raise unless the row v (shape (1, dim)) is a highest-weight vector of
+    weight label: fixed by U+, and scaled by g0^label[i] under diag(1, ..,
+    g0, .., 1) with the primitive root g0 in place i, under image(g, rows)."""
     for u in gl_generators(n, p)[: 2 * (n - 1) : 2]:
-        if not np.array_equal(act(u)(v), v):
+        if not np.array_equal(image(u, v), v):
             raise CertificateError("highest-weight vector is not unipotent-invariant")
     g0 = primitive_root(p)
     for i in range(n):
         t = np.eye(n, dtype=np.int64)
         t[i, i] = g0
-        if not np.array_equal(act(t)(v), pow(g0, label[i] % (p - 1), p) * v % p):
+        if not np.array_equal(image(t, v), pow(g0, label[i] % (p - 1), p) * v % p):
             raise CertificateError("highest-weight vector has the wrong torus weight")
 
 
-def _certify_module(mod, forms, v, table, nondegenerate=False):
+def _certify_module(mod, forms, v, table, columns, nondegenerate=False):
     """Certify that mod is L(label), absolutely irreducible on GL_n(F_p),
     by the proof in the module docstring.  forms are the weights of the
     form on each Sym factor of the carrier, v is v+ in module coordinates,
-    the one row imaged, and table is the build's _factor_table: the factors
-    of each g of gl_generators and of g^T are read from it, so they are the
-    matrices the action uses.  nondegenerate is True only when the basis
-    is the very W whose Gram kernel _radical_quotient has just found empty,
-    on the same rows, weights and form; the Gram kernel is then not
-    computed a second time."""
+    the one row imaged (shape (1, dim)), table is the build's _factor_table:
+    the factors of each g of gl_generators and of g^T are read from it, so
+    they are the matrices the action uses, and columns the carrier's weight
+    blocks.  nondegenerate is True only when the basis is the very W whose
+    Gram kernel _radical_quotient has just found empty, on the same rows,
+    weights and form; the Gram kernel is then not computed a second time."""
     p, n = mod.p, mod.n
     degrees = [x - y for x, y in zip(mod.label, mod.label[1:])]
     for g in gl_generators(n, p):
@@ -663,12 +642,12 @@ def _certify_module(mod, forms, v, table, nondegenerate=False):
             if not np.array_equal(S.T * w % p, w[:, None] * St % p):
                 raise CertificateError("the form is not contravariant under %s" % g.tolist())
     wt = reduce(np.kron, forms)
-    if not nondegenerate and _gram_kernel(mod.basis, mod.weights, wt, p, _column_weights(mod.label)):
+    if not nondegenerate and _gram_kernel(mod.basis, mod.weights, wt, p, columns):
         raise CertificateError("the form is degenerate on the module basis")
     want = _simple_dim(degrees, p)
     if mod.dim != want:
         raise CertificateError("dimension %d, not the %d of L%s" % (mod.dim, want, mod.label))
-    _check_highest_weight(lambda g: lambda x: mod.image(g, x[None])[0], v, n, mod.label, p)
+    _check_highest_weight(mod.image, v, n, mod.label, p)
 
 
 # -- parabolic invariants ------------------------------------------------------

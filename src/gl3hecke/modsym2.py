@@ -40,7 +40,7 @@ from math import gcd
 import numpy as np
 
 from . import linalg
-from .arith import xgcd
+from .arith import is_prime, xgcd
 from .characters import DirichletCharacter
 from .ffield import FiniteField, _distinct_degrees, _equal_degree, _monomial, _one_root, _poly_divide_exact, _poly_gcd, _poly_mul, _sort_elements
 from .linalg import RowReducer, apply_matrix, eigenvalue, embed_matrix, extend_scalars, identity, matmul_mod
@@ -357,6 +357,8 @@ class SymbolSpace:
         """T_l as a matrix over the scalar field (columns = images): the
         images of the identity under the l + 1 cosets of diag(1, l), from
         one semigroup_act call, summed, in a new array on each call."""
+        if not is_prime(l):
+            raise ValueError("l = %d is not prime" % l)
         if gcd(l, self.p * self.N) != 1:
             raise ValueError("l must be prime to p and the level")
         cosets = [((1, 0), (beta, l)) for beta in range(l)] + [((l, 0), (0, 1))]

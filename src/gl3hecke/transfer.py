@@ -40,6 +40,7 @@ from math import gcd
 
 import numpy as np
 
+from .arith import is_prime
 from .characters import DirichletCharacter
 from .heckegl3 import hecke_orbit_action
 from .linalg import eigenvalue, extend_scalars, matmul_mod
@@ -78,10 +79,13 @@ class BoundaryDatum:
         """Construct the symbol space at level N1 over chi1's field (F_p by
         default), locate the eigensystem with the given lambda fingerprint
         (or the first one), and package the datum.  The datum's own checks
-        on chi0 and d run first, before any space is built."""
+        on the window, chi0 and d run first, before any space is built."""
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
+        not_prime = [l for l in window if not is_prime(l)]
+        if not_prime:
+            raise ValueError("l = %d in the window is not prime" % not_prime[0])
         _check_level(p, N1, d, chi0)
         space = SymbolSpace(N1, p, a, b, chi1=chi1)
         chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)

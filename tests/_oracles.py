@@ -30,6 +30,8 @@ the reference for the array versions.  The _poly_*_fq helpers,
 distinct_degrees_fq and roots_fq are the polynomial arithmetic over lists of
 Fq that ffield ran before its polynomials became coordinate arrays; they are
 the reference for the array polynomial layer.
+carrier_image is the factored carrier action of a rank-3 build, in the
+image(g, rows) form of every module, on a factor table of its own.
 kron_carrier is the explicit D x D Kronecker product of the two
 substitution matrices; kron_carrier_act puts it in place of the factored
 carrier action of modrep, and kron_twist_gl3 in place of the twist by the
@@ -116,10 +118,11 @@ from gl3hecke.modrep import (
     CertificateError,
     IrreducibleModule,
     LeviModule,
-    _carrier_action,
+    _carrier_act,
     _carrier_image,
     _carrier_weights,
     _check_highest_weight,
+    _factor_lookup,
     _factor_table,
     _intertwiner,
     _radical_quotient,
@@ -1199,6 +1202,15 @@ def recording_radical_quotient(record):
     return quotient
 
 
+def carrier_image(p, i, j):
+    """The carrier action of a rank-3 build, image(g, rows): the images of
+    carrier rows of Sym^i(std) (x) Sym^j(wedge^2 std) under g, with the
+    factors of g read from a factor table of its own, as the build reads
+    them from its table."""
+    factors = _factor_lookup(_factor_table(p, (i, j)), (i, j), p)
+    return lambda g, rows: _carrier_act(factors(g), rows, p)
+
+
 def kron_twist_gl3(base, label, coords):
     """Drop-in for modrep._twist on a rank-3 base, given coords, the
     coordinate map of the base's quotient: the twist by det^c, with rho(g)
@@ -1211,16 +1223,16 @@ def kron_twist_gl3(base, label, coords):
     p = base.p
     a, b, c = label
 
-    def act(g):
+    def carrier(g, rows):
         C = kron_carrier(p, a - b, b - c, g) * pow(int(det(g)) % p, c % (p - 1), p) % p
-        return lambda X: matmul_mod(X, C.T, p)
+        return matmul_mod(rows, C.T, p)
 
     return IrreducibleModule(
         p=p,
         n=3,
         label=(a, b, c),
         basis=base.basis,
-        image=_carrier_image(act, base.basis, coords, p),
+        image=_carrier_image(carrier, base.basis, coords, p),
         weights=base.weights + c,
     )
 
@@ -1271,7 +1283,7 @@ def spin_certificate(mod):
     K = np_nullspace(np.vstack([G.T - eye for G in images[: 2 * (n - 1) : 2]]), p)
     if len(K) != 1:
         raise CertificateError("U+-fixed space has dimension %d, not 1, for label %s" % (len(K), mod.label))
-    _check_highest_weight(lambda g: lambda v: mod.image(g, v[None])[0], K[0], n, mod.label, p)
+    _check_highest_weight(mod.image, K, n, mod.label, p)
     actions = [lambda X, G=G: matmul_mod(X, G, p) for G in images]
     if len(spin(K, actions, p, mod.dim)) != mod.dim:
         raise CertificateError("the U+-fixed line spans a proper submodule")
@@ -1309,21 +1321,21 @@ def gfp_highest_weight_span(p, i, j):
     ybasis, zbasis = sym_basis(3, i), sym_basis(3, j)
     vplus = np.zeros(len(ybasis) * len(zbasis), dtype=np.int64)
     vplus[ybasis.index((i, 0, 0)) * len(zbasis) + zbasis.index((0, 0, j))] = 1
-    act = _carrier_action(p, i, j, _factor_table(p, (i, j)))
-    return spin(vplus, [act(g) for g in gl_generators(3, p)], p)
+    image = carrier_image(p, i, j)
+    return spin(vplus, [lambda X, g=g: image(g, X) for g in gl_generators(3, p)], p)
 
 
-def carrier_row_highest_weight_span(p, i, j, act):
+def carrier_row_highest_weight_span(p, i, j, image):
     """W as modrep built it one weight space at a time before it read the
     divided powers as block maps: W_mu spanned by the f_a^(n) W_(mu + n a)
     for every n >= 1, with f_a^(n) w read as the weight mu - n a component
     of x_-a(1) w, and each level of weights taken through E_10 and E_21 as
-    whole carrier rows by act, a modrep._carrier_action.  The rows of the
-    reduced echelon form of W, in pivot order."""
+    whole carrier rows by image(g, rows), the carrier action of a build.
+    The rows of the reduced echelon form of W, in pivot order."""
     weights = _carrier_weights(i, j)
     columns = {mu[:2]: np.array(cols) for mu, cols in _weight_blocks(weights).items()}
     gens = gl_generators(3, p)
-    lowering = [(act(gens[1]), (-1, 1)), (act(gens[3]), (0, -1))]
+    lowering = [(gens[1], (-1, 1)), (gens[3], (0, -1))]
     levels = {}
     for mu in columns:
         levels.setdefault(2 * (i + j) + j - 2 * mu[0] - mu[1], []).append(mu)
@@ -1341,8 +1353,8 @@ def carrier_row_highest_weight_span(p, i, j, act):
         if not found:
             continue
         blocks = np.vstack([block for _, block in found])
-        for lower, (d1, d2) in lowering:
-            images = lower(blocks)
+        for g, (d1, d2) in lowering:
+            images = image(g, blocks)
             start = 0
             for mu, block in found:
                 level_rows = images[start : start + len(block)]
@@ -1359,11 +1371,11 @@ def carrier_row_highest_weight_span(p, i, j, act):
     return W
 
 
-def spin_radical_quotient(W, weights, wt, p):
-    """Drop-in for modrep._radical_quotient, which ignores the weights: the
-    radical from the whole Gram matrix, as carrier rows, the complement rows
-    of W by a second spin over the carrier, and the coordinates of a row of
-    W's span solved in the basis [radical; L]."""
+def spin_radical_quotient(W, weights, columns, wt, p):
+    """Drop-in for modrep._radical_quotient, which ignores the weights and
+    their column blocks: the radical from the whole Gram matrix, as carrier
+    rows, the complement rows of W by a second spin over the carrier, and
+    the coordinates of a row of W's span solved in the basis [radical; L]."""
     rad = matmul_mod(np_nullspace(matmul_mod(W * wt % p, W.T, p), p), W, p)
     comp = SpinBasis(p, W.shape[1])
     comp.add_rows(rad)

@@ -33,6 +33,16 @@ def test_primitive_root_is_least_generator():
         primitive_root(4)
 
 
+def test_primitive_root_is_memoized_and_errors_are_not():
+    primitive_root.cache_clear()
+    assert primitive_root(13) == primitive_root(13) == 2
+    assert primitive_root.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            primitive_root(12)
+    assert primitive_root.cache_info().currsize == 1
+
+
 def test_primitive_root_of_every_odd_prime_power_below_2000():
     # the least g whose powers fill the units mod q, by listing them
     for q in range(3, 2000, 2):

@@ -43,6 +43,20 @@ def test_f25_frobenius_fixed_subfield():
     assert all(not any(x.coords[1:]) for x in fixed)
 
 
+@pytest.mark.parametrize("p,r", [(5, 2), (5, 3), (7, 2), (11, 1)])
+def test_unit_orders_match_repeated_multiplication(p, r):
+    # the order from arith.multiplicative_order on field powers is the
+    # least e with x^e = 1, found by multiplying x in one step at a time
+    F = make_field(p, r)
+    for x in F.units():
+        e, acc = 1, x
+        while acc != F.one():
+            e, acc = e + 1, acc * x
+        assert x.multiplicative_order() == e
+    with pytest.raises(ValueError, match="zero has no multiplicative order"):
+        F.zero().multiplicative_order()
+
+
 def test_f49_unit_group_cyclic_order_48():
     # brute-force order check over all 48 units
     F = make_field(7, 2)

@@ -26,6 +26,7 @@ import _oracles
 from _oracles import (
     SequentialSpinBasis,
     TwistedAction,
+    carrier_image,
     carrier_row_highest_weight_span,
     coord_solver,
     composition_factor_dims,
@@ -173,20 +174,14 @@ def test_conjugated_module_same_dim_and_weight():
     spin_certificate(conj)  # raises if the weight moved
 
 
-def _carrier_action(p, i, j):
-    """The carrier action on its own factor table, as a build makes it."""
-    return modrep._carrier_action(p, i, j, modrep._factor_table(p, (i, j)))
-
-
 def _highest_weight_submodule(p, i, j):
     """W, the span of the carrier highest-weight vector y1^i z3^j under the
     group, without quotienting out the radical of the contravariant form;
     rho is read through coord_solver."""
     W = gfp_highest_weight_span(p, i, j)
-    act = _carrier_action(p, i, j)
     coords = coord_solver(W, p)
     return modrep.IrreducibleModule(
-        p=p, n=3, label=(i + j, j, 0), basis=W, image=modrep._carrier_image(act, W, coords, p)
+        p=p, n=3, label=(i + j, j, 0), basis=W, image=modrep._carrier_image(carrier_image(p, i, j), W, coords, p)
     )
 
 
@@ -232,9 +227,73 @@ def test_certificate_rejects_a_wrong_label():
         p=5, n=2, label=(4, 2), basis=mod.basis, image=mod.image, weights=mod.weights + 1
     )
     with pytest.raises(CertificateError, match="wrong torus weight"):
-        modrep._certify_module(relabelled, [modrep._form_weights(2, 2, 5)], mod.basis[0], modrep._factor_table(5, (2,)))
+        modrep._certify_module(
+            relabelled,
+            [modrep._form_weights(2, 2, 5)],
+            mod.basis[:1],
+            modrep._factor_table(5, (2,)),
+            modrep._weight_blocks(relabelled.weights),
+        )
     with pytest.raises(CertificateError, match="wrong torus weight"):
         spin_certificate(relabelled)
+
+
+def _unit_row(weights, mu):
+    """The unit row at the one index whose weight is mu."""
+    row = (weights == mu).all(axis=1).astype(np.int64)[None]
+    assert row.sum() == 1
+    return row
+
+
+@pytest.mark.parametrize("side", ["carrier", "module"])
+@pytest.mark.parametrize(
+    "case,match", [("moved-row", "not unipotent-invariant"), ("wrong-label", "wrong torus weight")]
+)
+def test_highest_weight_check_rejects_on_the_carrier_and_on_a_module(side, case, match):
+    # one image(g, rows) form for both: the carrier action of the build at
+    # (5, 1, 3) and the image of the module it builds; y2 z3^3, of weight
+    # (3, 4, 0), is moved by U+, and v+ = y1 z3^3 is not of weight (4, 3, 1)
+    p, label = 5, (4, 3, 0)
+    if side == "carrier":
+        image, weights = carrier_image(p, 1, 3), modrep._carrier_weights(1, 3)
+    else:
+        mod = build_gl3_module(p, *label)
+        image, weights = mod.image, mod.weights
+    vplus = _unit_row(weights, label)
+    modrep._check_highest_weight(image, vplus, 3, label, p)
+    v, want = (_unit_row(weights, (3, 4, 0)), label) if case == "moved-row" else (vplus, (4, 3, 1))
+    with pytest.raises(CertificateError, match=match):
+        modrep._check_highest_weight(image, v, 3, want, p)
+
+
+@pytest.mark.parametrize("p,i,j", [(5, 1, 3), (11, 5, 6)])
+def test_a_base_build_indexes_the_carrier_weights_once(p, i, j, monkeypatch):
+    # the span, the radical and the certificate read the column blocks the
+    # build makes; before, the span, the Gram kernel of W and that of L each
+    # grouped the D carrier columns again, three times at (5, 1, 3) and (11, 5, 6)
+    calls, inside = [], []
+    blocks = modrep._weight_blocks
+
+    def spy(weights):
+        calls.append((len(weights), bool(inside)))
+        return blocks(weights)
+
+    def marked(f):
+        def wrapped(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(modrep, "_GL3_CACHE", {})
+    monkeypatch.setattr(modrep, "_weight_blocks", spy)
+    for name in ("_gram_kernel", "_certify_module"):
+        monkeypatch.setattr(modrep, name, marked(getattr(modrep, name)))
+    D = build_gl3_module(p, i + j, j, 0).carrier_dim
+    assert [c for c in calls if c[0] == D] == [(D, False)]
 
 
 def _patch_table_entry(monkeypatch, g, factor, edit):
@@ -842,13 +901,24 @@ def test_the_spin_certificate_accepts_every_built_module(labels):
         spin_certificate(build_gl3_module(*label))
 
 
+def _columns(i, j):
+    """The carrier's column blocks, {mu: the carrier columns of weight mu},
+    as the base build of (i + j, j, 0) indexes them."""
+    return modrep._weight_blocks(modrep._carrier_weights(i, j))
+
+
+def _graded_span(p, i, j):
+    """W as the base build of (i + j, j, 0) makes it."""
+    return modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)), _columns(i, j))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_graded_span_is_the_reduced_gfp_spin(p):
     # W built one weight space at a time from the divided powers of the
     # simple roots is the span of v+ under the generators of GL_3(F_p), in
     # reduced echelon form, and at most Weyl-dimensional
     for _, i, j in _keys(p):
-        got = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
+        got = _graded_span(p, i, j)
         want = gfp_highest_weight_span(p, i, j)
         _assert_byte_identical([got], [np_rref(want, p)[0]])
         assert len(got) <= _weyl_dim(i, j)
@@ -860,9 +930,8 @@ def test_graded_span_from_block_maps_is_the_carrier_row_span(p):
     # weight components of x_-a(1) on whole carrier rows, for every n, gave
     for i in range(p):
         for j in range(p):
-            table = modrep._factor_table(p, (i, j))
-            got = modrep._highest_weight_span(p, i, j, table)
-            want = carrier_row_highest_weight_span(p, i, j, modrep._carrier_action(p, i, j, table))
+            got = _graded_span(p, i, j)
+            want = carrier_row_highest_weight_span(p, i, j, carrier_image(p, i, j))
             _assert_byte_identical([got], [want])
 
 
@@ -873,11 +942,10 @@ def test_graded_span_reads_f_p_above_the_restricted_range(p):
     # to y2^2, and W at (2, 0) is the Frobenius twist y1^2, y2^2, y3^2
     keys = [(i, j) for i in range(2 * p - 1) for j in range(2 * p - 1 - i) if max(i, j) >= p]
     for i, j in keys:
-        table = modrep._factor_table(p, (i, j))
-        got = modrep._highest_weight_span(p, i, j, table)
-        want = carrier_row_highest_weight_span(p, i, j, modrep._carrier_action(p, i, j, table))
+        got = _graded_span(p, i, j)
+        want = carrier_row_highest_weight_span(p, i, j, carrier_image(p, i, j))
         _assert_byte_identical([got], [want])
-    assert len(modrep._highest_weight_span(2, 2, 0, modrep._factor_table(2, (2, 0)))) == 3
+    assert len(_graded_span(2, 2, 0)) == 3
 
 
 # the root elements of gl_generators and their steps on (mu1, mu2): E_01 and
@@ -923,7 +991,7 @@ def test_graded_span_reduces_few_candidate_rows(monkeypatch):
         return rref(A, p)
 
     monkeypatch.setattr(modrep, "np_rref", counted)
-    W = modrep._highest_weight_span(11, 5, 6, modrep._factor_table(11, (5, 6)))
+    W = _graded_span(11, 5, 6)
     assert len(W) == 273
     assert sum(counts) < 600
 
@@ -946,9 +1014,9 @@ def test_radical_quotient_matches_the_carrier_spin_oracle(p, monkeypatch):
 
 @pytest.mark.parametrize("p,i,j,radical", [(7, 2, 1, 0), (5, 1, 3, 6)])
 def test_radical_quotient_copies_w_only_when_the_radical_is_nonzero(p, i, j, radical):
-    W = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
+    W = _graded_span(p, i, j)
     wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
-    L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), wt, p)
+    L, _ = modrep._radical_quotient(W, modrep._carrier_weights(i, j), _columns(i, j), wt, p)
     assert len(W) - len(L) == radical
     assert (L is W) == (radical == 0)
 
@@ -1019,10 +1087,10 @@ def test_gram_kernel_makes_one_stacked_call_per_block_size(p, i, j, monkeypatch)
     monkeypatch.setattr(modrep, "np_rref_stack", recorded)
     monkeypatch.setattr(modrep, "np_nullspace", None)
     weights = modrep._carrier_weights(i, j)
-    W = modrep._highest_weight_span(p, i, j, modrep._factor_table(p, (i, j)))
+    W = _graded_span(p, i, j)
     wt = np.kron(modrep._form_weights(3, i, p), modrep._form_weights(3, j, p))
     row_weights = weights[(W != 0).argmax(axis=1)]
-    kernel = modrep._gram_kernel(W, row_weights, wt, p, weights)
+    kernel = modrep._gram_kernel(W, row_weights, wt, p, _columns(i, j))
     sizes = np.unique(np.unique(row_weights, axis=0, return_counts=True)[1])
     assert sorted(s for _, s, _ in calls) == [s for s in sizes.tolist() if s > 1]
     assert all(m == n for _, m, n in calls) and len(calls) == len({m for _, m, _ in calls})
@@ -1072,7 +1140,7 @@ _PADDED_BLOCK = (
 @example(_PADDED_BLOCK)
 def test_gram_kernel_matches_one_nullspace_per_block_of_whole_rows(case):
     p, rows, weights, wt, column_weights = case
-    got = modrep._gram_kernel(rows, weights, wt, p, column_weights)
+    got = modrep._gram_kernel(rows, weights, wt, p, modrep._weight_blocks(column_weights))
     want = _oracles.gram_kernel_by_nullspace(rows, weights, wt, p)
     assert sorted(got) == sorted(want)
     for k, (ks, row) in want.items():

@@ -128,6 +128,18 @@ def test_hecke_operators_commute():
     assert np.array_equal(T2 @ T3 % 5, T3 @ T2 % 5)
 
 
+@pytest.mark.parametrize("l", [1, 4, 9, 15])
+def test_hecke_matrix_rejects_an_l_that_is_not_prime(l):
+    # the coset sum of diag(1, l) is T_l only for a prime l: on (11, 5, 0, 0)
+    # it was 0 at l = 4 and found lambda_4 = 0, lambda_9 = 1 for the
+    # Eisenstein system, whose sigma_1(4) = 2 and sigma_1(9) = 3 mod 5
+    space = SymbolSpace(11, 5, 0, 0)
+    with pytest.raises(ValueError, match="l = %d is not prime" % l):
+        space.hecke_matrix(l)
+    with pytest.raises(ValueError, match="l = %d is not prime" % l):
+        find_eigensystems(space, [2, l])
+
+
 def test_hecke_from_coset_sum_matches():
     space = SymbolSpace(11, 5, 0, 0)
     l = 3

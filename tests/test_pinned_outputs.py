@@ -108,5 +108,7 @@ def test_modules_match_the_pinned_digest():
 
 def test_modules_from_the_spun_w_match_the_spun_digest(monkeypatch):
     monkeypatch.setattr(modrep, "_GL3_CACHE", {})
-    monkeypatch.setattr(modrep, "_highest_weight_span", lambda p, i, j, table: gfp_highest_weight_span(p, i, j))
+    # the spun W spins v+ on its own carrier action; the build's factor table
+    # and column blocks, which the graded W reads, go unused
+    monkeypatch.setattr(modrep, "_highest_weight_span", lambda p, i, j, table, columns: gfp_highest_weight_span(p, i, j))
     assert _module_digest() == SPUN_MODULE_PINNED

@@ -185,6 +185,17 @@ def test_build_rejects_a_chi0_whose_modulus_is_not_d(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("window,l", [((2, 4), 4), ((1, 3), 1), ((9,), 9)])
+def test_build_rejects_a_window_l_that_is_not_prime(monkeypatch, window, l):
+    # the space's T_l is the coset sum of diag(1, l) only at a prime l, so a
+    # unit or composite l raises before a space is built
+    built = []
+    monkeypatch.setattr(transfer, "SymbolSpace", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match="l = %d in the window is not prime" % l):
+        BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=window)
+    assert built == []
+
+
 @pytest.mark.parametrize("d", [5, 11, 55], ids=["p-divides-d", "d-is-N1", "d-is-pN1"])
 def test_build_rejects_a_d_not_prime_to_p_times_N1(monkeypatch, d):
     # at d = 5 = p the level N = 55 is not prime to p, and at d = N1 the
