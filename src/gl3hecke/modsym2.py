@@ -6,15 +6,15 @@ group, subject to the order-4 and order-3 relations and the plus-quotient
 (coinvariants of diag(1,-1)).  The full positive-determinant semigroup acts
 through continued-fraction decomposition of non-unimodular symbols (the
 Manin trick), which is what the Hecke operators are built from.  Exact
-linear algebra over the field F_{p^r} of the character chi1; the space, its
-caches and its operators never leave it.  Vectors and matrices are F_p
-coordinate arrays with a trailing axis of length r (see linalg).
+linear algebra over the field F_{p^r} of the character chi1; the space and
+its operators never leave it.  Vectors and matrices are F_p coordinate
+arrays with a trailing axis of length r (see linalg).
 
 One array pass computes the class of a batch of symbols: Euclid's algorithm
 and the convergents run on all of them at once (_symbol_terms), each term's
 coset is read from an N x N table, and its coefficient matrix, which depends
-only on gamma^-1 mod p and its corner mod N, from a cache keyed on that
-residue as one int64 code; the terms are then applied with one batched
+only on gamma^-1 mod p and its corner mod N, computed once per distinct
+residue of the batch; the terms are then applied with one batched
 product and scattered into full coordinates (_scatter).  The relations of
 the presentation are built by that pass for every representative and
 coefficient unit vector at once and reduced in one block, and the semigroup
@@ -127,24 +127,19 @@ def p1_points(N):
     return label
 
 
-def _lift_coprime(c, d, N):
-    """Coprime integer lift of (c, d) taken mod N."""
-    c, d = c % N, d % N
-    if gcd(c, d) == 1:
-        return c, d
-    if c == 0:
-        return 0, 1
-    # adjust d by multiples of N to reach coprimality
-    for k in range(1, 4 * N + 2):
-        if gcd(c, d + k * N) == 1:
-            return c, d + k * N
-    raise RuntimeError("no coprime lift found")
-
-
-def _coset_rep(label, N):
-    """An integer determinant-one matrix whose second column mod N is the
-    projective label; coset labels of the level group are second columns."""
-    c, d = _lift_coprime(label[0], label[1], N)
+def _coset_rep(label):
+    """An integer determinant-one matrix whose second column is the
+    projective label (c, d); coset labels of the level group are second
+    columns.  xgcd(d, -c) completes the label as it is, because
+    gcd(c, d) = 1 for every label of p1_points:
+    - a label is the least pair of its orbit under the units mod N;
+    - if c != 0, the orbit contains (gcd(c, N), .), since c / gcd(c, N) is
+      a unit mod N / gcd(c, N) and units lift mod N, and every first entry
+      in the orbit is a nonzero multiple of gcd(c, N); so c = gcd(c, N)
+      divides N, and gcd(c, d) = gcd(c, d, N) = 1;
+    - if c = 0, d is a unit, so the label is (0, 1); mod 1 p1_points
+      gives the one label (0, 1) as well."""
+    c, d = label
     g, x, y = xgcd(d, -c)
     assert g == 1
     # matrix [[x, c], [y, d]]: det = x d - c y = 1
@@ -169,8 +164,9 @@ class EigenSystem:
 class SymbolSpace:
     """Quotient presentation of the twisted modular symbols at level N, over
     the field of chi1 (the trivial character over F_p by default).  It keeps
-    only what semigroup_act reads: the cosets, the coefficient cache and the
-    quotient map of _build_quotient, whose reducer is dropped."""
+    only its presentation, which is all semigroup_act reads: the cosets and
+    the quotient map of _build_quotient, whose reducer is dropped.  Nothing
+    is added to it after construction."""
 
     def __init__(self, N, p, a, b, chi1=None):
         if N < 1:
@@ -197,39 +193,32 @@ class SymbolSpace:
         # the coset of every pair (x, y) mod N, -1 off P^1(Z/N)
         self._coset_of = np.full((N, N), -1, dtype=np.intp)
         self._coset_of[tuple(np.array(list(label)).T)] = [self.index[lab] for lab in label.values()]
-        self.reps = np.array([_coset_rep(lab, N) for lab in self.labels], dtype=np.int64)
+        self.reps = np.array([_coset_rep(lab) for lab in self.labels], dtype=np.int64)
         self.reps.flags.writeable = False
         self._rep_max = int(np.abs(self.reps).max())
         self.full_dim = len(self.labels) * self.dimV
         # the multiplication matrix of chi1(u) for each residue u mod N: zero
         # off the units, where the character's table is zero
         self._chi_mul = self.field.mul_matrices(chi1.values)
-        self._coeff_cache = {}
         self._build_quotient()
 
     # -- the symbol pass ---------------------------------------------------------
 
     def _coefficients(self, g):
-        """(C, index): C[index[i]] is the F_p matrix, of size D = dimV * r,
-        of V -> V |_chi g[i] = chi1(g_00) rho(g^T) V on coefficient blocks
-        (D, k) with rows (j, s), for the integer matrices of the stack g
-        (n, 2, 2), of determinant prime to pN.  The matrix depends only on
-        g mod p and g_00 mod N, so it is cached on that residue as one int64
-        code; the codes not met before are computed together."""
+        """The F_p matrices, of size D = dimV * r, of V -> V |_chi g[i] =
+        chi1(g_00) rho(g^T) V on coefficient blocks (D, k) with rows (j, s),
+        one for each integer matrix of the stack g (n, 2, 2), of determinant
+        prime to pN: an (n, D, D) array.  The matrix depends only on g mod p
+        and g_00 mod N, so it is computed once per distinct residue of the
+        batch, named by one int64 code, and gathered to every matrix."""
         p, N, D = self.p, self.N, self.dimV * self.field.r
         res = g % p
         code = (((res[:, 0, 0] * p + res[:, 0, 1]) * p + res[:, 1, 0]) * p + res[:, 1, 1]) * N + g[:, 0, 0] % N
-        uniq, first, index = np.unique(code, return_index=True, return_inverse=True)
-        uniq = uniq.tolist()
-        new = [i for i, c in enumerate(uniq) if c not in self._coeff_cache]
-        if new:
-            at = first[new]
-            R = gl2_rho(res[at].swapaxes(1, 2), *self.weight, p)
-            S = self._chi_mul[g[at, 0, 0] % N]
-            # R times the scalar, on the coordinates (j, s) of the coefficients j
-            C = (R[:, :, None, :, None] * S[:, None, :, None, :] % p).reshape(len(at), D, D)
-            self._coeff_cache.update(zip((uniq[i] for i in new), C))
-        return np.array([self._coeff_cache[c] for c in uniq]).reshape(len(uniq), D, D), index
+        _, first, index = np.unique(code, return_index=True, return_inverse=True)
+        R = gl2_rho(res[first].swapaxes(1, 2), *self.weight, p)
+        S = self._chi_mul[g[first, 0, 0] % N]
+        # R times the scalar, on the coordinates (j, s) of the coefficients j
+        return (R[:, :, None, :, None] * S[:, None, :, None, :] % p).reshape(len(first), D, D)[index]
 
     def _scatter(self, M, dets, C, slot, out):
         """Add to out, shape (slots, cosets, D, k), the full coordinates of
@@ -240,8 +229,8 @@ class SymbolSpace:
         src, sign, U = _symbol_terms(M, dets)
         coset = self._coset_of[U[:, 0, 1] % self.N, U[:, 1, 1] % self.N]
         U_inv = np.stack([U[:, 1, 1], -U[:, 0, 1], -U[:, 1, 0], U[:, 0, 0]], axis=1).reshape(-1, 2, 2)
-        coeffs, index = self._coefficients(U_inv @ self.reps[coset])
-        np.add.at(out, (slot[src], coset), sign[:, None, None] * matmul_mod(coeffs[index], C[src], self.p))
+        coeffs = self._coefficients(U_inv @ self.reps[coset])
+        np.add.at(out, (slot[src], coset), sign[:, None, None] * matmul_mod(coeffs, C[src], self.p))
 
     # -- presentation ---------------------------------------------------------
 
@@ -259,11 +248,11 @@ class SymbolSpace:
         unit = unit.reshape(dimV * r, dimV)
         rels = np.zeros((n, 3, n, dimV * r, dimV), dtype=np.int64)
         rels[range(n), :, range(n)] = unit
-        coeffs, _ = self._coefficients(ETA[None])
+        [eta] = self._coefficients(ETA[None])
         reps = self.reps
         M = np.concatenate([SIGMA @ reps, TAU @ reps, TAU @ TAU @ reps, reps @ ETA])
         C = np.concatenate(
-            [np.broadcast_to(unit, (3 * n,) + unit.shape), np.broadcast_to(-matmul_mod(coeffs[0], unit, p), (n,) + unit.shape)]
+            [np.broadcast_to(unit, (3 * n,) + unit.shape), np.broadcast_to(-matmul_mod(eta, unit, p), (n,) + unit.shape)]
         )
         # the four symbols of each representative go to its order-4, order-3, order-3 and plus relation
         slot = (3 * np.arange(n) + np.array([[0], [1], [1], [2]])).ravel()
@@ -315,8 +304,8 @@ class SymbolSpace:
         The whole stack is checked before any work, and one array pass then
         serves all of it: rep m for every coset representative rep with a
         nonzero block and every m, the continued-fraction decomposition
-        (_symbol_terms) of all of them at once, the coefficients read from
-        the residue-keyed cache (_coefficients) and scattered by _scatter,
+        (_symbol_terms) of all of them at once, the coefficients computed
+        once per residue of the batch (_coefficients) and scattered by _scatter,
         and every column of the batch reduced by one product with the
         relation basis, formed at the free columns only: the residue at the
         pivot columns is never read.  Every convergent and every gamma^-1 =
@@ -344,8 +333,7 @@ class SymbolSpace:
         M = self.reps[active] @ stack[:, None]
         if 2 * int(np.abs(M).max(initial=0)) * self._rep_max >= 2**63:
             raise OverflowError("rep m too large for exact int64 continued fractions")
-        coeffs, index = self._coefficients(stack)
-        Wm = matmul_mod(coeffs[index][:, None], W[active], p)  # W |_chi m
+        Wm = matmul_mod(self._coefficients(stack)[:, None], W[active], p)  # W |_chi m
         out = np.zeros((n, cosets, dimV * r, k), dtype=np.int64)
         a = len(active)
         self._scatter(M.reshape(-1, 2, 2), np.repeat(dets, a), Wm.reshape(n * a, dimV * r, k), np.repeat(np.arange(n), a), out)

@@ -83,9 +83,11 @@ class BoundaryDatum:
         unsearched = sorted(set(lambdas or ()) - set(window))
         if unsearched:
             raise ValueError("l = %d is not in the datum's window %s" % (unsearched[0], tuple(sorted(window))))
-        not_prime = [l for l in window if not is_prime(l)]
-        if not_prime:
-            raise ValueError("l = %d in the window is not prime" % not_prime[0])
+        for l in window:
+            if not is_prime(l):
+                raise ValueError("l = %d in the window is not prime" % l)
+            if (p * N1) % l == 0:
+                raise ValueError("l = %d in the window is not prime to p * N1 = %d" % (l, p * N1))
         _check_level(p, N1, d, chi0)
         space = SymbolSpace(N1, p, a, b, chi1=chi1)
         chi0 = DirichletCharacter.trivial(space.field, d) if chi0 is None else chi0.over(space.field)

@@ -6,9 +6,12 @@ from expanding the Jacobi product directly.  SequentialSpinBasis is the
 row-at-a-time basis that the batched linalg.SpinBasis replaced, and
 scan_eigen_split is the eigenvalue scan that the root split in
 modsym2._eigen_split replaced.  p1_canonical_scan normalises a pair mod N by
-scanning every unit, the reference for the modsym2.p1_points label table,
-and prime_field_minpoly multiplies out the Frobenius conjugates of a field
-element.  BfsProjectiveOrbits classifies P^2(Z/N) by a
+scanning every unit, the reference for the modsym2.p1_points label table;
+lifted_coset_rep completes a label to a determinant-one matrix through a
+coprime integer lift of it mod N, the construction that modsym2._coset_rep
+made before it completed the label as it is; and prime_field_minpoly
+multiplies out the Frobenius conjugates of a field element.
+BfsProjectiveOrbits classifies P^2(Z/N) by a
 breadth-first search over every point under generators of the level group,
 with points normalised by scanning every unit mod N; it is the reference for
 the closed form gcd(v_1, v_2, N) in heckegl3.ProjectiveOrbits.
@@ -505,6 +508,21 @@ def p1_canonical_scan(v, N):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def lifted_coset_rep(label, N):
+    """The determinant-one matrix [[x, c], [y, d]] with second column a
+    coprime integer lift (c, d) of the label mod N, completed by xgcd: the
+    lift searches d + k N for k up to 4 N + 1 when gcd(c, d) != 1."""
+    c, d = label[0] % N, label[1] % N
+    if gcd(c, d) != 1:
+        if c == 0:
+            c, d = 0, 1
+        else:
+            d = next(d + k * N for k in range(1, 4 * N + 2) if gcd(c, d + k * N) == 1)
+    g, x, y = xgcd(d, -c)
+    assert g == 1
+    return ((x, c), (y, d))
 
 
 

@@ -326,6 +326,22 @@ def test_orbit_rep_rejects_bad_input():
             ProjectiveOrbits(N)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: coset_reps(2, 1, 0), "N must be positive"),
+        (lambda: coset_reps(2, 4, 5), "k must be 1, 2 or 3"),
+        (lambda: coset_reps(4, 1, 5), "l must be prime"),
+        (lambda: coset_reps(5, 1, 10), "l must not divide N"),
+        (lambda: hecke_orbit_action(5, 1, 12, 2), r"d must divide N with gcd\(d, N/d\) = 1"),
+    ],
+    ids=["N-below-1", "k-is-4", "l-is-4", "l-divides-N", "d-shares-a-factor-with-N/d"],
+)
+def test_coset_inputs_out_of_range_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
+
+
 def test_hecke_orbit_action_stabilizes():
     # every coset s has a level-group gamma (solved by the oracle) with
     # s gamma fixing (1:d:0), and (1:d:0) s stays in the orbit of (1:d:0)

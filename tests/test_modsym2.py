@@ -1,3 +1,4 @@
+import copy
 import random
 from math import gcd, lcm
 
@@ -11,12 +12,14 @@ from gl3hecke.arith import det
 from gl3hecke.characters import DirichletCharacter
 from gl3hecke.ffield import _distinct_degrees, _poly_mul, make_field
 from gl3hecke.linalg import apply_matrix, embed_matrix, identity, nullspace
-from gl3hecke.modsym2 import SymbolSpace, _eigen_split, _minimal_polynomial, _symbol_terms, find_eigensystems, p1_points
+from gl3hecke.heckegl3 import hecke_orbit_action
+from gl3hecke.modsym2 import SymbolSpace, _coset_rep, _eigen_split, _minimal_polynomial, _symbol_terms, find_eigensystems, p1_points
 
 from _oracles import (
     classes,
     coeff_act,
     elliptic_ap,
+    lifted_coset_rep,
     mul2,
     p1_canonical_scan,
     prime_field_minpoly,
@@ -138,6 +141,12 @@ def test_hecke_matrix_rejects_an_l_that_is_not_prime(l):
         space.hecke_matrix(l)
     with pytest.raises(ValueError, match="l = %d is not prime" % l):
         find_eigensystems(space, [2, l])
+
+
+@pytest.mark.parametrize("l", [5, 11], ids=["l-is-p", "l-is-N"])
+def test_hecke_matrix_rejects_a_prime_that_divides_p_times_the_level(l):
+    with pytest.raises(ValueError, match="^l must be prime to p and the level$"):
+        SymbolSpace(11, 5, 0, 0).hecke_matrix(l)
 
 
 def test_hecke_from_coset_sum_matches():
@@ -726,6 +735,37 @@ def test_a_built_space_keeps_no_relation_basis(key):
     arrays = _reachable_arrays(space)
     assert any(x is space._pivot_rows for x in arrays)
     assert [x.shape for x in arrays if x.ndim >= 2 and x.shape[0] >= rank and x.shape[1] in (space.full_dim, space.full_dim * r)] == []
+
+
+def _state(space):
+    """The attributes of the space: the bytes of every array, and a copy of
+    every container, so that one grown in place is seen."""
+    return {
+        key: (x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else copy.deepcopy(x) if isinstance(x, (list, dict, tuple)) else x
+        for key, x in vars(space).items()
+    }
+
+
+def test_a_space_holds_the_same_state_after_its_operators_run():
+    # a space is its presentation: T_l and a boundary action (the psi2
+    # blocks of T(7, 1) and T(7, 2) at d = 3) read it and add nothing to it
+    space = SymbolSpace(11, 5, 0, 0)
+    state = _state(space)
+    space.hecke_matrix(2)
+    space.semigroup_act(identity(space.dim, space.field), hecke_orbit_action(7, (1, 2), 33, 3).psi2)
+    assert _state(space) == state
+
+
+def test_coset_reps_complete_their_labels_as_the_coprime_lift_did():
+    for N in list(range(1, 101)) + [133, 143, 210, 221]:
+        labels = sorted(set(p1_points(N).values()))
+        for c, d in labels:
+            assert (c, d) == (0, 1) or (c > 0 and N % c == 0), (N, c, d)
+            assert gcd(c, d) == 1, (N, c, d)
+        reps = np.array([_coset_rep(lab) for lab in labels], dtype=np.int64)
+        assert (reps[:, 0, 0] * reps[:, 1, 1] - reps[:, 0, 1] * reps[:, 1, 0] == 1).all(), N
+        assert (reps[:, :, 1] % N == np.array(labels) % N).all(), N
+        assert reps.tobytes() == np.array([lifted_coset_rep(lab, N) for lab in labels], dtype=np.int64).tobytes(), N
 
 
 def test_the_search_builds_each_window_operator_once(monkeypatch):

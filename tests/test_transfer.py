@@ -196,6 +196,17 @@ def test_build_rejects_a_window_l_that_is_not_prime(monkeypatch, window, l):
     assert built == []
 
 
+@pytest.mark.parametrize("window,l", [((2, 11), 11), ((2, 5), 5)])
+def test_build_rejects_a_window_prime_that_divides_p_times_N1(monkeypatch, window, l):
+    # the space's T_l needs l prime to p N1, so such an l raises before a
+    # space is built, not in the search on the built space
+    built = []
+    monkeypatch.setattr(transfer, "SymbolSpace", lambda *args, **kwargs: built.append(args))
+    with pytest.raises(ValueError, match=r"^l = %d in the window is not prime to p \* N1 = 55$" % l):
+        BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=window)
+    assert built == []
+
+
 @pytest.mark.parametrize("d", [5, 11, 55], ids=["p-divides-d", "d-is-N1", "d-is-pN1"])
 def test_build_rejects_a_d_not_prime_to_p_times_N1(monkeypatch, d):
     # at d = 5 = p the level N = 55 is not prime to p, and at d = N1 the
@@ -209,6 +220,28 @@ def test_build_rejects_a_d_not_prime_to_p_times_N1(monkeypatch, d):
 
 def _fixture_datum():
     return BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,))
+
+
+def _on_boundary(l, d):
+    datum = _fixture_datum()
+    datum = dataclasses.replace(datum, d=d, chi0=DirichletCharacter.trivial(datum.space.field, d))
+    return gl3_hecke_on_boundary(datum, l, 1, datum.eigen.vector)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: _on_boundary(5, 1), "l must be prime to p and the level"),
+        (lambda: _on_boundary(11, 1), "l must be prime to p and the level"),
+        (lambda: _on_boundary(3, 3), "l must be prime to p and the level"),
+        # the one system of the fixture's window (2,) is Eisenstein, lambda_2 = 3
+        (lambda: BoundaryDatum.build(5, 0, 0, 0, 1, 11, window=(2,), lambdas={2: 0}), "no eigensystem matches the requested eigenvalues"),
+    ],
+    ids=["l-is-p", "l-is-N1", "l-divides-d", "no-matching-system"],
+)
+def test_transfer_inputs_out_of_range_raise(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 def test_a_datum_constructed_directly_rejects_a_chi0_whose_modulus_is_not_d():
